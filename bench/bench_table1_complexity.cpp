@@ -32,7 +32,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -72,11 +72,16 @@ double millis(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<int> parseSizes(const std::string& text) {
+/// A --name=s1,s2,... list of instance sizes: strict integers, each positive.
+std::vector<int> parseSizes(const Options& options, const std::string& name,
+                            std::vector<std::int64_t> fallback) {
   std::vector<int> sizes;
-  std::stringstream in(text);
-  std::string token;
-  while (std::getline(in, token, ',')) sizes.push_back(std::stoi(token));
+  for (const std::int64_t s : options.getIntListOr(name, std::move(fallback))) {
+    if (s < 1 || s > std::numeric_limits<int>::max())
+      throw OptionError("option --" + name + ": size " + std::to_string(s) +
+                        " out of range");
+    sizes.push_back(static_cast<int>(s));
+  }
   return sizes;
 }
 
@@ -231,10 +236,12 @@ struct SparseDenseRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Malformed options (--sizes=abc, --repeats=3x) end the run with the
+// OptionError's message and exit code 2 instead of an uncaught throw.
+int main(int argc, char** argv) try {
   const Options options(argc, argv);
   const std::vector<int> sizes =
-      parseSizes(options.getOr("sizes", "200,400,800,1600"));
+      parseSizes(options, "sizes", {200, 400, 800, 1600});
   const int reductionMax = static_cast<int>(options.getIntOr("reduction-max", 14));
   const int repeats = std::max(1, static_cast<int>(options.getIntOr("repeats", 5)));
   const auto threads = static_cast<std::size_t>(options.getIntOr("threads", 0));
@@ -593,7 +600,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(f) Large scale — width-capped streaming frontier DPs on "
                "10^4..10^6-vertex trees (single run each)\n";
   const std::vector<int> largeSizes =
-      parseSizes(options.getOr("large-sizes", "10000,100000,500000,1000000"));
+      parseSizes(options, "large-sizes", {10000, 100000, 500000, 1000000});
   std::vector<LargeRow> largeRows;
   {
     // Profile chosen to stay feasible under all three policies at s = 10^6:
@@ -737,7 +744,7 @@ int main(int argc, char** argv) {
   const std::size_t rssSparse = bench::peakRssBytes();
 
   const std::vector<int> mutateSizes =
-      parseSizes(options.getOr("mutate-sizes", "1000,10000,100000"));
+      parseSizes(options, "mutate-sizes", {1000, 10000, 100000});
   const int mutateSteps =
       std::max(1, static_cast<int>(options.getIntOr("mutate-steps", 300)));
   std::cout << "\n(h) Incremental re-optimization — dirty-subtree frontier "
@@ -811,7 +818,7 @@ int main(int argc, char** argv) {
   const std::size_t rssIncremental = bench::peakRssBytes();
 
   const std::vector<int> resilienceSizes =
-      parseSizes(options.getOr("resilience-sizes", "10000,100000"));
+      parseSizes(options, "resilience-sizes", {10000, 100000});
   std::cout << "\n(i) Deadline-aware resilient pipeline — every solver path "
                "granted 10% of its scratch exact wall time\n";
   std::vector<ResilienceRow> resilienceRows;
@@ -1440,4 +1447,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const OptionError& e) {
+  std::cerr << e.what() << '\n';
+  return 2;
 }

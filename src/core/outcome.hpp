@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -48,7 +48,10 @@ std::string_view toString(DegradationLevel level);
 struct SolveOutcome {
   OutcomeStatus status = OutcomeStatus::Error;
   DegradationLevel level = DegradationLevel::None;
-  std::optional<Placement> placement;
+  /// Immutable snapshot, shared with whoever else holds it (a serving
+  /// session's last-known-good, earlier responses of an unchanged instance):
+  /// passing it on costs a reference count, never a copy. Null when absent.
+  std::shared_ptr<const Placement> placement;
   /// Cost of `placement` (storage cost; replica count on unit-cost
   /// instances). Infinity when no placement is present.
   double cost = kInfiniteCost;
@@ -64,7 +67,7 @@ struct SolveOutcome {
 
   static constexpr double kInfiniteCost = 1e300;
 
-  bool hasPlacement() const { return placement.has_value(); }
+  bool hasPlacement() const { return placement != nullptr; }
   /// A finite certified optimality gap exists (cost - lowerBound).
   bool bracketed() const {
     return hasPlacement() && cost < kInfiniteCost && lowerBound > -kInfiniteCost;

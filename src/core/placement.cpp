@@ -155,8 +155,6 @@ void Placement::assignRun(VertexId client, std::span<const ServedShare> run) {
   ShareRun& slot = runs_[static_cast<std::size_t>(client)];
   TREEPLACE_REQUIRE(slot.size == 0, "assignRun requires a client without shares");
   if (run.empty()) return;
-  const auto oldCapacity = pool_.capacity();
-  const auto begin = static_cast<std::uint32_t>(pool_.size());
   for (std::size_t k = 0; k < run.size(); ++k) {
     const ServedShare& share = run[k];
     TREEPLACE_REQUIRE(share.server >= 0 &&
@@ -166,14 +164,23 @@ void Placement::assignRun(VertexId client, std::span<const ServedShare> run) {
     for (std::size_t j = 0; j < k; ++j)
       TREEPLACE_REQUIRE(run[j].server != share.server,
                         "assignRun requires distinct servers");
-    pool_.push_back(share);
-    serverLoad_[static_cast<std::size_t>(share.server)] += share.amount;
   }
-  slot = {begin, static_cast<std::uint32_t>(run.size()),
-          static_cast<std::uint32_t>(run.size())};
+  const auto size = static_cast<std::uint32_t>(run.size());
+  if (size > slot.capacity) {
+    // Relocate to the pool top, with growRun's geometric headroom once the
+    // client has had a run before (a brand-new run starts tight).
+    const auto oldCapacity = pool_.capacity();
+    const std::uint32_t capacity = std::max(size, 2 * slot.capacity);
+    slot = {static_cast<std::uint32_t>(pool_.size()), 0, capacity};
+    pool_.resize(pool_.size() + capacity);
+    if (pool_.capacity() != oldCapacity) ++heapAllocs_;
+  }
+  std::copy(run.begin(), run.end(), runData(slot));
+  for (const ServedShare& share : run)
+    serverLoad_[static_cast<std::size_t>(share.server)] += share.amount;
+  slot.size = size;
   liveShares_ += run.size();
   assignCalls_ += run.size();
-  if (pool_.capacity() != oldCapacity) ++heapAllocs_;
 }
 
 void Placement::compact() {

@@ -80,8 +80,11 @@ class Placement {
   void clearClient(VertexId client);
 
   /// Bulk path: record a whole run of shares for a client that has none yet.
-  /// Servers must be distinct and amounts positive; the run must not alias
-  /// this placement's own pool (copy it first when self-rewriting).
+  /// The run is written in place when it fits the capacity the client's
+  /// slot kept (clearClient + assignRun leaves no hole); otherwise it moves
+  /// to the pool top. Servers must be distinct and amounts positive; the run
+  /// must not alias this placement's own pool (copy it first when
+  /// self-rewriting).
   void assignRun(VertexId client, std::span<const ServedShare> run);
 
   /// Reserve pool room for `expectedShares` total shares up front so the

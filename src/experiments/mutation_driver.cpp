@@ -164,12 +164,12 @@ MutationRunResult runMutationWorkload(ProblemInstance& instance,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const std::optional<Placement> incremental = solver.resolve();
+    const std::shared_ptr<const Placement> incremental = solver.resolve();
     const double incMs = millis(t0);
 
     MutationStepRecord record;
     record.kind = delta.kind;
-    record.feasible = incremental.has_value();
+    record.feasible = incremental != nullptr;
     record.incrementalMs = incMs;
     if (incremental) record.replicas = incremental->replicaCount();
     incrementalMs.push_back(incMs);
@@ -180,7 +180,7 @@ MutationRunResult runMutationWorkload(ProblemInstance& instance,
       record.scratchMs = millis(t1);
       scratchMs.push_back(record.scratchMs);
       record.scratchFeasible = scratch.has_value();
-      record.match = incremental.has_value() == scratch.has_value() &&
+      record.match = (incremental != nullptr) == scratch.has_value() &&
                      (!incremental || (*incremental == *scratch &&
                                        incremental->storageCost(instance) ==
                                            scratch->storageCost(instance)));

@@ -1,6 +1,7 @@
 #include "online/incremental.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -93,11 +94,34 @@ void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
 template struct FrontierCacheState<FrontierEntry>;
 template struct FrontierCacheState<QosFrontierEntry>;
 
+/// `held` is set while a snapshot published from the buffer is alive
+/// anywhere; the solver writes a buffer only while it is clear.
+struct IncumbentBuffer {
+  explicit IncumbentBuffer(Placement p) : placement(std::move(p)) {}
+
+  Placement placement;
+  std::atomic<bool> held{false};
+};
+
 }  // namespace detail
 
 namespace {
 
 constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
+
+/// Hand out `buffer`'s placement as an immutable snapshot. The lease keeps
+/// the buffer alive past the solver and clears `held` once the last holder
+/// lets go.
+std::shared_ptr<const Placement> lease(
+    const std::shared_ptr<detail::IncumbentBuffer>& buffer) {
+  buffer->held.store(true, std::memory_order_relaxed);
+  detail::IncumbentBuffer* raw = buffer.get();
+  std::shared_ptr<detail::IncumbentBuffer> owner(
+      raw, [keep = buffer](detail::IncumbentBuffer* b) {
+        b->held.store(false, std::memory_order_release);
+      });
+  return {std::move(owner), &raw->placement};
+}
 
 /// Copy-compact the persistent arena once dead generations dominate: stage
 /// every clean vertex's spans, reset the slab, re-push. Spans are indices and
@@ -250,7 +274,7 @@ DeltaApplication IncrementalSolver::applyWithoutInvalidation(
   return app;
 }
 
-std::optional<Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
+std::shared_ptr<const Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
   try {
     return policy_ == OnlinePolicy::ClosestQos ? resolveQos(guard) : resolve2d(guard);
   } catch (const SolveInterrupted&) {
@@ -262,7 +286,7 @@ std::optional<Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
   } catch (...) {
     // Anything else — an injected bad_alloc inside arena growth, a repair
     // invariant trip — may have left a stamped-but-garbage frontier or a
-    // half-repaired incumbent behind. Self-check is by reconstruction: drop
+    // half-repaired back buffer behind. Self-check is by reconstruction: drop
     // everything, re-solve the same instance from scratch once.
     ++stats_.scratchFallbacks;
     invalidateCaches();
@@ -287,13 +311,25 @@ void IncrementalSolver::invalidateCaches() {
   pendingGlobal_ = true;
   pendingChangedClients_.clear();
   flips_.clear();
-  placement_.reset();
+  front_.reset();
+  back_.reset();
+  published_.reset();
+  journalFlips_.clear();
+  journalClients_.clear();
+  backStale_ = true;
   assignRebuildNeeded_ = true;
 }
 
 template <typename Entry>
 void IncrementalSolver::maybeCompact(detail::FrontierCacheState<Entry>& cache) {
   compactIfBloated(cache, instance_->tree, tracker_, stats_);
+}
+
+Requests IncrementalSolver::foldCapacity() const {
+  if (!pendingGlobal_ && pendingDirty_.empty()) return 0;  // nothing to fold
+  const Requests W = instance_->homogeneousCapacity();
+  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  return W;
 }
 
 void IncrementalSolver::orderPendingDirty() {
@@ -361,12 +397,11 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
 // through the very same FrontierConvolver, every recomputed frontier is
 // bit-identical to what a scratch solve would build — the incremental
 // placement therefore *equals* the scratch placement, not merely its cost.
-std::optional<Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
+std::shared_ptr<const Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  const Requests W = foldCapacity();
 
   auto& cache = cache2d_;
   maybeCompact(cache);
@@ -505,7 +540,7 @@ std::optional<Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
   const FrontierSpan rootSpan =
       cache.frontier[static_cast<std::size_t>(decomp.rootBag())];
   if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
-    return std::nullopt;
+    return nullptr;
 
   flips_.clear();
   reconstruct(cache, static_cast<std::int32_t>(rootSpan.size - 1));
@@ -514,7 +549,7 @@ std::optional<Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
     refreshMultipleAssignment(cache.replicaBit);
   else
     refreshClosestAssignment(cache.replicaBit);
-  return *placement_;
+  return published_;
 }
 
 // Incremental twin of solveClosestHomogeneousQos. One deliberate divergence:
@@ -523,12 +558,11 @@ std::optional<Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
 // ancestor accumulator, so the root frontier ends without a zero-flow entry
 // and the verdict (infeasible) is identical, but the cache stays coherent for
 // the next mutation.
-std::optional<Placement> IncrementalSolver::resolveQos(BudgetGuard* guard) {
+std::shared_ptr<const Placement> IncrementalSolver::resolveQos(BudgetGuard* guard) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  const Requests W = foldCapacity();
 
   auto& cache = cacheQos_;
   maybeCompact(cache);
@@ -648,30 +682,71 @@ std::optional<Placement> IncrementalSolver::resolveQos(BudgetGuard* guard) {
       break;
     }
   }
-  if (bestIdx < 0) return std::nullopt;
+  if (bestIdx < 0) return nullptr;
 
   flips_.clear();
   reconstruct(cache, bestIdx);
   refreshClosestAssignment(cache.replicaBit);
-  return *placement_;
+  return published_;
+}
+
+Placement& IncrementalSolver::levelBackBuffer() {
+  const Placement& front = front_->placement;
+  // The acquire pairs with the release in a snapshot lease's deleter: every
+  // read a former holder made of this buffer happens before the writes below.
+  if (!back_ || back_->held.load(std::memory_order_acquire)) {
+    back_ = std::make_shared<detail::IncumbentBuffer>(front);
+    ++stats_.snapshotCopies;
+  } else if (backStale_) {
+    back_->placement = front;  // reuses the buffer's capacity
+    ++stats_.snapshotCopies;
+  } else {
+    Placement& back = back_->placement;
+    for (const VertexId v : journalFlips_) {
+      if (front.hasReplica(v))
+        back.addReplica(v);
+      else
+        back.removeReplica(v);
+    }
+    for (const VertexId c : journalClients_) {
+      back.clearClient(c);
+      back.assignRun(c, front.shares(c));
+    }
+  }
+  backStale_ = false;
+  return back_->placement;
+}
+
+void IncrementalSolver::publishRepaired(std::vector<VertexId>&& touched) {
+  std::swap(front_, back_);
+  journalFlips_.assign(flips_.begin(), flips_.end());
+  journalClients_ = std::move(touched);
+  published_ = lease(front_);
+}
+
+void IncrementalSolver::publishRebuilt(Placement&& fresh) {
+  back_ = std::move(front_);
+  front_ = std::make_shared<detail::IncumbentBuffer>(std::move(fresh));
+  backStale_ = true;
+  published_ = lease(front_);
 }
 
 void IncrementalSolver::refreshClosestAssignment(
     const std::vector<char>& replicaBit) {
   const ProblemInstance& instance = *instance_;
   const std::size_t n = instance.tree.vertexCount();
-  if (assignRebuildNeeded_ || !placement_.has_value()) {
+  if (assignRebuildNeeded_ || !front_) {
     Placement fresh(n);
     for (std::size_t vi = 0; vi < n; ++vi)
       if (replicaBit[vi] != 0) fresh.addReplica(static_cast<VertexId>(vi));
     assignClientsToClosest(instance, fresh);
-    placement_ = std::move(fresh);
+    publishRebuilt(std::move(fresh));
     // The per-server index mirrors the fresh assignment; clients() order is
     // the scan order, so every list comes out sorted by construction.
     for (auto& list : serverClients_) list.clear();
     serverClients_.resize(n);
     for (const VertexId c : instance.tree.clients()) {
-      const auto sh = placement_->shares(c);
+      const auto sh = published_->shares(c);
       if (!sh.empty())
         serverClients_[static_cast<std::size_t>(sh[0].server)].push_back(c);
     }
@@ -679,7 +754,9 @@ void IncrementalSolver::refreshClosestAssignment(
     pendingChangedClients_.clear();
     return;
   }
-  repairClosestAssignment(replicaBit);
+  if (flips_.empty() && pendingChangedClients_.empty()) return;  // still the answer
+  Placement& placement = levelBackBuffer();
+  publishRepaired(repairClosestAssignment(replicaBit, placement));
 }
 
 // Closest (and Closest+QoS) assignment repair: the policy serves each client
@@ -690,11 +767,10 @@ void IncrementalSolver::refreshClosestAssignment(
 // subtree's client-index interval — and (c) clients whose own rate mutated.
 // The per-server index pins those groups down exactly, so a flip near the
 // root costs O(moved clients), not O(subtree).
-void IncrementalSolver::repairClosestAssignment(
-    const std::vector<char>& replicaBit) {
+std::vector<VertexId> IncrementalSolver::repairClosestAssignment(
+    const std::vector<char>& replicaBit, Placement& placement) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
-  Placement& placement = *placement_;
   const auto& clients = tree.clients();
 
   // 1. Candidates, read off the pre-flip index.
@@ -803,25 +879,28 @@ void IncrementalSolver::repairClosestAssignment(
       list.push_back(arrivals[i].second);
     std::inplace_merge(list.begin(), list.begin() + mid, list.end(), scanLess);
   }
+  return moved;
 }
 
 void IncrementalSolver::refreshMultipleAssignment(
     const std::vector<char>& replicaBit) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
-  if (assignRebuildNeeded_ || !placement_.has_value()) {
-    placement_ = assignMultipleRequests(instance, replicaBit);
+  if (assignRebuildNeeded_ || !front_) {
+    publishRebuilt(assignMultipleRequests(instance, replicaBit));
     for (auto& takes : serverTakes_) takes.clear();
     serverTakes_.resize(tree.vertexCount());
     for (const VertexId c : tree.clients())
-      for (const ServedShare& share : placement_->shares(c))
+      for (const ServedShare& share : published_->shares(c))
         serverTakes_[static_cast<std::size_t>(share.server)].push_back(
             {c, share.amount});
     assignRebuildNeeded_ = false;
     pendingChangedClients_.clear();
     return;
   }
-  repairMultipleAssignment(replicaBit);
+  if (flips_.empty() && pendingChangedClients_.empty()) return;  // still the answer
+  Placement& placement = levelBackBuffer();
+  publishRepaired(repairMultipleAssignment(replicaBit, placement));
 }
 
 // Multiple assignment repair by undo/replay. The greedy pass 3 absorbs, per
@@ -836,11 +915,10 @@ void IncrementalSolver::refreshMultipleAssignment(
 // a client of subtree(s) is an ancestor of s, hence affected too) — so the
 // replay only ever touches tracked clients, and the result is bit-identical
 // to rerunning the full greedy.
-void IncrementalSolver::repairMultipleAssignment(
-    const std::vector<char>& replicaBit) {
+std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
+    const std::vector<char>& replicaBit, Placement& placement) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
-  Placement& placement = *placement_;
   const Requests W = instance.homogeneousCapacity();
   const auto& clients = tree.clients();
 
@@ -933,6 +1011,7 @@ void IncrementalSolver::repairMultipleAssignment(
   for (const VertexId c : tracked)
     TREEPLACE_REQUIRE(remainingScratch_[static_cast<std::size_t>(c)] == 0,
                       "multiple repair left unassigned demand — locality bug");
+  return tracked;
 }
 
 IncrementalBounds::IncrementalBounds(ProblemInstance& instance)

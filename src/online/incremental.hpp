@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +48,11 @@ struct FrontierCacheStats {
   /// trip), dropped every cache, and re-solved from scratch — the resilience
   /// fallback, not a steady-state event.
   std::size_t scratchFallbacks = 0;
+  /// Full O(s) copies of the incumbent into the back buffer: a caller still
+  /// held the snapshot the step would have repaired, or the previous step
+  /// rebuilt the incumbent wholesale. Zero in a steady state of local
+  /// mutations whose answers are dropped before the next step.
+  std::size_t snapshotCopies = 0;
 
   double hitRate() const {
     const std::size_t total = hits + misses;
@@ -101,6 +106,9 @@ struct FrontierCacheState {
   void grow(const TreeDecomposition& decomp, bool withCombos);
 };
 
+/// One of IncrementalSolver's two incumbent buffers (defined with the solver).
+struct IncumbentBuffer;
+
 }  // namespace detail
 
 /// Incremental re-optimization engine for the polynomial homogeneous solvers
@@ -138,7 +146,16 @@ class IncrementalSolver {
 
   /// Re-solve from the caches: recompute dirty subtree frontiers bottom-up,
   /// reuse clean ones, reconstruct the placement through the cached
-  /// backpointers. nullopt when the mutated instance is infeasible.
+  /// backpointers. Null when the mutated instance is infeasible.
+  ///
+  /// The result is an immutable snapshot that stays valid, and unchanged,
+  /// for as long as the caller keeps it — the solver never writes a
+  /// published placement again. A resolve with nothing to change returns the
+  /// previous snapshot itself (O(1)). Otherwise the step repairs a back
+  /// buffer — the snapshot before last, brought level by replaying the last
+  /// step's journal of replica flips and reassigned clients — and publishes
+  /// it: O(changed), unless the caller still holds that older snapshot, in
+  /// which case one full copy replaces it (cacheStats().snapshotCopies).
   ///
   /// `guard`, when non-null, is ticked once per recomputed vertex and throws
   /// SolveInterrupted on a trip. The checkpoint fires BEFORE a vertex is
@@ -151,21 +168,26 @@ class IncrementalSolver {
   /// drops every cache and the incumbent assignment, re-solves the same
   /// instance from scratch once (counted in cacheStats().scratchFallbacks),
   /// and only rethrows if the scratch pass fails too — a fault costs latency,
-  /// never a wrong placement.
-  std::optional<Placement> resolve(BudgetGuard* guard = nullptr);
+  /// never a wrong placement. A fault mid-repair damages only the back
+  /// buffer, which the fallback drops; published snapshots stay intact.
+  std::shared_ptr<const Placement> resolve(BudgetGuard* guard = nullptr);
 
   const FrontierCacheStats& cacheStats() const { return stats_; }
 
  private:
   void noteDelta(const DeltaApplication& app);
-  std::optional<Placement> resolve2d(BudgetGuard* guard);
-  std::optional<Placement> resolveQos(BudgetGuard* guard);
-  /// Drop every cache, the pending dirty bookkeeping, and the incumbent
-  /// assignment — back to the just-constructed state against the current
+  std::shared_ptr<const Placement> resolve2d(BudgetGuard* guard);
+  std::shared_ptr<const Placement> resolveQos(BudgetGuard* guard);
+  /// Drop every cache, the pending dirty bookkeeping, and both incumbent
+  /// buffers — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
   template <typename Entry>
   void maybeCompact(detail::FrontierCacheState<Entry>& cache);
+  /// W for the place folds. homogeneousCapacity() scans every internal
+  /// vertex (it also rejects a heterogeneous instance), so a resolve with
+  /// nothing dirty — a read — skips it; every capacity delta dirties.
+  Requests foldCapacity() const;
   /// Sort the pending dirty list into postorder processing position and drop
   /// duplicates (the same vertex stamped across several epochs).
   void orderPendingDirty();
@@ -179,8 +201,21 @@ class IncrementalSolver {
   /// the walk collected plus the clients whose rates mutated.
   void refreshClosestAssignment(const std::vector<char>& replicaBit);
   void refreshMultipleAssignment(const std::vector<char>& replicaBit);
-  void repairClosestAssignment(const std::vector<char>& replicaBit);
-  void repairMultipleAssignment(const std::vector<char>& replicaBit);
+  /// The repairs write `placement` (the levelled back buffer) and return the
+  /// clients whose shares they may have changed: the step's journal.
+  std::vector<VertexId> repairClosestAssignment(const std::vector<char>& replicaBit,
+                                                Placement& placement);
+  std::vector<VertexId> repairMultipleAssignment(const std::vector<char>& replicaBit,
+                                                 Placement& placement);
+  /// The back buffer, made equal to the published snapshot: by replaying the
+  /// journal in place, or by one full copy when a caller still holds it or
+  /// the journal does not cover the difference.
+  Placement& levelBackBuffer();
+  /// Swap the repaired back buffer in as the published snapshot; `touched`
+  /// (plus flips_) becomes the journal the next step replays.
+  void publishRepaired(std::vector<VertexId>&& touched);
+  /// Publish a wholesale rebuild; the next step levels by a full copy.
+  void publishRebuilt(Placement&& fresh);
 
   ProblemInstance* instance_;
   OnlinePolicy policy_;
@@ -201,9 +236,17 @@ class IncrementalSolver {
   std::vector<VertexId> pendingChangedClients_;
   std::vector<VertexId> flips_;  ///< replica bits flipped by the last walk
 
-  /// The incumbent assignment, repaired in place step over step. resolve()
-  /// hands out copies; the incumbent itself never leaves the solver.
-  std::optional<Placement> placement_;
+  /// The incumbent assignment, double-buffered: front_ is the published
+  /// snapshot (never written again), back_ the one before it, which the next
+  /// step levels with front_ by replaying the journal (the last step's
+  /// replica flips and reassigned clients), repairs in place and swaps in.
+  std::shared_ptr<detail::IncumbentBuffer> front_;
+  std::shared_ptr<detail::IncumbentBuffer> back_;
+  /// front_'s placement as handed to callers; holding it keeps front_->held.
+  std::shared_ptr<const Placement> published_;
+  std::vector<VertexId> journalFlips_;
+  std::vector<VertexId> journalClients_;
+  bool backStale_ = true;  ///< back_ differs from front_ beyond the journal
   bool assignRebuildNeeded_ = true;
   /// Per-server absorption lists of the incumbent Multiple assignment
   /// ((client, amount) per share, unordered): the undo side of the

@@ -242,7 +242,12 @@ bool quietlyValid(const ProblemInstance& instance, const Placement& p,
   }
 }
 
-void fillOptimal(SolveOutcome& out, std::optional<Placement>&& placement) {
+std::shared_ptr<const Placement> toSnapshot(std::optional<Placement>&& placement) {
+  if (!placement) return nullptr;
+  return std::make_shared<const Placement>(std::move(*placement));
+}
+
+void fillOptimal(SolveOutcome& out, std::shared_ptr<const Placement> placement) {
   if (placement) {
     out.status = OutcomeStatus::Optimal;
     out.level = DegradationLevel::Exact;
@@ -266,8 +271,7 @@ SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy
 
   BudgetGuard exactGuard(scaledBudget(budget, fraction));
   try {
-    std::optional<Placement> p = exactSolve(instance, policy, &exactGuard);
-    fillOptimal(out, std::move(p));
+    fillOptimal(out, toSnapshot(exactSolve(instance, policy, &exactGuard)));
     out.steps = exactGuard.stepsUsed();
     out.elapsedMs = msSince(t0);
     return out;
@@ -303,7 +307,7 @@ SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy
     out.status = OutcomeStatus::FeasibleDegraded;
     out.level = DegradationLevel::StreamCapped;
     out.cost = static_cast<double>(p->replicaCount());
-    out.placement = std::move(p);
+    out.placement = toSnapshot(std::move(p));
     const DegradedFloor floor = streamFloor(instance, policy, streamOpts);
     out.lowerBound = std::max(relax.certified ? static_cast<double>(relax.floor) : 0.0,
                               floor.certified ? static_cast<double>(floor.floor) : 0.0);
@@ -371,7 +375,7 @@ SolveOutcome runBudgetedIlp(const SolveBudget& budget, SolveFn&& solve) {
       // clamp so the reported bracket stays an interval.
       out.lowerBound = std::min(r.lowerBound, r.cost);
     }
-    out.placement = std::move(r.placement);
+    out.placement = toSnapshot(std::move(r.placement));
   } else if (r.proven) {
     out.status = OutcomeStatus::Infeasible;
     out.level = DegradationLevel::None;
@@ -451,8 +455,8 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
   // work done here is not lost — the next request's rung A resumes from it.
   BudgetGuard exactGuard(scaledBudget(budget, fraction));
   try {
-    std::optional<Placement> p = solver_.resolve(&exactGuard);
-    if (p) lastGood_ = *p;
+    std::shared_ptr<const Placement> p = solver_.resolve(&exactGuard);
+    if (p) lastGood_ = p;
     fillOptimal(out, std::move(p));
     out.steps = exactGuard.stepsUsed();
     out.elapsedMs = msSince(t0);
@@ -511,8 +515,8 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
       out.level = DegradationLevel::WarmIncumbent;
       out.cost = static_cast<double>(refit->replicaCount());
       out.lowerBound = relaxFloor;
-      lastGood_ = *refit;
-      out.placement = std::move(refit);
+      lastGood_ = toSnapshot(std::move(refit));
+      out.placement = lastGood_;
       return finish(std::move(out));
     }
   }
@@ -534,8 +538,8 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
     out.cost = static_cast<double>(p->replicaCount());
     out.lowerBound =
         std::max(relaxFloor, floor.certified ? static_cast<double>(floor.floor) : 0.0);
-    lastGood_ = *p;
-    out.placement = std::move(p);
+    lastGood_ = toSnapshot(std::move(p));
+    out.placement = lastGood_;
     return finish(std::move(out));
   }
 
@@ -547,7 +551,7 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
     out.level = DegradationLevel::LastKnownGood;
     out.cost = static_cast<double>(lastGood_->replicaCount());
     out.lowerBound = relaxFloor;
-    out.placement = *lastGood_;
+    out.placement = lastGood_;
     return finish(std::move(out));
   }
 

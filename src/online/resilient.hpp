@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "core/outcome.hpp"
@@ -101,7 +102,9 @@ class ResilientSession {
   SolveOutcome solve(const SolveBudget& budget);
 
   OnlinePolicy policy() const { return policy_; }
-  const std::optional<Placement>& lastKnownGood() const { return lastGood_; }
+  /// The snapshot the last successful rung returned (shared, not copied);
+  /// null before the first one.
+  const std::shared_ptr<const Placement>& lastKnownGood() const { return lastGood_; }
   const FrontierCacheStats& cacheStats() const { return solver_.cacheStats(); }
 
  private:
@@ -115,7 +118,7 @@ class ResilientSession {
   ResilientOptions options_;
   IncrementalSolver solver_;
   std::optional<IncrementalBounds> bounds_;
-  std::optional<Placement> lastGood_;
+  std::shared_ptr<const Placement> lastGood_;
 };
 
 }  // namespace treeplace

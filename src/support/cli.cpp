@@ -62,6 +62,19 @@ double Options::getDoubleOr(const std::string& name, double fallback) const {
   return parseDouble(name, *v);
 }
 
+std::vector<std::int64_t> Options::getIntListOr(
+    const std::string& name, std::vector<std::int64_t> fallback) const {
+  const auto v = get(name);
+  if (!v) return fallback;
+  std::vector<std::int64_t> values;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = std::min(v->find(',', begin), v->size());
+    values.push_back(parseInt(name, v->substr(begin, comma - begin)));
+    if (comma == v->size()) return values;
+    begin = comma + 1;
+  }
+}
+
 std::int64_t Options::parseInt(const std::string& name, const std::string& text) {
   std::int64_t value = 0;
   const char* first = text.data();

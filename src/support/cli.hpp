@@ -34,6 +34,10 @@ class Options {
   /// OptionError is thrown. Absent options return the fallback untouched.
   std::int64_t getIntOr(const std::string& name, std::int64_t fallback) const;
   double getDoubleOr(const std::string& name, double fallback) const;
+  /// Strict comma-separated integer list ("200,400,800"): every item must
+  /// parse as getIntOr's would, and empty items are rejected.
+  std::vector<std::int64_t> getIntListOr(const std::string& name,
+                                         std::vector<std::int64_t> fallback) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 

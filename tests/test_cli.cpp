@@ -118,6 +118,26 @@ TEST(Cli, StillAcceptsWellFormedNumbers) {
   EXPECT_DOUBLE_EQ(o.getDoubleOr("d", 0.0), -0.125);
 }
 
+// Size lists (bench --sizes=200,400) used to go through std::stoi: "abc"
+// escaped as an uncaught std::invalid_argument and "12x" silently ran 12.
+TEST(Cli, IntListIsStrict) {
+  const auto o = makeOptions({"--sizes=200,400,800", "--one=7", "--word=abc",
+                              "--suffix=12x", "--hole=1,,3", "--tail=1,2,",
+                              "--empty=", "--huge=1,99999999999999999999"});
+  EXPECT_EQ(o.getIntListOr("sizes", {}), (std::vector<std::int64_t>{200, 400, 800}));
+  EXPECT_EQ(o.getIntListOr("one", {}), (std::vector<std::int64_t>{7}));
+  EXPECT_EQ(o.getIntListOr("absent", {1, 2}), (std::vector<std::int64_t>{1, 2}));
+  for (const char* name : {"word", "suffix", "hole", "tail", "empty", "huge"}) {
+    try {
+      (void)o.getIntListOr(name, {});
+      ADD_FAILURE() << "--" << name << " accepted";
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // Malformed environment values go through the same strict path.
 TEST(Cli, RejectsGarbageFromEnvironment) {
   ::setenv("TREEPLACE_ENV_GARBAGE", "7seven", 1);

@@ -190,7 +190,7 @@ TEST(DeltaValidation, IncrementalSolverKeepsServingAfterRejection) {
   ProblemInstance instance = smallInstance();
   IncrementalSolver solver(instance, OnlinePolicy::Multiple);
   const auto first = solver.resolve();
-  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first != nullptr);
   const std::size_t replicasBefore = first->replicaCount();
 
   InstanceDelta bad;
@@ -200,7 +200,7 @@ TEST(DeltaValidation, IncrementalSolverKeepsServingAfterRejection) {
   EXPECT_THROW(solver.apply(bad), DeltaError);
 
   const auto second = solver.resolve();
-  ASSERT_TRUE(second.has_value());
+  ASSERT_TRUE(second != nullptr);
   EXPECT_EQ(second->replicaCount(), replicasBefore);
 
   // And a good delta after the rejection still goes through.
@@ -209,7 +209,7 @@ TEST(DeltaValidation, IncrementalSolverKeepsServingAfterRejection) {
   good.node = 3;
   good.rate = 7;
   EXPECT_NO_THROW(solver.apply(good));
-  EXPECT_TRUE(solver.resolve().has_value());
+  EXPECT_TRUE(solver.resolve() != nullptr);
 }
 
 TEST(DeltaValidation, ErrorCodesHaveNames) {

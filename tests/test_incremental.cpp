@@ -108,7 +108,7 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       IncrementalSolver b(rebuilt, policy);
       const auto first = a.resolve();
       const auto second = b.resolve();
-      ASSERT_EQ(first.has_value(), second.has_value())
+      ASSERT_EQ(first != nullptr, second != nullptr)
           << toString(policy) << " seed=" << seed;
       if (first) EXPECT_EQ(*first, *second) << toString(policy) << " seed=" << seed;
 
@@ -122,7 +122,7 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       b.apply(delta);
       const auto firstAfter = a.resolve();
       const auto secondAfter = b.resolve();
-      ASSERT_EQ(firstAfter.has_value(), secondAfter.has_value())
+      ASSERT_EQ(firstAfter != nullptr, secondAfter != nullptr)
           << toString(policy) << " seed=" << seed;
       if (firstAfter)
         EXPECT_EQ(*firstAfter, *secondAfter) << toString(policy) << " seed=" << seed;
@@ -145,7 +145,7 @@ TEST(IncrementalSolver, CacheHitsOnUntouchedSubtrees) {
   ProblemInstance instance = b.build();
 
   IncrementalSolver solver(instance, OnlinePolicy::Multiple);
-  ASSERT_TRUE(solver.resolve().has_value());
+  ASSERT_TRUE(solver.resolve() != nullptr);
   const FrontierCacheStats before = solver.cacheStats();
 
   InstanceDelta delta;
@@ -153,7 +153,7 @@ TEST(IncrementalSolver, CacheHitsOnUntouchedSubtrees) {
   delta.node = c0;
   delta.rate = 5;
   solver.apply(delta);
-  ASSERT_TRUE(solver.resolve().has_value());
+  ASSERT_TRUE(solver.resolve() != nullptr);
   const FrontierCacheStats after = solver.cacheStats();
 
   // Recomputed: c0, left, root. Reused: the right branch and left's other
@@ -181,7 +181,7 @@ TEST(IncrementalSolver, PoisonedCacheServesStaleAnswer) {
 
   IncrementalSolver solver(instance, OnlinePolicy::Multiple);
   const auto initial = solver.resolve();
-  ASSERT_TRUE(initial.has_value());
+  ASSERT_TRUE(initial != nullptr);
   EXPECT_EQ(initial->replicaCount(), 2u);  // 8 requests over W = 5
 
   // Drop c0 to 1 (total 5, one replica suffices) WITHOUT invalidating.
@@ -193,7 +193,7 @@ TEST(IncrementalSolver, PoisonedCacheServesStaleAnswer) {
 
   const auto stale = solver.resolve();
   const auto fresh = solveMultipleHomogeneousDP(instance);
-  ASSERT_TRUE(stale.has_value());
+  ASSERT_TRUE(stale != nullptr);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(stale->replicaCount(), 2u) << "poisoned cache should be stale";
   EXPECT_EQ(fresh->replicaCount(), 1u);
@@ -202,8 +202,149 @@ TEST(IncrementalSolver, PoisonedCacheServesStaleAnswer) {
   // Proper invalidation of the same instance state heals the cache.
   solver.apply(delta);
   const auto healed = solver.resolve();
-  ASSERT_TRUE(healed.has_value());
+  ASSERT_TRUE(healed != nullptr);
   EXPECT_TRUE(*healed == *fresh);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots: resolve() publishes immutable placements from a double-buffered
+// incumbent. Reads with nothing to change share the published pointer, a
+// snapshot a caller keeps never changes under later steps, and a caller that
+// drops its answers costs the solver no full copy.
+// ---------------------------------------------------------------------------
+
+constexpr OnlinePolicy kAllPolicies[] = {OnlinePolicy::Closest, OnlinePolicy::Multiple,
+                                         OnlinePolicy::ClosestQos};
+
+TEST(IncrementalSnapshots, NoDeltaResolveReturnsTheSamePointer) {
+  for (const OnlinePolicy policy : kAllPolicies) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      ProblemInstance instance = smallHomogeneous(seed, qosFraction);
+      IncrementalSolver solver(instance, policy);
+      const auto first = solver.resolve();
+      if (!first) continue;
+      const std::size_t copies = solver.cacheStats().snapshotCopies;
+      EXPECT_EQ(solver.resolve().get(), first.get()) << toString(policy) << " seed=" << seed;
+      EXPECT_EQ(solver.resolve().get(), first.get()) << toString(policy) << " seed=" << seed;
+      EXPECT_EQ(solver.cacheStats().snapshotCopies, copies);
+    }
+  }
+}
+
+TEST(IncrementalSnapshots, HeldSnapshotsOutliveLaterSteps) {
+  for (const OnlinePolicy policy : kAllPolicies) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    ProblemInstance instance = smallHomogeneous(3, qosFraction);
+    IncrementalSolver solver(instance, policy);
+    MutationWorkloadConfig config;
+    config.policy = policy;
+    config.rateCap = 0.5;
+    Prng rng(4242);
+    std::vector<std::pair<std::shared_ptr<const Placement>, Placement>> held;
+    for (int step = 0; step < 300; ++step) {
+      solver.apply(drawMutation(instance, config, rng));
+      const auto snapshot = solver.resolve();
+      const auto truth = scratch(instance, policy);
+      ASSERT_EQ(snapshot != nullptr, truth.has_value())
+          << toString(policy) << " step=" << step;
+      if (!snapshot) continue;
+      ASSERT_EQ(*snapshot, *truth) << toString(policy) << " step=" << step;
+      if (step % 3 == 0) held.emplace_back(snapshot, *snapshot);
+    }
+    ASSERT_GE(held.size(), 20u) << toString(policy);
+    for (std::size_t k = 0; k < held.size(); ++k)
+      EXPECT_EQ(*held[k].first, held[k].second) << toString(policy) << " held #" << k;
+    EXPECT_GT(solver.cacheStats().snapshotCopies, 0u) << toString(policy);
+  }
+}
+
+TEST(IncrementalSnapshots, DroppedAnswersCostNoFullCopy) {
+  for (const OnlinePolicy policy : kAllPolicies) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    std::uint64_t seed = 1;
+    while (!scratch(smallHomogeneous(seed, qosFraction), policy)) ++seed;
+    ProblemInstance instance = smallHomogeneous(seed, qosFraction);
+    IncrementalSolver solver(instance, policy);
+    ASSERT_NE(solver.resolve(), nullptr) << toString(policy);
+    const auto clients = instance.tree.clients();
+    const Requests W = instance.homogeneousCapacity();
+    Prng rng(77);
+    const auto step = [&] {
+      InstanceDelta delta;
+      delta.kind = DeltaKind::RateChange;
+      delta.node = clients[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(clients.size()) - 1))];
+      delta.rate = static_cast<Requests>(rng.uniformInt(1, std::max<Requests>(1, W / 3)));
+      solver.apply(delta);
+      return solver.resolve();
+    };
+    // Warm-up: the first repair after the initial (rebuilt) solve levels its
+    // back buffer by one full copy.
+    for (int k = 0; k < 3; ++k) (void)step();
+    const std::size_t warm = solver.cacheStats().snapshotCopies;
+    int published = 0;
+    for (int k = 0; k < 200; ++k) published += step() != nullptr;
+    ASSERT_GT(published, 100) << toString(policy);
+    EXPECT_EQ(solver.cacheStats().snapshotCopies, warm) << toString(policy);
+
+    // Keeping every answer instead leaves the solver a held back buffer at
+    // every step that publishes, except the first: its back buffer is the
+    // snapshot before `kept` began, which was dropped.
+    std::vector<std::shared_ptr<const Placement>> kept{solver.resolve()};
+    std::size_t changed = 0;
+    const std::size_t before = solver.cacheStats().snapshotCopies;
+    for (int k = 0; k < 50; ++k) {
+      auto next = step();
+      if (next && next.get() != kept.back().get()) ++changed;
+      if (next) kept.push_back(std::move(next));
+    }
+    ASSERT_GT(changed, 0u) << toString(policy);
+    EXPECT_EQ(solver.cacheStats().snapshotCopies - before, changed - 1) << toString(policy);
+  }
+}
+
+// A repair that trips on a poisoned cache writes only the back buffer: the
+// scratch fallback drops it, and a snapshot published before stays intact.
+TEST(IncrementalSnapshots, HeldSnapshotSurvivesScratchFallback) {
+  TreeBuilder b;
+  const VertexId root = b.addRoot(5);
+  const VertexId mid = b.addInternal(root, 5);
+  const VertexId c0 = b.addClient(mid, 1);
+  const VertexId c1 = b.addClient(mid, 4);
+  b.useUnitCosts();
+  ProblemInstance instance = b.build();
+
+  IncrementalSolver solver(instance, OnlinePolicy::Multiple);
+  const auto held = solver.resolve();
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held->replicaCount(), 1u);  // 5 requests, W = 5
+  const Placement deep = *held;
+
+  // Raise c0 to 4 behind the cache's back, then change c1 properly: the DP
+  // still sees 1 + 3 requests and keeps one replica, so the repair cannot
+  // place the real 7 and trips.
+  InstanceDelta poison;
+  poison.kind = DeltaKind::RateChange;
+  poison.node = c0;
+  poison.rate = 4;
+  solver.applyWithoutInvalidation(poison);
+  InstanceDelta legit;
+  legit.kind = DeltaKind::RateChange;
+  legit.node = c1;
+  legit.rate = 3;
+  solver.apply(legit);
+
+  const std::size_t fallbacks = solver.cacheStats().scratchFallbacks;
+  const auto healed = solver.resolve();
+  EXPECT_EQ(solver.cacheStats().scratchFallbacks, fallbacks + 1);
+  const auto fresh = solveMultipleHomogeneousDP(instance);
+  ASSERT_NE(healed, nullptr);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(*healed, *fresh);
+  EXPECT_EQ(healed->replicaCount(), 2u);
+  EXPECT_NE(healed.get(), held.get());
+  EXPECT_EQ(*held, deep);
 }
 
 // ---------------------------------------------------------------------------

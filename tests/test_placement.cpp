@@ -130,6 +130,33 @@ TEST(Placement, AssignRunRejectsBadRuns) {
   EXPECT_THROW(r.assignRun(3, first), PreconditionError);  // run already set
 }
 
+TEST(Placement, ClearAndAssignRunReusesTheRunInPlace) {
+  // clearClient keeps the run's capacity; a re-assign that fits must write
+  // into it rather than abandon it as a hole at every rewrite.
+  Placement p(8);
+  const ServedShare wide[] = {{0, 3}, {1, 2}, {2, 1}};
+  p.assignRun(5, wide);
+  p.assignRun(6, wide);  // a neighbour above, so the run is not at the pool top
+  const PlacementStats before = p.stats();
+  for (int k = 0; k < 1000; ++k) {
+    p.clearClient(5);
+    const ServedShare narrow[] = {{k % 3, 1 + k % 4}, {3, 2}};
+    p.assignRun(5, k % 2 == 0 ? std::span<const ServedShare>(narrow)
+                              : std::span<const ServedShare>(wide));
+  }
+  // The last rewrite (k = 999) put the wide run back.
+  const PlacementStats after = p.stats();
+  EXPECT_EQ(after.poolBytes, before.poolBytes);
+  EXPECT_EQ(after.holeSlots, before.holeSlots);
+  EXPECT_EQ(after.heapAllocs, before.heapAllocs);
+  ASSERT_EQ(p.shares(5).size(), 3u);
+  EXPECT_EQ(p.assignedOf(5), 6);
+  EXPECT_EQ(p.serverLoad(0), 2 * 3);
+  EXPECT_EQ(p.serverLoad(1), 2 * 2);
+  EXPECT_EQ(p.serverLoad(2), 2 * 1);
+  EXPECT_EQ(p.serverLoad(3), 0);  // every narrow share was cleared again
+}
+
 TEST(Placement, InterleavedAssignsKeepRunsConsistent) {
   // Interleaving clients forces run relocations inside the shared pool; the
   // logical views must be unaffected.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "core/validate.hpp"
@@ -17,6 +18,7 @@
 #include "exact/exact_ilp.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "experiments/mutation_driver.hpp"
+#include "support/fault_injection.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 #include "tree/generator.hpp"
@@ -184,10 +186,69 @@ TEST_P(ResilienceByPolicy, SessionUnderMutationsAndBudgets) {
       }
       expectOutcomeSound(out, instance, policy, truth, ctx);
       if (out.hasPlacement()) {
-        ASSERT_TRUE(session.lastKnownGood().has_value()) << ctx;
+        ASSERT_TRUE(session.lastKnownGood() != nullptr) << ctx;
       }
     }
   }
+}
+
+// The session keeps and returns the solver's snapshots without copying them:
+// lastKnownGood() is the very placement the last good rung answered with, a
+// cancelled solve leaves it untouched, and snapshots a caller keeps stay
+// equal to deep copies taken on receipt across 300 later steps, allocation
+// faults (arena growth failing, scratch fallbacks) included.
+TEST_P(ResilienceByPolicy, SessionSharesImmutableSnapshots) {
+  const OnlinePolicy policy = GetParam();
+  const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+  std::uint64_t seed = 1;
+  while (!scratch(smallHomogeneous(seed, qosFraction, 10, 30), policy)) ++seed;
+  ProblemInstance instance = smallHomogeneous(seed, qosFraction, 10, 30);
+  ResilientSession session(instance, policy);
+
+  const SolveOutcome first = session.solve(SolveBudget{});
+  ASSERT_TRUE(first.hasPlacement());
+  EXPECT_EQ(session.lastKnownGood().get(), first.placement.get());
+  EXPECT_EQ(session.solve(SolveBudget{}).placement.get(), first.placement.get());
+  const Placement deep = *first.placement;
+
+  MutationWorkloadConfig mc;
+  mc.policy = policy;
+  mc.rateCap = 0.1;
+  Prng rng(seed * 13 + 5);
+  session.apply(drawMutation(instance, mc, rng));
+  CancelToken token;
+  token.cancel();
+  SolveBudget cancelled;
+  cancelled.cancel = &token;
+  EXPECT_EQ(session.solve(cancelled).status, OutcomeStatus::Cancelled);
+  EXPECT_EQ(session.lastKnownGood().get(), first.placement.get());
+
+  std::vector<std::pair<std::shared_ptr<const Placement>, Placement>> held;
+  held.emplace_back(first.placement, deep);
+  for (int step = 0; step < 300; ++step) {
+    session.apply(drawMutation(instance, mc, rng));
+    SolveOutcome out;
+    {
+      fault::Plan plan;
+      plan.seed = seed + static_cast<std::uint64_t>(step);
+      plan.armSite(fault::Site::Allocation, 7);
+      fault::ScopedPlan armed(plan);
+      out = session.solve(SolveBudget{});
+    }
+    const std::string ctx = "step=" + std::to_string(step);
+    expectOutcomeSound(out, instance, policy, scratch(instance, policy), ctx);
+    if (!out.hasPlacement()) continue;
+    EXPECT_EQ(session.lastKnownGood().get(), out.placement.get()) << ctx;
+    if (step % 3 == 0) held.emplace_back(out.placement, *out.placement);
+  }
+  ASSERT_GE(held.size(), 20u);
+  // Faults fire only where an arena grows: often enough on Multiple's
+  // candidate prune to reach the scratch fallback, rarely on the others.
+  if (policy == OnlinePolicy::Multiple) {
+    EXPECT_GT(session.cacheStats().scratchFallbacks, 0u);
+  }
+  for (std::size_t k = 0; k < held.size(); ++k)
+    EXPECT_EQ(*held[k].first, held[k].second) << "held #" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ResilienceByPolicy,

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -206,6 +207,42 @@ TEST(PlacementService, InterleavedSessionsMatchSerialReplayBitIdentically) {
       }
     }
     service.drain();
+  }
+}
+
+// A response's placement is the session's immutable snapshot, shared rather
+// than copied. The client reads each one while the worker keeps serving the
+// stream, and drops most of them: the solver then repairs those buffers in
+// place. That hand-back must be race-free (TSan), and the snapshots the
+// client keeps must never change.
+TEST(PlacementService, ResponsePlacementsStayIntactWhileServingContinues) {
+  const ProblemInstance original = feasibleInstance(31);
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const auto stream = drawStream(original, policy, 61, 120);
+    const SolveBudget budget = stepBudget();
+    const auto expected = serialReplay(original, policy, stream, budget);
+
+    PlacementService service({.workers = 2});
+    const auto id = service.openSession(original, policy);
+    std::vector<std::future<ServiceResponse>> futures;
+    for (const InstanceDelta& delta : stream) {
+      ServiceRequest request;
+      request.delta = delta;
+      request.budget = budget;
+      futures.push_back(service.submit(id, request));
+    }
+    std::vector<std::pair<std::shared_ptr<const Placement>, Placement>> kept;
+    for (std::size_t k = 0; k < futures.size(); ++k) {
+      const ServiceResponse response = futures[k].get();
+      expectSameOutcome(response.outcome, expected[k].outcome, "snapshot stream");
+      if (k % 3 == 0 && response.outcome.hasPlacement())
+        kept.emplace_back(response.outcome.placement, *response.outcome.placement);
+    }
+    service.drain();
+    ASSERT_FALSE(kept.empty()) << toString(policy);
+    for (std::size_t k = 0; k < kept.size(); ++k)
+      EXPECT_EQ(*kept[k].first, kept[k].second) << toString(policy) << " kept #" << k;
   }
 }
 
