@@ -873,7 +873,7 @@ int main(int argc, char** argv) try {
             std::max(0.0, row.outcome.elapsedMs - row.deadlineMs);
         const std::string bracket =
             row.outcome.bracketed()
-                ? "[" + formatDouble(row.outcome.lowerBound, 0) + ", " +
+                ? std::string("[") + formatDouble(row.outcome.lowerBound, 0) + ", " +
                       formatDouble(row.outcome.cost, 0) + "]"
                 : "-";
         t.addRow({std::to_string(s), std::string(toString(policy)),

@@ -90,8 +90,12 @@ std::string formatStream(const StreamCountResult& r) {
   if (r.stats.exact) return std::to_string(r.replicas);
   // Capped runs carry the certified bracket (2-D policies; telemetry-only
   // for QoS, see FrontierStreamStats::capGapBound).
-  return "[" + std::to_string(r.replicasFloor()) + ", " +
-         std::to_string(r.replicas) + "] (capped)";
+  std::string bracket = "[";
+  bracket += std::to_string(r.replicasFloor());
+  bracket += ", ";
+  bracket += std::to_string(r.replicas);
+  bracket += "] (capped)";
+  return bracket;
 }
 
 std::string_view kindName(DeltaKind kind) {

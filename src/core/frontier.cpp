@@ -34,11 +34,11 @@ void FrontierConvolver::ensureBuckets(std::size_t width) {
   std::fill_n(bucketFlow_.begin(), width, kHugeFlow);
 }
 
-FrontierSpan FrontierConvolver::sweep(std::int32_t maxCount) {
+FrontierSpan FrontierConvolver::sweep(std::int32_t minCount, std::int32_t reach) {
   const std::uint32_t begin = arena_->beginSpan();
   Requests bestFlow = kHugeFlow;
-  for (std::int32_t c = 0; c <= maxCount; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
+  for (std::int32_t c = minCount; c <= reach; ++c) {
+    const auto ci = static_cast<std::size_t>(c - minCount);
     if (bucketFlow_[ci] >= bestFlow) continue;  // dominated or empty
     bestFlow = bucketFlow_[ci];
     arena_->push({c, bestFlow, bucketPrev_[ci], bucketChild_[ci]});
@@ -49,27 +49,42 @@ FrontierSpan FrontierConvolver::sweep(std::int32_t maxCount) {
 }
 
 FrontierSpan FrontierConvolver::convolve(FrontierSpan a, FrontierSpan b,
-                                         std::int32_t maxCount) {
+                                         std::int32_t maxCount, Requests ceiling) {
   const std::span<const FrontierEntry> fa = arena_->view(a);
   const std::span<const FrontierEntry> fb = arena_->view(b);
   ++stats_.convolutions;
-  if (fa.empty() || fb.empty()) return {arena_->beginSpan(), 0};
+  // Flows strictly decrease, so each input's dead states form a prefix.
+  const auto firstLive = [ceiling](std::span<const FrontierEntry> f) {
+    std::size_t k = 0;
+    while (k < f.size() && f[k].flow > ceiling) ++k;
+    return k;
+  };
+  const std::size_t ia = firstLive(fa);
+  const std::size_t jb = firstLive(fb);
+  if (ia == fa.size() || jb == fb.size()) return {arena_->beginSpan(), 0};
 
+  const std::int32_t minSum = fa[ia].count + fb[jb].count;
   const std::int32_t reach =
       std::min(maxCount, fa.back().count + fb.back().count);
-  ensureBuckets(static_cast<std::size_t>(reach) + 1);
+  if (reach < minSum) return {arena_->beginSpan(), 0};
+  ensureBuckets(static_cast<std::size_t>(reach - minSum) + 1);
 
+  // jLo: the first j whose pair with the current i stays under the ceiling.
+  // It only moves down as i advances (fa's flow shrinks), so the dead pairs
+  // are skipped in O(|a| + |b|) overall and never reach a bucket.
+  std::size_t jLo = fb.size();
   std::size_t pairs = 0;
-  for (std::size_t i = 0; i < fa.size(); ++i) {
+  for (std::size_t i = ia; i < fa.size(); ++i) {
     const std::int32_t ca = fa[i].count;
-    if (ca > reach) break;  // counts ascend: nothing below fits either
+    if (ca + fb[jb].count > reach) break;  // counts ascend: nothing below fits
     const Requests flowA = fa[i].flow;
-    for (std::size_t j = 0; j < fb.size(); ++j) {
+    while (jLo > jb && flowA + fb[jLo - 1].flow <= ceiling) --jLo;
+    for (std::size_t j = jLo; j < fb.size(); ++j) {
       const std::int32_t c = ca + fb[j].count;
       if (c > reach) break;  // fb counts ascend too
       ++pairs;
       const Requests flow = flowA + fb[j].flow;
-      const auto ci = static_cast<std::size_t>(c);
+      const auto ci = static_cast<std::size_t>(c - minSum);
       if (flow < bucketFlow_[ci]) {
         bucketFlow_[ci] = flow;
         bucketPrev_[ci] = static_cast<std::int32_t>(i);
@@ -78,28 +93,33 @@ FrontierSpan FrontierConvolver::convolve(FrontierSpan a, FrontierSpan b,
     }
   }
   stats_.entriesMerged += pairs;
-  return sweep(reach);
+  return sweep(minSum, reach);
 }
 
 FrontierSpan FrontierConvolver::pruneCandidates(
-    std::span<const FrontierEntry> candidates, std::int32_t maxCount) {
+    std::span<const FrontierEntry> candidates, std::int32_t maxCount,
+    Requests ceiling) {
+  std::int32_t lo = maxCount;
   std::int32_t reach = -1;
-  for (const FrontierEntry& e : candidates)
-    reach = std::max(reach, std::min(e.count, maxCount));
+  for (const FrontierEntry& e : candidates) {
+    if (e.count > maxCount || e.flow > ceiling) continue;
+    lo = std::min(lo, e.count);
+    reach = std::max(reach, e.count);
+  }
+  stats_.entriesMerged += candidates.size();
   if (reach < 0) return {arena_->beginSpan(), 0};
-  ensureBuckets(static_cast<std::size_t>(reach) + 1);
+  ensureBuckets(static_cast<std::size_t>(reach - lo) + 1);
 
   for (const FrontierEntry& e : candidates) {
-    if (e.count > reach) continue;
-    const auto ci = static_cast<std::size_t>(e.count);
+    if (e.count > reach || e.flow > ceiling) continue;
+    const auto ci = static_cast<std::size_t>(e.count - lo);
     if (e.flow < bucketFlow_[ci]) {
       bucketFlow_[ci] = e.flow;
       bucketPrev_[ci] = e.prev;
       bucketChild_[ci] = e.child;
     }
   }
-  stats_.entriesMerged += candidates.size();
-  return sweep(reach);
+  return sweep(lo, reach);
 }
 
 void FrontierConvolver::noteArenaUsage() {
@@ -110,12 +130,16 @@ void FrontierConvolver::noteArenaUsage() {
 // QosFrontierSweep
 // --------------------------------------------------------------------------
 
-void QosFrontierSweep::begin(std::int32_t maxCount) {
-  const auto needed = static_cast<std::size_t>(maxCount) + 1;
-  if (buckets_.size() < needed) buckets_.resize(needed);
+void QosFrontierSweep::begin(std::int32_t minCount, std::int32_t maxCount,
+                             Requests ceiling) {
+  const std::int32_t width = std::max(maxCount - minCount + 1, 0);
+  if (buckets_.size() < static_cast<std::size_t>(width))
+    buckets_.resize(static_cast<std::size_t>(width));
   for (std::int32_t c = 0; c < bucketsInUse_; ++c)
     buckets_[static_cast<std::size_t>(c)].clear();
-  bucketsInUse_ = maxCount + 1;
+  bucketsInUse_ = width;
+  minCount_ = minCount;
+  ceiling_ = ceiling;
 }
 
 bool QosFrontierSweep::staircaseInsert(std::vector<Step>& steps,
@@ -143,10 +167,12 @@ bool QosFrontierSweep::staircaseInsert(std::vector<Step>& steps,
 }
 
 void QosFrontierSweep::add(const QosFrontierEntry& entry) {
-  TREEPLACE_REQUIRE(entry.count >= 0 && entry.count < bucketsInUse_,
-                    "sweep candidate count outside the begin() bound");
+  const std::int32_t slot = entry.count - minCount_;
+  TREEPLACE_REQUIRE(slot >= 0 && slot < bucketsInUse_,
+                    "sweep candidate count outside the begin() bounds");
   ++stats_.entriesMerged;
-  staircaseInsert(buckets_[static_cast<std::size_t>(entry.count)],
+  if (entry.flow > ceiling_) return;  // dead: nothing above can absorb it
+  staircaseInsert(buckets_[static_cast<std::size_t>(slot)],
                   {entry.flow, entry.slack, entry.prev, entry.child});
 }
 
@@ -161,12 +187,44 @@ FrontierSpan QosFrontierSweep::emit() {
     // dominance test (lower counts entered first and win non-strict ties).
     for (const Step& step : buckets_[static_cast<std::size_t>(c)]) {
       if (staircaseInsert(skyline_, step))
-        arena_->push({c, step.flow, step.slack, step.prev, step.child});
+        arena_->push({minCount_ + c, step.flow, step.slack, step.prev, step.child});
     }
   }
   const FrontierSpan out = arena_->endSpan(begin);
   stats_.peakWidth = std::max(stats_.peakWidth, static_cast<std::size_t>(out.size));
   return out;
+}
+
+FrontierSpan QosFrontierSweep::convolve(FrontierSpan acc, FrontierSpan child,
+                                        std::int32_t maxCount, double uplink,
+                                        Requests ceiling) {
+  // QoS frontiers are count-ascending, so the pair counts span
+  // [front + front, back + back].
+  const std::span<const QosFrontierEntry> fa = arena_->view(acc);
+  const std::span<const QosFrontierEntry> fc = arena_->view(child);
+  if (fa.empty() || fc.empty()) {
+    begin(0, -1, ceiling);
+    return emit();
+  }
+  begin(fa.front().count + fc.front().count,
+        std::min(maxCount, fa.back().count + fc.back().count), ceiling);
+  // add() only touches the buckets, so the views stay valid until emit().
+  for (std::size_t p = 0; p < fa.size(); ++p) {
+    const QosFrontierEntry& accEntry = fa[p];
+    for (std::size_t c = 0; c < fc.size(); ++c) {
+      const QosFrontierEntry& childEntry = fc[c];
+      const std::int32_t count = accEntry.count + childEntry.count;
+      if (count > maxCount) break;  // child counts ascend
+      const double childSlack =
+          childEntry.flow > 0 ? childEntry.slack - uplink
+                              : std::numeric_limits<double>::infinity();
+      if (childSlack < -1e-9) continue;  // dead: client unreachable in time
+      add({count, accEntry.flow + childEntry.flow,
+           std::min(accEntry.slack, childSlack), static_cast<std::int32_t>(p),
+           static_cast<std::int32_t>(c)});
+    }
+  }
+  return emit();
 }
 
 void QosFrontierSweep::noteArenaUsage() {

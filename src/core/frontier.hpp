@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <new>
 #include <span>
 #include <vector>
@@ -13,10 +14,26 @@
 
 namespace treeplace {
 
+/// Flow ceiling that drops nothing: the default of the merges below for
+/// callers whose states have no bounded absorber above them (relaxations).
+inline constexpr Requests kNoFlowCeiling = std::numeric_limits<Requests>::max();
+
 /// One Pareto point of a subtree DP: with `count` replicas inside the
 /// covered forest, `flow` requests leave it unserved. Frontiers are kept
 /// sorted by count ascending with strictly decreasing flow, so `count` is
 /// also the cheapest replica budget achieving `flow`.
+///
+/// Live-state invariant: every merge takes a per-bag *flow ceiling* — the
+/// most unserved flow any placement above the bag could still absorb — and
+/// never stores a state above it. Under Closest the whole upward flow goes
+/// to one replica (ceiling W); under Multiple a node's flow can only be
+/// spread over its depth(v) ancestors (ceiling W * depth(v), one more W for
+/// the child-convolution chain, which v itself may still serve). A dead
+/// state can never win a live count bucket nor dominate a live point, so
+/// the live part of a frontier, backpointers included, is the same with or
+/// without the ceiling; only the dead tail of work disappears. Flows
+/// strictly decrease along a 2-D frontier, so its dead states were always a
+/// prefix.
 ///
 /// The two backpointer slots thread the reconstruction and are
 /// role-dependent:
@@ -121,7 +138,9 @@ class BasicFrontierArena {
 /// at the minimum flow, then a single ascending sweep emits the strictly
 /// decreasing survivors straight into the arena. No sort, no temporary
 /// vectors, output allocation capped by the frontier-width bound
-/// (clients/internals in the subtree, never |A|*|B|).
+/// (clients/internals in the subtree, never |A|*|B|). Buckets span only the
+/// live count range [min live count sum, reach], so a merge of two
+/// ceiling-bounded frontiers costs O(live width), whatever the counts are.
 class FrontierConvolver {
  public:
   explicit FrontierConvolver(FrontierArena& arena) : arena_(&arena) {}
@@ -130,16 +149,20 @@ class FrontierConvolver {
   FrontierSpan unit();
 
   /// Merge two frontiers: counts add, flows add. `maxCount` caps the output
-  /// width (counts above it cannot be Pareto-optimal for the caller).
+  /// width (counts above it cannot be Pareto-optimal for the caller), and
+  /// pairs whose flow exceeds `ceiling` are dead and never stored.
   /// Backpointers record (prev = index into a, child = index into b).
-  FrontierSpan convolve(FrontierSpan a, FrontierSpan b, std::int32_t maxCount);
+  FrontierSpan convolve(FrontierSpan a, FrontierSpan b, std::int32_t maxCount,
+                        Requests ceiling = kNoFlowCeiling);
 
   /// Prune an arbitrary count-keyed candidate list (already appended by the
   /// caller into `scatter`-style usage): used by solvers whose place/skip
   /// step produces two monotone option streams. Candidates are merged via the
-  /// same bucket + sweep; backpointers pass through untouched.
+  /// same bucket + sweep, those above `ceiling` dropped; backpointers pass
+  /// through untouched.
   FrontierSpan pruneCandidates(std::span<const FrontierEntry> candidates,
-                               std::int32_t maxCount);
+                               std::int32_t maxCount,
+                               Requests ceiling = kNoFlowCeiling);
 
   const FrontierStats& stats() const { return stats_; }
   void resetStats() { stats_ = {}; }
@@ -155,11 +178,13 @@ class FrontierConvolver {
 
  private:
   void ensureBuckets(std::size_t width);
-  FrontierSpan sweep(std::int32_t maxCount);
+  /// Emit the Pareto survivors of the buckets for counts [minCount, reach].
+  FrontierSpan sweep(std::int32_t minCount, std::int32_t reach);
 
   FrontierArena* arena_;
   FrontierStats stats_;
-  // Count-indexed scratch: best flow plus the winning backpointers.
+  // Scratch indexed by count - minCount: best flow plus the winning
+  // backpointers.
   std::vector<Requests> bucketFlow_;
   std::vector<std::int32_t> bucketPrev_;
   std::vector<std::int32_t> bucketChild_;
@@ -177,19 +202,33 @@ class FrontierConvolver {
 /// non-dominated points into the arena in (count, flow) order — exactly the
 /// order the old sort produced, so downstream consumers see identical
 /// frontiers. Bucket vectors are recycled across batches: steady-state
-/// filtering performs no heap allocations.
+/// filtering performs no heap allocations. A batch spans only its live count
+/// range and drops candidates above its flow ceiling (W under Closest+QoS:
+/// one replica serves everything a bag sends up), so a dead candidate can
+/// neither survive nor dominate a live one.
 class QosFrontierSweep {
  public:
   explicit QosFrontierSweep(QosFrontierArena& arena) : arena_(&arena) {}
 
-  /// Start a batch whose counts lie in [0, maxCount].
-  void begin(std::int32_t maxCount);
+  /// Start a batch whose counts lie in [minCount, maxCount]; candidates with
+  /// flow above `ceiling` are dead and dropped on add().
+  void begin(std::int32_t minCount, std::int32_t maxCount, Requests ceiling);
 
-  /// Offer one candidate (count must be within the begin() bound).
+  /// Offer one candidate (count must be within the begin() bounds).
   void add(const QosFrontierEntry& entry);
 
   /// Cross-bucket dominance sweep; emits the pruned frontier into the arena.
   FrontierSpan emit();
+
+  /// One step of the QoS child-convolution chain: every live state of
+  /// `child` first pays its `uplink` latency (states whose slack goes
+  /// negative are dead), then pairs with every state of `acc` — counts add,
+  /// flows add, slacks combine by min — and the batch is pruned. Counts
+  /// above `maxCount` and flows above `ceiling` are dropped. Backpointers
+  /// record (prev = index into acc, child = index into child). An empty
+  /// result means no pair survived.
+  FrontierSpan convolve(FrontierSpan acc, FrontierSpan child, std::int32_t maxCount,
+                        double uplink, Requests ceiling);
 
   const FrontierStats& stats() const { return stats_; }
   void resetStats() { stats_ = {}; }
@@ -214,6 +253,8 @@ class QosFrontierSweep {
   FrontierStats stats_;
   std::vector<std::vector<Step>> buckets_;  ///< capacity recycled across batches
   std::int32_t bucketsInUse_ = 0;
+  std::int32_t minCount_ = 0;  ///< count of buckets_[0] in the current batch
+  Requests ceiling_ = kNoFlowCeiling;
   std::vector<Step> skyline_;  ///< emit()'s running lower-count staircase
 };
 

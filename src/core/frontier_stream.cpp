@@ -18,7 +18,7 @@ constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
 // --------------------------------------------------------------------------
 
 void FrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin,
-                                 std::int32_t maxCount) {
+                                 std::int32_t maxCount, Requests ceiling) {
   TREEPLACE_REQUIRE(accBegin < childBegin && childBegin < top(),
                     "foldChild needs two non-empty frontiers on top of the slab");
   ++stats_.convolutions;
@@ -30,44 +30,56 @@ void FrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin,
   const Requests* bFlow = flows_.data() + childBegin;
   const std::size_t bSize = top() - childBegin;
 
-  // Both inputs are count-ascending, so the reachable sums span one interval.
-  const std::int32_t minSum = aCount[0] + bCount[0];
+  // Flows strictly decrease, so each input's dead states form a prefix; the
+  // live pairs' counts span one interval from the first live pair on.
+  std::size_t aStart = 0;
+  while (aStart < aSize && aFlow[aStart] > ceiling) ++aStart;
+  std::size_t bStart = 0;
+  while (bStart < bSize && bFlow[bStart] > ceiling) ++bStart;
   const std::int32_t maxSum =
       std::min(maxCount, aCount[aSize - 1] + bCount[bSize - 1]);
-  if (maxSum < minSum) {
-    // Even the cheapest pair exceeds the cap. Callers never trigger this
-    // (accumulators always keep a count-0 entry), but fold to empty cleanly.
+  if (aStart == aSize || bStart == bSize ||
+      aCount[aStart] + bCount[bStart] > maxSum) {
+    // No live pair: the fold is empty and the caller's DP infeasible.
     resize(accBegin);
     return;
   }
+  const std::int32_t minSum = aCount[aStart] + bCount[bStart];
   const std::size_t range = static_cast<std::size_t>(maxSum - minSum) + 1;
   bucketFlow_.assign(range, kNoFlow);
 
-  // Scatter each pair into its count bucket, keeping the min flow. The child
-  // usually has contiguous counts (leaf seeds and fresh sweeps often do), in
-  // which case the bucket index walks stride-1 with j and the loop
-  // auto-vectorizes; the guard costs O(bSize) once.
+  // Scatter each live pair into its count bucket, keeping the min flow. The
+  // child usually has contiguous counts (leaf seeds and fresh sweeps often
+  // do), in which case the bucket index walks stride-1 with j and the loop
+  // auto-vectorizes; the guard costs O(bSize) once. jLo, the first j whose
+  // pair with the current i stays under the ceiling, only moves down as i
+  // advances (a's flow shrinks), so dead pairs cost O(aSize + bSize) total.
   bool bContiguous = true;
-  for (std::size_t j = 1; j < bSize; ++j) {
-    if (bCount[j] != bCount[0] + static_cast<std::int32_t>(j)) {
+  for (std::size_t j = bStart + 1; j < bSize; ++j) {
+    if (bCount[j] != bCount[bStart] + static_cast<std::int32_t>(j - bStart)) {
       bContiguous = false;
       break;
     }
   }
   Requests* bucket = bucketFlow_.data();
-  for (std::size_t i = 0; i < aSize; ++i) {
-    const std::int32_t base = aCount[i] + bCount[0];
-    if (base > maxSum) break;  // counts ascend: later i only grow
+  std::size_t jLo = bSize;
+  for (std::size_t i = aStart; i < aSize; ++i) {
+    if (aCount[i] + bCount[bStart] > maxSum) break;  // counts ascend: later i only grow
     const Requests fa = aFlow[i];
+    while (jLo > bStart && fa + bFlow[jLo - 1] <= ceiling) --jLo;
+    if (jLo == bSize) continue;
+    const std::int32_t base = aCount[i] + bCount[jLo];
+    if (base > maxSum) continue;
     if (bContiguous) {
       const std::size_t lanes =
-          std::min(bSize, static_cast<std::size_t>(maxSum - base) + 1);
+          std::min(bSize - jLo, static_cast<std::size_t>(maxSum - base) + 1);
       Requests* slot = bucket + static_cast<std::size_t>(base - minSum);
+      const Requests* flow = bFlow + jLo;
       for (std::size_t j = 0; j < lanes; ++j)
-        slot[j] = std::min(slot[j], fa + bFlow[j]);
+        slot[j] = std::min(slot[j], fa + flow[j]);
       stats_.pairsMerged += lanes;
     } else {
-      for (std::size_t j = 0; j < bSize; ++j) {
+      for (std::size_t j = jLo; j < bSize; ++j) {
         const std::int32_t s = aCount[i] + bCount[j];
         if (s > maxSum) break;
         Requests& slot = bucket[static_cast<std::size_t>(s - minSum)];
@@ -80,13 +92,15 @@ void FrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin,
   sweepAndCommit(accBegin, minSum, range);
 }
 
-void FrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount) {
+void FrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount,
+                                    Requests ceiling) {
   ++stats_.convolutions;
   stats_.pairsMerged += candCounts_.size();
   std::int32_t minSum = maxCount;
   std::int32_t maxSum = -1;
-  for (const std::int32_t c : candCounts_) {
-    if (c > maxCount) continue;
+  for (std::size_t k = 0; k < candCounts_.size(); ++k) {
+    const std::int32_t c = candCounts_[k];
+    if (c > maxCount || candFlows_[k] > ceiling) continue;
     minSum = std::min(minSum, c);
     maxSum = std::max(maxSum, c);
   }
@@ -98,7 +112,7 @@ void FrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount) {
   bucketFlow_.assign(range, kNoFlow);
   for (std::size_t k = 0; k < candCounts_.size(); ++k) {
     const std::int32_t c = candCounts_[k];
-    if (c > maxCount) continue;
+    if (c > maxCount || candFlows_[k] > ceiling) continue;
     Requests& slot = bucketFlow_[static_cast<std::size_t>(c - minSum)];
     slot = std::min(slot, candFlows_[k]);
   }
@@ -182,12 +196,16 @@ std::size_t QosFrontierStreamer::pushUnit() {
   return begin;
 }
 
-void QosFrontierStreamer::beginBuckets(std::int32_t maxCount) {
-  const auto needed = static_cast<std::size_t>(maxCount) + 1;
-  if (buckets_.size() < needed) buckets_.resize(needed);
+void QosFrontierStreamer::beginBuckets(std::int32_t minCount, std::int32_t maxCount,
+                                       Requests ceiling) {
+  const std::int32_t width = std::max(maxCount - minCount + 1, 0);
+  if (buckets_.size() < static_cast<std::size_t>(width))
+    buckets_.resize(static_cast<std::size_t>(width));
   for (std::int32_t c = 0; c < bucketsInUse_; ++c)
     buckets_[static_cast<std::size_t>(c)].clear();
-  bucketsInUse_ = maxCount + 1;
+  bucketsInUse_ = width;
+  minCount_ = minCount;
+  ceiling_ = ceiling;
 }
 
 bool QosFrontierStreamer::staircaseInsert(std::vector<Step>& steps,
@@ -215,15 +233,21 @@ bool QosFrontierStreamer::staircaseInsert(std::vector<Step>& steps,
 void QosFrontierStreamer::bucketAdd(std::int32_t count, Requests flow,
                                     double slack) {
   ++stats_.pairsMerged;
-  staircaseInsert(buckets_[static_cast<std::size_t>(count)], {flow, slack});
+  if (flow > ceiling_) return;  // dead: nothing above can absorb it
+  staircaseInsert(buckets_[static_cast<std::size_t>(count - minCount_)], {flow, slack});
 }
 
 void QosFrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin,
-                                    std::int32_t maxCount, double uplink) {
+                                    std::int32_t maxCount, double uplink,
+                                    Requests ceiling) {
   TREEPLACE_REQUIRE(accBegin < childBegin && childBegin < top(),
                     "foldChild needs two non-empty frontiers on top of the slab");
   ++stats_.convolutions;
-  beginBuckets(maxCount);
+  // Both frontiers are count-ascending: the pair counts span
+  // [front + front, back + back].
+  beginBuckets(counts_[accBegin] + counts_[childBegin],
+               std::min(maxCount, counts_[childBegin - 1] + counts_[top() - 1]),
+               ceiling);
 
   const std::size_t aSize = childBegin - accBegin;
   const std::size_t bSize = top() - childBegin;
@@ -258,9 +282,17 @@ void QosFrontierStreamer::addCandidate(std::int32_t count, Requests flow,
   candSlacks_.push_back(slack);
 }
 
-void QosFrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount) {
+void QosFrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount,
+                                       Requests ceiling) {
   ++stats_.convolutions;
-  beginBuckets(maxCount);
+  std::int32_t minCount = maxCount;
+  std::int32_t reach = -1;
+  for (const std::int32_t c : candCounts_) {
+    if (c > maxCount) continue;
+    minCount = std::min(minCount, c);
+    reach = std::max(reach, c);
+  }
+  beginBuckets(minCount, reach, ceiling);
   for (std::size_t k = 0; k < candCounts_.size(); ++k) {
     if (candCounts_[k] > maxCount) continue;
     bucketAdd(candCounts_[k], candFlows_[k], candSlacks_[k]);
@@ -280,7 +312,7 @@ void QosFrontierStreamer::sweepAndCommit(std::size_t accBegin) {
     // QosFrontierSweep::emit.
     for (const Step& step : buckets_[static_cast<std::size_t>(c)]) {
       if (staircaseInsert(skyline_, step)) {
-        outCounts_.push_back(c);
+        outCounts_.push_back(minCount_ + c);
         outFlows_.push_back(step.flow);
         outSlacks_.push_back(step.slack);
       }

@@ -11,11 +11,16 @@ namespace treeplace {
 
 /// Tuning knobs of the width-capped streaming frontier path.
 struct FrontierStreamOptions {
-  /// Maximum entries kept per frontier. A merge whose pruned result is wider
-  /// is downsampled to this many points (first and last always kept, interior
-  /// strided), trading exactness for an O(widthCap * depth) memory bound and
-  /// an O(widthCap^2) per-merge time bound. Every surviving point stays
-  /// achievable, so capped results are valid upper bounds.
+  /// Maximum entries kept per frontier: a safety net, not the working
+  /// bound. The streaming DPs keep live states only (flow at most what the
+  /// bag's ancestors can absorb, see core/frontier.hpp), so a Closest
+  /// accumulator never exceeds its child count + 1 and the default cap does
+  /// not fire on the feasible-at-scale profiles, even at s=10^6. A merge
+  /// whose pruned result is still wider is downsampled to this many points
+  /// (first and last always kept, interior strided), keeping an
+  /// O(widthCap * depth) memory bound and an O(widthCap^2) per-merge time
+  /// bound. Every surviving point stays achievable, so capped results are
+  /// valid upper bounds.
   std::int32_t widthCap = 512;
   /// Optional shared budget: the driving postorder walk ticks it per visit
   /// (throwing SolveInterrupted on a trip) and the streamer charges its slab
@@ -81,11 +86,12 @@ struct StreamCountResult {
 ///    leaf, recursively for a subtree) and folded into the accumulator with
 ///    foldChild(), which convolves the two top frontiers (counts add, flows
 ///    add, bucket scatter + monotone sweep — no sort) and replaces them by
-///    the capped result;
+///    the capped result, dropping states above the caller's flow ceiling;
 ///  - the place/skip step either edits the finished accumulator in place
-///    through countAt/flowAt/resize/pushEntry (Closest's suffix trick) or
-///    rebuilds it through the candidate batch API (clearCandidates /
-///    addCandidate / commitPruned — Multiple's general prune).
+///    through countAt/flowAt/resize/pushEntry (Closest keeps the first
+///    entry and its place point) or rebuilds it through the candidate batch
+///    API (clearCandidates / addCandidate / commitPruned — Multiple's
+///    general prune).
 ///
 /// The inner merge loop runs over the flow array of the denser input; when
 /// the child's counts are contiguous the bucket indices are too, and the
@@ -127,10 +133,15 @@ class FrontierStreamer {
   /// Convolve the accumulator [accBegin, childBegin) with the child frontier
   /// [childBegin, top()): counts add, flows add, counts above maxCount are
   /// discarded, the Pareto survivors replace both inputs at accBegin.
-  void foldChild(std::size_t accBegin, std::size_t childBegin, std::int32_t maxCount);
+  /// Pairs whose flow exceeds `ceiling` are dead and never stored; when no
+  /// live pair is left the accumulator folds to empty (top() == accBegin),
+  /// which callers must treat as infeasible.
+  void foldChild(std::size_t accBegin, std::size_t childBegin, std::int32_t maxCount,
+                 Requests ceiling);
 
   /// Candidate batch: collect arbitrary (count, flow) points, then replace
-  /// the top frontier [begin, top()) with their capped Pareto prune.
+  /// the top frontier [begin, top()) with the capped Pareto prune of those
+  /// with count <= maxCount and flow <= ceiling.
   void clearCandidates() {
     candCounts_.clear();
     candFlows_.clear();
@@ -139,7 +150,7 @@ class FrontierStreamer {
     candCounts_.push_back(count);
     candFlows_.push_back(flow);
   }
-  void commitPruned(std::size_t begin, std::int32_t maxCount);
+  void commitPruned(std::size_t begin, std::int32_t maxCount, Requests ceiling);
 
   const FrontierStreamStats& stats() const { return stats_; }
 
@@ -176,10 +187,11 @@ class FrontierStreamer {
 /// FrontierStreamer with a slack lane added, pruned by per-count (flow,
 /// slack) staircases instead of single min-flow buckets (see
 /// QosFrontierSweep for the dominance rules mirrored here). foldChild charges
-/// the child's uplink latency and drops dead states, exactly like the exact
-/// QoS convolution; the width cap strides over the emitted (count, flow)
-/// order. A fold may legitimately produce an empty frontier (every pair
-/// dead) — callers must treat that as infeasible.
+/// the child's uplink latency and drops dead states (negative slack or flow
+/// above the ceiling), exactly like the exact QoS convolution; the width cap
+/// strides over the emitted (count, flow) order. A fold may legitimately
+/// produce an empty frontier (every pair dead) — callers must treat that as
+/// infeasible.
 class QosFrontierStreamer {
  public:
   explicit QosFrontierStreamer(FrontierStreamOptions options) : options_(options) {}
@@ -209,13 +221,14 @@ class QosFrontierStreamer {
 
   /// Fold the child frontier [childBegin, top()) into the accumulator
   /// [accBegin, childBegin): the child first pays `uplink` latency on every
-  /// live (flow > 0) state, dead pairs are dropped, slacks combine by min.
+  /// live (flow > 0) state, dead pairs (negative slack, or flow above
+  /// `ceiling`) are dropped, slacks combine by min.
   void foldChild(std::size_t accBegin, std::size_t childBegin,
-                 std::int32_t maxCount, double uplink);
+                 std::int32_t maxCount, double uplink, Requests ceiling);
 
   void clearCandidates();
   void addCandidate(std::int32_t count, Requests flow, double slack);
-  void commitPruned(std::size_t begin, std::int32_t maxCount);
+  void commitPruned(std::size_t begin, std::int32_t maxCount, Requests ceiling);
 
   const FrontierStreamStats& stats() const { return stats_; }
 
@@ -226,7 +239,9 @@ class QosFrontierStreamer {
   };
 
   void noteStack();
-  void beginBuckets(std::int32_t maxCount);
+  /// Open a batch over counts [minCount, maxCount] dropping flows above
+  /// `ceiling` (bucket k holds count minCount + k).
+  void beginBuckets(std::int32_t minCount, std::int32_t maxCount, Requests ceiling);
   void bucketAdd(std::int32_t count, Requests flow, double slack);
   /// Cross-bucket dominance sweep (mirrors QosFrontierSweep::emit), cap,
   /// write at accBegin.
@@ -240,6 +255,8 @@ class QosFrontierStreamer {
   std::vector<double> slacks_;
   std::vector<std::vector<Step>> buckets_;  ///< capacity recycled across folds
   std::int32_t bucketsInUse_ = 0;
+  std::int32_t minCount_ = 0;  ///< count of buckets_[0] in the current batch
+  Requests ceiling_ = 0;
   std::vector<Step> skyline_;
   std::vector<std::int32_t> outCounts_;
   std::vector<Requests> outFlows_;

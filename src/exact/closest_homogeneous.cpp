@@ -18,6 +18,16 @@ std::int32_t widthCap(std::size_t clients, std::size_t internals) {
 
 }  // namespace
 
+FrontierSpan closestPlaceSkip(FrontierArena& arena, FrontierSpan acc) {
+  const std::uint32_t begin = arena.beginSpan();
+  if (!acc.empty()) {
+    const FrontierEntry e = arena.at(acc, 0);  // copy: the pushes may grow the slab
+    arena.push({e.count, e.flow, 0, 0});
+    if (e.flow > 0) arena.push({e.count + 1, 0, 0, 1});
+  }
+  return arena.endSpan(begin);
+}
+
 std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance,
                                                  FrontierStats* stats,
                                                  BudgetGuard* guard) {
@@ -55,39 +65,16 @@ std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance
     const std::int32_t forestCap = widthCap(clientsBelow, internalsBelow - 1);
 
     // Convolve child-bag frontiers: counts add, flows add. Each prefix result
-    // is already pruned; keep its span for the backpointer walk.
+    // is already pruned; keep its span for the backpointer walk. Whatever
+    // the bag sends up is served by one replica (here or above), so states
+    // above W are dead and never stored.
     FrontierSpan acc = conv.unit();
     const auto children = decomp.mergeChildren(v);
     for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap);
+      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap, W);
       dp.setCombo(v, ci, acc);
     }
-
-    // Place/skip decision, sort-free. Flows decrease strictly along the
-    // frontier, so the entries able to host a replica (flow <= W) form a
-    // suffix; only the first of them yields a non-dominated "place" point
-    // (count+1, flow 0), and it dominates every later keep entry.
-    // (Entries are re-indexed through the arena on every access because the
-    // pushes below may grow the slab.)
-    std::size_t k0 = acc.size;
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      if (arena.at(acc, k).flow <= W) {
-        k0 = k;
-        break;
-      }
-    }
-    const std::uint32_t begin = arena.beginSpan();
-    for (std::size_t k = 0; k < std::min(k0 + 1, static_cast<std::size_t>(acc.size));
-         ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      arena.push({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-    }
-    if (k0 < acc.size) {
-      const FrontierEntry e = arena.at(acc, k0);
-      if (e.flow > 0)
-        arena.push({e.count + 1, 0, static_cast<std::int32_t>(k0), 1});
-    }
-    dp.setFrontier(v, arena.endSpan(begin));
+    dp.setFrontier(v, closestPlaceSkip(arena, acc));
     conv.noteWidth(dp.frontier(v).size);
   }
 
@@ -143,27 +130,21 @@ StreamCountResult countClosestHomogeneousStreaming(
                      widthCap(clientsBelow, internalsBelow - 1)});
   };
 
-  // Same suffix trick as the exact solver: flows decrease strictly, so the
-  // keep entries form the prefix up to the first flow <= W, and only that
-  // entry yields a non-dominated place point (count + 1, flow 0).
+  // Same place/skip as the exact solver: the accumulator holds live states
+  // only, so the node frontier is its first entry plus that entry's place
+  // point (count + 1, flow 0).
   const auto placeSkip = [&](std::size_t begin) {
-    const std::size_t size = streamer.top() - begin;
-    std::size_t k0 = size;
-    for (std::size_t k = 0; k < size; ++k) {
-      if (streamer.flowAt(begin + k) <= W) {
-        k0 = k;
-        break;
-      }
-    }
-    std::int32_t placeCount = -1;
-    if (k0 < size && streamer.flowAt(begin + k0) > 0)
-      placeCount = streamer.countAt(begin + k0) + 1;
-    streamer.resize(begin + std::min(k0 + 1, size));
-    if (placeCount >= 0) streamer.pushEntry(placeCount, 0);
+    const std::int32_t count = streamer.countAt(begin);
+    const Requests flow = streamer.flowAt(begin);
+    streamer.resize(begin + 1);
+    if (flow > 0) streamer.pushEntry(count + 1, 0);
   };
 
+  // A fold can leave no live state (some client sends more than W up): the
+  // accumulator vanishes and the instance is infeasible.
+  bool dead = false;
   open(root);
-  while (!stack.empty()) {
+  while (!stack.empty() && !dead) {
     if (options.guard != nullptr) options.guard->checkpoint();
     Frame& f = stack.back();  // open() reallocates: never touch f after it
     const auto kids = decomp.children(f.v);
@@ -173,7 +154,8 @@ StreamCountResult countClosestHomogeneousStreaming(
         const std::size_t childBegin = streamer.top();
         streamer.pushEntry(
             0, instance.requests[static_cast<std::size_t>(decomp.anchor(c))]);
-        streamer.foldChild(f.accBegin, childBegin, f.forestCap);
+        streamer.foldChild(f.accBegin, childBegin, f.forestCap, W);
+        dead = streamer.top() == f.accBegin;
       } else {
         open(c);
       }
@@ -184,14 +166,16 @@ StreamCountResult countClosestHomogeneousStreaming(
     stack.pop_back();
     if (!stack.empty()) {
       Frame& parent = stack.back();
-      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap);
+      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap, W);
+      dead = streamer.top() == parent.accBegin;
     }
   }
 
   // The root frontier now occupies the whole slab; a zero-flow entry is
   // unique and last, exactly as in the exact solver.
-  const std::size_t width = streamer.top();
   result.stats = streamer.stats();
+  if (dead) return result;
+  const std::size_t width = streamer.top();
   if (width > 0 && streamer.flowAt(width - 1) == 0) {
     result.feasible = true;
     result.replicas = streamer.countAt(width - 1);

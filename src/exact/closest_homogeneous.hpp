@@ -35,6 +35,14 @@ std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance
                                                  FrontierStats* stats = nullptr,
                                                  BudgetGuard* guard = nullptr);
 
+/// The Closest place/skip step of a bag whose child-convolution frontier
+/// `acc` was built under the flow ceiling W (shared by the one-shot and the
+/// incremental DP). Every live state fits a replica on the anchor, and
+/// placing one on the cheapest state — (count + 1, flow 0) — dominates
+/// keeping any costlier state, so the node frontier is {acc[0], its place
+/// point} (prev = 0; child = 1 marks the replica). Empty when acc is.
+FrontierSpan closestPlaceSkip(FrontierArena& arena, FrontierSpan acc);
+
 /// Width-capped streaming variant of the Closest DP (count only, no
 /// placement): the same recurrence runs through a FrontierStreamer stack
 /// machine, so memory is O(widthCap * depth) instead of the full backpointer

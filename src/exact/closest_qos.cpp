@@ -12,6 +12,23 @@ constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
+FrontierSpan qosPlaceSkip(QosFrontierSweep& sweep, const QosFrontierArena& arena,
+                          FrontierSpan acc, Requests W, double compTime) {
+  if (acc.empty()) {
+    sweep.begin(0, -1, W);
+    return sweep.emit();
+  }
+  // acc is count-ascending: the options span [front, back + 1].
+  sweep.begin(arena.at(acc, 0).count, arena.at(acc, acc.size - 1).count + 1, W);
+  for (std::size_t k = 0; k < acc.size; ++k) {
+    const QosFrontierEntry e = arena.at(acc, k);
+    sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
+    if (e.flow <= W && e.slack >= compTime - 1e-9)
+      sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
+  }
+  return sweep.emit();
+}
+
 std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& instance,
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
@@ -46,12 +63,13 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
     }
 
     // Replica counts in the bag's cone never exceed its internal-node count,
-    // so that bounds every bucket batch at this node.
+    // so that bounds every convolution at this node.
     const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
 
     // Convolve child bags: each child's frontier first pays its uplink comm.
     // Candidates go straight into the count-bucketed sweep — no temporary
-    // cross-product vector, no sort.
+    // cross-product vector, no sort. One replica serves whatever the bag
+    // sends up, so states above W are dead and never stored.
     std::uint32_t accBegin = arena.beginSpan();
     arena.push({0, 0, kInfiniteSlack, -1, -1});
     FrontierSpan acc = arena.endSpan(accBegin);
@@ -60,41 +78,14 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
       const BagId child = children[ci];
       const double uplink =
           instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      const FrontierSpan childFrontier = dp.frontier(child);
-      sweep.begin(countCap);
-      for (std::size_t p = 0; p < acc.size; ++p) {
-        const QosFrontierEntry accEntry = arena.at(acc, p);
-        for (std::size_t c = 0; c < childFrontier.size; ++c) {
-          const QosFrontierEntry& childEntry = arena.at(childFrontier, c);
-          const double childSlack = childEntry.flow > 0
-                                        ? childEntry.slack - uplink
-                                        : kInfiniteSlack;
-          if (childSlack < -1e-9) continue;  // dead: client unreachable in time
-          sweep.add({accEntry.count + childEntry.count,
-                     accEntry.flow + childEntry.flow,
-                     std::min(accEntry.slack, childSlack),
-                     static_cast<std::int32_t>(p), static_cast<std::int32_t>(c)});
-        }
-      }
-      acc = sweep.emit();
+      acc = sweep.convolve(acc, dp.frontier(child), countCap, uplink, W);
       if (acc.empty()) {
         publishStats();
         return std::nullopt;  // some child has no live state
       }
       dp.setCombo(v, ci, acc);
     }
-
-    // Place/skip: a replica at v needs the incoming flow to fit in W and the
-    // minimum slack to cover v's computation time.
-    const double comp = instance.compTime[vi];
-    sweep.begin(countCap);
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const QosFrontierEntry e = arena.at(acc, k);
-      sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
-      if (e.flow <= W && e.slack >= comp - 1e-9)
-        sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
-    }
-    dp.setFrontier(v, sweep.emit());
+    dp.setFrontier(v, qosPlaceSkip(sweep, arena, acc, W, instance.compTime[vi]));
   }
 
   publishStats();
@@ -163,11 +154,11 @@ StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
         streamer.addCandidate(c + 1, 0,
                               std::numeric_limits<double>::infinity());
     }
-    streamer.commitPruned(begin, countCap);
+    streamer.commitPruned(begin, countCap, W);
   };
 
-  // A fold can kill every state (some client unreachable in time): the
-  // accumulator vanishes and the instance is infeasible.
+  // A fold can kill every state (some client unreachable in time, or more
+  // than W sent up): the accumulator vanishes and the instance is infeasible.
   bool dead = false;
   open(root);
   while (!stack.empty() && !dead) {
@@ -185,7 +176,7 @@ StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
         streamer.pushEntry(
             0, r,
             r > 0 ? instance.qos[ci] : std::numeric_limits<double>::infinity());
-        streamer.foldChild(f.accBegin, childBegin, f.countCap, uplink);
+        streamer.foldChild(f.accBegin, childBegin, f.countCap, uplink, W);
         dead = streamer.top() == f.accBegin;
       } else {
         open(c);
@@ -199,7 +190,7 @@ StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
       Frame& parent = stack.back();
       const double uplink = instance.commTime[static_cast<std::size_t>(
           decomp.anchor(decomp.children(parent.v)[parent.nextChild - 1]))];
-      streamer.foldChild(parent.accBegin, childBegin, parent.countCap, uplink);
+      streamer.foldChild(parent.accBegin, childBegin, parent.countCap, uplink, W);
       dead = streamer.top() == parent.accBegin;
     }
   }

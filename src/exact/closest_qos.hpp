@@ -41,6 +41,15 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
                                                     FrontierStats* stats = nullptr,
                                                     BudgetGuard* guard = nullptr);
 
+/// The Closest+QoS place/skip step of a bag whose child-convolution frontier
+/// `acc` was built under the flow ceiling W (shared by the one-shot and the
+/// incremental DP): every state is kept, and a state whose flow fits W and
+/// whose slack covers the anchor's `compTime` also offers the place point
+/// (count + 1, flow 0, infinite slack). Backpointers: prev = index into acc,
+/// child = 1 when a replica sits on the anchor. Empty when acc is.
+FrontierSpan qosPlaceSkip(QosFrontierSweep& sweep, const QosFrontierArena& arena,
+                          FrontierSpan acc, Requests W, double compTime);
+
 /// Width-capped streaming variant of the QoS DP (count only, no placement):
 /// the same recurrence through a QosFrontierStreamer stack machine, memory
 /// O(widthCap * depth). Exact when `result.stats.exact`, otherwise an

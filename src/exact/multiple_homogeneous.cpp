@@ -187,6 +187,20 @@ std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instanc
   return assignMultipleRequests(instance, isReplica);
 }
 
+FrontierSpan multiplePlaceSkip(FrontierConvolver& conv, const FrontierArena& arena,
+                               FrontierSpan acc, Requests W, std::int32_t maxCount,
+                               Requests ceiling, std::vector<FrontierEntry>& options) {
+  options.clear();
+  for (std::size_t k = 0; k < acc.size; ++k) {
+    const FrontierEntry e = arena.at(acc, k);
+    options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
+    if (e.flow > 0)
+      options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
+                         static_cast<std::int32_t>(k), 1});
+  }
+  return conv.pruneCandidates(options, maxCount, ceiling);
+}
+
 std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& instance,
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
@@ -216,26 +230,19 @@ std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& insta
     // count of the covered forest.
     const std::size_t internalsBelow = decomp.internalsInCone(v);
     const auto forestCap = static_cast<std::int32_t>(internalsBelow - 1);
+    // Flow the bag sends up is absorbed by its depth ancestors at most W
+    // each; the chain's flow may still meet a replica on the anchor itself.
+    const Requests nodeCeiling = W * tree.depth(decomp.anchor(v));
 
     FrontierSpan acc = conv.unit();
     const auto children = decomp.mergeChildren(v);
     for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap);
+      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap, nodeCeiling + W);
       dp.setCombo(v, ci, acc);
     }
-
-    // Place/skip: under Multiple a replica at v absorbs min(flow, W), so the
-    // place option is (count+1, max(0, flow-W)) — only useful when flow > 0.
-    options.clear();
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-      if (e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
-                           static_cast<std::int32_t>(k), 1});
-    }
-    dp.setFrontier(
-        v, conv.pruneCandidates(options, static_cast<std::int32_t>(internalsBelow)));
+    dp.setFrontier(v, multiplePlaceSkip(conv, arena, acc, W,
+                                        static_cast<std::int32_t>(internalsBelow),
+                                        nodeCeiling, options));
   }
 
   if (stats != nullptr) {
@@ -284,19 +291,22 @@ StreamCountResult countMultipleHomogeneousStreaming(
     std::size_t accBegin;
     std::int32_t forestCap;  ///< children-forest count bound (excludes v)
     std::int32_t nodeCap;    ///< subtree count bound (includes v)
+    Requests nodeCeiling;    ///< W * depth(v): what v's ancestors can absorb
   };
   std::vector<Frame> stack;
   stack.reserve(64);
 
   const auto open = [&](BagId v) {
     const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    stack.push_back({v, 0, streamer.pushUnit(), internalsBelow - 1, internalsBelow});
+    stack.push_back({v, 0, streamer.pushUnit(), internalsBelow - 1, internalsBelow,
+                     W * tree.depth(decomp.anchor(v))});
   };
 
-  // Place/skip: under Multiple a replica at v absorbs min(flow, W), so the
-  // place option is (count + 1, max(0, flow - W)) — not a suffix of the kept
-  // entries, hence the general candidate prune instead of Closest's trick.
-  const auto placeSkip = [&](std::size_t begin, std::int32_t nodeCap) {
+  // Place/skip as in multiplePlaceSkip: a replica at v absorbs min(flow, W),
+  // so every state offers (count + 1, max(0, flow - W)) — the general
+  // candidate prune, not Closest's two-point step.
+  const auto placeSkip = [&](std::size_t begin, std::int32_t nodeCap,
+                             Requests nodeCeiling) {
     streamer.clearCandidates();
     const std::size_t size = streamer.top() - begin;
     for (std::size_t k = 0; k < size; ++k) {
@@ -305,11 +315,14 @@ StreamCountResult countMultipleHomogeneousStreaming(
       streamer.addCandidate(c, f);
       if (f > 0) streamer.addCandidate(c + 1, std::max<Requests>(0, f - W));
     }
-    streamer.commitPruned(begin, nodeCap);
+    streamer.commitPruned(begin, nodeCap, nodeCeiling);
   };
 
+  // A fold can leave no live state (more flow than the ancestors can
+  // absorb): the accumulator vanishes and the instance is infeasible.
+  bool dead = false;
   open(root);
-  while (!stack.empty()) {
+  while (!stack.empty() && !dead) {
     if (options.guard != nullptr) options.guard->checkpoint();
     Frame& f = stack.back();  // open() reallocates: never touch f after it
     const auto kids = decomp.children(f.v);
@@ -319,23 +332,27 @@ StreamCountResult countMultipleHomogeneousStreaming(
         const std::size_t childBegin = streamer.top();
         streamer.pushEntry(
             0, instance.requests[static_cast<std::size_t>(decomp.anchor(c))]);
-        streamer.foldChild(f.accBegin, childBegin, f.forestCap);
+        streamer.foldChild(f.accBegin, childBegin, f.forestCap, f.nodeCeiling + W);
+        dead = streamer.top() == f.accBegin;
       } else {
         open(c);
       }
       continue;
     }
-    placeSkip(f.accBegin, f.nodeCap);
+    placeSkip(f.accBegin, f.nodeCap, f.nodeCeiling);
     const std::size_t childBegin = f.accBegin;
     stack.pop_back();
     if (!stack.empty()) {
       Frame& parent = stack.back();
-      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap);
+      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap,
+                         parent.nodeCeiling + W);
+      dead = streamer.top() == parent.accBegin;
     }
   }
 
-  const std::size_t width = streamer.top();
   result.stats = streamer.stats();
+  if (dead) return result;
+  const std::size_t width = streamer.top();
   if (width > 0 && streamer.flowAt(width - 1) == 0) {
     result.feasible = true;
     result.replicas = streamer.countAt(width - 1);

@@ -42,6 +42,17 @@ std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& insta
                                                     FrontierStats* stats = nullptr,
                                                     BudgetGuard* guard = nullptr);
 
+/// The Multiple place/skip step of the frontier DP (shared by the one-shot
+/// and the incremental solver): a replica on the anchor absorbs min(flow, W),
+/// so every state of `acc` offers keep (count, flow) and place (count + 1,
+/// max(0, flow - W)). The options are pruned to counts <= maxCount and flows
+/// <= ceiling — W * depth(anchor), all the anchor's ancestors can absorb.
+/// Backpointers: prev = index into acc, child = 1 when a replica sits on the
+/// anchor. `options` is caller-owned scratch.
+FrontierSpan multiplePlaceSkip(FrontierConvolver& conv, const FrontierArena& arena,
+                               FrontierSpan acc, Requests W, std::int32_t maxCount,
+                               Requests ceiling, std::vector<FrontierEntry>& options);
+
 /// Minimal number of replicas, or nullopt if infeasible — convenience wrapper.
 std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& instance);
 

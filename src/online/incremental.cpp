@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "exact/closest_homogeneous.hpp"
+#include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "support/require.hpp"
 
@@ -24,6 +26,7 @@ void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
   frontier.assign(n, FrontierSpan{});
   computedEpoch.assign(n, 0);
   comboCap.assign(n, -1);
+  comboCeiling.assign(n, 0);
   chosenEntry.assign(n, -1);
   chosenEpoch.assign(n, 0);
   replicaBit.assign(n, 0);
@@ -55,6 +58,7 @@ void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
   frontier.resize(n);
   computedEpoch.resize(n, 0);
   comboCap.resize(n, -1);
+  comboCeiling.resize(n, 0);
   chosenEntry.resize(n, -1);
   chosenEpoch.resize(n, 0);
   replicaBit.resize(n, 0);
@@ -437,78 +441,42 @@ std::shared_ptr<const Placement> IncrementalSolver::resolve2d(BudgetGuard* guard
     // Prefix reuse: the cached combo chain is still exact up to the first
     // slot whose recorded child diverges from the current merge order or
     // whose child frontier was recomputed after the chain was built
-    // (children run first in postorder, so their stamps are current).
-    // W enters only the place fold below, never the chain, so a global
-    // capacity change re-folds every vertex without re-convolving anything.
-    const auto firstChanged = [&](std::int32_t cap) -> std::size_t {
-      if (prevEpoch == 0 || cache.comboCap[vi] != cap) return 0;
+    // (children run first in postorder, so their stamps are current). The
+    // chain's flow ceiling is part of the key: W bounds every stored state,
+    // so a capacity change re-convolves the chain too.
+    const auto reuseChain = [&](std::int32_t cap, Requests ceiling) -> FrontierSpan {
       std::size_t f = 0;
-      while (f < children.size() &&
-             cache.comboChild[comboBase + f] == children[f] &&
-             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-      return f;
+      if (prevEpoch > 0 && cache.comboCap[vi] == cap &&
+          cache.comboCeiling[vi] == ceiling) {
+        while (f < children.size() &&
+               cache.comboChild[comboBase + f] == children[f] &&
+               cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
+          ++f;
+      }
+      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
+      for (std::size_t ci = f; ci < children.size(); ++ci) {
+        acc = conv.convolve(
+            acc, cache.frontier[static_cast<std::size_t>(children[ci])], cap, ceiling);
+        cache.comboSpans[comboBase + ci] = acc;
+        cache.comboChild[comboBase + ci] = children[ci];
+      }
+      cache.comboCap[vi] = cap;
+      cache.comboCeiling[vi] = ceiling;
+      return acc;
     };
 
     if (policy_ == OnlinePolicy::Closest) {
       const auto forestCap =
           static_cast<std::int32_t>(std::min(clientsBelow, internalsBelow - 1));
-      const std::size_t f = firstChanged(forestCap);
-      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
-      for (std::size_t ci = f; ci < children.size(); ++ci) {
-        acc = conv.convolve(
-            acc, cache.frontier[static_cast<std::size_t>(children[ci])], forestCap);
-        cache.comboSpans[comboBase + ci] = acc;
-        cache.comboChild[comboBase + ci] = children[ci];
-      }
-      if (!children.empty())
-        acc = cache.comboSpans[comboBase + children.size() - 1];
-      cache.comboCap[vi] = forestCap;
-      // Closest's suffix trick (see solveClosestHomogeneous): keep entries up
-      // to the first flow <= W, then the single non-dominated place point.
-      std::size_t k0 = acc.size;
-      for (std::size_t k = 0; k < acc.size; ++k) {
-        if (arena.at(acc, k).flow <= W) {
-          k0 = k;
-          break;
-        }
-      }
-      const std::uint32_t begin = arena.beginSpan();
-      for (std::size_t k = 0;
-           k < std::min(k0 + 1, static_cast<std::size_t>(acc.size)); ++k) {
-        const FrontierEntry e = arena.at(acc, k);
-        arena.push({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-      }
-      if (k0 < acc.size) {
-        const FrontierEntry e = arena.at(acc, k0);
-        if (e.flow > 0)
-          arena.push({e.count + 1, 0, static_cast<std::int32_t>(k0), 1});
-      }
-      cache.frontier[vi] = arena.endSpan(begin);
+      cache.frontier[vi] = closestPlaceSkip(arena, reuseChain(forestCap, W));
     } else {
-      const auto forestCap = static_cast<std::int32_t>(internalsBelow - 1);
-      const std::size_t f = firstChanged(forestCap);
-      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
-      for (std::size_t ci = f; ci < children.size(); ++ci) {
-        acc = conv.convolve(
-            acc, cache.frontier[static_cast<std::size_t>(children[ci])], forestCap);
-        cache.comboSpans[comboBase + ci] = acc;
-        cache.comboChild[comboBase + ci] = children[ci];
-      }
-      if (!children.empty())
-        acc = cache.comboSpans[comboBase + children.size() - 1];
-      cache.comboCap[vi] = forestCap;
-      // Multiple's place step absorbs min(flow, W) — general candidate prune.
-      options.clear();
-      for (std::size_t k = 0; k < acc.size; ++k) {
-        const FrontierEntry e = arena.at(acc, k);
-        options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-        if (e.flow > 0)
-          options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
-                             static_cast<std::int32_t>(k), 1});
-      }
+      const Requests nodeCeiling = W * tree.depth(decomp.anchor(v));
+      const FrontierSpan acc =
+          reuseChain(static_cast<std::int32_t>(internalsBelow - 1), nodeCeiling + W);
       cache.frontier[vi] =
-          conv.pruneCandidates(options, static_cast<std::int32_t>(internalsBelow));
+          multiplePlaceSkip(conv, arena, acc, W,
+                            static_cast<std::int32_t>(internalsBelow), nodeCeiling,
+                            options);
     }
   };
 
@@ -591,12 +559,14 @@ std::shared_ptr<const Placement> IncrementalSolver::resolveQos(BudgetGuard* guar
     const auto comboBase = static_cast<std::size_t>(cache.comboOffset[vi]);
     const std::span<const BagId> children = decomp.mergeChildren(v);
 
-    // Prefix reuse, as in resolve2d: uplinks are immutable and W/compTime
-    // enter only the fold, so the cached chain is exact up to the first
-    // slot whose recorded child diverges from the merge order or was
-    // recomputed after the chain was built.
+    // Prefix reuse, as in resolve2d: uplinks are immutable and compTime
+    // enters only the place step, so the cached chain is exact up to the
+    // first slot whose recorded child diverges from the merge order or was
+    // recomputed after the chain was built — provided it was built under the
+    // same count cap and flow ceiling (W).
     std::size_t f = 0;
-    if (prevEpoch > 0 && cache.comboCap[vi] == countCap) {
+    if (prevEpoch > 0 && cache.comboCap[vi] == countCap &&
+        cache.comboCeiling[vi] == W) {
       while (f < children.size() &&
              cache.comboChild[comboBase + f] == children[f] &&
              cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
@@ -614,40 +584,17 @@ std::shared_ptr<const Placement> IncrementalSolver::resolveQos(BudgetGuard* guar
       const BagId child = children[ci];
       const double uplink =
           instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      const FrontierSpan childFrontier =
-          cache.frontier[static_cast<std::size_t>(child)];
-      sweep.begin(countCap);
-      for (std::size_t p = 0; p < acc.size; ++p) {
-        const QosFrontierEntry accEntry = arena.at(acc, p);
-        for (std::size_t c = 0; c < childFrontier.size; ++c) {
-          const QosFrontierEntry& childEntry = arena.at(childFrontier, c);
-          const double childSlack = childEntry.flow > 0
-                                        ? childEntry.slack - uplink
-                                        : kInfiniteSlack;
-          if (childSlack < -1e-9) continue;  // dead: client unreachable in time
-          sweep.add({accEntry.count + childEntry.count,
-                     accEntry.flow + childEntry.flow,
-                     std::min(accEntry.slack, childSlack),
-                     static_cast<std::int32_t>(p), static_cast<std::int32_t>(c)});
-        }
-      }
-      acc = sweep.emit();
+      acc = sweep.convolve(acc, cache.frontier[static_cast<std::size_t>(child)],
+                           countCap, uplink, W);
       cache.comboSpans[comboBase + ci] = acc;
       cache.comboChild[comboBase + ci] = children[ci];
     }
-    if (!children.empty()) acc = cache.comboSpans[comboBase + children.size() - 1];
     cache.comboCap[vi] = countCap;
+    cache.comboCeiling[vi] = W;
 
-    const double comp =
-        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))];
-    sweep.begin(countCap);
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const QosFrontierEntry e = arena.at(acc, k);
-      sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
-      if (e.flow <= W && e.slack >= comp - 1e-9)
-        sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
-    }
-    cache.frontier[vi] = sweep.emit();
+    cache.frontier[vi] = qosPlaceSkip(
+        sweep, arena, acc, W,
+        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))]);
   };
 
   if (pendingGlobal_) {

@@ -80,11 +80,14 @@ struct FrontierCacheState {
   std::vector<std::int32_t> comboOffset;   ///< per vertex
   std::vector<std::int32_t> comboCount;    ///< children count at layout time
   std::vector<std::uint64_t> computedEpoch;  ///< 0 = never computed
-  /// Count cap the vertex's combo chain was built with (-1: chain invalid).
-  /// A dirty vertex whose cap is unchanged reuses the prefix combos of its
-  /// clean children and re-convolves only from the first changed child on —
-  /// the recompute then costs O(changed suffix), not O(degree).
+  /// Count cap and flow ceiling the vertex's combo chain was built with
+  /// (cap -1: chain invalid). A dirty vertex whose cap and ceiling are both
+  /// unchanged reuses the prefix combos of its clean children and
+  /// re-convolves only from the first changed child on — the recompute then
+  /// costs O(changed suffix), not O(degree). The ceiling derives from W, so
+  /// a capacity change rebuilds every chain.
   std::vector<std::int32_t> comboCap;
+  std::vector<Requests> comboCeiling;
   /// Reconstruction memo: the entry index the last backpointer walk chose at
   /// this vertex, the mutation epoch of that walk, and the resulting replica
   /// bit. A walk that reaches a vertex with the same entry index and no

@@ -166,8 +166,9 @@ TEST(FaultSites, AllocationStormNeverBreaksCorrectness) {
             << "seed=" << seed;
       }
     }
-    if (out.status == OutcomeStatus::Infeasible)
+    if (out.status == OutcomeStatus::Infeasible) {
       EXPECT_FALSE(truth.has_value()) << "seed=" << seed;
+    }
   }
 }
 
@@ -186,8 +187,9 @@ TEST(FaultSites, SimplexPivotFaultIsLatencyOnly) {
       faulted = solveExactViaIlp(instance, Policy::Multiple);
     }
     ASSERT_EQ(faulted.feasible(), reference.feasible()) << "seed=" << seed;
-    if (faulted.proven && reference.proven && faulted.feasible())
+    if (faulted.proven && reference.proven && faulted.feasible()) {
       EXPECT_NEAR(faulted.cost, reference.cost, 1e-6) << "seed=" << seed;
+    }
   }
 }
 
@@ -301,13 +303,16 @@ TEST_P(FaultSweep, HundredsOfSeededFaultsZeroIncorrectPlacements) {
             << toString(out.status) << "/" << toString(out.level) << ")";
         EXPECT_LE(out.lowerBound, out.cost + 1e-9) << ctx;
       }
-      if (out.status == OutcomeStatus::Optimal && truth)
+      if (out.status == OutcomeStatus::Optimal && truth) {
         EXPECT_EQ(out.placement->replicaCount(), truth->replicaCount()) << ctx;
-      if (out.status == OutcomeStatus::Optimal)
+      }
+      if (out.status == OutcomeStatus::Optimal) {
         EXPECT_TRUE(truth.has_value()) << ctx;
-      if (out.status == OutcomeStatus::Infeasible)
+      }
+      if (out.status == OutcomeStatus::Infeasible) {
         EXPECT_FALSE(truth.has_value())
             << ctx << ": fault produced a FALSE infeasibility claim";
+      }
       if (out.bracketed() && truth) {
         const auto opt = static_cast<double>(truth->replicaCount());
         EXPECT_GE(opt, out.lowerBound - 1e-9)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/validate.hpp"
@@ -152,6 +153,97 @@ TEST(FrontierConvolver, PruneCandidatesMatchesOracle) {
         oracleConvolve(points, {{0, 0}}, maxCount);
     EXPECT_EQ(fromArena(arena, result), expected) << "trial " << trial;
   }
+}
+
+// The flow ceiling drops dead states and nothing else: with a ceiling, a
+// merge must return exactly the ceiling-free result filtered to flow <=
+// ceiling — counts, flows and backpointers. Fed inputs whose dead prefixes
+// were already dropped (as the DPs do), the backpointers shift by the
+// dropped prefix lengths and nothing more.
+bool sameEntry(const FrontierEntry& x, const FrontierEntry& y) {
+  return x.count == y.count && x.flow == y.flow && x.prev == y.prev &&
+         x.child == y.child;
+}
+
+std::vector<FrontierEntry> underCeiling(std::span<const FrontierEntry> entries,
+                                        Requests ceiling) {
+  std::vector<FrontierEntry> kept;
+  for (const FrontierEntry& e : entries)
+    if (e.flow <= ceiling) kept.push_back(e);
+  return kept;
+}
+
+void expectSameEntries(const std::vector<FrontierEntry>& got,
+                       const std::vector<FrontierEntry>& want, int trial) {
+  ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+  for (std::size_t k = 0; k < got.size(); ++k)
+    EXPECT_TRUE(sameEntry(got[k], want[k])) << "trial " << trial << " entry " << k;
+}
+
+TEST(FrontierConvolver, CeilingKeepsExactlyTheLiveStates) {
+  Prng rng(0xce11ULL);
+  int filtered = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<Point> a = randomFrontier(rng, 8);
+    const std::vector<Point> b = randomFrontier(rng, 8);
+    const auto maxCount = static_cast<std::int32_t>(rng.uniformInt(0, 24));
+    const auto ceiling = static_cast<Requests>(rng.uniformInt(0, 700));
+
+    FrontierArena arena;
+    arena.reset(256);
+    FrontierConvolver conv(arena);
+    const FrontierSpan sa = toArena(arena, a);
+    const FrontierSpan sb = toArena(arena, b);
+    const FrontierSpan full = conv.convolve(sa, sb, maxCount);
+    const std::vector<FrontierEntry> want = underCeiling(arena.view(full), ceiling);
+    if (want.size() < full.size) ++filtered;
+
+    const FrontierSpan capped = conv.convolve(sa, sb, maxCount, ceiling);
+    const auto cappedView = arena.view(capped);
+    expectSameEntries({cappedView.begin(), cappedView.end()}, want, trial);
+
+    // Live inputs only: dead states form a prefix (flows strictly decrease).
+    const std::vector<FrontierEntry> liveA = underCeiling(arena.view(sa), ceiling);
+    const std::vector<FrontierEntry> liveB = underCeiling(arena.view(sb), ceiling);
+    const auto shiftA = static_cast<std::int32_t>(a.size() - liveA.size());
+    const auto shiftB = static_cast<std::int32_t>(b.size() - liveB.size());
+    std::vector<Point> pa;
+    std::vector<Point> pb;
+    for (const FrontierEntry& e : liveA) pa.push_back({e.count, e.flow});
+    for (const FrontierEntry& e : liveB) pb.push_back({e.count, e.flow});
+    const FrontierSpan live =
+        conv.convolve(toArena(arena, pa), toArena(arena, pb), maxCount, ceiling);
+    std::vector<FrontierEntry> remapped;
+    for (const FrontierEntry& e : arena.view(live))
+      remapped.push_back({e.count, e.flow, e.prev + shiftA, e.child + shiftB});
+    expectSameEntries(remapped, want, trial);
+  }
+  EXPECT_GE(filtered, 50);  // the ceiling actually cut something
+}
+
+TEST(FrontierConvolver, PruneCandidatesCeilingKeepsExactlyTheLiveStates) {
+  Prng rng(0x9a7eULL);
+  int filtered = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<FrontierEntry> candidates;
+    const int m = 1 + static_cast<int>(rng.uniformInt(0, 14));
+    for (int i = 0; i < m; ++i)
+      candidates.push_back({static_cast<std::int32_t>(rng.uniformInt(0, 9)),
+                            static_cast<Requests>(rng.uniformInt(0, 99)), i, i % 2});
+    const auto maxCount = static_cast<std::int32_t>(rng.uniformInt(2, 12));
+    const auto ceiling = static_cast<Requests>(rng.uniformInt(0, 120));
+
+    FrontierArena arena;
+    arena.reset(64);
+    FrontierConvolver conv(arena);
+    const FrontierSpan full = conv.pruneCandidates(candidates, maxCount);
+    const std::vector<FrontierEntry> want = underCeiling(arena.view(full), ceiling);
+    if (want.size() < full.size) ++filtered;
+    const FrontierSpan capped = conv.pruneCandidates(candidates, maxCount, ceiling);
+    const auto cappedView = arena.view(capped);
+    expectSameEntries({cappedView.begin(), cappedView.end()}, want, trial);
+  }
+  EXPECT_GE(filtered, 50);
 }
 
 TEST(FrontierConvolver, StatsCountWork) {

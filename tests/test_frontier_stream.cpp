@@ -181,5 +181,66 @@ TEST(FrontierStream, PeakMemoryTracksDepthTimesCap) {
   }
 }
 
+// A client sending more than its ancestors can absorb leaves a fold with no
+// live state. The 2-D streamers must report that as infeasible — the same
+// verdict as the arena DPs — by stopping the walk, as the QoS streamer does,
+// instead of folding the next sibling into an empty accumulator.
+TEST(FrontierStream, OverloadedClientIsInfeasibleWithoutTrip) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    ProblemInstance inst = randomHomogeneous(seed * 2053, 0.4);
+    const Requests W = inst.homogeneousCapacity();
+    const auto& clients = inst.tree.clients();
+    const VertexId client = clients[seed % clients.size()];
+    const auto ci = static_cast<std::size_t>(client);
+
+    // Closest: one replica serves the whole client, so r = W + 1 is dead.
+    inst.requests[ci] = W + 1;
+    StreamCountResult closest;
+    ASSERT_NO_THROW(closest = countClosestHomogeneousStreaming(inst)) << seed;
+    EXPECT_FALSE(closest.feasible) << seed;
+    EXPECT_FALSE(solveClosestHomogeneous(inst).has_value()) << seed;
+
+    // Multiple: the client's depth(client) ancestors absorb W each at most.
+    inst.requests[ci] = W * inst.tree.depth(client) + 1;
+    StreamCountResult multiple;
+    ASSERT_NO_THROW(multiple = countMultipleHomogeneousStreaming(inst)) << seed;
+    EXPECT_FALSE(multiple.feasible) << seed;
+    EXPECT_FALSE(solveMultipleHomogeneousDP(inst).has_value()) << seed;
+  }
+}
+
+// At scale, on the feasible-at-scale profile the benchmarks use, the live
+// frontiers stay far below the default width cap: every streaming DP must
+// run uncapped (stats.exact) and count exactly the arena DP's optimum.
+TEST(FrontierStream, DefaultCapIsExactAtScale) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = 20000;
+  config.clientFraction = 0.8;
+  config.leafClientBias = 1.0;
+  config.minRequests = config.maxRequests = 1;
+  config.lambda = 0.2;
+  config.unitCosts = true;
+  config.qosFraction = 0.3;
+  config.qosMinHops = 6;
+  config.qosMaxHops = 12;
+  const ProblemInstance inst = generateInstance(config, 7, 0);
+
+  const StreamCountResult closest = countClosestHomogeneousStreaming(inst);
+  const StreamCountResult multiple = countMultipleHomogeneousStreaming(inst);
+  const StreamCountResult qos = countClosestQosStreaming(inst);
+  EXPECT_TRUE(closest.stats.exact);
+  EXPECT_TRUE(multiple.stats.exact);
+  EXPECT_TRUE(qos.stats.exact);
+
+  const auto exactClosest = solveClosestHomogeneous(inst);
+  const auto exactMultiple = solveMultipleHomogeneousDP(inst);
+  const auto exactQos = solveClosestHomogeneousQos(inst);
+  ASSERT_TRUE(exactClosest && exactMultiple && exactQos);
+  ASSERT_TRUE(closest.feasible && multiple.feasible && qos.feasible);
+  EXPECT_EQ(static_cast<std::size_t>(closest.replicas), exactClosest->replicaCount());
+  EXPECT_EQ(static_cast<std::size_t>(multiple.replicas), exactMultiple->replicaCount());
+  EXPECT_EQ(static_cast<std::size_t>(qos.replicas), exactQos->replicaCount());
+}
+
 }  // namespace
 }  // namespace treeplace

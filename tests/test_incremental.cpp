@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "core/bounds.hpp"
 #include "exact/closest_homogeneous.hpp"
@@ -110,7 +111,9 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       const auto second = b.resolve();
       ASSERT_EQ(first != nullptr, second != nullptr)
           << toString(policy) << " seed=" << seed;
-      if (first) EXPECT_EQ(*first, *second) << toString(policy) << " seed=" << seed;
+      if (first) {
+        EXPECT_EQ(*first, *second) << toString(policy) << " seed=" << seed;
+      }
 
       // Replay one identical value mutation on both sides.
       const auto clients = original.tree.clients();
@@ -124,9 +127,51 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       const auto secondAfter = b.resolve();
       ASSERT_EQ(firstAfter != nullptr, secondAfter != nullptr)
           << toString(policy) << " seed=" << seed;
-      if (firstAfter)
+      if (firstAfter) {
         EXPECT_EQ(*firstAfter, *secondAfter) << toString(policy) << " seed=" << seed;
+      }
     }
+  }
+}
+
+// W is every frontier's flow ceiling, so a capacity change must rebuild the
+// cached chains, not reuse ones pruned under the old W. Lower W step by step
+// (dropping states the old ceiling kept alive), then restore it (reviving
+// states the lowered ceiling dropped): after every step the incremental
+// answer must equal a scratch solve, infeasible verdicts included.
+TEST(IncrementalSolver, CapacityLoweredAndRestoredMatchesScratch) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    int steps = 0;
+    int infeasible = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      ProblemInstance instance = smallHomogeneous(seed, qosFraction);
+      const Requests W = instance.homogeneousCapacity();
+      IncrementalSolver solver(instance, policy);
+      (void)solver.resolve();
+      for (const Requests capacity : {W - 1, W / 2, W / 3, W / 2, W}) {
+        if (capacity <= 0) continue;
+        InstanceDelta delta;
+        delta.kind = DeltaKind::CapacityChange;
+        delta.capacity = capacity;
+        solver.apply(delta);
+        const auto got = solver.resolve();
+        const auto truth = scratch(instance, policy);
+        const std::string ctx = std::string(toString(policy)) +
+                                " seed=" + std::to_string(seed) +
+                                " W=" + std::to_string(capacity);
+        ASSERT_EQ(got != nullptr, truth.has_value()) << ctx;
+        if (truth) {
+          EXPECT_EQ(*got, *truth) << ctx;
+        } else {
+          ++infeasible;
+        }
+        ++steps;
+      }
+    }
+    EXPECT_GE(steps, 80) << toString(policy);
+    EXPECT_GT(infeasible, 0) << toString(policy);  // the ceiling cut deep
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -75,7 +76,7 @@ TEST(QosFrontierSweep, MatchesBruteForceOracleOnRandomBatches) {
     QosFrontierArena arena;
     arena.reset(64);
     QosFrontierSweep sweep(arena);
-    sweep.begin(maxCount);
+    sweep.begin(0, maxCount, kNoFlowCeiling);
     for (std::size_t i = 0; i < candidates.size(); ++i)
       sweep.add({candidates[i].count, candidates[i].flow, candidates[i].slack,
                  static_cast<std::int32_t>(i), 0});
@@ -92,7 +93,7 @@ TEST(QosFrontierSweep, KeepsTheFirstOfExactDuplicates) {
   QosFrontierArena arena;
   arena.reset(8);
   QosFrontierSweep sweep(arena);
-  sweep.begin(4);
+  sweep.begin(0, 4, kNoFlowCeiling);
   sweep.add({2, 10, 1.5, 7, 0});   // first occurrence wins ...
   sweep.add({2, 10, 1.5, 99, 1});  // ... the duplicate's backpointers lose
   const FrontierSpan result = sweep.emit();
@@ -105,17 +106,125 @@ TEST(QosFrontierSweep, BucketsRecycleAcrossBatches) {
   QosFrontierArena arena;
   arena.reset(32);
   QosFrontierSweep sweep(arena);
-  sweep.begin(3);
+  sweep.begin(0, 3, kNoFlowCeiling);
   sweep.add({0, 5, 1.0, -1, -1});
   sweep.add({1, 0, kInf, -1, -1});
   (void)sweep.emit();
   // A second batch must not see the first batch's candidates.
-  sweep.begin(3);
+  sweep.begin(0, 3, kNoFlowCeiling);
   sweep.add({2, 7, 0.5, -1, -1});
   const FrontierSpan second = sweep.emit();
   ASSERT_EQ(second.size, 1u);
   EXPECT_EQ(arena.at(second, 0).count, 2);
   EXPECT_EQ(arena.at(second, 0).flow, 7);
+}
+
+// A batch opened on its live count range [lo, hi] with a flow ceiling must
+// emit exactly what a full-range [0, wide] batch without a ceiling emits,
+// filtered to flow <= ceiling — slacks and backpointers included.
+std::vector<QosFrontierEntry> sweepBatch(QosFrontierArena& arena,
+                                         const std::vector<QosFrontierEntry>& batch,
+                                         std::int32_t lo, std::int32_t hi,
+                                         Requests ceiling) {
+  QosFrontierSweep sweep(arena);
+  sweep.begin(lo, hi, ceiling);
+  for (const QosFrontierEntry& e : batch) sweep.add(e);
+  const auto view = arena.view(sweep.emit());
+  return {view.begin(), view.end()};
+}
+
+void expectSameQosEntries(const std::vector<QosFrontierEntry>& got,
+                          const std::vector<QosFrontierEntry>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].count, want[k].count) << context << " entry " << k;
+    EXPECT_EQ(got[k].flow, want[k].flow) << context << " entry " << k;
+    EXPECT_EQ(got[k].slack, want[k].slack) << context << " entry " << k;
+    EXPECT_EQ(got[k].prev, want[k].prev) << context << " entry " << k;
+    EXPECT_EQ(got[k].child, want[k].child) << context << " entry " << k;
+  }
+}
+
+TEST(QosFrontierSweep, LiveRangeSweepMatchesFullRangeSweep) {
+  Prng rng(0x11fe5ULL);
+  int filtered = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto lo = static_cast<std::int32_t>(rng.uniformInt(0, 20));
+    const auto hi = lo + static_cast<std::int32_t>(rng.uniformInt(0, 8));
+    const auto ceiling = static_cast<Requests>(rng.uniformInt(0, 7)) * 10;
+    const int m = 1 + static_cast<int>(rng.uniformInt(0, 24));
+    std::vector<QosFrontierEntry> batch;
+    for (int i = 0; i < m; ++i) {
+      const Requests flow = static_cast<Requests>(rng.uniformInt(0, 6)) * 10;
+      const double slack = flow == 0
+                               ? kInf
+                               : static_cast<double>(rng.uniformInt(0, 5)) * 0.5;
+      batch.push_back(
+          {lo + static_cast<std::int32_t>(rng.uniformInt(0, static_cast<std::uint64_t>(hi - lo))),
+           flow, slack, i, i % 3});
+    }
+
+    QosFrontierArena arena;
+    arena.reset(128);
+    std::vector<QosFrontierEntry> want;
+    for (const QosFrontierEntry& e :
+         sweepBatch(arena, batch, 0, hi + 5, kNoFlowCeiling))
+      if (e.flow <= ceiling) want.push_back(e);
+    const std::vector<QosFrontierEntry> got = sweepBatch(arena, batch, lo, hi, ceiling);
+    if (got.size() < sweepBatch(arena, batch, lo, hi, kNoFlowCeiling).size())
+      ++filtered;
+    expectSameQosEntries(got, want, "trial " + std::to_string(trial));
+  }
+  EXPECT_GE(filtered, 50);  // the ceiling actually cut something
+}
+
+// QosFrontierSweep::convolve is the chain step both QoS DPs run: it must
+// equal the hand-built cross product (uplink charged, negative slack and
+// over-ceiling pairs dropped) pushed through a full-range batch.
+TEST(QosFrontierSweep, ConvolveMatchesHandBuiltBatch) {
+  Prng rng(0xc0471ULL);
+  const auto randomFrontier = [&rng](QosFrontierArena& arena) {
+    QosFrontierSweep sweep(arena);
+    sweep.begin(0, 10, kNoFlowCeiling);
+    const int m = 1 + static_cast<int>(rng.uniformInt(0, 6));
+    for (int i = 0; i < m; ++i) {
+      const Requests flow = static_cast<Requests>(rng.uniformInt(0, 6)) * 10;
+      sweep.add({static_cast<std::int32_t>(rng.uniformInt(0, 10)), flow,
+                 flow == 0 ? kInf : static_cast<double>(rng.uniformInt(0, 8)) * 0.5,
+                 -1, -1});
+    }
+    return sweep.emit();
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    QosFrontierArena arena;
+    arena.reset(256);
+    const FrontierSpan acc = randomFrontier(arena);
+    const FrontierSpan child = randomFrontier(arena);
+    const auto maxCount = static_cast<std::int32_t>(rng.uniformInt(4, 20));
+    const double uplink = static_cast<double>(rng.uniformInt(0, 3)) * 0.5;
+    const auto ceiling = static_cast<Requests>(rng.uniformInt(2, 12)) * 10;
+
+    std::vector<QosFrontierEntry> batch;
+    for (std::size_t p = 0; p < acc.size; ++p) {
+      for (std::size_t c = 0; c < child.size; ++c) {
+        const QosFrontierEntry a = arena.at(acc, p);
+        const QosFrontierEntry b = arena.at(child, c);
+        const double slack = b.flow > 0 ? b.slack - uplink : kInf;
+        if (slack < -1e-9 || a.count + b.count > maxCount) continue;
+        batch.push_back({a.count + b.count, a.flow + b.flow, std::min(a.slack, slack),
+                         static_cast<std::int32_t>(p), static_cast<std::int32_t>(c)});
+      }
+    }
+    std::vector<QosFrontierEntry> want;
+    for (const QosFrontierEntry& e : sweepBatch(arena, batch, 0, 40, kNoFlowCeiling))
+      if (e.flow <= ceiling) want.push_back(e);
+
+    QosFrontierSweep sweep(arena);
+    const auto view = arena.view(sweep.convolve(acc, child, maxCount, uplink, ceiling));
+    expectSameQosEntries({view.begin(), view.end()}, want,
+                         "trial " + std::to_string(trial));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -206,8 +206,9 @@ TEST(SparseSimplex, ForcedRefactorizationMatchesOracle) {
     const LpSolution viaDense = solveLp(m, oracle);
 
     ASSERT_EQ(viaEager.status, viaDense.status) << "seed " << seed;
-    if (viaEager.status == SolveStatus::Optimal)
+    if (viaEager.status == SolveStatus::Optimal) {
       EXPECT_NEAR(viaEager.objective, viaDense.objective, 1e-6) << "seed " << seed;
+    }
 
     // The stats must show the forced policy at work on at least one pivoting
     // run: every eta append is immediately followed by a refactorization.
