@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "tree/tree.hpp"
 
@@ -45,9 +44,8 @@ struct MergeBag {
 /// bit-identical outputs, no measurable cost.
 ///
 /// The adapter is a value type wrapping `const Tree*`; it must not outlive
-/// the tree. Copies are cheap and share the lazily built identity table used
-/// by `introduced()` only through the originating instance — solvers on the
-/// hot path never call `introduced()`/`bag()` and pay nothing for it.
+/// the tree. It holds no other state, so copies are free and one adapter may
+/// be shared across threads.
 class TreeDecomposition {
  public:
   explicit TreeDecomposition(const Tree& tree) : tree_(&tree) {}
@@ -86,11 +84,11 @@ class TreeDecomposition {
     return verticesInCone(b) - clientsInCone(b);
   }
 
-  /// Vertices introduced at bag b: {anchor(b)}. Materialised lazily — the
-  /// solver hot paths never ask for it, so constructing an adapter stays
-  /// O(1). Not thread-safe on first call (per-solve adapters are
-  /// single-threaded by construction).
-  std::span<const VertexId> introduced(BagId b) const;
+  /// Vertices introduced at bag b: {anchor(b)}, viewed in place as the
+  /// one-element slice of the tree's preorder at b's position.
+  std::span<const VertexId> introduced(BagId b) const {
+    return {tree_->preorder().data() + tree_->preorderIndex(b), 1};
+  }
 
   /// Vertices forgotten when bag b closes: its child anchors.
   std::span<const VertexId> forgotten(BagId b) const {
@@ -105,7 +103,6 @@ class TreeDecomposition {
 
  private:
   const Tree* tree_;
-  mutable std::vector<VertexId> identity_;  ///< identity_[v] == v, lazy
 };
 
 }  // namespace treeplace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "support/budget.hpp"
@@ -265,5 +267,125 @@ class QosFrontierStreamer {
   std::vector<Requests> candFlows_;
   std::vector<double> candSlacks_;
 };
+
+/// One open internal vertex of a streaming sweep: its accumulator on the
+/// streamer's slab, the shape facts the caps and ceilings derive from, and
+/// the inputs the policy gathered for it.
+template <class Input>
+struct SweepFrame {
+  std::size_t accBegin;    ///< first slab entry of the accumulator
+  std::int32_t end;        ///< preorder position one past the subtree
+  std::int32_t depth;      ///< hop depth of the vertex (root 0)
+  std::int32_t clients;    ///< clients in the subtree
+  std::int32_t internals;  ///< internal vertices in the subtree, itself included
+  Input input;
+};
+
+/// Preorder positions gathered per block of the sweep: the reads by vertex
+/// id run as independent loads ahead of the fold instead of one dependent
+/// cache miss at a time.
+inline constexpr std::size_t kSweepBlock = 2048;
+
+/// Drive a count-only streaming DP over the tree in one linear sweep of
+/// preorder positions. The frame stack holds the open internal vertices of
+/// the current root path; at each position the sweep first closes the frames
+/// whose subtree ended there (place/skip, then fold into the parent), then
+/// visits the vertex: a client is seeded and folded into the top
+/// accumulator, an internal vertex opens a frame with the unit frontier.
+/// Children are therefore folded in raw id order — the order preorder lists
+/// them — and the fold sequence, every count and every stats field are a
+/// function of the tree shape alone, while the memory traffic is a forward
+/// scan whatever the vertex numbering.
+///
+/// Per-vertex inputs are read by vertex id in blocks of kSweepBlock
+/// positions into a fixed buffer (no O(n) allocation per solve). The guard
+/// is ticked once per visit: (n - 1) child visits plus one close per
+/// internal vertex. A fold that leaves no live state stops the sweep, and
+/// the result is infeasible.
+///
+/// `step` supplies the policy:
+///   Input gather(VertexId v, bool client) const;  // per-vertex values by id
+///   void seed(const Input& client);       // push a client's frontier
+///   void placeSkip(const SweepFrame<Input>& node);  // node frontier in place
+///   void fold(const SweepFrame<Input>& parent, std::size_t childBegin,
+///             const Input& child);        // [childBegin, top()) into parent
+template <class Streamer, class Step>
+StreamCountResult sweepStreamingCount(const Tree& tree, Streamer& streamer, Step& step,
+                                      BudgetGuard* guard) {
+  using Input = decltype(std::declval<const Step&>().gather(VertexId{}, false));
+  using Frame = SweepFrame<Input>;
+  struct Slot {
+    bool client;
+    std::int32_t end;
+    std::int32_t clients;
+    Input input;
+  };
+  const std::span<const VertexId> order = tree.preorder();
+  const auto n = static_cast<std::int32_t>(order.size());
+  std::vector<Slot> block(std::min<std::size_t>(kSweepBlock, order.size()));
+  std::vector<Frame> stack;
+  stack.reserve(64);
+
+  const auto open = [&](std::int32_t pos, const Slot& slot) {
+    const auto depth = static_cast<std::int32_t>(stack.size());
+    stack.push_back({streamer.pushUnit(), slot.end, depth, slot.clients,
+                     slot.end - pos - slot.clients, slot.input});
+  };
+  // Closes the top frame; false when its fold left the parent nothing live.
+  const auto close = [&] {
+    if (guard != nullptr) guard->checkpoint();
+    const Frame child = stack.back();
+    step.placeSkip(child);
+    stack.pop_back();
+    if (stack.empty()) return true;
+    step.fold(stack.back(), child.accBegin, child.input);
+    return streamer.top() != stack.back().accBegin;
+  };
+  const auto gather = [&](std::int32_t pos, Slot& slot) {
+    const VertexId v = order[static_cast<std::size_t>(pos)];
+    slot.client = tree.clientsBefore(pos + 1) != tree.clientsBefore(pos);
+    slot.end = slot.client ? pos + 1 : tree.preorderEnd(v);
+    slot.clients = tree.clientsBefore(slot.end) - tree.clientsBefore(pos);
+    slot.input = step.gather(v, slot.client);
+  };
+
+  gather(0, block[0]);
+  open(0, block[0]);
+  bool alive = true;
+  for (std::int32_t base = 1; base < n && alive;) {
+    const std::int32_t size =
+        std::min(n - base, static_cast<std::int32_t>(block.size()));
+    for (std::int32_t k = 0; k < size; ++k)
+      gather(base + k, block[static_cast<std::size_t>(k)]);
+    for (std::int32_t k = 0; k < size; ++k) {
+      const std::int32_t pos = base + k;
+      while (alive && stack.back().end <= pos) alive = close();
+      if (!alive) break;
+      if (guard != nullptr) guard->checkpoint();
+      const Slot& slot = block[static_cast<std::size_t>(k)];
+      if (!slot.client) {
+        open(pos, slot);
+        continue;
+      }
+      const std::size_t childBegin = streamer.top();
+      step.seed(slot.input);
+      step.fold(stack.back(), childBegin, slot.input);
+      alive = streamer.top() != stack.back().accBegin;
+    }
+    base += size;
+  }
+  while (alive && !stack.empty()) alive = close();
+
+  // The root frontier now occupies the whole slab; a zero-flow entry is
+  // unique and last when present.
+  StreamCountResult result;
+  result.stats = streamer.stats();
+  const std::size_t width = streamer.top();
+  if (alive && width > 0 && streamer.flowAt(width - 1) == 0) {
+    result.feasible = true;
+    result.replicas = streamer.countAt(width - 1);
+  }
+  return result;
+}
 
 }  // namespace treeplace

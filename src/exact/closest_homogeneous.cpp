@@ -100,87 +100,37 @@ StreamCountResult countClosestHomogeneousStreaming(
   instance.validate();
   const Requests W = instance.homogeneousCapacity();
   TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
 
-  StreamCountResult result;
-  const TreeDecomposition decomp(tree);
-  const BagId root = decomp.rootBag();
-  if (decomp.anchorIsClient(root)) {
-    // Degenerate single-vertex tree: feasible only with nothing to serve.
-    result.feasible = instance.requests[static_cast<std::size_t>(root)] == 0;
-    return result;
-  }
+  // The exact solver's recurrence on the preorder sweep. The accumulator
+  // holds live states only (flow <= W), so a fold can leave it empty when
+  // some client sends more than W up: the sweep then stops, infeasible.
+  struct Step {
+    FrontierStreamer& streamer;
+    const std::vector<Requests>& requests;
+    Requests W;
 
+    Requests gather(VertexId v, bool client) const {
+      return client ? requests[static_cast<std::size_t>(v)] : 0;
+    }
+    void seed(Requests request) { streamer.pushEntry(0, request); }
+    void fold(const SweepFrame<Requests>& parent, std::size_t childBegin, Requests) {
+      streamer.foldChild(parent.accBegin, childBegin,
+                         widthCap(static_cast<std::size_t>(parent.clients),
+                                  static_cast<std::size_t>(parent.internals - 1)),
+                         W);
+    }
+    // Same place/skip as the exact solver: the node frontier is the first
+    // live entry plus its place point (count + 1, flow 0).
+    void placeSkip(const SweepFrame<Requests>& node) {
+      const std::int32_t count = streamer.countAt(node.accBegin);
+      const Requests flow = streamer.flowAt(node.accBegin);
+      streamer.resize(node.accBegin + 1);
+      if (flow > 0) streamer.pushEntry(count + 1, 0);
+    }
+  };
   FrontierStreamer streamer(options);
-  // Iterative bag schedule: one frame (and one live accumulator on the slab)
-  // per internal bag of the current root path.
-  struct Frame {
-    BagId v;
-    std::uint32_t nextChild;
-    std::size_t accBegin;
-    std::int32_t forestCap;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-
-  const auto open = [&](BagId v) {
-    const std::size_t clientsBelow = decomp.clientsInCone(v);
-    const std::size_t internalsBelow = decomp.internalsInCone(v);
-    stack.push_back({v, 0, streamer.pushUnit(),
-                     widthCap(clientsBelow, internalsBelow - 1)});
-  };
-
-  // Same place/skip as the exact solver: the accumulator holds live states
-  // only, so the node frontier is its first entry plus that entry's place
-  // point (count + 1, flow 0).
-  const auto placeSkip = [&](std::size_t begin) {
-    const std::int32_t count = streamer.countAt(begin);
-    const Requests flow = streamer.flowAt(begin);
-    streamer.resize(begin + 1);
-    if (flow > 0) streamer.pushEntry(count + 1, 0);
-  };
-
-  // A fold can leave no live state (some client sends more than W up): the
-  // accumulator vanishes and the instance is infeasible.
-  bool dead = false;
-  open(root);
-  while (!stack.empty() && !dead) {
-    if (options.guard != nullptr) options.guard->checkpoint();
-    Frame& f = stack.back();  // open() reallocates: never touch f after it
-    const auto kids = decomp.children(f.v);
-    if (f.nextChild < kids.size()) {
-      const BagId c = kids[f.nextChild++];
-      if (decomp.anchorIsClient(c)) {
-        const std::size_t childBegin = streamer.top();
-        streamer.pushEntry(
-            0, instance.requests[static_cast<std::size_t>(decomp.anchor(c))]);
-        streamer.foldChild(f.accBegin, childBegin, f.forestCap, W);
-        dead = streamer.top() == f.accBegin;
-      } else {
-        open(c);
-      }
-      continue;
-    }
-    placeSkip(f.accBegin);
-    const std::size_t childBegin = f.accBegin;
-    stack.pop_back();
-    if (!stack.empty()) {
-      Frame& parent = stack.back();
-      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap, W);
-      dead = streamer.top() == parent.accBegin;
-    }
-  }
-
-  // The root frontier now occupies the whole slab; a zero-flow entry is
-  // unique and last, exactly as in the exact solver.
-  result.stats = streamer.stats();
-  if (dead) return result;
-  const std::size_t width = streamer.top();
-  if (width > 0 && streamer.flowAt(width - 1) == 0) {
-    result.feasible = true;
-    result.replicas = streamer.countAt(width - 1);
-  }
-  return result;
+  Step step{streamer, instance.requests, W};
+  return sweepStreamingCount(instance.tree, streamer, step, options.guard);
 }
 
 }  // namespace treeplace

@@ -115,96 +115,50 @@ StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
   instance.validate();
   const Requests W = instance.homogeneousCapacity();
   TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
 
-  StreamCountResult result;
-  const TreeDecomposition decomp(tree);
-  const BagId root = decomp.rootBag();
-  if (decomp.anchorIsClient(root)) {
-    result.feasible = instance.requests[static_cast<std::size_t>(root)] == 0;
-    return result;
-  }
-
-  QosFrontierStreamer streamer(options);
-  struct Frame {
-    BagId v;
-    std::uint32_t nextChild;
-    std::size_t accBegin;
-    std::int32_t countCap;  ///< internal-node count of the bag's cone
+  struct QosInput {
+    Requests request;
+    double limit;   ///< client: QoS bound q_i; internal: computation time
+    double uplink;  ///< comm time of the link to the parent
   };
-  std::vector<Frame> stack;
-  stack.reserve(64);
+  // The exact solver's recurrence on the preorder sweep. A fold can kill
+  // every state (some client unreachable in time, or more than W sent up):
+  // the sweep then stops, infeasible.
+  struct Step {
+    QosFrontierStreamer& streamer;
+    const ProblemInstance& instance;
+    Requests W;
 
-  const auto open = [&](BagId v) {
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    stack.push_back({v, 0, streamer.pushUnit(), countCap});
-  };
-
-  const auto placeSkip = [&](std::size_t begin, BagId v, std::int32_t countCap) {
-    const double comp =
-        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))];
-    streamer.clearCandidates();
-    const std::size_t size = streamer.top() - begin;
-    for (std::size_t k = 0; k < size; ++k) {
-      const std::int32_t c = streamer.countAt(begin + k);
-      const Requests f = streamer.flowAt(begin + k);
-      const double s = streamer.slackAt(begin + k);
-      streamer.addCandidate(c, f, s);
-      if (f <= W && s >= comp - 1e-9)
-        streamer.addCandidate(c + 1, 0,
-                              std::numeric_limits<double>::infinity());
+    QosInput gather(VertexId v, bool client) const {
+      const auto vi = static_cast<std::size_t>(v);
+      return client ? QosInput{instance.requests[vi], instance.qos[vi], instance.commTime[vi]}
+                    : QosInput{0, instance.compTime[vi], instance.commTime[vi]};
     }
-    streamer.commitPruned(begin, countCap, W);
-  };
-
-  // A fold can kill every state (some client unreachable in time, or more
-  // than W sent up): the accumulator vanishes and the instance is infeasible.
-  bool dead = false;
-  open(root);
-  while (!stack.empty() && !dead) {
-    if (options.guard != nullptr) options.guard->checkpoint();
-    Frame& f = stack.back();  // open() reallocates: never touch f after it
-    const auto kids = decomp.children(f.v);
-    if (f.nextChild < kids.size()) {
-      const BagId c = kids[f.nextChild++];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(c))];
-      if (decomp.anchorIsClient(c)) {
-        const auto ci = static_cast<std::size_t>(decomp.anchor(c));
-        const Requests r = instance.requests[ci];
-        const std::size_t childBegin = streamer.top();
-        streamer.pushEntry(
-            0, r,
-            r > 0 ? instance.qos[ci] : std::numeric_limits<double>::infinity());
-        streamer.foldChild(f.accBegin, childBegin, f.countCap, uplink, W);
-        dead = streamer.top() == f.accBegin;
-      } else {
-        open(c);
+    // Slack is measured at the client; the uplink is charged by the fold.
+    void seed(const QosInput& client) {
+      streamer.pushEntry(0, client.request,
+                         client.request > 0 ? client.limit : kInfiniteSlack);
+    }
+    void fold(const SweepFrame<QosInput>& parent, std::size_t childBegin,
+              const QosInput& child) {
+      streamer.foldChild(parent.accBegin, childBegin, parent.internals, child.uplink, W);
+    }
+    void placeSkip(const SweepFrame<QosInput>& node) {
+      streamer.clearCandidates();
+      for (std::size_t k = node.accBegin; k < streamer.top(); ++k) {
+        const std::int32_t c = streamer.countAt(k);
+        const Requests f = streamer.flowAt(k);
+        const double s = streamer.slackAt(k);
+        streamer.addCandidate(c, f, s);
+        if (f <= W && s >= node.input.limit - 1e-9)
+          streamer.addCandidate(c + 1, 0, kInfiniteSlack);
       }
-      continue;
+      streamer.commitPruned(node.accBegin, node.internals, W);
     }
-    placeSkip(f.accBegin, f.v, f.countCap);
-    const std::size_t childBegin = f.accBegin;
-    stack.pop_back();
-    if (!stack.empty()) {
-      Frame& parent = stack.back();
-      const double uplink = instance.commTime[static_cast<std::size_t>(
-          decomp.anchor(decomp.children(parent.v)[parent.nextChild - 1]))];
-      streamer.foldChild(parent.accBegin, childBegin, parent.countCap, uplink, W);
-      dead = streamer.top() == parent.accBegin;
-    }
-  }
-
-  result.stats = streamer.stats();
-  if (dead) return result;
-  // A zero-flow entry carries infinite slack, dominates everything after it,
-  // and is therefore last when present.
-  const std::size_t width = streamer.top();
-  if (width > 0 && streamer.flowAt(width - 1) == 0) {
-    result.feasible = true;
-    result.replicas = streamer.countAt(width - 1);
-  }
-  return result;
+  };
+  QosFrontierStreamer streamer(options);
+  Step step{streamer, instance, W};
+  return sweepStreamingCount(instance.tree, streamer, step, options.guard);
 }
 
 }  // namespace treeplace

@@ -274,90 +274,41 @@ StreamCountResult countMultipleHomogeneousStreaming(
   instance.validate();
   const Requests W = instance.homogeneousCapacity();
   TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
 
-  StreamCountResult result;
-  const TreeDecomposition decomp(tree);
-  const BagId root = decomp.rootBag();
-  if (decomp.anchorIsClient(root)) {
-    result.feasible = instance.requests[static_cast<std::size_t>(root)] == 0;
-    return result;
-  }
+  // The arena DP's recurrence on the preorder sweep: counts are bounded by
+  // the internal vertices below (the node itself only once it may place),
+  // and a node's depth ancestors absorb at most W * depth of its flow — a
+  // fold that keeps nothing under that ceiling stops the sweep, infeasible.
+  struct Step {
+    FrontierStreamer& streamer;
+    const std::vector<Requests>& requests;
+    Requests W;
 
-  FrontierStreamer streamer(options);
-  struct Frame {
-    BagId v;
-    std::uint32_t nextChild;
-    std::size_t accBegin;
-    std::int32_t forestCap;  ///< children-forest count bound (excludes v)
-    std::int32_t nodeCap;    ///< subtree count bound (includes v)
-    Requests nodeCeiling;    ///< W * depth(v): what v's ancestors can absorb
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-
-  const auto open = [&](BagId v) {
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    stack.push_back({v, 0, streamer.pushUnit(), internalsBelow - 1, internalsBelow,
-                     W * tree.depth(decomp.anchor(v))});
-  };
-
-  // Place/skip as in multiplePlaceSkip: a replica at v absorbs min(flow, W),
-  // so every state offers (count + 1, max(0, flow - W)) — the general
-  // candidate prune, not Closest's two-point step.
-  const auto placeSkip = [&](std::size_t begin, std::int32_t nodeCap,
-                             Requests nodeCeiling) {
-    streamer.clearCandidates();
-    const std::size_t size = streamer.top() - begin;
-    for (std::size_t k = 0; k < size; ++k) {
-      const std::int32_t c = streamer.countAt(begin + k);
-      const Requests f = streamer.flowAt(begin + k);
-      streamer.addCandidate(c, f);
-      if (f > 0) streamer.addCandidate(c + 1, std::max<Requests>(0, f - W));
+    Requests gather(VertexId v, bool client) const {
+      return client ? requests[static_cast<std::size_t>(v)] : 0;
     }
-    streamer.commitPruned(begin, nodeCap, nodeCeiling);
-  };
-
-  // A fold can leave no live state (more flow than the ancestors can
-  // absorb): the accumulator vanishes and the instance is infeasible.
-  bool dead = false;
-  open(root);
-  while (!stack.empty() && !dead) {
-    if (options.guard != nullptr) options.guard->checkpoint();
-    Frame& f = stack.back();  // open() reallocates: never touch f after it
-    const auto kids = decomp.children(f.v);
-    if (f.nextChild < kids.size()) {
-      const BagId c = kids[f.nextChild++];
-      if (decomp.anchorIsClient(c)) {
-        const std::size_t childBegin = streamer.top();
-        streamer.pushEntry(
-            0, instance.requests[static_cast<std::size_t>(decomp.anchor(c))]);
-        streamer.foldChild(f.accBegin, childBegin, f.forestCap, f.nodeCeiling + W);
-        dead = streamer.top() == f.accBegin;
-      } else {
-        open(c);
+    void seed(Requests request) { streamer.pushEntry(0, request); }
+    void fold(const SweepFrame<Requests>& parent, std::size_t childBegin, Requests) {
+      streamer.foldChild(parent.accBegin, childBegin, parent.internals - 1,
+                         W * parent.depth + W);
+    }
+    // Place/skip as in multiplePlaceSkip: a replica at the node absorbs
+    // min(flow, W), so every state offers (count + 1, max(0, flow - W)) —
+    // the general candidate prune, not Closest's two-point step.
+    void placeSkip(const SweepFrame<Requests>& node) {
+      streamer.clearCandidates();
+      for (std::size_t k = node.accBegin; k < streamer.top(); ++k) {
+        const std::int32_t c = streamer.countAt(k);
+        const Requests f = streamer.flowAt(k);
+        streamer.addCandidate(c, f);
+        if (f > 0) streamer.addCandidate(c + 1, std::max<Requests>(0, f - W));
       }
-      continue;
+      streamer.commitPruned(node.accBegin, node.internals, W * node.depth);
     }
-    placeSkip(f.accBegin, f.nodeCap, f.nodeCeiling);
-    const std::size_t childBegin = f.accBegin;
-    stack.pop_back();
-    if (!stack.empty()) {
-      Frame& parent = stack.back();
-      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap,
-                         parent.nodeCeiling + W);
-      dead = streamer.top() == parent.accBegin;
-    }
-  }
-
-  result.stats = streamer.stats();
-  if (dead) return result;
-  const std::size_t width = streamer.top();
-  if (width > 0 && streamer.flowAt(width - 1) == 0) {
-    result.feasible = true;
-    result.replicas = streamer.countAt(width - 1);
-  }
-  return result;
+  };
+  FrontierStreamer streamer(options);
+  Step step{streamer, instance.requests, W};
+  return sweepStreamingCount(instance.tree, streamer, step, options.guard);
 }
 
 }  // namespace treeplace

@@ -103,8 +103,11 @@ Tree Tree::fromParents(std::vector<VertexId> parents, std::vector<VertexKind> ki
     });
   }
 
-  // Kind/shape constraints and client/internal lists in preorder order.
+  // Kind/shape constraints, client/internal lists in preorder order and the
+  // prefix client count over positions.
+  t.clientsBefore_.reserve(static_cast<std::size_t>(n) + 1);
   for (const VertexId v : t.preorder_) {
+    t.clientsBefore_.push_back(static_cast<std::int32_t>(t.clients_.size()));
     if (t.isClient(v)) {
       t.clients_.push_back(v);
     } else {
@@ -113,6 +116,7 @@ Tree Tree::fromParents(std::vector<VertexId> parents, std::vector<VertexKind> ki
       t.internals_.push_back(v);
     }
   }
+  t.clientsBefore_.push_back(static_cast<std::int32_t>(t.clients_.size()));
   return t;
 }
 
@@ -147,19 +151,9 @@ std::vector<VertexId> Tree::ancestors(VertexId v) const {
 }
 
 std::span<const VertexId> Tree::clientsInSubtree(VertexId v) const {
-  const auto vi = static_cast<std::size_t>(checked(v));
-  const auto first = std::lower_bound(
-      clients_.begin(), clients_.end(), preIndex_[vi],
-      [this](VertexId c, std::int32_t pre) {
-        return preIndex_[static_cast<std::size_t>(c)] < pre;
-      });
-  const auto last = std::lower_bound(
-      first, clients_.end(), subtreeEnd_[vi],
-      [this](VertexId c, std::int32_t pre) {
-        return preIndex_[static_cast<std::size_t>(c)] < pre;
-      });
-  return {clients_.data() + (first - clients_.begin()),
-          static_cast<std::size_t>(last - first)};
+  const std::int32_t first = clientsBefore(preorderIndex(v));
+  const std::int32_t last = clientsBefore(preorderEnd(v));
+  return {clients_.data() + first, static_cast<std::size_t>(last - first)};
 }
 
 std::size_t Tree::subtreeSize(VertexId v) const {

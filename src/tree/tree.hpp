@@ -30,8 +30,8 @@ struct TreeBuildOptions {
 /// Immutable rooted tree with two vertex kinds. Clients are leaves; every
 /// internal node has at least one child (unless allowBareInternals).
 /// Construction validates the shape and precomputes depths, preorder
-/// intervals (for O(1) ancestry tests) and the list of clients per subtree
-/// (contiguous in preorder).
+/// intervals (for O(1) ancestry tests) and a prefix client count over
+/// preorder positions (for the O(1) contiguous clients of a subtree).
 class Tree {
  public:
   /// Build from a parent array. parents[v] == kNoVertex exactly for the root.
@@ -104,11 +104,28 @@ class Tree {
   const std::vector<VertexId>& internals() const { return internals_; }
 
   /// Clients whose root path passes through v (v included), i.e. the clients
-  /// of subtree(v). Contiguous view — no allocation.
+  /// of subtree(v). Contiguous view — no allocation, O(1).
   std::span<const VertexId> clientsInSubtree(VertexId v) const;
 
   /// Vertices in preorder (root first, children in id order).
   const std::vector<VertexId>& preorder() const { return preorder_; }
+
+  /// Position of v in preorder(); subtree(v) occupies the positions
+  /// [preorderIndex(v), preorderEnd(v)).
+  std::int32_t preorderIndex(VertexId v) const {
+    return preIndex_[static_cast<std::size_t>(checked(v))];
+  }
+  std::int32_t preorderEnd(VertexId v) const {
+    return subtreeEnd_[static_cast<std::size_t>(checked(v))];
+  }
+
+  /// Number of clients among preorder positions [0, pos), for pos in
+  /// [0, vertexCount()]: position pos holds a client iff
+  /// clientsBefore(pos + 1) > clientsBefore(pos), and subtree(v) has
+  /// clientsBefore(preorderEnd(v)) - clientsBefore(preorderIndex(v)) clients.
+  std::int32_t clientsBefore(std::int32_t pos) const {
+    return clientsBefore_[static_cast<std::size_t>(pos)];
+  }
 
   /// Vertices in postorder (children before parents).
   const std::vector<VertexId>& postorder() const { return postorder_; }
@@ -137,6 +154,7 @@ class Tree {
   std::vector<std::int32_t> subtreeEnd_;  // preorder interval [preIndex, subtreeEnd)
   std::vector<VertexId> preorder_;
   std::vector<VertexId> postorder_;
+  std::vector<std::int32_t> clientsBefore_;  // prefix client count by position
   std::vector<VertexId> clients_;    // sorted by preorder index
   std::vector<VertexId> internals_;  // sorted by preorder index
   VertexId root_ = kNoVertex;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "tree/generator.hpp"
 
 namespace treeplace {
@@ -61,6 +64,27 @@ TEST(TreeDecomposition, ConeCountsMatchSubtreeCounts) {
     EXPECT_EQ(decomp.internalsInCone(b),
               tree.subtreeSize(b) - tree.clientsInSubtree(b).size());
   }
+}
+
+// introduced() is a view into tree-owned storage, so one adapter can be
+// shared by concurrent readers: every thread sees {b} for every bag.
+TEST(TreeDecomposition, IntroducedIsSafeAcrossThreads) {
+  const ProblemInstance instance = generateInstance(GeneratorConfig{}, 7, 4);
+  const TreeDecomposition decomp(instance.tree);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    readers.emplace_back([&decomp, &mismatches, t] {
+      for (std::size_t v = 0; v < decomp.bagCount(); ++v) {
+        const auto b = static_cast<BagId>(v);
+        const auto introduced = decomp.introduced(b);
+        if (introduced.size() != 1 || introduced[0] != b) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t t = 0; t < mismatches.size(); ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 }  // namespace

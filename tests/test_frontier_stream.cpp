@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <string>
+
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
@@ -240,6 +245,158 @@ TEST(FrontierStream, DefaultCapIsExactAtScale) {
   EXPECT_EQ(static_cast<std::size_t>(closest.replicas), exactClosest->replicaCount());
   EXPECT_EQ(static_cast<std::size_t>(multiple.replicas), exactMultiple->replicaCount());
   EXPECT_EQ(static_cast<std::size_t>(qos.replicas), exactQos->replicaCount());
+}
+
+using StreamCount = std::function<StreamCountResult(const ProblemInstance&,
+                                                    const FrontierStreamOptions&)>;
+
+struct StreamPolicy {
+  const char* name;
+  StreamCount count;
+  double qosFraction;
+};
+
+const StreamPolicy kStreamPolicies[] = {
+    {"Closest", countClosestHomogeneousStreaming, 0.0},
+    {"Multiple", countMultipleHomogeneousStreaming, 0.0},
+    {"ClosestQos", countClosestQosStreaming, 0.4},
+};
+
+// Instance of the parity corpus: the random homogeneous family, with a
+// nonzero computation time on some internals so the QoS place step is
+// exercised too.
+ProblemInstance parityInstance(std::uint64_t seed, double qosFraction) {
+  ProblemInstance inst = randomHomogeneous(
+      seed * 4099, 0.15 + 0.01 * static_cast<double>(seed % 50), qosFraction);
+  for (const VertexId v : inst.tree.internals())
+    inst.compTime[static_cast<std::size_t>(v)] = 0.25 * static_cast<double>(v % 3);
+  return inst;
+}
+
+// The same instance with vertex v renamed newId[v]; every per-vertex array
+// moves with its vertex.
+ProblemInstance relabelled(const ProblemInstance& in, const std::vector<VertexId>& newId) {
+  const std::size_t n = in.tree.vertexCount();
+  std::vector<VertexId> parents(n);
+  std::vector<VertexKind> kinds(n);
+  ProblemInstance out = in;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto w = static_cast<std::size_t>(newId[v]);
+    const VertexId p = in.tree.parent(static_cast<VertexId>(v));
+    parents[w] = p == kNoVertex ? kNoVertex : newId[static_cast<std::size_t>(p)];
+    kinds[w] = in.tree.kind(static_cast<VertexId>(v));
+    out.requests[w] = in.requests[v];
+    out.capacity[w] = in.capacity[v];
+    out.storageCost[w] = in.storageCost[v];
+    out.commTime[w] = in.commTime[v];
+    out.bandwidth[w] = in.bandwidth[v];
+    out.qos[w] = in.qos[v];
+    out.compTime[w] = in.compTime[v];
+  }
+  out.tree = Tree::fromParents(std::move(parents), std::move(kinds));
+  return out;
+}
+
+void expectSameCount(const StreamCountResult& a, const StreamCountResult& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.feasible, b.feasible) << where;
+  EXPECT_EQ(a.replicas, b.replicas) << where;
+  EXPECT_EQ(a.stats.peakWidth, b.stats.peakWidth) << where;
+  EXPECT_EQ(a.stats.peakStackEntries, b.stats.peakStackEntries) << where;
+  EXPECT_EQ(a.stats.peakBytes, b.stats.peakBytes) << where;
+  EXPECT_EQ(a.stats.convolutions, b.stats.convolutions) << where;
+  EXPECT_EQ(a.stats.pairsMerged, b.stats.pairsMerged) << where;
+  EXPECT_EQ(a.stats.cappedMerges, b.stats.cappedMerges) << where;
+  EXPECT_EQ(a.stats.droppedPoints, b.stats.droppedPoints) << where;
+  EXPECT_EQ(a.stats.capGapBound, b.stats.capGapBound) << where;
+  EXPECT_EQ(a.stats.exact, b.stats.exact) << where;
+}
+
+// The streaming walk folds children in raw id order, which is the order
+// preorder visits them. Renumbering the vertices in preorder keeps every
+// vertex's children in the same relative order, so the whole fold sequence —
+// and with it every count and stats field, capped runs included — must be
+// unchanged.
+TEST(FrontierStream, PreorderRelabelKeepsEveryResultField) {
+  FrontierStreamOptions tiny;
+  tiny.widthCap = 3;
+  for (const StreamPolicy& policy : kStreamPolicies) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const ProblemInstance inst = parityInstance(seed, policy.qosFraction);
+      std::vector<VertexId> newId(inst.tree.vertexCount());
+      const auto& order = inst.tree.preorder();
+      for (std::size_t p = 0; p < order.size(); ++p)
+        newId[static_cast<std::size_t>(order[p])] = static_cast<VertexId>(p);
+      const ProblemInstance pre = relabelled(inst, newId);
+      const std::string where = std::string(policy.name) + " seed " + std::to_string(seed);
+      expectSameCount(policy.count(inst, {}), policy.count(pre, {}), where);
+      expectSameCount(policy.count(inst, tiny), policy.count(pre, tiny), where + " capped");
+    }
+  }
+}
+
+// Any numbering changes the fold order but not the optimum: uncapped counts
+// on a randomly relabelled copy agree with the original.
+TEST(FrontierStream, RandomRelabelKeepsUncappedCounts) {
+  for (const StreamPolicy& policy : kStreamPolicies) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const ProblemInstance inst = parityInstance(seed, policy.qosFraction);
+      std::vector<VertexId> newId(inst.tree.vertexCount());
+      std::iota(newId.begin(), newId.end(), VertexId{0});
+      Prng rng(seed);
+      rng.shuffle(newId);
+      const StreamCountResult a = policy.count(inst, {});
+      const StreamCountResult b = policy.count(relabelled(inst, newId), {});
+      ASSERT_TRUE(a.stats.exact && b.stats.exact) << policy.name << " seed " << seed;
+      EXPECT_EQ(a.feasible, b.feasible) << policy.name << " seed " << seed;
+      EXPECT_EQ(a.replicas, b.replicas) << policy.name << " seed " << seed;
+    }
+  }
+}
+
+// One safepoint per visit: every non-root vertex is visited once as a child
+// and every internal vertex once more when its frame closes, so a full walk
+// charges (n - 1) + #internals steps. A step budget of exactly that many
+// completes with the same answer; one fewer trips on the last visit.
+TEST(FrontierStream, WalkChargesOneStepPerVisit) {
+  for (const StreamPolicy& policy : kStreamPolicies) {
+    int full = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const ProblemInstance inst = parityInstance(seed, policy.qosFraction);
+      const long visits = static_cast<long>(inst.tree.vertexCount() - 1 +
+                                            inst.tree.internals().size());
+      const std::string where = std::string(policy.name) + " seed " + std::to_string(seed);
+      SolveBudget budget;
+      budget.maxSteps = std::numeric_limits<long>::max() / 2;
+      BudgetGuard unbounded(budget);
+      FrontierStreamOptions options;
+      options.guard = &unbounded;
+      const StreamCountResult reference = policy.count(inst, options);
+      // An infeasible fold stops the walk early; only full walks pin the
+      // formula.
+      if (!reference.feasible) {
+        EXPECT_LE(unbounded.stepsUsed(), visits) << where;
+        continue;
+      }
+      ++full;
+      EXPECT_EQ(unbounded.stepsUsed(), visits) << where;
+
+      budget.maxSteps = visits;
+      BudgetGuard exact(budget);
+      options.guard = &exact;
+      StreamCountResult again;
+      ASSERT_NO_THROW(again = policy.count(inst, options)) << where;
+      EXPECT_EQ(again.replicas, reference.replicas) << where;
+
+      budget.maxSteps = visits - 1;
+      BudgetGuard short1(budget);
+      options.guard = &short1;
+      EXPECT_THROW(policy.count(inst, options), SolveInterrupted) << where;
+      EXPECT_EQ(short1.verdict(), BudgetVerdict::StepLimit) << where;
+      EXPECT_EQ(short1.stepsUsed(), visits) << where;
+    }
+    EXPECT_GE(full, 20) << policy.name;  // the formula was actually exercised
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "support/require.hpp"
 #include "tree/generator.hpp"
+#include "tree/multitree.hpp"
 
 namespace treeplace {
 namespace {
@@ -203,6 +204,42 @@ TEST(Tree, MergeChildrenCanonicalOrderIsDeterministic) {
         EXPECT_EQ(merge[i], again[i]) << "rebuild drifted under vertex " << v;
     }
   }
+}
+
+// clientsInSubtree is read off the prefix client count in O(1); it must be
+// exactly the preorder-ordered filter of clients() by subtree membership,
+// also on multitree member trees, whose bare internals are leaves but not
+// clients.
+TEST(Tree, ClientsInSubtreeMatchesBruteForceFilter) {
+  std::vector<Tree> trees;
+  for (std::uint64_t index = 0; index < 150; ++index) {
+    GeneratorConfig config;
+    config.minSize = 3;
+    config.maxSize = 90;
+    trees.push_back(generateInstance(config, 2024, index).tree);
+  }
+  MultitreeConfig multi;
+  multi.base.minSize = 10;
+  multi.base.maxSize = 60;
+  for (std::uint64_t index = 0; trees.size() < 200; ++index) {
+    const MultitreeInstance mt = generateMultitreeInstance(multi, 4048, index);
+    for (const ProblemInstance& member : mt.trees) trees.push_back(member.tree);
+  }
+  int bareInternals = 0;
+  for (std::size_t k = 0; k < trees.size(); ++k) {
+    const Tree& tree = trees[k];
+    for (std::size_t v = 0; v < tree.vertexCount(); ++v) {
+      const auto vertex = static_cast<VertexId>(v);
+      if (tree.isInternal(vertex) && tree.isLeaf(vertex)) ++bareInternals;
+      std::vector<VertexId> want;
+      for (const VertexId c : tree.clients())
+        if (tree.inSubtree(c, vertex)) want.push_back(c);
+      const auto got = tree.clientsInSubtree(vertex);
+      ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), want)
+          << "tree " << k << " vertex " << v;
+    }
+  }
+  EXPECT_GT(bareInternals, 0);  // the multitree members exercised bare internals
 }
 
 }  // namespace
