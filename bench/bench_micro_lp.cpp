@@ -1,7 +1,7 @@
 // google-benchmark micro benchmarks for the LP/MIP substrate: simplex solve
 // time on the Section 5 relaxations, warm dual re-solves of the bounded-
-// variable workspace against the explicit-row oracle layout, and branch-and-
-// bound cost of the refined lower bound, as functions of instance size.
+// variable workspace, and branch-and-bound cost of the refined lower bound,
+// as functions of instance size.
 
 #include <benchmark/benchmark.h>
 
@@ -69,17 +69,15 @@ BENCHMARK(BM_SimplexUpwardsRelaxation)
 
 /// Warm dual re-solve throughput under branching-style box updates: the
 /// branch-and-bound node loop in miniature. Counters report the tableau
-/// height and the pivot/flip mix, so the bounded-variable layout's saving
-/// (tableau_rows == structural rows instead of rows + ranges) is visible in
-/// the benchmark output, not just in end-to-end timings.
-void resolveLoop(benchmark::State& state, bool explicitBoundRows) {
+/// height and the pivot/flip mix, so the bounded-variable layout (tableau_rows
+/// == structural rows, no rows for ranges) is visible in the benchmark
+/// output, not just in end-to-end timings.
+void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
   const ProblemInstance inst = instanceOfSize(static_cast<int>(state.range(0)));
   FormulationOptions fo;
   fo.integrality = FormulationOptions::Integrality::Relaxed;
   const IlpFormulation f(inst, Policy::Multiple, fo);
-  lp::SimplexOptions options;
-  options.explicitBoundRows = explicitBoundRows;
-  lp::LpWorkspace workspace(f.model(), options);
+  lp::LpWorkspace workspace(f.model());
   if (workspace.solveCold() != lp::SolveStatus::Optimal) {
     state.SkipWithError("root LP not optimal");
     return;
@@ -109,19 +107,7 @@ void resolveLoop(benchmark::State& state, bool explicitBoundRows) {
   state.counters["bound_flips"] = static_cast<double>(stats.boundFlips);
   state.SetComplexityN(state.range(0));
 }
-
-void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
-  resolveLoop(state, /*explicitBoundRows=*/false);
-}
 BENCHMARK(BM_WorkspaceResolveBoundedBoxes)
-    ->RangeMultiplier(2)
-    ->Range(32, 256)
-    ->Complexity();
-
-void BM_WorkspaceResolveExplicitRows(benchmark::State& state) {
-  resolveLoop(state, /*explicitBoundRows=*/true);
-}
-BENCHMARK(BM_WorkspaceResolveExplicitRows)
     ->RangeMultiplier(2)
     ->Range(32, 256)
     ->Complexity();

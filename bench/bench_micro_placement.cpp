@@ -1,13 +1,10 @@
 // google-benchmark micro benchmarks for the flat-arena Placement storage:
-// the assign / serverLoad / shares hot loops against the retired
-// vector-per-client layout (bench_legacy_placement.hpp), plus the
-// arena-recycled construction path that local search and repeated solves
-// ride on. The BENCH_table1.json "micro_placement" section tracks the same
+// the assign / serverLoad / shares hot loops, plus the arena-recycled
+// construction path that local search and repeated solves ride on. The BENCH_table1.json "micro_placement" section tracks the same
 // loops with plain chrono timers so the trajectory is committed.
 
 #include <benchmark/benchmark.h>
 
-#include "bench_legacy_placement.hpp"
 #include "core/placement.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "extensions/objective.hpp"
@@ -38,19 +35,6 @@ void BM_AssignFlat(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_AssignFlat)->RangeMultiplier(2)->Range(128, 2048)->Complexity();
-
-void BM_AssignLegacy(benchmark::State& state) {
-  const ProblemInstance inst = instanceOfSize(static_cast<int>(state.range(0)));
-  const Tree& tree = inst.tree;
-  for (auto _ : state) {
-    bench::LegacyPlacement p(tree.vertexCount());
-    for (const VertexId c : tree.clients())
-      p.assign(c, tree.parent(c), inst.requests[static_cast<std::size_t>(c)] + 1);
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_AssignLegacy)->RangeMultiplier(2)->Range(128, 2048)->Complexity();
 
 /// Same stream but through the arena-recycled construction path.
 void BM_AssignArenaRecycled(benchmark::State& state) {

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_legacy_placement.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/exact_ilp.hpp"
@@ -96,15 +95,13 @@ struct PolyRow {
   PlacementStats multiplePlacement;  ///< storage telemetry of the Multiple solve
 };
 
-/// Flat-arena vs vector-per-client Placement hot loops at the largest size
-/// (the committed trajectory companion of bench_micro_placement).
+/// Flat-arena Placement hot loops at the largest size (the committed
+/// trajectory companion of bench_micro_placement).
 struct MicroPlacementRow {
   int size = 0;
   double assignFlatMs = 0.0;
-  double assignLegacyMs = 0.0;
   double assignArenaMs = 0.0;
   double sharesScanFlatMs = -1.0;  ///< -1: not measured (see JSON null)
-  double sharesScanLegacyMs = -1.0;
 };
 
 struct UpwardsRow {
@@ -130,7 +127,7 @@ struct IlpRow {
 
 /// One row of part (d): the bare reduction under the worker-pool engine.
 struct ParallelRow {
-  int workers = 0;  ///< 0 = serial engine
+  int workers = 0;  ///< 0 = one inline worker
   double ms = 0.0;
   double speedup = 0.0;
   long nodes = 0;
@@ -221,17 +218,15 @@ struct ServiceWarmIlpResult {
   }
 };
 
-/// One row of part (g): warm dual re-solves, sparse LU engine vs the dense
-/// tableau oracle, on the same workspace-perturbation loop as bench_micro_lp.
-struct SparseDenseRow {
+/// One row of part (g): warm dual re-solves of the sparse LU workspace on
+/// the same perturbation loop as bench_micro_lp.
+struct WarmResolveRow {
   int size = 0;
   int rows = 0;
   int cols = 0;
   int resolves = 0;
-  double sparseMs = 0.0;
-  double denseMs = 0.0;
-  double speedup = 0.0;
-  lp::WarmStartStats sparseWarm;
+  double ms = 0.0;
+  lp::WarmStartStats warm;
 };
 
 }  // namespace
@@ -316,8 +311,8 @@ int main(int argc, char** argv) try {
     std::cout << "  expectation: time grows polynomially (~quadratic), no "
                  "blow-up\n\n";
 
-    // Placement hot loops at the largest size, old layout vs new (min over
-    // the same repeats; the google-benchmark twin is bench_micro_placement).
+    // Placement hot loops at the largest size (min over the same repeats;
+    // the google-benchmark twin is bench_micro_placement).
     if (!sizes.empty()) {
       const std::size_t si = sizes.size() - 1;
       const ProblemInstance& inst = instances[si];
@@ -333,12 +328,6 @@ int main(int argc, char** argv) try {
           flat.assign(c, tree.parent(c), inst.requests[static_cast<std::size_t>(c)] + 1);
         const double flatMs = millis(t0);
 
-        const auto t1 = std::chrono::steady_clock::now();
-        bench::LegacyPlacement legacy(tree.vertexCount());
-        for (const VertexId c : tree.clients())
-          legacy.assign(c, tree.parent(c), inst.requests[static_cast<std::size_t>(c)] + 1);
-        const double legacyMs = millis(t1);
-
         const auto t2 = std::chrono::steady_clock::now();
         Placement recycled = arena.acquire(tree.vertexCount());
         for (const VertexId c : tree.clients())
@@ -350,27 +339,16 @@ int main(int argc, char** argv) try {
         // -1: not measured (largest-size Multiple solve infeasible); the
         // JSON writes null so the trajectory shows a gap, not a 0 ms scan.
         double scanFlatMs = -1.0;
-        double scanLegacyMs = -1.0;
         if (multiple) {
-          bench::LegacyPlacement legacyCopy(tree.vertexCount());
-          for (const VertexId c : tree.clients())
-            for (const ServedShare& share : multiple->shares(c))
-              legacyCopy.assign(c, share.server, share.amount);
           Requests total = 0;
-          // Untimed warm-up of both layouts so neither scan rides the cache
-          // lines its construction just touched.
-          for (const VertexId c : tree.clients()) {
+          // Untimed warm-up pass: the timed scan runs on a warm cache in
+          // every repeat.
+          for (const VertexId c : tree.clients())
             for (const ServedShare& share : multiple->shares(c)) total += share.amount;
-            for (const ServedShare& share : legacyCopy.shares(c)) total += share.amount;
-          }
           const auto t3 = std::chrono::steady_clock::now();
           for (const VertexId c : tree.clients())
             for (const ServedShare& share : multiple->shares(c)) total += share.amount;
           scanFlatMs = millis(t3);
-          const auto t4 = std::chrono::steady_clock::now();
-          for (const VertexId c : tree.clients())
-            for (const ServedShare& share : legacyCopy.shares(c)) total += share.amount;
-          scanLegacyMs = millis(t4);
           static volatile Requests sink;  // keep the scans observable
           sink = total;
           (void)sink;
@@ -380,17 +358,13 @@ int main(int argc, char** argv) try {
           slot = rep == 0 ? value : std::min(slot, value);
         };
         keepMin(micro.assignFlatMs, flatMs);
-        keepMin(micro.assignLegacyMs, legacyMs);
         keepMin(micro.assignArenaMs, arenaMs);
         keepMin(micro.sharesScanFlatMs, scanFlatMs);
-        keepMin(micro.sharesScanLegacyMs, scanLegacyMs);
       }
       std::cout << "  placement micro (s=" << micro.size << "): assign flat "
-                << formatDouble(micro.assignFlatMs, 4) << " ms, legacy "
-                << formatDouble(micro.assignLegacyMs, 4) << " ms, arena-recycled "
+                << formatDouble(micro.assignFlatMs, 4) << " ms, arena-recycled "
                 << formatDouble(micro.assignArenaMs, 4) << " ms; shares scan flat "
-                << formatDouble(micro.sharesScanFlatMs, 4) << " ms, legacy "
-                << formatDouble(micro.sharesScanLegacyMs, 4) << " ms\n\n";
+                << formatDouble(micro.sharesScanFlatMs, 4) << " ms\n\n";
     }
   }
   const std::size_t rssPolynomial = bench::peakRssBytes();
@@ -668,9 +642,9 @@ int main(int argc, char** argv) try {
   }
   const std::size_t rssLarge = bench::peakRssBytes();
 
-  std::cout << "(g) Sparse LU vs dense tableau — warm dual re-solves under "
-               "branching-style box updates (min over " << repeats << " runs)\n";
-  std::vector<SparseDenseRow> sparseDenseRows;
+  std::cout << "(g) Sparse LU warm dual re-solves under branching-style box "
+               "updates (min over " << repeats << " runs)\n";
+  std::vector<WarmResolveRow> warmResolveRows;
   {
     const int resolves = 400;
     for (const int s : {64, 128, 256}) {
@@ -691,57 +665,49 @@ int main(int argc, char** argv) try {
       }
       if (branchVar < 0) continue;
 
-      SparseDenseRow row;
+      WarmResolveRow row;
       row.size = s;
       row.rows = static_cast<int>(f.model().constraintCount());
       row.cols = static_cast<int>(f.model().variableCount());
       row.resolves = resolves;
       bool ok = true;
-      for (const bool dense : {false, true}) {
-        lp::SimplexOptions so;
-        so.denseTableau = dense;
-        double best = 0.0;
-        for (int rep = 0; rep < repeats && ok; ++rep) {
-          lp::LpWorkspace workspace(f.model(), so);
-          if (workspace.solveCold() != lp::SolveStatus::Optimal) {
-            ok = false;
-            break;
-          }
-          int flip = 0;
-          const auto t0 = std::chrono::steady_clock::now();
-          for (int k = 0; k < resolves; ++k) {
-            workspace.setBounds(branchVar, 0.0, flip ? 0.0 : 1.0);
-            flip ^= 1;
-            if (workspace.solveDual() == lp::SolveStatus::IterationLimit)
-              (void)workspace.solveCold();
-          }
-          const double ms = millis(t0);
-          best = rep == 0 ? ms : std::min(best, ms);
-          if (!dense && rep == repeats - 1) row.sparseWarm = workspace.stats();
+      for (int rep = 0; rep < repeats && ok; ++rep) {
+        lp::LpWorkspace workspace(f.model());
+        if (workspace.solveCold() != lp::SolveStatus::Optimal) {
+          ok = false;
+          break;
         }
-        (dense ? row.denseMs : row.sparseMs) = best;
+        int flip = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int k = 0; k < resolves; ++k) {
+          workspace.setBounds(branchVar, 0.0, flip ? 0.0 : 1.0);
+          flip ^= 1;
+          if (workspace.solveDual() == lp::SolveStatus::IterationLimit)
+            (void)workspace.solveCold();
+        }
+        const double ms = millis(t0);
+        row.ms = rep == 0 ? ms : std::min(row.ms, ms);
+        if (rep == repeats - 1) row.warm = workspace.stats();
       }
       if (!ok) continue;
-      row.speedup = row.sparseMs > 0.0 ? row.denseMs / row.sparseMs : 0.0;
-      sparseDenseRows.push_back(row);
+      warmResolveRows.push_back(row);
     }
     TextTable t;
-    t.setHeader({"s", "rows", "cols", "sparse (ms)", "dense (ms)", "speedup",
-                 "refactor", "etas", "basis nnz"});
-    for (const SparseDenseRow& row : sparseDenseRows) {
+    t.setHeader({"s", "rows", "cols", "resolves (ms)", "refactor", "etas",
+                 "basis nnz"});
+    for (const WarmResolveRow& row : warmResolveRows) {
       t.addRow({std::to_string(row.size), std::to_string(row.rows),
-                std::to_string(row.cols), formatDouble(row.sparseMs, 2),
-                formatDouble(row.denseMs, 2), formatDouble(row.speedup, 2),
-                std::to_string(row.sparseWarm.refactorizations),
-                std::to_string(row.sparseWarm.etaCount),
-                std::to_string(row.sparseWarm.basisNnz)});
+                std::to_string(row.cols), formatDouble(row.ms, 2),
+                std::to_string(row.warm.refactorizations),
+                std::to_string(row.warm.etaCount),
+                std::to_string(row.warm.basisNnz)});
     }
     std::cout << t.render()
-              << "  expectation: the sparse LU engine widens its lead with "
-                 "the tableau (>= 5x at the largest size the dense path "
-                 "still handles)\n";
+              << "  expectation: a handful of refactorizations per 400 "
+                 "re-solves, and basis fill (L+U) within a few entries per "
+                 "row\n";
   }
-  const std::size_t rssSparse = bench::peakRssBytes();
+  const std::size_t rssWarmResolve = bench::peakRssBytes();
 
   const std::vector<int> mutateSizes =
       parseSizes(options, "mutate-sizes", {1000, 10000, 100000});
@@ -1206,12 +1172,9 @@ int main(int argc, char** argv) try {
     json.key("micro_placement").beginObject();
     json.key("s").value(micro.size);
     json.key("assign_flat_ms").value(micro.assignFlatMs);
-    json.key("assign_legacy_ms").value(micro.assignLegacyMs);
     json.key("assign_arena_ms").value(micro.assignArenaMs);
     json.key("shares_scan_flat_ms");
     if (micro.sharesScanFlatMs < 0) json.null(); else json.value(micro.sharesScanFlatMs);
-    json.key("shares_scan_legacy_ms");
-    if (micro.sharesScanLegacyMs < 0) json.null(); else json.value(micro.sharesScanLegacyMs);
     json.endObject();
     json.key("upwards_reduction").beginArray();
     for (const UpwardsRow& row : upwardsRows) {
@@ -1300,18 +1263,16 @@ int main(int argc, char** argv) try {
     }
     json.endArray();
     json.endObject();
-    json.key("sparse_vs_dense").beginArray();
-    for (const SparseDenseRow& row : sparseDenseRows) {
+    json.key("warm_resolve").beginArray();
+    for (const WarmResolveRow& row : warmResolveRows) {
       json.beginObject();
       json.key("s").value(row.size);
       json.key("rows").value(row.rows);
       json.key("cols").value(row.cols);
       json.key("resolves").value(row.resolves);
-      json.key("sparse_ms").value(row.sparseMs);
-      json.key("dense_ms").value(row.denseMs);
-      json.key("speedup").value(row.speedup);
-      json.key("sparse_warm");
-      writeWarmStartStats(json, row.sparseWarm);
+      json.key("ms").value(row.ms);
+      json.key("warm");
+      writeWarmStartStats(json, row.warm);
       json.endObject();
     }
     json.endArray();
@@ -1430,7 +1391,7 @@ int main(int argc, char** argv) try {
     json.key("parallel_bb").value(static_cast<std::int64_t>(rssParallel));
     json.key("batch_driver").value(static_cast<std::int64_t>(rssBatch));
     json.key("large_scale").value(static_cast<std::int64_t>(rssLarge));
-    json.key("sparse_vs_dense").value(static_cast<std::int64_t>(rssSparse));
+    json.key("warm_resolve").value(static_cast<std::int64_t>(rssWarmResolve));
     json.key("incremental").value(static_cast<std::int64_t>(rssIncremental));
     json.key("resilience").value(static_cast<std::int64_t>(rssResilience));
     json.key("multitree").value(static_cast<std::int64_t>(rssMultitree));

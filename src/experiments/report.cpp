@@ -216,8 +216,7 @@ std::string renderPlacementStats(const PlacementStats& stats) {
   std::ostringstream os;
   os << stats.shareCount << " shares in " << stats.poolBytes << " B pool ("
      << stats.holeSlots << " hole slots), " << stats.assignCalls << " assigns, "
-     << stats.heapAllocs << " heap allocations (vector-per-client layout: "
-     << stats.legacyHeapAllocs << ")";
+     << stats.heapAllocs << " heap allocations";
   return os.str();
 }
 
@@ -228,7 +227,6 @@ void writePlacementStats(JsonWriter& json, const PlacementStats& stats) {
   json.key("assign_calls").value(stats.assignCalls);
   json.key("heap_allocs").value(stats.heapAllocs);
   json.key("hole_slots").value(stats.holeSlots);
-  json.key("legacy_heap_allocs").value(stats.legacyHeapAllocs);
   json.endObject();
 }
 
@@ -242,7 +240,7 @@ std::string renderWarmStartStats(const lp::WarmStartStats& stats) {
   if (stats.etaCount > 0 || stats.refactorizations > 0 || stats.basisNnz > 0)
     os << "; sparse: " << stats.etaCount << " etas, " << stats.refactorizations
        << " refactorizations, " << stats.basisNnz << " basis nnz";
-  if (stats.workers > 0)
+  if (stats.workers > 1)
     os << "; " << stats.workers << " workers, " << stats.stealCount
        << " steals, " << stats.idleMs << " ms idle";
   return os.str();

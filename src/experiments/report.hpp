@@ -71,18 +71,18 @@ class JsonWriter;  // support/json.hpp
 void writeFrontierStats(JsonWriter& json, const FrontierStats& stats);
 
 /// One-line human rendering of a placement's storage telemetry
-/// (core/placement.hpp): pool footprint, share/assign counts, and the
-/// heap-allocation comparison against the retired vector-per-client layout.
+/// (core/placement.hpp): pool footprint, share/assign counts, and heap
+/// allocations.
 std::string renderPlacementStats(const PlacementStats& stats);
 
 /// Emit the telemetry as a JSON object {"pool_bytes":..,"shares":..,
-/// "assign_calls":..,"heap_allocs":..,"legacy_heap_allocs":..} into an open
-/// writer position, so benches can track the allocation win across PRs.
+/// "assign_calls":..,"heap_allocs":..,"hole_slots":..} into an open writer
+/// position, so benches can track allocations across PRs.
 void writePlacementStats(JsonWriter& json, const PlacementStats& stats);
 
 /// One-line human rendering of a warm-started solve sequence's telemetry
-/// (lp/workspace.hpp): solve mix, basis reuse, bound flips, and — for the
-/// worker-pool engine — workers, steals, and summed idle time.
+/// (lp/workspace.hpp): solve mix, basis reuse, bound flips, and — when more
+/// than one B&B worker ran — workers, steals, and summed idle time.
 std::string renderWarmStartStats(const lp::WarmStartStats& stats);
 
 /// Emit the telemetry as the `bb_warm` JSON object ({"warm_solves":..,

@@ -1,8 +1,8 @@
 #pragma once
 
-// Internals shared by the serial (lp/branch_bound.cpp) and worker-pool
-// (lp/branch_bound_parallel.cpp) branch-and-bound engines. Everything here is
-// an implementation detail: the public surface stays solveMip() in
+// Node records, the best-bound open pool and the branching rule of the
+// branch-and-bound engine (lp/branch_bound.cpp). Everything here is an
+// implementation detail: the public surface stays solveMip() in
 // lp/branch_bound.hpp.
 
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "lp/branch_bound.hpp"
+#include "lp/model.hpp"
 #include "lp/tolerances.hpp"
 
 namespace treeplace::lp::detail {
@@ -70,8 +70,8 @@ struct BbNode {
 /// their parent's), push is O(1), and ties pop LIFO — a dive order that
 /// keeps consecutive warm re-solves close in the tree. Without granularity a
 /// binary min-heap provides the same best-bound order. Entries carry their
-/// bound so a pool can be drained without touching node storage (the
-/// parallel engine's shards share this type).
+/// bound so a pool can be drained without touching node storage (each
+/// worker's shard is one of these).
 class NodePool {
  public:
   explicit NodePool(double granularity) : granularity_(granularity) {}
@@ -89,9 +89,9 @@ class NodePool {
       }
       long index = std::lround((bound - base_) / granularity_);
       if (index < 0) {
-        // Serial best-bound search pushes monotonically (children never
-        // improve on their parent's bound), so the first-seen base is also
-        // the smallest. A sharded pool is different: a worker that STOLE a
+        // A single shard is pushed monotonically (children never improve on
+        // their parent's bound), so the first-seen base is also the
+        // smallest. Several shards are different: a worker that STOLE a
         // low-bound node from another shard pushes that node's children into
         // its own shard, which may sit below everything seen here. Re-base
         // by prepending empty buckets (rare, steal-only) so the order stays
@@ -171,13 +171,5 @@ inline double millisSince(std::chrono::steady_clock::time_point start) {
                                                    start)
       .count();
 }
-
-/// Worker-pool engine (lp/branch_bound_parallel.cpp): options.workers threads
-/// each own a clone of the root LpWorkspace and claim best-bound nodes from a
-/// sharded pool. Requires a warm-eligible model (every integer variable
-/// non-free). With workers == 1 the search is bit-identical to the serial
-/// warm engine — the determinism tests pin this down.
-MipResult solveMipParallel(const Model& model, const MipOptions& options,
-                           const std::vector<int>& integers);
 
 }  // namespace treeplace::lp::detail

@@ -22,11 +22,6 @@ struct MipOptions {
   /// relaxation). Folded into every node bound: the search stops as soon as
   /// the incumbent meets it. -infinity disables it.
   double knownLowerBound = -kInfinity;
-  /// Re-solve node LPs with the dual simplex from the previous optimal basis
-  /// inside one persistent LpWorkspace (no per-node model copies). Off runs
-  /// every node LP cold from scratch — the oracle the equivalence tests
-  /// compare against.
-  bool warmStart = true;
   /// Optional per-variable branching priority (size = variableCount, higher
   /// branches first): among fractional integer variables the highest
   /// priority class wins, most-fractional breaks ties. Empty keeps pure
@@ -41,25 +36,22 @@ struct MipOptions {
   /// a small mutation often closes at the root node. Empty disables seeding.
   std::vector<double> initialIncumbent;
   /// Caller-owned persistent workspace reused across solveMip calls on the
-  /// SAME standard form (bounds/rhs may differ; the matrix may not). The
-  /// engine re-syncs boxes and rhs from the model at entry and then re-solves
-  /// the root LP with the dual simplex from the previous run's final basis —
-  /// the cross-solve analogue of the per-node warm start. Only honoured by
-  /// the serial warm engine (workers == 0, warm-eligible model); other paths
-  /// ignore it. The workspace must have been built from this model (or one
+  /// SAME standard form (bounds/rhs may differ; the matrix may not). Worker 0
+  /// searches in it: the engine re-syncs boxes and rhs from the model at
+  /// entry, zeroes its telemetry, and re-solves the root LP with the dual
+  /// simplex from the previous run's final basis — the cross-solve analogue
+  /// of the per-node warm start. Any further workers clone it after the
+  /// sync. The workspace must have been built from this model (or one
   /// sharing its standard form) with the same SimplexOptions.
   LpWorkspace* workspace = nullptr;
-  /// Branch-and-bound worker threads. 0 (default) runs the single-threaded
-  /// engines exactly as before. N >= 1 runs the worker-pool engine: N
-  /// threads, each owning its own arena-backed LpWorkspace cloned from the
-  /// root standard form, claim best-bound nodes from a sharded pool (one
-  /// granularity-bucketed shard per worker, work stealing when a shard runs
-  /// dry), share the incumbent through an atomic objective, and detect
-  /// termination with an epoch-counted outstanding-node protocol.
-  /// workers == 1 reproduces the serial warm search bit-for-bit (same pop
-  /// order, same node count) — the determinism tests pin this down. The
-  /// pool engine needs a warm-eligible model (every integer variable
-  /// non-free); otherwise the serial fallback selected by `warmStart` runs.
+  /// Branch-and-bound worker threads. 0 and 1 both run one worker inline on
+  /// the calling thread: a deterministic best-bound search. N >= 2 runs N
+  /// threads, each owning its own LpWorkspace (worker 0 the caller's or a
+  /// fresh one, the others clones of it); they claim best-bound nodes from a
+  /// sharded pool (one granularity-bucketed shard per worker, work stealing
+  /// when a shard runs dry), share the incumbent through an atomic
+  /// objective, and detect termination with an epoch-counted
+  /// outstanding-node protocol. Capped at 64.
   int workers = 0;
   /// Optional shared budget: every node pop ticks it (and, unless
   /// options.lp.guard is already set, node LP pivots tick the same guard).
@@ -97,11 +89,14 @@ struct MipResult {
 };
 
 /// Best-bound branch-and-bound over the integer variables of `model`,
-/// branching on the most fractional variable. Node LPs run inside one
-/// arena-backed LpWorkspace: children re-solve with the dual simplex from the
-/// parent-side basis (bound changes only move the rhs), falling back to a
-/// cold two-phase primal on numerical trouble. Nodes store only their bound
-/// delta-chain — no per-node bound vectors, no model copies. Minimisation.
+/// branching on the most fractional variable (within the highest priority
+/// class). Node LPs run inside arena-backed LpWorkspaces: children re-solve
+/// with the dual simplex from the parent-side basis (bound changes only move
+/// the rhs), falling back to a cold two-phase primal on numerical trouble.
+/// Nodes store only their bound delta-chain — no per-node bound vectors, no
+/// model copies. Minimisation. Every integer variable needs at least one
+/// finite bound (PreconditionError otherwise): the standard form is fixed
+/// by the root bounds, and a free variable cannot be branched inside it.
 MipResult solveMip(const Model& model, const MipOptions& options = {});
 
 }  // namespace treeplace::lp

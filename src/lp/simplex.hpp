@@ -25,24 +25,12 @@ struct SimplexOptions {
   double feasTol = 1e-7;     ///< phase-1 objective above this means infeasible
   long maxIterations = 200000;
   long stallLimit = 256;     ///< degenerate pivots before switching to Bland's rule
-  /// Represent finite variable ranges as dedicated upper-bound rows instead
-  /// of column boxes handled in the ratio tests. This is the pre-bounded-
-  /// variable tableau layout (one extra row per finite range, m = rows +
-  /// ranges); it is kept as the independent oracle the boxes-vs-rows
-  /// equivalence tests compare against and should not be used on hot paths.
-  /// Implies denseTableau (the sparse engine has no row-per-range layout).
-  bool explicitBoundRows = false;
-  /// Run the dense tableau engine instead of the default sparse LU revised
-  /// simplex. The dense path is O(rows * columns) per pivot and O(rows^2)
-  /// per warm rhs transform, so it only remains as the independent oracle
-  /// the sparse-vs-dense equivalence tests compare against.
-  bool denseTableau = false;
-  /// Sparse engine: refactorize the basis once the eta file holds this many
-  /// product-form updates.
+  /// Refactorize the basis once the eta file holds this many product-form
+  /// updates.
   int refactorEtaLimit = 64;
-  /// Sparse engine: refactorize once the eta-file entry count exceeds this
-  /// multiple of the current LU fill (guards against dense spike columns
-  /// bloating every subsequent ftran/btran).
+  /// Refactorize once the eta-file entry count exceeds this multiple of the
+  /// current LU fill (guards against dense spike columns bloating every
+  /// subsequent ftran/btran).
   double refactorGrowthLimit = 3.0;
   /// Optional shared budget: every pivot loop ticks it and bails out with
   /// SolveStatus::IterationLimit when it trips, which callers already treat
@@ -60,14 +48,11 @@ struct LpSolution {
 };
 
 /// Solve the continuous relaxation of `model` (integrality ignored) with a
-/// two-phase primal simplex — the sparse LU revised engine by default, the
-/// dense tableau when options.denseTableau (or explicitBoundRows) is set.
-/// Handles general bounds: variables are
-/// shifted by finite lower bounds, mirrored when only the upper bound is
-/// finite, and split into positive parts when free; finite ranges stay out
-/// of the tableau as column boxes handled in the ratio tests (bound-flip
-/// pivots), unless options.explicitBoundRows requests the legacy
-/// row-per-range layout.
+/// two-phase primal sparse LU revised simplex. Handles general bounds:
+/// variables are shifted by finite lower bounds, mirrored when only the
+/// upper bound is finite, and split into positive parts when free; finite
+/// ranges stay out of the basis as column boxes handled in the ratio tests
+/// (bound-flip pivots).
 LpSolution solveLp(const Model& model, const SimplexOptions& options = {});
 
 }  // namespace treeplace::lp

@@ -12,8 +12,8 @@ namespace treeplace::lp {
 
 namespace {
 
-/// Pivot-loop safepoint (mirrors the dense engine): one budget tick per
-/// pivot, bail out as IterationLimit when the shared budget trips.
+/// Pivot-loop safepoint: one budget tick per pivot, bail out as
+/// IterationLimit when the shared budget trips.
 inline bool budgetTripped(BudgetGuard* guard) {
   return guard != nullptr && guard->tick() != BudgetVerdict::Ok;
 }
@@ -487,7 +487,8 @@ SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
   // Pin every artificial into the box [0, 0] instead of pivoting leftover
   // basics out row by row: a still-basic artificial simply carries a
   // zero-width box, and any later rhs that would need it nonzero surfaces as
-  // dual infeasibility — the sparse analogue of the dense dead-row check.
+  // dual infeasibility — the sparse analogue of a dense tableau's dead-row
+  // check.
   for (int j = artificialStart_; j < columnCount(); ++j)
     colUpper_[static_cast<std::size_t>(j)] = 0.0;
 
@@ -575,7 +576,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
         aboveUpper ? colUpper_[static_cast<std::size_t>(leavingCol)] : 0.0;
 
     // Tableau row `leaving` via one btran: alpha_j = rho a_j with
-    // rho = B^-T e_leaving — the O(nnz) replacement for the dense row read.
+    // rho = B^-T e_leaving — the O(nnz) replacement for a dense row read.
     yScratch_.assign(static_cast<std::size_t>(m_), 0.0);
     yScratch_[static_cast<std::size_t>(leaving)] = 1.0;
     lu_.btran(yScratch_);

@@ -76,17 +76,17 @@ class SparseLu {
 };
 
 /// Bounded-variable revised simplex over a sparse column store — the engine
-/// behind LpWorkspace's default path. The constraint matrix lives in CSC
+/// behind LpWorkspace. The constraint matrix lives in CSC
 /// form (structural + slack columns; artificials are implicit +-e_r
 /// singletons issued per cold solve), the basis in a SparseLu with eta
 /// updates, and both solve paths price through ftran/btran instead of dense
-/// tableau sweeps: a warm dual re-solve costs O(nnz) per pivot where the
-/// dense tableau paid O(rows * columns).
+/// tableau sweeps: a warm dual re-solve costs O(nnz) per pivot where a
+/// dense tableau pays O(rows * columns).
 ///
-/// The pivot rules mirror the dense engine rule for rule (Dantzig / bounded
-/// ratio tests / bound-flipping dual ratio test / stall detection falling
-/// back to Bland), so the two engines are interchangeable oracles for each
-/// other — see tests/test_sparse_simplex.
+/// Pivot rules: Dantzig pricing, bounded ratio tests, a bound-flipping dual
+/// ratio test, and stall detection falling back to Bland. The independent
+/// reference it is checked against is the textbook dense tableau in
+/// tests/lp_oracle — see tests/test_sparse_simplex.
 class SparseSimplex {
  public:
   /// Bind the fixed standard form. Columns [0, nStruct) are structural with

@@ -1,189 +1,133 @@
 #include "lp/workspace.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "lp/tolerances.hpp"
-#include "support/budget.hpp"
 #include "support/fault_injection.hpp"
 #include "support/require.hpp"
 
 namespace treeplace::lp {
 
-namespace {
-
-/// Pivot-loop safepoint: charge one step against the shared budget and stop
-/// with IterationLimit when it trips — indistinguishable from the iteration
-/// cap to every caller, which is exactly the sound bail-out they handle.
-inline bool budgetTripped(BudgetGuard* guard) {
-  return guard != nullptr && guard->tick() != BudgetVerdict::Ok;
-}
-
-}  // namespace
-
-LpWorkspace::LpWorkspace(const Model& model, const SimplexOptions& options)
-    : options_(options) {
+LpWorkspace::LpWorkspace(const Model& model, const SimplexOptions& options) {
   const int n = model.variableCount();
   varMap_.resize(static_cast<std::size_t>(n));
-  rootLower_.resize(static_cast<std::size_t>(n));
-  rootUpper_.resize(static_cast<std::size_t>(n));
+  curLower_.resize(static_cast<std::size_t>(n));
+  curUpper_.resize(static_cast<std::size_t>(n));
   objCoef_.resize(static_cast<std::size_t>(n));
+  values_.assign(static_cast<std::size_t>(n), 0.0);
 
   // Structural columns. Unlike a one-shot solve, the column layout is chosen
   // from the ROOT bounds and never changes: tightened boxes reach the solver
-  // through offsets and column box widths (or, in explicitBoundRows mode,
-  // upper-bound-row rhs values) only.
+  // through offsets and column box widths only.
+  std::vector<double> cost0;  // structural-column objective
   for (int j = 0; j < n; ++j) {
     VarMap& vm = varMap_[static_cast<std::size_t>(j)];
     const double lo = model.lower(j);
     const double hi = model.upper(j);
     const double c = model.objective(j);
-    rootLower_[static_cast<std::size_t>(j)] = lo;
-    rootUpper_[static_cast<std::size_t>(j)] = hi;
+    curLower_[static_cast<std::size_t>(j)] = lo;
+    curUpper_[static_cast<std::size_t>(j)] = hi;
     objCoef_[static_cast<std::size_t>(j)] = c;
     if (lo != -kInfinity) {
       vm.mode = VarMap::Mode::Shift;  // x = lo + t, t >= 0
       vm.column = nStruct_++;
-      cost0_.push_back(c);
+      cost0.push_back(c);
     } else if (hi != kInfinity) {
       vm.mode = VarMap::Mode::Mirror;  // x = hi - t, t >= 0
       vm.column = nStruct_++;
-      cost0_.push_back(-c);
+      cost0.push_back(-c);
     } else {
       vm.mode = VarMap::Mode::Split;  // x = t+ - t-
       vm.column = nStruct_++;
       vm.negColumn = nStruct_++;
-      cost0_.push_back(c);
-      cost0_.push_back(-c);
+      cost0.push_back(c);
+      cost0.push_back(-c);
     }
   }
+  colUpper_.assign(static_cast<std::size_t>(nStruct_), kInfinity);
 
-  // Model rows, rewritten over structural columns. The current-bound offset
-  // contributions are kept symbolically (per-term variable ids) so the rhs
-  // can be recomputed for any box without touching the matrix.
+  // Model rows, rewritten over structural columns (CSR). The current-bound
+  // offset contributions are kept symbolically (per-term variable ids) so
+  // the rhs can be recomputed for any box without touching the matrix.
+  // Finite ranges live as column boxes, so the basis height stays at the
+  // model row count.
   modelRows_ = model.constraintCount();
-  rowStart_.push_back(0);
+  stats_.tableauRows = modelRows_;
+  stats_.structuralRows = modelRows_;
+  std::vector<int> rowStart{0};
+  std::vector<int> termCol;
+  std::vector<double> termCoef;
   offsetStart_.push_back(0);
   for (int r = 0; r < modelRows_; ++r) {
     for (const Term& t : model.rowTerms(r)) {
       const VarMap& vm = varMap_[static_cast<std::size_t>(t.variable)];
       switch (vm.mode) {
         case VarMap::Mode::Shift:
-          termCol_.push_back(vm.column);
-          termCoef_.push_back(t.coefficient);
+          termCol.push_back(vm.column);
+          termCoef.push_back(t.coefficient);
           offsetVar_.push_back(t.variable);
           offsetCoef_.push_back(t.coefficient);
           break;
         case VarMap::Mode::Mirror:
-          termCol_.push_back(vm.column);
-          termCoef_.push_back(-t.coefficient);
+          termCol.push_back(vm.column);
+          termCoef.push_back(-t.coefficient);
           offsetVar_.push_back(t.variable);
           offsetCoef_.push_back(t.coefficient);
           break;
         case VarMap::Mode::Split:
-          termCol_.push_back(vm.column);
-          termCoef_.push_back(t.coefficient);
-          termCol_.push_back(vm.negColumn);
-          termCoef_.push_back(-t.coefficient);
+          termCol.push_back(vm.column);
+          termCoef.push_back(t.coefficient);
+          termCol.push_back(vm.negColumn);
+          termCoef.push_back(-t.coefficient);
           break;
       }
     }
-    rowStart_.push_back(static_cast<int>(termCol_.size()));
+    rowStart.push_back(static_cast<int>(termCol.size()));
     offsetStart_.push_back(static_cast<int>(offsetVar_.size()));
     baseRhs_.push_back(model.rowRhs(r));
-    sense_.push_back(model.rowSense(r));
   }
 
-  // Bounded-variable layout (the default): finite ranges live as column
-  // boxes, the tableau height stays at the model row count. The legacy
-  // oracle layout instead emits one dedicated upper-bound row per finite
-  // root range (t <= hi - lo), which exists even when a later box fixes the
-  // variable (rhs 0) so the structure stays solve-invariant.
-  if (options_.explicitBoundRows) {
-    for (int j = 0; j < n; ++j) {
-      VarMap& vm = varMap_[static_cast<std::size_t>(j)];
-      if (vm.mode != VarMap::Mode::Shift ||
-          rootUpper_[static_cast<std::size_t>(j)] == kInfinity)
-        continue;
-      vm.upperRow = static_cast<int>(sense_.size());
-      termCol_.push_back(vm.column);
-      termCoef_.push_back(1.0);
-      rowStart_.push_back(static_cast<int>(termCol_.size()));
-      offsetStart_.push_back(static_cast<int>(offsetVar_.size()));
-      baseRhs_.push_back(0.0);  // unused: computeRhs writes the box width
-      sense_.push_back(Sense::LessEqual);
-      upperRowVar_.push_back(j);
-    }
-  }
-
-  m_ = static_cast<int>(sense_.size());
-  stats_.tableauRows = m_;
-  stats_.structuralRows = modelRows_;
-
-  // Column layout: structural | slack/surplus | one artificial per row. The
-  // artificial block is only touched by cold starts; reserving a full row's
-  // worth keeps any row startable from any rhs sign.
+  // Column layout: structural | slack/surplus | one implicit artificial per
+  // row (issued by cold starts only).
   int slackCount = 0;
-  slackCol_.assign(static_cast<std::size_t>(m_), -1);
-  for (int r = 0; r < m_; ++r)
-    if (sense_[static_cast<std::size_t>(r)] != Sense::Equal)
-      slackCol_[static_cast<std::size_t>(r)] = nStruct_ + slackCount++;
-  artificialStart_ = nStruct_ + slackCount;
-  nCols_ = artificialStart_ + m_;
-  width_ = nCols_ + 1;
-  activeCols_ = artificialStart_;  // artificial slots issued per cold solve
-
-  colUpper_.assign(static_cast<std::size_t>(nCols_), kInfinity);
-  curLower_ = rootLower_;
-  curUpper_ = rootUpper_;
-  values_.assign(static_cast<std::size_t>(n), 0.0);
-
-  if (useDense()) {
-    a_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(width_), 0.0);
-    cost_.assign(static_cast<std::size_t>(width_), 0.0);
-    basis_.assign(static_cast<std::size_t>(m_), -1);
-    deadRow_.assign(static_cast<std::size_t>(m_), 0);
-    identityCol_.assign(static_cast<std::size_t>(m_), -1);
-    identityScale_.assign(static_cast<std::size_t>(m_), 1.0);
-    atUpper_.assign(static_cast<std::size_t>(nCols_), 0);
-    return;
+  std::vector<int> slackCol(static_cast<std::size_t>(modelRows_), -1);  // -1: Equal
+  std::vector<double> slackSign(static_cast<std::size_t>(modelRows_), 1.0);
+  for (int r = 0; r < modelRows_; ++r) {
+    const Sense sense = model.rowSense(r);
+    slackSign[static_cast<std::size_t>(r)] = sense == Sense::LessEqual ? 1.0 : -1.0;
+    if (sense != Sense::Equal)
+      slackCol[static_cast<std::size_t>(r)] = nStruct_ + slackCount++;
   }
+  const int artificialStart = nStruct_ + slackCount;
 
-  // Sparse engine: transpose the CSR rows into a CSC column store over
-  // structural + slack columns (duplicate terms stay as repeated entries —
-  // every consumer accumulates). Artificial columns are implicit +-e_r.
-  std::vector<int> colStart(static_cast<std::size_t>(artificialStart_) + 1, 0);
-  for (const int c : termCol_) ++colStart[static_cast<std::size_t>(c) + 1];
-  std::vector<double> slackSign(static_cast<std::size_t>(m_), 1.0);
-  for (int r = 0; r < m_; ++r) {
-    slackSign[static_cast<std::size_t>(r)] =
-        sense_[static_cast<std::size_t>(r)] == Sense::LessEqual ? 1.0 : -1.0;
-    if (slackCol_[static_cast<std::size_t>(r)] >= 0)
-      ++colStart[static_cast<std::size_t>(slackCol_[static_cast<std::size_t>(r)]) + 1];
-  }
+  // Transpose the CSR rows into a CSC column store over structural + slack
+  // columns (duplicate terms stay as repeated entries — every consumer
+  // accumulates). Artificial columns are implicit +-e_r.
+  std::vector<int> colStart(static_cast<std::size_t>(artificialStart) + 1, 0);
+  for (const int c : termCol) ++colStart[static_cast<std::size_t>(c) + 1];
+  for (const int slack : slackCol)
+    if (slack >= 0) ++colStart[static_cast<std::size_t>(slack) + 1];
   for (std::size_t j = 1; j < colStart.size(); ++j) colStart[j] += colStart[j - 1];
   std::vector<int> cursor(colStart.begin(), colStart.end() - 1);
   std::vector<int> rowIdx(static_cast<std::size_t>(colStart.back()));
   std::vector<double> colVal(rowIdx.size());
-  for (int r = 0; r < m_; ++r) {
-    for (int k = rowStart_[static_cast<std::size_t>(r)];
-         k < rowStart_[static_cast<std::size_t>(r) + 1]; ++k) {
-      const int c = termCol_[static_cast<std::size_t>(k)];
+  for (int r = 0; r < modelRows_; ++r) {
+    for (int k = rowStart[static_cast<std::size_t>(r)];
+         k < rowStart[static_cast<std::size_t>(r) + 1]; ++k) {
+      const int c = termCol[static_cast<std::size_t>(k)];
       const auto slot = static_cast<std::size_t>(cursor[static_cast<std::size_t>(c)]++);
       rowIdx[slot] = r;
-      colVal[slot] = termCoef_[static_cast<std::size_t>(k)];
+      colVal[slot] = termCoef[static_cast<std::size_t>(k)];
     }
-    const int slack = slackCol_[static_cast<std::size_t>(r)];
+    const int slack = slackCol[static_cast<std::size_t>(r)];
     if (slack >= 0) {
       const auto slot = static_cast<std::size_t>(cursor[static_cast<std::size_t>(slack)]++);
       rowIdx[slot] = r;
       colVal[slot] = slackSign[static_cast<std::size_t>(r)];
     }
   }
-  sparse_.build(m_, nStruct_, artificialStart_, std::move(colStart),
-                std::move(rowIdx), std::move(colVal), cost0_, slackCol_,
-                std::move(slackSign), options_);
+  sparse_.build(modelRows_, nStruct_, artificialStart, std::move(colStart),
+                std::move(rowIdx), std::move(colVal), std::move(cost0),
+                std::move(slackCol), std::move(slackSign), options);
 }
 
 void LpWorkspace::setBounds(int variable, double lower, double upper) {
@@ -195,18 +139,10 @@ void LpWorkspace::setBounds(int variable, double lower, double upper) {
     case VarMap::Mode::Shift:
       TREEPLACE_REQUIRE(lower != -kInfinity,
                         "shifted variable requires a finite lower bound");
-      // Boxes absorb any upper bound; a dedicated row only exists where the
-      // root range was finite.
-      if (options_.explicitBoundRows)
-        TREEPLACE_REQUIRE((upper != kInfinity) == (vm.upperRow >= 0),
-                          "upper-bound finiteness must match the root model");
       break;
     case VarMap::Mode::Mirror:
       TREEPLACE_REQUIRE(upper != kInfinity,
                         "mirrored variable requires a finite upper bound");
-      if (options_.explicitBoundRows)
-        TREEPLACE_REQUIRE(lower == -kInfinity,
-                          "mirrored variable bounds must stay (-inf, finite]");
       break;
     case VarMap::Mode::Split:
       TREEPLACE_REQUIRE(lower == -kInfinity && upper == kInfinity,
@@ -228,7 +164,7 @@ void LpWorkspace::syncFromModel(const Model& model) {
 }
 
 void LpWorkspace::computeRhs(std::vector<double>& b) const {
-  b.resize(static_cast<std::size_t>(m_));
+  b.resize(static_cast<std::size_t>(modelRows_));
   for (int r = 0; r < modelRows_; ++r) {
     double rhs = baseRhs_[static_cast<std::size_t>(r)];
     for (int k = offsetStart_[static_cast<std::size_t>(r)];
@@ -242,14 +178,9 @@ void LpWorkspace::computeRhs(std::vector<double>& b) const {
     }
     b[static_cast<std::size_t>(r)] = rhs;
   }
-  for (std::size_t u = 0; u < upperRowVar_.size(); ++u) {
-    const auto v = static_cast<std::size_t>(upperRowVar_[u]);
-    b[static_cast<std::size_t>(modelRows_) + u] = curUpper_[v] - curLower_[v];
-  }
 }
 
 void LpWorkspace::refreshColumnWidths() {
-  if (options_.explicitBoundRows) return;  // boxes live as rows; widths stay infinite
   for (int j = 0; j < variableCount(); ++j) {
     const VarMap& vm = varMap_[static_cast<std::size_t>(j)];
     if (vm.mode == VarMap::Mode::Split) continue;  // both columns unbounded
@@ -260,198 +191,7 @@ void LpWorkspace::refreshColumnWidths() {
   }
 }
 
-void LpWorkspace::buildCostRow(std::span<const double> columnCost) {
-  // Columns in [activeCols_, nCols_) are unissued artificial slots: all-zero
-  // in every row and never eligible to enter, so every dense sweep stops at
-  // activeCols_ and touches the rhs cell separately. The rhs cell holds the
-  // negated objective over ALL column values — basic values from the rhs
-  // column plus the nonbasic at-upper columns resting at their widths.
-  double upperTerm = 0.0;
-  for (int j = 0; j < activeCols_; ++j) {
-    cost_[static_cast<std::size_t>(j)] = columnCost[static_cast<std::size_t>(j)];
-    if (atUpper_[static_cast<std::size_t>(j)])
-      upperTerm += columnCost[static_cast<std::size_t>(j)] *
-                   colUpper_[static_cast<std::size_t>(j)];
-  }
-  cost_[static_cast<std::size_t>(nCols_)] = -upperTerm;
-  for (int i = 0; i < m_; ++i) {
-    const int b = basis_[static_cast<std::size_t>(i)];
-    const double cb = columnCost[static_cast<std::size_t>(b)];
-    if (cb == 0.0) continue;
-    for (int j = 0; j < activeCols_; ++j)
-      cost_[static_cast<std::size_t>(j)] -= cb * at(i, j);
-    cost_[static_cast<std::size_t>(nCols_)] -= cb * at(i, nCols_);
-  }
-}
-
-void LpWorkspace::pivotMatrix(int row, int col) {
-  const double p = at(row, col);
-  const double inv = 1.0 / p;
-  for (int j = 0; j < activeCols_; ++j) at(row, j) *= inv;
-  at(row, col) = 1.0;  // kill round-off on the pivot itself
-  for (int i = 0; i < m_; ++i) {
-    if (i == row) continue;
-    const double factor = at(i, col);
-    if (factor == 0.0) continue;
-    for (int j = 0; j < activeCols_; ++j) at(i, j) -= factor * at(row, j);
-    at(i, col) = 0.0;
-  }
-  const double cfactor = cost_[static_cast<std::size_t>(col)];
-  if (cfactor != 0.0) {
-    for (int j = 0; j < activeCols_; ++j)
-      cost_[static_cast<std::size_t>(j)] -= cfactor * at(row, j);
-    cost_[static_cast<std::size_t>(col)] = 0.0;
-  }
-  basis_[static_cast<std::size_t>(row)] = col;
-}
-
-void LpWorkspace::flipBound(int col) {
-  const double u = colUpper_[static_cast<std::size_t>(col)];
-  const double delta = atUpper_[static_cast<std::size_t>(col)] ? -u : u;
-  if (delta != 0.0) {
-    for (int i = 0; i < m_; ++i) {
-      const double aic = at(i, col);
-      if (aic != 0.0) at(i, nCols_) -= delta * aic;
-    }
-    cost_[static_cast<std::size_t>(nCols_)] -=
-        cost_[static_cast<std::size_t>(col)] * delta;
-  }
-  atUpper_[static_cast<std::size_t>(col)] ^= 1;
-  ++stats_.boundFlips;
-}
-
-SolveStatus LpWorkspace::primalIterate() {
-  // Entering columns never include the artificial block: artificials that
-  // leave the basis are dropped for good (the classic restricted phase 1).
-  bool useBland = false;
-  long sinceImprovement = 0;
-  double lastObjective = -cost_[static_cast<std::size_t>(nCols_)];
-  for (long iter = 0; iter < options_.maxIterations; ++iter) {
-    if (budgetTripped(options_.guard)) return SolveStatus::IterationLimit;
-    // Entering column: an at-lower nonbasic may only rise (profitable when
-    // its reduced cost is negative), an at-upper one may only fall
-    // (profitable when positive). Basic columns have reduced cost zero and
-    // never qualify. Dantzig: most-profitable; Bland: first.
-    int entering = -1;
-    double best = options_.pivotTol;
-    for (int j = 0; j < artificialStart_; ++j) {
-      const double d = cost_[static_cast<std::size_t>(j)];
-      const double gain = atUpper_[static_cast<std::size_t>(j)] ? d : -d;
-      if (gain > best) {
-        best = gain;
-        entering = j;
-        if (useBland) break;
-      }
-    }
-    if (entering < 0) return SolveStatus::Optimal;
-    const bool fromUpper = atUpper_[static_cast<std::size_t>(entering)] != 0;
-    const double sigma = fromUpper ? -1.0 : 1.0;
-
-    // Ratio test: basic columns block at both ends of their boxes, and the
-    // entering column's own width caps the step — when that cap binds the
-    // step degenerates to a bound flip that touches no basis column.
-    int leaving = -1;
-    bool leavingToUpper = false;
-    double rowRatio = kInfinity;
-    for (int i = 0; i < m_; ++i) {
-      if (deadRow_[static_cast<std::size_t>(i)]) continue;
-      const double step = sigma * at(i, entering);
-      double ratio;
-      bool toUpper;
-      if (step > options_.pivotTol) {  // basic falls toward its lower bound 0
-        ratio = std::max(0.0, at(i, nCols_) / step);
-        toUpper = false;
-      } else if (step < -options_.pivotTol) {  // basic rises toward its box top
-        const double ub = colUpper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-        if (ub == kInfinity) continue;
-        ratio = std::max(0.0, (ub - at(i, nCols_)) / -step);
-        toUpper = true;
-      } else {
-        continue;
-      }
-      if (leaving < 0 || ratio < rowRatio - kRatioTieTol ||
-          (ratio < rowRatio + kRatioTieTol &&
-           basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(leaving)])) {
-        leaving = i;
-        rowRatio = ratio;
-        leavingToUpper = toUpper;
-      }
-    }
-
-    const double flipLimit = colUpper_[static_cast<std::size_t>(entering)];
-    if (leaving < 0 && flipLimit == kInfinity) return SolveStatus::Unbounded;
-    if (leaving < 0 || flipLimit <= rowRatio) {
-      // The entering column hits its opposite bound before any basic leaves.
-      // A flip cannot cycle: the flipped column stays ineligible until some
-      // pivot changes the reduced costs.
-      flipBound(entering);
-    } else {
-      const double delta = sigma * rowRatio;
-      const double enterValue = (fromUpper ? flipLimit : 0.0) + delta;
-      const int leavingCol = basis_[static_cast<std::size_t>(leaving)];
-      for (int i = 0; i < m_; ++i) {
-        if (i == leaving) continue;
-        const double aie = at(i, entering);
-        if (aie != 0.0) at(i, nCols_) -= delta * aie;
-      }
-      cost_[static_cast<std::size_t>(nCols_)] -=
-          cost_[static_cast<std::size_t>(entering)] * delta;
-      pivotMatrix(leaving, entering);
-      at(leaving, nCols_) = enterValue;
-      atUpper_[static_cast<std::size_t>(entering)] = 0;
-      atUpper_[static_cast<std::size_t>(leavingCol)] = leavingToUpper ? 1 : 0;
-      ++stats_.primalIterations;
-    }
-
-    const double obj = -cost_[static_cast<std::size_t>(nCols_)];
-    if (obj < lastObjective - kProgressTol) {
-      lastObjective = obj;
-      sinceImprovement = 0;
-      useBland = false;
-    } else if (++sinceImprovement > options_.stallLimit) {
-      useBland = true;  // degeneracy suspected; Bland guarantees termination
-    }
-  }
-  return SolveStatus::IterationLimit;
-}
-
-/// After phase 1: pivot basic artificials out where possible, mark the
-/// remaining (linearly dependent) rows dead.
-void LpWorkspace::purgeArtificialBasics() {
-  for (int i = 0; i < m_; ++i) {
-    const int b = basis_[static_cast<std::size_t>(i)];
-    if (b < artificialStart_) continue;
-    int col = -1;
-    for (int j = 0; j < artificialStart_; ++j) {
-      if (std::abs(at(i, j)) > options_.pivotTol) {
-        col = j;
-        break;
-      }
-    }
-    if (col < 0) {
-      deadRow_[static_cast<std::size_t>(i)] = 1;  // redundant constraint
-      continue;
-    }
-    // Degenerate swap: the artificial sits at value ~0, so the entering
-    // column keeps (numerically) its nonbasic value.
-    const double t = at(i, nCols_) / at(i, col);
-    const double enterValue =
-        (atUpper_[static_cast<std::size_t>(col)] ? colUpper_[static_cast<std::size_t>(col)]
-                                                 : 0.0) +
-        t;
-    for (int k = 0; k < m_; ++k) {
-      if (k == i) continue;
-      const double akc = at(k, col);
-      if (akc != 0.0) at(k, nCols_) -= t * akc;
-    }
-    cost_[static_cast<std::size_t>(nCols_)] -= cost_[static_cast<std::size_t>(col)] * t;
-    pivotMatrix(i, col);
-    at(i, nCols_) = enterValue;
-    atUpper_[static_cast<std::size_t>(col)] = 0;
-  }
-}
-
-SolveStatus LpWorkspace::solveColdSparse() {
+SolveStatus LpWorkspace::solveCold() {
   ++stats_.coldSolves;
   basisValid_ = false;
   refreshColumnWidths();
@@ -464,7 +204,7 @@ SolveStatus LpWorkspace::solveColdSparse() {
   return SolveStatus::Optimal;
 }
 
-SolveStatus LpWorkspace::solveDualSparse() {
+SolveStatus LpWorkspace::solveDual() {
   TREEPLACE_REQUIRE(basisValid_, "solveDual requires a prior optimal basis");
   ++stats_.warmSolves;
   refreshColumnWidths();
@@ -476,276 +216,10 @@ SolveStatus LpWorkspace::solveDualSparse() {
   return st;
 }
 
-SolveStatus LpWorkspace::solveCold() {
-  if (!useDense()) return solveColdSparse();
-  ++stats_.coldSolves;
-  basisValid_ = false;
-  refreshColumnWidths();
-  std::fill(atUpper_.begin(), atUpper_.end(), 0);  // every nonbasic starts at-lower
-  computeRhs(bScratch_);
-
-  std::fill(a_.begin(), a_.end(), 0.0);
-  std::fill(deadRow_.begin(), deadRow_.end(), 0);
-  // Artificial slots are issued on demand: only rows whose slack starts
-  // infeasible get one, so <=-dominated one-shot solves keep the tableau as
-  // narrow as a dedicated one-shot build.
-  int nextArtificial = artificialStart_;
-  for (int r = 0; r < m_; ++r) {
-    for (int k = rowStart_[static_cast<std::size_t>(r)];
-         k < rowStart_[static_cast<std::size_t>(r) + 1]; ++k)
-      at(r, termCol_[static_cast<std::size_t>(k)]) += termCoef_[static_cast<std::size_t>(k)];
-    at(r, nCols_) = bScratch_[static_cast<std::size_t>(r)];
-    const int slack = slackCol_[static_cast<std::size_t>(r)];
-    const double slackSign =
-        sense_[static_cast<std::size_t>(r)] == Sense::LessEqual ? 1.0 : -1.0;
-    if (slack >= 0) at(r, slack) = slackSign;
-
-    // Initial basic variable: the slack when it starts feasible, else an
-    // artificial whose coefficient is chosen so its value is non-negative.
-    const double b = bScratch_[static_cast<std::size_t>(r)];
-    double scale;
-    if (slack >= 0 && slackSign * b >= 0.0) {
-      basis_[static_cast<std::size_t>(r)] = slack;
-      identityCol_[static_cast<std::size_t>(r)] = slack;
-      scale = slackSign;
-    } else {
-      const int art = nextArtificial++;
-      scale = b >= 0.0 ? 1.0 : -1.0;
-      at(r, art) = scale;
-      basis_[static_cast<std::size_t>(r)] = art;
-      identityCol_[static_cast<std::size_t>(r)] = art;
-    }
-    identityScale_[static_cast<std::size_t>(r)] = scale;
-    if (scale < 0.0) {
-      for (int j = 0; j < nextArtificial; ++j) at(r, j) = -at(r, j);
-      at(r, nCols_) = -at(r, nCols_);
-    }
-  }
-  activeCols_ = nextArtificial;
-
-  // Phase 1: minimise the sum of basic artificials.
-  {
-    costScratch_.assign(static_cast<std::size_t>(nCols_), 0.0);
-    for (int j = artificialStart_; j < activeCols_; ++j)
-      costScratch_[static_cast<std::size_t>(j)] = 1.0;
-    buildCostRow(costScratch_);
-    const SolveStatus st = primalIterate();
-    if (st == SolveStatus::IterationLimit) return st;
-    // A phase-1 problem is bounded below by zero, so Unbounded cannot
-    // legitimately occur; treat it as a numerical failure.
-    if (st == SolveStatus::Unbounded) return SolveStatus::IterationLimit;
-    if (-cost_[static_cast<std::size_t>(nCols_)] > options_.feasTol)
-      return SolveStatus::Infeasible;
-    purgeArtificialBasics();
-  }
-
-  // Phase 2: original costs.
-  {
-    costScratch_.assign(static_cast<std::size_t>(nCols_), 0.0);
-    for (int j = 0; j < nStruct_; ++j)
-      costScratch_[static_cast<std::size_t>(j)] = cost0_[static_cast<std::size_t>(j)];
-    buildCostRow(costScratch_);
-    const SolveStatus st = primalIterate();
-    if (st != SolveStatus::Optimal) return st;
-  }
-
-  extract();
-  basisValid_ = true;
-  return SolveStatus::Optimal;
-}
-
-SolveStatus LpWorkspace::solveDual() {
-  if (!useDense()) return solveDualSparse();
-  TREEPLACE_REQUIRE(basisValid_, "solveDual requires a prior optimal basis");
-  ++stats_.warmSolves;
-  refreshColumnWidths();
-
-  // A column parked at its upper bound whose box just became unbounded has
-  // no value to rest at; the warm statuses cannot represent the new boxes,
-  // so hand this solve to the cold path. Never hit by branch-and-bound
-  // (branching only tightens boxes) — only by ad-hoc re-solve sequences.
-  for (int j = 0; j < artificialStart_; ++j)
-    if (atUpper_[static_cast<std::size_t>(j)] &&
-        colUpper_[static_cast<std::size_t>(j)] == kInfinity)
-      return SolveStatus::IterationLimit;
-
-  computeRhs(bScratch_);
-
-  // New transformed rhs through the inverse basis, read off the initial
-  // identity columns: B^-1 e_k = (tableau column of identity k) / scale_k.
-  for (int i = 0; i < m_; ++i) {
-    double rhs = 0.0;
-    for (int k = 0; k < m_; ++k) {
-      const double bk = bScratch_[static_cast<std::size_t>(k)];
-      if (bk == 0.0) continue;
-      rhs += at(i, identityCol_[static_cast<std::size_t>(k)]) * bk /
-             identityScale_[static_cast<std::size_t>(k)];
-    }
-    at(i, nCols_) = rhs;
-  }
-  // Basic values under the current statuses: x_B = B^-1 b minus the
-  // contribution of every nonbasic column resting at its (new) width.
-  for (int j = 0; j < artificialStart_; ++j) {
-    if (!atUpper_[static_cast<std::size_t>(j)]) continue;
-    const double u = colUpper_[static_cast<std::size_t>(j)];
-    if (u == 0.0) continue;
-    for (int i = 0; i < m_; ++i) {
-      const double aij = at(i, j);
-      if (aij != 0.0) at(i, nCols_) -= u * aij;
-    }
-  }
-
-  // Dead rows are linearly dependent on the live ones; a non-zero
-  // transformed rhs means the new system is inconsistent.
-  for (int i = 0; i < m_; ++i)
-    if (deadRow_[static_cast<std::size_t>(i)] &&
-        std::abs(at(i, nCols_)) > options_.feasTol)
-      return SolveStatus::Infeasible;
-
-  // The reduced-cost row survives (costs never change); only the objective
-  // cell tracks the new basic + at-upper values.
-  double obj = 0.0;
-  for (int i = 0; i < m_; ++i)
-    obj += structuralCost(basis_[static_cast<std::size_t>(i)]) * at(i, nCols_);
-  for (int j = 0; j < artificialStart_; ++j)
-    if (atUpper_[static_cast<std::size_t>(j)])
-      obj += structuralCost(j) * colUpper_[static_cast<std::size_t>(j)];
-  cost_[static_cast<std::size_t>(nCols_)] = -obj;
-
-  long pivots = 0;
-  bool useBland = false;
-  long sinceImprovement = 0;
-  double lastViolation = kInfinity;
-  for (long iter = 0; iter < options_.maxIterations; ++iter) {
-    if (budgetTripped(options_.guard)) {
-      basisValid_ = false;
-      return SolveStatus::IterationLimit;
-    }
-    // Leaving row: largest box violation — a basic below zero or beyond its
-    // width (Bland: first violating row).
-    int leaving = -1;
-    bool aboveUpper = false;
-    double bestViol = options_.feasTol;
-    for (int i = 0; i < m_; ++i) {
-      if (deadRow_[static_cast<std::size_t>(i)]) continue;
-      const double v = at(i, nCols_);
-      const double ub = colUpper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-      double viol;
-      bool above;
-      if (v < -bestViol) {
-        viol = -v;
-        above = false;
-      } else if (ub != kInfinity && v > ub + bestViol) {
-        viol = v - ub;
-        above = true;
-      } else {
-        continue;
-      }
-      bestViol = viol;
-      leaving = i;
-      aboveUpper = above;
-      if (useBland) break;
-    }
-    if (leaving < 0) {
-      if (pivots == 0) ++stats_.warmAlreadyOptimal;
-      extract();
-      return SolveStatus::Optimal;
-    }
-    const int leavingCol = basis_[static_cast<std::size_t>(leaving)];
-    const double target = aboveUpper ? colUpper_[static_cast<std::size_t>(leavingCol)] : 0.0;
-
-    // Dual ratio test over structural + slack columns, bound statuses
-    // deciding the admissible sign: a candidate must move the leaving basic
-    // back toward its violated bound while keeping every reduced cost on its
-    // dual-feasible side for as long as possible (smallest |d| / |a| first).
-    dualCandidates_.clear();
-    for (int j = 0; j < artificialStart_; ++j) {
-      if (j == leavingCol) continue;
-      const double arj = at(leaving, j);
-      const bool up = atUpper_[static_cast<std::size_t>(j)] != 0;
-      const bool eligible = aboveUpper ? (up ? arj < -options_.pivotTol
-                                             : arj > options_.pivotTol)
-                                       : (up ? arj > options_.pivotTol
-                                             : arj < -options_.pivotTol);
-      if (!eligible) continue;
-      const double d = up ? std::min(0.0, cost_[static_cast<std::size_t>(j)])
-                          : std::max(0.0, cost_[static_cast<std::size_t>(j)]);
-      dualCandidates_.push_back({std::abs(d) / std::abs(arj), j});
-    }
-    if (dualCandidates_.empty()) {
-      // Row `leaving` cannot be pushed back inside its box by any admissible
-      // column move: primal infeasible. The basis (and the statuses as
-      // flipped so far) stay dual feasible, so it remains warm-start
-      // material.
-      return SolveStatus::Infeasible;
-    }
-
-    int entering = -1;
-    if (useBland) {
-      // Plain smallest-ratio rule, first index on ties, no flips: guarantees
-      // termination under degeneracy.
-      double bestRatio = kInfinity;
-      for (const auto& [ratio, j] : dualCandidates_) {
-        if (ratio < bestRatio - kRatioTieTol) {
-          bestRatio = ratio;
-          entering = j;
-        }
-      }
-    } else {
-      // Bound-flipping ratio test: walk candidates in ratio order; while the
-      // cheapest candidate's whole box cannot absorb the violation, flip it
-      // (rhs-only update, no pivot) and move on to the next.
-      std::sort(dualCandidates_.begin(), dualCandidates_.end());
-      for (std::size_t c = 0; c < dualCandidates_.size(); ++c) {
-        const int j = dualCandidates_[c].second;
-        const double u = colUpper_[static_cast<std::size_t>(j)];
-        if (u != kInfinity && c + 1 < dualCandidates_.size()) {
-          const double residual = std::abs(at(leaving, nCols_) - target);
-          if (std::abs(at(leaving, j)) * u < residual - options_.feasTol) {
-            flipBound(j);
-            continue;
-          }
-        }
-        entering = j;
-        break;
-      }
-    }
-
-    const double t = (at(leaving, nCols_) - target) / at(leaving, entering);
-    const double enterValue =
-        (atUpper_[static_cast<std::size_t>(entering)]
-             ? colUpper_[static_cast<std::size_t>(entering)]
-             : 0.0) +
-        t;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leaving) continue;
-      const double aie = at(i, entering);
-      if (aie != 0.0) at(i, nCols_) -= t * aie;
-    }
-    cost_[static_cast<std::size_t>(nCols_)] -=
-        cost_[static_cast<std::size_t>(entering)] * t;
-    pivotMatrix(leaving, entering);
-    at(leaving, nCols_) = enterValue;
-    atUpper_[static_cast<std::size_t>(entering)] = 0;
-    atUpper_[static_cast<std::size_t>(leavingCol)] = aboveUpper ? 1 : 0;
-    ++pivots;
-    ++stats_.dualIterations;
-
-    if (bestViol < lastViolation - kProgressTol) {
-      lastViolation = bestViol;
-      sinceImprovement = 0;
-    } else if (++sinceImprovement > options_.stallLimit) {
-      useBland = true;  // degeneracy suspected
-    }
-  }
-  basisValid_ = false;  // a cycling basis is not worth reusing
-  return SolveStatus::IterationLimit;
-}
-
 SolveStatus LpWorkspace::solve() {
   // SimplexPivot fault: pretend the warm dual re-solve hit numerical trouble
   // so the cold fallback path runs. Costs latency (a full two-phase solve),
-  // never correctness — the cold solve is the independent oracle.
+  // never correctness.
   if (warmReady() && !fault::fire(fault::Site::SimplexPivot)) {
     const SolveStatus st = solveDual();
     if (st != SolveStatus::IterationLimit) return st;
@@ -755,19 +229,7 @@ SolveStatus LpWorkspace::solve() {
 }
 
 void LpWorkspace::extract() {
-  if (useDense()) {
-    structValues_.assign(static_cast<std::size_t>(nStruct_), 0.0);
-    for (int j = 0; j < nStruct_; ++j)
-      if (atUpper_[static_cast<std::size_t>(j)])
-        structValues_[static_cast<std::size_t>(j)] =
-            colUpper_[static_cast<std::size_t>(j)];
-    for (int i = 0; i < m_; ++i) {
-      const int b = basis_[static_cast<std::size_t>(i)];
-      if (b < nStruct_) structValues_[static_cast<std::size_t>(b)] = at(i, nCols_);
-    }
-  } else {
-    sparse_.structuralValues(structValues_);
-  }
+  sparse_.structuralValues(structValues_);
   objective_ = 0.0;
   for (int j = 0; j < variableCount(); ++j) {
     const VarMap& vm = varMap_[static_cast<std::size_t>(j)];

@@ -20,15 +20,14 @@ struct WarmStartStats {
   long primalIterations = 0;  ///< pivots spent in cold (phase 1 + 2) solves
   long dualIterations = 0;    ///< pivots spent in dual re-solves
   long boundFlips = 0;        ///< box pivots that touched no basis column
-  // Sparse-engine telemetry (zero on the dense tableau paths).
+  // Basis factorization telemetry.
   long refactorizations = 0;  ///< basis refactorizations forced by eta growth
   long etaCount = 0;          ///< product-form eta columns appended per pivot
   long basisNnz = 0;          ///< peak L+U fill of the factorized basis
   int tableauRows = 0;        ///< tableau height m
   int structuralRows = 0;     ///< model constraint rows inside m
-  // Worker-pool telemetry (filled by the parallel branch-and-bound engine;
-  // zero on the single-threaded paths).
-  int workers = 0;            ///< pool threads used (0 = serial engine)
+  // Worker-pool telemetry (filled by the branch-and-bound engine).
+  int workers = 0;            ///< B&B workers that ran (1 = inline search)
   long stealCount = 0;        ///< nodes claimed from a foreign shard
   double idleMs = 0.0;        ///< summed worker wall time spent waiting for work
 
@@ -76,20 +75,16 @@ struct WarmStartStats {
 /// never change. Typical B&B children re-optimise in a handful of dual
 /// pivots or pure bound flips instead of a full two-phase primal solve.
 ///
-/// By default the basis inverse lives in a SparseLu factorization with
-/// product-form eta updates (lp/sparse_basis): the constraint matrix is kept
-/// in CSC form, every pivot appends one eta column, and ftran/btran replace
-/// the dense tableau sweeps, so a warm re-solve costs O(nnz) instead of
-/// O(rows^2). SimplexOptions::denseTableau re-enables the dense tableau
-/// engine as the independent sparse-vs-dense oracle, and
-/// SimplexOptions::explicitBoundRows the legacy row-per-range layout (dense
-/// by construction) for the boxes-vs-rows equivalence tests.
+/// The basis inverse lives in a SparseLu factorization with product-form
+/// eta updates (lp/sparse_basis): the constraint matrix is kept in CSC form,
+/// every pivot appends one eta column, and ftran/btran replace dense tableau
+/// sweeps, so a warm re-solve costs O(nnz) instead of O(rows^2). The
+/// independent reference it is tested against is the textbook dense tableau
+/// in tests/lp_oracle.
 ///
 /// Restrictions: a variable mapped by its finite lower bound (Shift) must
 /// keep a finite lower bound in every box, one mapped by its upper (Mirror)
-/// a finite upper, and a free variable cannot be tightened at all. In
-/// explicitBoundRows mode upper-bound finiteness must additionally match the
-/// root model, since only root-finite ranges own a row.
+/// a finite upper, and a free variable cannot be tightened at all.
 class LpWorkspace {
  public:
   explicit LpWorkspace(const Model& model, const SimplexOptions& options = {});
@@ -108,15 +103,15 @@ class LpWorkspace {
   /// recycled workspace reports only its next run.
   void resetStats() {
     stats_ = {};
-    stats_.tableauRows = m_;
+    stats_.tableauRows = modelRows_;
     stats_.structuralRows = modelRows_;
   }
 
   int variableCount() const { return static_cast<int>(varMap_.size()); }
 
-  /// Dense tableau height: model rows, plus one row per finite root range in
-  /// explicitBoundRows mode only.
-  int tableauRows() const { return m_; }
+  /// Basis height: one row per model constraint — finite ranges live as
+  /// column boxes, never as rows.
+  int tableauRows() const { return modelRows_; }
   /// Model constraint rows inside tableauRows(); the bounded-variable layout
   /// guarantees tableauRows() == structuralRows().
   int structuralRows() const { return modelRows_; }
@@ -176,90 +171,30 @@ class LpWorkspace {
     enum class Mode { Shift, Mirror, Split } mode = Mode::Shift;
     int column = -1;     ///< primary structural column
     int negColumn = -1;  ///< second column for Split
-    int upperRow = -1;   ///< dedicated upper-bound row (explicitBoundRows only)
   };
-
-  double& at(int i, int j) {
-    return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(width_) +
-              static_cast<std::size_t>(j)];
-  }
-  double at(int i, int j) const {
-    return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(width_) +
-              static_cast<std::size_t>(j)];
-  }
 
   void computeRhs(std::vector<double>& b) const;
   void refreshColumnWidths();
-  void buildCostRow(std::span<const double> columnCost);
-  /// Eliminate the pivot column from every row and the cost row, set
-  /// basis_[row] = col. Coefficient columns only — the rhs column holds
-  /// basic-variable VALUES (not B^-1 b) and is maintained by the callers,
-  /// which know the step length and the leaving bound.
-  void pivotMatrix(int row, int col);
-  /// Move nonbasic column `col` to its opposite bound: rhs and objective
-  /// update only, no basis change.
-  void flipBound(int col);
-  SolveStatus primalIterate();
-  void purgeArtificialBasics();
   void extract();
-  /// Dense tableau selected? explicitBoundRows has no sparse equivalent, so
-  /// it forces the dense engine too.
-  bool useDense() const { return options_.denseTableau || options_.explicitBoundRows; }
-  SolveStatus solveColdSparse();
-  SolveStatus solveDualSparse();
-  double structuralCost(int column) const {
-    return column < nStruct_ ? cost0_[static_cast<std::size_t>(column)] : 0.0;
-  }
-
-  SimplexOptions options_;
 
   // ---- fixed standard form (built once from the root model) ----
   std::vector<VarMap> varMap_;
-  std::vector<double> rootLower_, rootUpper_;
   std::vector<double> objCoef_;         ///< model-space objective
-  std::vector<double> cost0_;           ///< structural-column objective
   int nStruct_ = 0;
-  int modelRows_ = 0;                   ///< model constraints
-  int m_ = 0;                           ///< tableau rows (== modelRows_ unless
-                                        ///< explicitBoundRows adds range rows)
-  int nCols_ = 0;                       ///< struct + slack + artificial capacity
-  int width_ = 0;                       ///< nCols_ + 1 (rhs)
-  int artificialStart_ = 0;
-  /// Columns in live use: artificial slots are handed out per cold solve
-  /// (only rows whose slack starts infeasible need one), so a one-shot
-  /// <=-dominated model pivots over the same width the dedicated one-shot
-  /// tableau used. Columns in [activeCols_, nCols_) stay all-zero.
-  int activeCols_ = 0;
-  // CSR matrix terms per row over structural columns.
-  std::vector<int> rowStart_;
-  std::vector<int> termCol_;
-  std::vector<double> termCoef_;
+  int modelRows_ = 0;                   ///< model constraints = basis rows
   // CSR offset terms per row: rhs -= coeff * currentOffset(var).
   std::vector<int> offsetStart_;
   std::vector<int> offsetVar_;
   std::vector<double> offsetCoef_;
   std::vector<double> baseRhs_;         ///< model rhs per model row
-  std::vector<Sense> sense_;
-  std::vector<int> slackCol_;           ///< -1 when Sense::Equal
-  std::vector<int> upperRowVar_;        ///< model var of each upper-bound row
 
   // ---- per-solve state ----
   std::vector<double> curLower_, curUpper_;
-  std::vector<double> colUpper_;        ///< box width per column (kInfinity =
-                                        ///< classic non-negative column)
-  std::vector<char> atUpper_;           ///< nonbasic column rests at its upper
-  std::vector<double> a_;               ///< dense tableau, m_ x width_; the rhs
-                                        ///< column holds basic-variable values
-  std::vector<double> cost_;            ///< reduced-cost row, width_
-  std::vector<int> basis_;
-  std::vector<char> deadRow_;           ///< redundant rows found in phase 1
-  std::vector<int> identityCol_;        ///< initial basic column per row
-  std::vector<double> identityScale_;   ///< its +-1 coefficient
+  std::vector<double> colUpper_;        ///< box width per structural column
+                                        ///< (kInfinity = classic non-negative)
   std::vector<double> bScratch_;
-  std::vector<double> costScratch_;
   std::vector<double> structValues_;
-  std::vector<std::pair<double, int>> dualCandidates_;  ///< BFRT scratch
-  SparseSimplex sparse_;  ///< default engine (vectors only, so clone() copies)
+  SparseSimplex sparse_;  ///< the engine (vectors only, so clone() copies)
   bool basisValid_ = false;
 
   double objective_ = 0.0;

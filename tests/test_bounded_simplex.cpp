@@ -1,6 +1,6 @@
 // The bounded-variable simplex (finite ranges as column boxes handled in the
-// ratio tests) against the legacy explicit-upper-bound-row layout, which is
-// kept behind SimplexOptions::explicitBoundRows as the independent oracle.
+// ratio tests) against the explicit-upper-bound-row layout of the textbook
+// tableau in tests/lp_oracle, the independent oracle.
 #include "lp/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "exact/exact_ilp.hpp"
 #include "formulation/ilp.hpp"
 #include "lp/branch_bound.hpp"
+#include "lp_oracle.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 #include "tree/generator.hpp"
@@ -50,18 +51,15 @@ Model randomBoxedLp(Prng& rng, int vars, int rows) {
 }
 
 /// 100+ random LPs: the box layout and the explicit-row oracle must agree on
-/// status and optimum, while only the oracle pays tableau rows for ranges.
+/// status and optimum.
 TEST(BoundedSimplex, MatchesExplicitRowOracleOnRandomLps) {
   int optimalPairs = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     Prng rng(seed);
     const Model m = randomBoxedLp(rng, 6, 4);
 
-    SimplexOptions boxes;
-    SimplexOptions oracle;
-    oracle.explicitBoundRows = true;
-    const LpSolution viaBoxes = solveLp(m, boxes);
-    const LpSolution viaRows = solveLp(m, oracle);
+    const LpSolution viaBoxes = solveLp(m);
+    const LpSolution viaRows = oracle::solveLp(m);
 
     ASSERT_EQ(viaBoxes.status, viaRows.status) << "seed " << seed;
     if (viaBoxes.status != SolveStatus::Optimal) continue;
@@ -119,9 +117,7 @@ TEST(BoundedSimplex, WarmBoxResolveMatchesExplicitRowColdSolve) {
       for (int j = 0; j < vars; ++j)
         reference.setBounds(j, lo[static_cast<std::size_t>(j)],
                             hi[static_cast<std::size_t>(j)]);
-      SimplexOptions oracle;
-      oracle.explicitBoundRows = true;
-      const LpSolution fresh = solveLp(reference, oracle);
+      const LpSolution fresh = oracle::solveLp(reference);
 
       ASSERT_EQ(warm, fresh.status) << "seed " << seed << " trial " << trial;
       if (warm != SolveStatus::Optimal) continue;
@@ -190,26 +186,30 @@ TEST(BoundedSimplex, DualResolveHandlesShrunkBoxes) {
 }
 
 /// A fixed box ([c, c]) is a width-zero column: it must be representable and
-/// must pin the variable exactly, in both layouts.
+/// must pin the variable exactly — in the workspace and in the oracle's
+/// zero-rhs bound row alike.
 TEST(BoundedSimplex, ZeroWidthBoxesPinVariables) {
-  for (const bool explicitRows : {false, true}) {
-    Model m;
-    const int x = m.addVariable(0.0, 6.0, 1.0);
-    const int y = m.addVariable(0.0, 6.0, 2.0);
-    m.addConstraint(Sense::GreaterEqual, 5.0,
-                    std::vector<Term>{t(x, 1.0), t(y, 1.0)});
-    SimplexOptions options;
-    options.explicitBoundRows = explicitRows;
-    LpWorkspace workspace(m, options);
-    ASSERT_EQ(workspace.solveCold(), SolveStatus::Optimal);
-    workspace.setBounds(x, 2.0, 2.0);
-    SolveStatus st = workspace.solveDual();
-    if (st == SolveStatus::IterationLimit) st = workspace.solveCold();
-    ASSERT_EQ(st, SolveStatus::Optimal);
-    EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(x)], 2.0, 1e-9);
-    EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(y)], 3.0, 1e-9);
-    EXPECT_NEAR(workspace.objective(), 8.0, 1e-9);
-  }
+  Model m;
+  const int x = m.addVariable(0.0, 6.0, 1.0);
+  const int y = m.addVariable(0.0, 6.0, 2.0);
+  m.addConstraint(Sense::GreaterEqual, 5.0,
+                  std::vector<Term>{t(x, 1.0), t(y, 1.0)});
+  LpWorkspace workspace(m, {});
+  ASSERT_EQ(workspace.solveCold(), SolveStatus::Optimal);
+  workspace.setBounds(x, 2.0, 2.0);
+  SolveStatus st = workspace.solveDual();
+  if (st == SolveStatus::IterationLimit) st = workspace.solveCold();
+  ASSERT_EQ(st, SolveStatus::Optimal);
+  EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(x)], 2.0, 1e-9);
+  EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(y)], 3.0, 1e-9);
+  EXPECT_NEAR(workspace.objective(), 8.0, 1e-9);
+
+  m.setBounds(x, 2.0, 2.0);
+  const LpSolution viaRows = oracle::solveLp(m);
+  ASSERT_EQ(viaRows.status, SolveStatus::Optimal);
+  EXPECT_NEAR(viaRows.values[static_cast<std::size_t>(x)], 2.0, 1e-9);
+  EXPECT_NEAR(viaRows.values[static_cast<std::size_t>(y)], 3.0, 1e-9);
+  EXPECT_NEAR(viaRows.objective, 8.0, 1e-9);
 }
 
 /// Branch-and-bound with the box layout against the explicit-row oracle on
@@ -228,11 +228,8 @@ TEST(BoundedSimplex, MipMatchesExplicitRowOracle) {
     m.addConstraint(Sense::LessEqual, static_cast<double>(rng.uniformInt(10, 40)),
                     row);
 
-    MipOptions viaBoxes;
-    MipOptions viaRows;
-    viaRows.lp.explicitBoundRows = true;
-    const MipResult boxes = solveMip(m, viaBoxes);
-    const MipResult rows = solveMip(m, viaRows);
+    const MipResult boxes = solveMip(m);
+    const oracle::MipSolution rows = oracle::solveMip(m);
 
     ASSERT_EQ(boxes.status, rows.status) << "seed " << seed;
     ASSERT_EQ(boxes.proven, rows.proven) << "seed " << seed;
@@ -240,12 +237,12 @@ TEST(BoundedSimplex, MipMatchesExplicitRowOracle) {
     if (!boxes.hasIncumbent()) continue;
     EXPECT_NEAR(boxes.objective, rows.objective, 1e-9) << "seed " << seed;
     EXPECT_EQ(boxes.warm.tableauRows, boxes.warm.structuralRows) << "seed " << seed;
-    EXPECT_GT(rows.warm.tableauRows, rows.warm.structuralRows) << "seed " << seed;
   }
 }
 
-/// End to end on the Section 5 ILP: box layout vs explicit-row oracle on the
-/// real solver stack (cuts, symmetry orderings, warm starts all active).
+/// End to end on the Section 5 ILP: the real solver stack (cuts, symmetry
+/// orderings, warm starts all active) vs the explicit-row oracle on the bare
+/// formulation.
 TEST(BoundedSimplex, ExactIlpMatchesExplicitRowOracleOnRandomInstances) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
@@ -254,11 +251,8 @@ TEST(BoundedSimplex, ExactIlpMatchesExplicitRowOracleOnRandomInstances) {
         /*minSize=*/6, /*maxSize=*/12);
     const Policy policy = seed % 2 == 0 ? Policy::Multiple : Policy::Upwards;
 
-    ExactIlpOptions viaBoxes;
-    ExactIlpOptions viaRows;
-    viaRows.mip.lp.explicitBoundRows = true;
-    const ExactIlpResult boxes = solveExactViaIlp(inst, policy, viaBoxes);
-    const ExactIlpResult rows = solveExactViaIlp(inst, policy, viaRows);
+    const ExactIlpResult boxes = solveExactViaIlp(inst, policy);
+    const oracle::IlpSolution rows = oracle::solveIlp(inst, policy);
 
     ASSERT_EQ(boxes.proven, rows.proven) << "seed " << seed;
     ASSERT_EQ(boxes.feasible(), rows.feasible()) << "seed " << seed;
@@ -305,27 +299,6 @@ TEST(BoundedSimplex, CutRowsNoLongerAmplifiedByRanges) {
   EXPECT_EQ(cutWs.tableauRows(), strengthened.model().constraintCount());
   EXPECT_EQ(cutWs.tableauRows(), cutWs.structuralRows());
   EXPECT_EQ(cutWs.tableauRows() - bareWs.tableauRows(), cutRows + orderRows);
-
-  // The oracle layout pays one extra row per finite range on top of every
-  // model row — the amplification the rewrite removes.
-  SimplexOptions oracle;
-  oracle.explicitBoundRows = true;
-  const LpWorkspace oracleWs(strengthened.model(), oracle);
-  EXPECT_GT(oracleWs.tableauRows(), oracleWs.structuralRows());
-  const int ranges = oracleWs.tableauRows() - oracleWs.structuralRows();
-  EXPECT_GT(ranges, 0);
-  EXPECT_EQ(cutWs.tableauRows() + ranges, oracleWs.tableauRows());
-
-  // Both layouts still close the same instance to the same optimum.
-  ExactIlpOptions viaBoxes;
-  ExactIlpOptions viaRows;
-  viaRows.mip.lp.explicitBoundRows = true;
-  const ExactIlpResult a = solveExactViaIlp(inst, Policy::Multiple, viaBoxes);
-  const ExactIlpResult b = solveExactViaIlp(inst, Policy::Multiple, viaRows);
-  ASSERT_EQ(a.feasible(), b.feasible());
-  if (a.feasible()) {
-    EXPECT_NEAR(a.cost, b.cost, 1e-9);
-  }
 }
 
 }  // namespace

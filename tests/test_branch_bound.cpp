@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "lp_oracle.hpp"
 #include "support/prng.hpp"
 
 namespace treeplace::lp {
@@ -19,7 +20,7 @@ struct Knapsack {
   double capacity;
 };
 
-MipResult solveKnapsack(const Knapsack& k, const MipOptions& options = {}) {
+Model knapsackModel(const Knapsack& k) {
   Model m;
   std::vector<int> vars;
   for (std::size_t i = 0; i < k.value.size(); ++i)
@@ -28,7 +29,11 @@ MipResult solveKnapsack(const Knapsack& k, const MipOptions& options = {}) {
   for (std::size_t i = 0; i < k.weight.size(); ++i)
     row.push_back(t(vars[i], k.weight[i]));
   m.addConstraint(Sense::LessEqual, k.capacity, row);
-  return solveMip(m, options);
+  return m;
+}
+
+MipResult solveKnapsack(const Knapsack& k, const MipOptions& options = {}) {
+  return solveMip(knapsackModel(k), options);
 }
 
 double knapsackByDp(const Knapsack& k) {
@@ -129,31 +134,38 @@ TEST(BranchBound, LowerBoundValidUnderNodeBudget) {
 
 /// A search whose node pool empties exactly when the budget is reached is a
 /// COMPLETED search: the limit never truncated anything. Regression test for
-/// the strict-< off-by-one that reported such runs unproven, in both the
-/// warm engine and the cold oracle.
+/// the strict-< off-by-one that reported such runs unproven, in the engine
+/// and in the cold oracle of tests/lp_oracle alike.
 TEST(BranchBound, ProofSurvivesExactNodeBudgetBoundary) {
   const Knapsack k{{10.0, 13.0, 7.0, 8.0}, {3.0, 4.0, 2.0, 3.0}, 7.0};
-  for (const bool warmStart : {true, false}) {
-    MipOptions unlimited;
-    unlimited.warmStart = warmStart;
-    const MipResult full = solveKnapsack(k, unlimited);
-    ASSERT_TRUE(full.proven);
-    ASSERT_GT(full.nodesExplored, 1);
+  const MipResult full = solveKnapsack(k);
+  ASSERT_TRUE(full.proven);
+  ASSERT_GT(full.nodesExplored, 1);
 
-    // Exactly the node count of the completed search: still proven.
-    MipOptions exact = unlimited;
-    exact.maxNodes = full.nodesExplored;
-    const MipResult atBoundary = solveKnapsack(k, exact);
-    EXPECT_TRUE(atBoundary.proven) << "warmStart=" << warmStart;
-    EXPECT_EQ(atBoundary.nodesExplored, full.nodesExplored);
-    EXPECT_NEAR(atBoundary.objective, full.objective, 1e-9);
+  // Exactly the node count of the completed search: still proven.
+  MipOptions exact;
+  exact.maxNodes = full.nodesExplored;
+  const MipResult atBoundary = solveKnapsack(k, exact);
+  EXPECT_TRUE(atBoundary.proven);
+  EXPECT_EQ(atBoundary.nodesExplored, full.nodesExplored);
+  EXPECT_NEAR(atBoundary.objective, full.objective, 1e-9);
 
-    // One node short: genuinely truncated, must stay unproven.
-    MipOptions short1 = unlimited;
-    short1.maxNodes = full.nodesExplored - 1;
-    const MipResult truncated = solveKnapsack(k, short1);
-    EXPECT_FALSE(truncated.proven) << "warmStart=" << warmStart;
-  }
+  // One node short: genuinely truncated, must stay unproven.
+  MipOptions short1;
+  short1.maxNodes = full.nodesExplored - 1;
+  const MipResult truncated = solveKnapsack(k, short1);
+  EXPECT_FALSE(truncated.proven);
+
+  const Model m = knapsackModel(k);
+  const oracle::MipSolution oracleFull = oracle::solveMip(m);
+  ASSERT_TRUE(oracleFull.proven);
+  ASSERT_GT(oracleFull.nodesExplored, 1);
+  EXPECT_NEAR(oracleFull.objective, full.objective, 1e-9);
+  const oracle::MipSolution oracleAtBoundary =
+      oracle::solveMip(m, oracleFull.nodesExplored);
+  EXPECT_TRUE(oracleAtBoundary.proven);
+  EXPECT_EQ(oracleAtBoundary.nodesExplored, oracleFull.nodesExplored);
+  EXPECT_FALSE(oracle::solveMip(m, oracleFull.nodesExplored - 1).proven);
 }
 
 TEST(BranchBound, ExternalUpperBoundPrunes) {

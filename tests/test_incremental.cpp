@@ -15,6 +15,7 @@
 #include "online/delta.hpp"
 #include "online/warm_ilp.hpp"
 #include "support/prng.hpp"
+#include "support/require.hpp"
 #include "test_util.hpp"
 #include "tree/builder.hpp"
 
@@ -502,6 +503,10 @@ TEST(WarmIlpSession, HeterogeneousCapacityPatchAndRebuild) {
 // Engine-level seams the session is built on.
 // ---------------------------------------------------------------------------
 
+// Every engine seam below must hold at every worker count: 0 and 1 run one
+// inline worker, 2 runs the threaded pool.
+constexpr int kWorkerCounts[] = {0, 1, 2};
+
 TEST(MipEngine, InitialIncumbentSeedsUpperBound) {
   // min x0 + x1  s.t.  x0 + x1 >= 1, x binary. Seed the suboptimal (1, 1):
   // the search must still return the optimum, not the seed.
@@ -511,12 +516,15 @@ TEST(MipEngine, InitialIncumbentSeedsUpperBound) {
   const lp::Term terms[2] = {{x0, 1.0}, {x1, 1.0}};
   model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms, "cover");
 
-  lp::MipOptions options;
-  options.initialIncumbent = {1.0, 1.0};
-  const lp::MipResult result = lp::solveMip(model, options);
-  ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
-  EXPECT_TRUE(result.proven);
-  EXPECT_NEAR(result.objective, 1.0, 1e-9);
+  for (const int workers : kWorkerCounts) {
+    lp::MipOptions options;
+    options.workers = workers;
+    options.initialIncumbent = {1.0, 1.0};
+    const lp::MipResult result = lp::solveMip(model, options);
+    ASSERT_EQ(result.status, lp::SolveStatus::Optimal) << "workers=" << workers;
+    EXPECT_TRUE(result.proven) << "workers=" << workers;
+    EXPECT_NEAR(result.objective, 1.0, 1e-9) << "workers=" << workers;
+  }
 }
 
 TEST(MipEngine, InitialIncumbentReturnedWhenAlreadyOptimal) {
@@ -527,42 +535,93 @@ TEST(MipEngine, InitialIncumbentReturnedWhenAlreadyOptimal) {
   const lp::Term term[1] = {{x0, 1.0}};
   model.addConstraint(lp::Sense::GreaterEqual, 1.0, term, "force");
 
-  lp::MipOptions options;
-  options.initialIncumbent = {1.0};
-  options.knownLowerBound = 2.0;
-  const lp::MipResult result = lp::solveMip(model, options);
-  ASSERT_TRUE(result.hasIncumbent());
-  EXPECT_NEAR(result.objective, 2.0, 1e-9);
-  EXPECT_NEAR(result.values[0], 1.0, 1e-9);
+  for (const int workers : kWorkerCounts) {
+    lp::MipOptions options;
+    options.workers = workers;
+    options.initialIncumbent = {1.0};
+    options.knownLowerBound = 2.0;
+    const lp::MipResult result = lp::solveMip(model, options);
+    ASSERT_TRUE(result.hasIncumbent()) << "workers=" << workers;
+    EXPECT_NEAR(result.objective, 2.0, 1e-9) << "workers=" << workers;
+    EXPECT_NEAR(result.values[0], 1.0, 1e-9) << "workers=" << workers;
+  }
+}
+
+TEST(MipEngine, InitialIncumbentSurvivesZeroNodeBudget) {
+  // No node may be explored, so the seed is the only answer there is: it must
+  // come back as the incumbent, unproven, at every worker count.
+  lp::Model model;
+  const int x0 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x0");
+  const int x1 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x1");
+  const lp::Term terms[2] = {{x0, 1.0}, {x1, 1.0}};
+  model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms, "cover");
+
+  for (const int workers : kWorkerCounts) {
+    lp::MipOptions options;
+    options.workers = workers;
+    options.maxNodes = 0;
+    options.initialIncumbent = {1.0, 1.0};
+    const lp::MipResult result = lp::solveMip(model, options);
+    EXPECT_EQ(result.nodesExplored, 0) << "workers=" << workers;
+    ASSERT_TRUE(result.hasIncumbent()) << "workers=" << workers;
+    EXPECT_EQ(result.values, options.initialIncumbent) << "workers=" << workers;
+    EXPECT_NEAR(result.objective, 2.0, 1e-9) << "workers=" << workers;
+    EXPECT_FALSE(result.proven) << "workers=" << workers;
+  }
 }
 
 TEST(MipEngine, ExternalWorkspaceSurvivesRhsAndBoundPatches) {
   // Same standard form solved three times through one persistent workspace
   // with rhs/box patches in between; answers must match fresh cold solves.
-  lp::Model model;
-  const int x = model.addVariable(0.0, 1.0, 3.0, lp::VarType::Integer, "x");
-  const int y = model.addVariable(0.0, 4.0, 1.0, lp::VarType::Continuous, "y");
-  const lp::Term cover[2] = {{x, 2.0}, {y, 1.0}};
-  const int row = model.addConstraint(lp::Sense::GreaterEqual, 2.0, cover, "cover");
+  for (const int workers : kWorkerCounts) {
+    lp::Model model;
+    const int x = model.addVariable(0.0, 1.0, 3.0, lp::VarType::Integer, "x");
+    const int y = model.addVariable(0.0, 4.0, 1.0, lp::VarType::Continuous, "y");
+    const lp::Term cover[2] = {{x, 2.0}, {y, 1.0}};
+    const int row = model.addConstraint(lp::Sense::GreaterEqual, 2.0, cover, "cover");
 
-  lp::MipOptions warm;
-  lp::LpWorkspace workspace(model, warm.lp);
-  warm.workspace = &workspace;
+    lp::MipOptions warm;
+    warm.workers = workers;
+    lp::LpWorkspace workspace(model, warm.lp);
+    warm.workspace = &workspace;
 
-  for (const double rhs : {2.0, 4.0, 3.0}) {
-    model.setRowRhs(row, rhs);
+    for (const double rhs : {2.0, 4.0, 3.0}) {
+      model.setRowRhs(row, rhs);
+      const lp::MipResult viaWorkspace = lp::solveMip(model, warm);
+      const lp::MipResult cold = lp::solveMip(model, lp::MipOptions{});
+      ASSERT_EQ(viaWorkspace.status, cold.status)
+          << "workers=" << workers << " rhs=" << rhs;
+      EXPECT_NEAR(viaWorkspace.objective, cold.objective, 1e-9)
+          << "workers=" << workers << " rhs=" << rhs;
+    }
+
+    // And a box patch: cap y at 1, forcing x into the cover.
+    model.setBounds(y, 0.0, 1.0);
     const lp::MipResult viaWorkspace = lp::solveMip(model, warm);
     const lp::MipResult cold = lp::solveMip(model, lp::MipOptions{});
-    ASSERT_EQ(viaWorkspace.status, cold.status) << "rhs=" << rhs;
-    EXPECT_NEAR(viaWorkspace.objective, cold.objective, 1e-9) << "rhs=" << rhs;
+    ASSERT_EQ(viaWorkspace.status, cold.status) << "workers=" << workers;
+    EXPECT_NEAR(viaWorkspace.objective, cold.objective, 1e-9) << "workers=" << workers;
+    // Worker 0 searched in the caller's workspace: its basis is warm now.
+    EXPECT_TRUE(workspace.warmReady()) << "workers=" << workers;
   }
+}
 
-  // And a box patch: cap y at 1, forcing x into the cover.
-  model.setBounds(y, 0.0, 1.0);
-  const lp::MipResult viaWorkspace = lp::solveMip(model, warm);
-  const lp::MipResult cold = lp::solveMip(model, lp::MipOptions{});
-  ASSERT_EQ(viaWorkspace.status, cold.status);
-  EXPECT_NEAR(viaWorkspace.objective, cold.objective, 1e-9);
+TEST(MipEngine, FreeIntegerVariableIsRejected) {
+  // The standard form is fixed by the root bounds, so a free integer
+  // variable could never be branched: rejected up front, at every worker
+  // count.
+  lp::Model model;
+  const int x = model.addVariable(-lp::kInfinity, lp::kInfinity, 1.0,
+                                  lp::VarType::Integer, "x");
+  const lp::Term term[1] = {{x, 1.0}};
+  model.addConstraint(lp::Sense::GreaterEqual, 0.5, term, "floor");
+
+  for (const int workers : kWorkerCounts) {
+    lp::MipOptions options;
+    options.workers = workers;
+    EXPECT_THROW((void)lp::solveMip(model, options), PreconditionError)
+        << "workers=" << workers;
+  }
 }
 
 // keepZeroRateClients + elasticCapacity must not change the optimum.

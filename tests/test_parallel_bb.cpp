@@ -1,7 +1,8 @@
-// Worker-pool branch-and-bound vs the serial engine: a 100+ instance oracle
-// (same proven optimum, valid incumbent, for N = 1, 2, 4, 8 workers) plus the
-// determinism harness — one worker must reproduce the serial search bit for
-// bit (same node count, same solve sequence) on fixed seeds.
+// The worker-pool branch-and-bound across worker counts: a 100+ instance
+// cross-check (same proven optimum, valid incumbent, for N = 1, 2, 4, 8
+// workers against the default inline worker) plus the determinism harness —
+// workers = 0 and workers = 1 both run one inline worker and must agree bit
+// for bit (same node count, same solve sequence) on fixed seeds.
 #include "lp/branch_bound.hpp"
 
 #include <gtest/gtest.h>
@@ -19,8 +20,8 @@ namespace {
 
 Term t(int var, double coefficient) { return {var, coefficient}; }
 
-/// 0/1 knapsack + a side pairing row; the same family test_warm_bb uses for
-/// the warm-vs-cold oracle.
+/// 0/1 knapsack + a side pairing row; the same family test_warm_bb checks
+/// against the cold oracle.
 Model randomKnapsackMip(Prng& rng, int n = 8) {
   Model m;
   for (int j = 0; j < n; ++j)
@@ -72,7 +73,7 @@ Model randomKnapsackMip(Prng& rng, int n = 8) {
   return ::testing::AssertionSuccess();
 }
 
-/// 100-instance oracle: every worker count returns the serial engine's
+/// 100 instances: every worker count returns the default (workers = 0) run's
 /// optimal objective, proof status, and a genuinely feasible incumbent.
 TEST(ParallelBranchBound, MatchesSerialOnRandomMips) {
   int compared = 0;
@@ -80,7 +81,7 @@ TEST(ParallelBranchBound, MatchesSerialOnRandomMips) {
     Prng rng(seed);
     const Model m = randomKnapsackMip(rng);
 
-    MipOptions serialOptions;  // workers = 0: the serial warm engine
+    MipOptions serialOptions;  // workers = 0: one inline worker
     const MipResult serial = solveMip(m, serialOptions);
     ++compared;
 
@@ -107,7 +108,7 @@ TEST(ParallelBranchBound, MatchesSerialOnRandomMips) {
 
 /// End to end on the Section 5 ILP (granularity rounding, frontier cuts,
 /// known lower bound, branch priorities all active): parallel workers return
-/// the serial optimum and a policy-valid placement.
+/// the inline worker's optimum and a policy-valid placement.
 TEST(ParallelBranchBound, MatchesSerialOnIlpInstances) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
@@ -137,15 +138,15 @@ TEST(ParallelBranchBound, MatchesSerialOnIlpInstances) {
   EXPECT_EQ(compared, 25);
 }
 
-/// Fixed-seed determinism: one pool worker must reproduce the serial warm
-/// engine's search bit for bit — node count, solve mix, pivot counts, and
-/// the exact objective/lower-bound doubles.
-TEST(ParallelBranchBound, SingleWorkerIsBitIdenticalToSerial) {
+/// Fixed-seed determinism: workers = 0 and workers = 1 both run one inline
+/// worker and must agree bit for bit — node count, solve mix, pivot counts,
+/// and the exact objective/lower-bound doubles.
+TEST(ParallelBranchBound, ZeroAndOneWorkersAreBitIdentical) {
   for (const std::uint64_t seed : {3ULL, 17ULL, 42ULL, 91ULL, 123ULL}) {
     Prng rng(seed);
     const Model m = randomKnapsackMip(rng, 10);
 
-    MipOptions serialOptions;
+    MipOptions serialOptions;  // workers = 0
     const MipResult serial = solveMip(m, serialOptions);
 
     MipOptions po;
@@ -169,6 +170,7 @@ TEST(ParallelBranchBound, SingleWorkerIsBitIdenticalToSerial) {
     EXPECT_EQ(parallel.values, serial.values) << "seed " << seed;
     EXPECT_EQ(parallel.warm.stealCount, 0) << "seed " << seed;
     EXPECT_EQ(parallel.warm.workers, 1) << "seed " << seed;
+    EXPECT_EQ(serial.warm.workers, 1) << "seed " << seed;
 
     // And the run itself is reproducible.
     const MipResult again = solveMip(m, po);

@@ -1,5 +1,6 @@
-// Warm-started branch-and-bound vs the cold oracle, and the dual-simplex
-// re-solve vs a fresh primal solve — the safety net of lp/workspace.
+// Warm-started branch-and-bound vs the cold oracle of tests/lp_oracle (a
+// from-scratch dense simplex per node), and the dual-simplex re-solve vs a
+// fresh primal solve — the safety net of lp/workspace.
 #include "lp/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include "exact/exact_ilp.hpp"
 #include "lp/branch_bound.hpp"
+#include "lp_oracle.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 #include "tree/paper_instances.hpp"
@@ -127,11 +129,8 @@ TEST(WarmBranchBound, MatchesColdOracleOnRandomMips) {
                            t(static_cast<int>(rng.uniformInt(0, n - 1)), 1.0)};
     m.addConstraint(Sense::LessEqual, 1.0, pair);
 
-    MipOptions warmOptions;
-    MipOptions coldOptions;
-    coldOptions.warmStart = false;
-    const MipResult warm = solveMip(m, warmOptions);
-    const MipResult cold = solveMip(m, coldOptions);
+    const MipResult warm = solveMip(m);
+    const oracle::MipSolution cold = oracle::solveMip(m);
 
     ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
     ASSERT_EQ(warm.proven, cold.proven) << "seed " << seed;
@@ -141,12 +140,13 @@ TEST(WarmBranchBound, MatchesColdOracleOnRandomMips) {
     if (warm.warm.totalSolves() > 1) {
       EXPECT_GT(warm.warm.warmSolves, 0) << "seed " << seed;
     }
-    EXPECT_EQ(cold.warm.warmSolves, 0) << "seed " << seed;
   }
 }
 
-/// End to end on the Section 5 ILP: >= 100 random instances, warm vs cold,
-/// byte-identical optimal costs and proofs (pattern of test_qos_frontier).
+/// End to end on the Section 5 ILP: >= 100 random instances, the warm stack
+/// (cuts, symmetry orderings, warm starts) vs the cold oracle on the bare
+/// formulation — identical optimal costs and proofs (pattern of
+/// test_qos_frontier).
 TEST(WarmBranchBound, MatchesColdOracleOnRandomIlpInstances) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
@@ -156,11 +156,8 @@ TEST(WarmBranchBound, MatchesColdOracleOnRandomIlpInstances) {
           /*minSize=*/6, /*maxSize=*/12);
       const Policy policy = seed % 2 == 0 ? Policy::Multiple : Policy::Upwards;
 
-      ExactIlpOptions warmOptions;
-      ExactIlpOptions coldOptions;
-      coldOptions.mip.warmStart = false;
-      const ExactIlpResult warm = solveExactViaIlp(inst, policy, warmOptions);
-      const ExactIlpResult cold = solveExactViaIlp(inst, policy, coldOptions);
+      const ExactIlpResult warm = solveExactViaIlp(inst, policy);
+      const oracle::IlpSolution cold = oracle::solveIlp(inst, policy);
 
       ASSERT_EQ(warm.proven, cold.proven) << "seed " << seed;
       ASSERT_EQ(warm.feasible(), cold.feasible()) << "seed " << seed;
@@ -176,8 +173,9 @@ TEST(WarmBranchBound, MatchesColdOracleOnRandomIlpInstances) {
   EXPECT_GE(compared, 100);
 }
 
-/// The cuts are optional strengthenings: with everything off, the bare
-/// warm engine still reproduces the bare cold engine's optimum.
+/// The cuts are optional strengthenings: the fully strengthened engine and the
+/// bare one (no cuts, no symmetry orderings) both reproduce the cold oracle's
+/// optimum on the bare formulation.
 TEST(WarmBranchBound, CutsPreserveOptimaAgainstBareOracle) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const ProblemInstance inst = testutil::smallRandomInstance(
@@ -185,26 +183,30 @@ TEST(WarmBranchBound, CutsPreserveOptimaAgainstBareOracle) {
         /*minSize=*/6, /*maxSize=*/11);
     ExactIlpOptions strengthened;  // warm + frontier cuts + symmetry cuts
     ExactIlpOptions bare;
-    bare.mip.warmStart = false;
     bare.frontierCuts = false;
     bare.symmetryCuts = false;
     const ExactIlpResult a = solveExactViaIlp(inst, Policy::Multiple, strengthened);
     const ExactIlpResult b = solveExactViaIlp(inst, Policy::Multiple, bare);
-    ASSERT_EQ(a.proven, b.proven) << "seed " << seed;
-    ASSERT_EQ(a.feasible(), b.feasible()) << "seed " << seed;
-    if (a.feasible()) {
-      EXPECT_NEAR(a.cost, b.cost, 1e-9) << "seed " << seed;
+    const oracle::IlpSolution c = oracle::solveIlp(inst, Policy::Multiple);
+    ASSERT_EQ(a.proven, c.proven) << "seed " << seed;
+    ASSERT_EQ(b.proven, c.proven) << "seed " << seed;
+    ASSERT_EQ(a.feasible(), c.feasible()) << "seed " << seed;
+    ASSERT_EQ(b.feasible(), c.feasible()) << "seed " << seed;
+    if (c.feasible()) {
+      EXPECT_NEAR(a.cost, c.cost, 1e-9) << "seed " << seed;
+      EXPECT_NEAR(b.cost, c.cost, 1e-9) << "seed " << seed;
     }
   }
 }
 
-/// PR 4 fixed the off-by-one where a search whose pool emptied exactly at
-/// maxNodes was reported unproven. The worker-pool engine must uphold the
-/// same boundary when several workers race the last budget slots: explored
+/// A search whose pool empties exactly at maxNodes is a completed search, not
+/// a truncated one. The worker pool must uphold that boundary when several
+/// workers race the last budget slots: explored
 /// nodes never exceed the budget, every result stays sound (the reported
 /// lower bound never exceeds the true optimum, the incumbent never beats
-/// it), a proven result IS the optimum, and workers == 1 reproduces the
-/// serial boundary exactly — proven at budget == serial node count.
+/// it), a proven result IS the optimum, and the inline single worker
+/// (workers 0 and 1 alike) keeps the exact boundary — proven at budget ==
+/// its unlimited node count.
 TEST(WarmBranchBound, MaxNodesBoundaryHoldsUnderWorkerContention) {
   for (const std::uint64_t seed : {5ULL, 23ULL, 77ULL}) {
     Prng rng(seed);
@@ -219,15 +221,14 @@ TEST(WarmBranchBound, MaxNodesBoundaryHoldsUnderWorkerContention) {
     m.addConstraint(Sense::LessEqual,
                     static_cast<double>(rng.uniformInt(12, 40)), row);
 
-    const MipResult reference = solveMip(m, {});  // serial, unlimited budget
+    const MipResult reference = solveMip(m, {});  // one worker, unlimited budget
     ASSERT_TRUE(reference.proven) << "seed " << seed;
     ASSERT_TRUE(reference.hasIncumbent()) << "seed " << seed;
     const double optimum = reference.objective;
     const long serialNodes = reference.nodesExplored;
 
-    // Serial boundary (the PR 4 fix): a budget of exactly the node count is
-    // a completed search; one short of it is not. The one-worker pool
-    // engine must agree bit for bit.
+    // Single-worker boundary: a budget of exactly the node count is a
+    // completed search; one short of it is not.
     for (const int workers : {0, 1}) {
       MipOptions exactBudget;
       exactBudget.workers = workers;
