@@ -28,10 +28,8 @@
 #include <vector>
 
 #include "core/validate.hpp"
-#include "exact/closest_homogeneous.hpp"
-#include "exact/closest_qos.hpp"
-#include "exact/multiple_homogeneous.hpp"
 #include "experiments/mutation_driver.hpp"
+#include "online/incremental.hpp"
 #include "online/service.hpp"
 #include "support/cli.hpp"
 #include "support/fault_injection.hpp"
@@ -96,16 +94,6 @@ InstanceDelta corruptDelta(InstanceDelta delta, const ProblemInstance& instance,
       break;
   }
   return delta;
-}
-
-std::optional<Placement> scratchExact(const ProblemInstance& instance,
-                                      OnlinePolicy policy) {
-  switch (policy) {
-    case OnlinePolicy::Closest: return solveClosestHomogeneous(instance);
-    case OnlinePolicy::Multiple: return solveMultipleHomogeneousDP(instance);
-    case OnlinePolicy::ClosestQos: return solveClosestHomogeneousQos(instance);
-  }
-  return std::nullopt;
 }
 
 /// One serving stream: a service session plus the client-side state that
@@ -312,7 +300,7 @@ int main(int argc, char** argv) {
         return fail(r, "certified floor exceeds the served cost");
     }
     if (verify) {
-      const std::optional<Placement> truth = scratchExact(instance, policy);
+      const std::optional<Placement> truth = solveOneShot(instance, policy);
       if (out.status == OutcomeStatus::Optimal) {
         if (!truth || truth->replicaCount() != out.placement->replicaCount())
           return fail(r, "Optimal outcome disagrees with scratch solve");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/bag_steps.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -72,46 +73,26 @@ FrontierSubtreeRelaxation::FrontierSubtreeRelaxation(const ProblemInstance& inst
 void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
                                       FrontierArena& arena) {
   const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  minReplicas_.assign(n, 0);
-
-  arena.reset(4 * n);
+  arena.reset(4 * tree.vertexCount());
   FrontierConvolver conv(arena);
-  std::vector<FrontierSpan> frontier(n);
-
-  // Bottom-up frontier pass over the merge-bag schedule; place at a bag's
-  // anchor absorbs min(flow, W_v) — the heterogeneous generalisation of the
-  // Multiple DP's place step, still a relaxation of every real assignment.
-  // The fold runs over the *raw* child order (no reconstruction, no replay:
-  // canonical merge order buys nothing here and raw order is the historical
-  // layout the equivalence suites pin down).
-  const TreeDecomposition decomp(tree);
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push({0, instance.requests[vi], -1, -1});
-      frontier[vi] = arena.endSpan(begin);
-      continue;
-    }
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    FrontierSpan acc = conv.unit();
-    for (const BagId child : decomp.children(v))
-      acc = conv.convolve(acc, frontier[static_cast<std::size_t>(child)],
-                          internalsBelow);
-    options.clear();
-    const Requests cap = instance.capacity[vi];
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, -1, -1});
-      if (cap > 0 && e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - cap), -1, -1});
-    }
-    frontier[vi] = conv.pruneCandidates(options, internalsBelow);
-  }
+  FrontierDp dp(tree, arena);
+  // The fold runs over the *raw* child order: the relaxation never
+  // reconstructs or replays, so canonical merge order buys nothing here, and
+  // raw order is the historical layout the equivalence suites pin down.
+  RelaxationStep step(instance);
+  runFrontierDp(dp, conv, step, nullptr, &TreeDecomposition::children);
   conv.noteArenaUsage();
   stats_ = conv.stats();
+  floors_ = deriveSubtreeFloors(instance, arena, dp.frontiers());
+}
+
+SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
+                                  const FrontierArena& arena,
+                                  std::span<const FrontierSpan> frontier) {
+  const Tree& tree = instance.tree;
+  const std::size_t n = tree.vertexCount();
+  SubtreeFloors floors;
+  floors.minReplicas.assign(n, 0);
 
   // Strict-ancestor capacity (the outflow cap of each subtree), top-down.
   std::vector<Requests> ancestorCapacity(n, 0);
@@ -126,10 +107,9 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
   // R_v: cheapest count whose residual flow fits under the ancestor cap.
   for (const VertexId v : tree.internals()) {
     const auto vi = static_cast<std::size_t>(v);
-    const std::span<const FrontierEntry> f = arena.view(frontier[vi]);
     std::int32_t r = -1;
-    for (const FrontierEntry& e : f) {  // flow decreases: first hit is cheapest
-      if (e.flow <= ancestorCapacity[vi]) {
+    for (const FrontierEntry& e : arena.view(frontier[vi])) {
+      if (e.flow <= ancestorCapacity[vi]) {  // flow decreases: first hit is cheapest
         r = e.count;
         break;
       }
@@ -137,11 +117,11 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
     if (r < 0) {
       // Even every internal node of the subtree cannot push the outflow under
       // the ancestor capacity: no policy has a feasible placement.
-      feasible_ = false;
+      floors.feasible = false;
       r = static_cast<std::int32_t>(tree.subtreeSize(v) -
                                     tree.clientsInSubtree(v).size());
     }
-    minReplicas_[vi] = r;
+    floors.minReplicas[vi] = r;
   }
 
   // Additive decomposition: best(v) = max(own subtree floor, sum over
@@ -151,18 +131,12 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
   // no per-node tree walk.
   const auto& internals = tree.internals();
   const std::size_t internalCount = internals.size();
-  std::vector<std::int32_t> prePos(n, 0);
-  {
-    const auto& pre = tree.preorder();
-    for (std::size_t i = 0; i < pre.size(); ++i)
-      prePos[static_cast<std::size_t>(pre[i])] = static_cast<std::int32_t>(i);
-  }
   std::vector<std::int32_t> intPos(internalCount);
   std::vector<double> intCosts(internalCount);
   std::vector<std::size_t> intIndex(n, 0);
   for (std::size_t k = 0; k < internalCount; ++k) {
     const auto vi = static_cast<std::size_t>(internals[k]);
-    intPos[k] = prePos[vi];
+    intPos[k] = tree.preorderIndex(internals[k]);
     intCosts[k] = instance.storageCost[vi];
     intIndex[vi] = k;
   }
@@ -186,17 +160,15 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
       }
     }
     double own = 0.0;
-    if (minReplicas_[vi] > 0) {
+    if (floors.minReplicas[vi] > 0) {
       // Sum of the R_v cheapest internal storage costs inside subtree(v).
       const std::size_t k = intIndex[vi];
-      const auto endPos =
-          prePos[vi] + static_cast<std::int32_t>(tree.subtreeSize(v));
       const auto endIdx = static_cast<std::size_t>(
           std::lower_bound(intPos.begin() + static_cast<std::ptrdiff_t>(k),
-                           intPos.end(), endPos) -
+                           intPos.end(), tree.preorderEnd(v)) -
           intPos.begin());
       const std::size_t r =
-          std::min(static_cast<std::size_t>(minReplicas_[vi]), endIdx - k);
+          std::min(static_cast<std::size_t>(floors.minReplicas[vi]), endIdx - k);
       if (minCostBelow[vi] == maxCostBelow[vi]) {
         own = static_cast<double>(r) * minCostBelow[vi];
       } else {
@@ -210,7 +182,8 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
     }
     best[vi] = std::max(own, childSum);
   }
-  decompositionBound_ = best[static_cast<std::size_t>(tree.root())];
+  floors.decompositionBound = best[static_cast<std::size_t>(tree.root())];
+  return floors;
 }
 
 }  // namespace treeplace

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -24,11 +25,27 @@ double fractionalCoverLowerBound(const ProblemInstance& instance);
 /// objective-granularity bucketing).
 bool integralStorageCosts(const ProblemInstance& instance);
 
+/// What the per-subtree relaxation frontiers say, derived in linear passes
+/// (see FrontierSubtreeRelaxation for the meaning of each field).
+struct SubtreeFloors {
+  std::vector<std::int32_t> minReplicas;  ///< per vertex; 0 for clients
+  double decompositionBound = 0.0;
+  bool feasible = true;
+};
+
+/// The derived passes of the relaxation, shared by FrontierSubtreeRelaxation
+/// and its incremental twin (online/IncrementalBounds): ancestor capacities,
+/// the per-subtree replica floors and the additive decomposition bound, read
+/// off each vertex's relaxation frontier `frontier[v]` in `arena`.
+SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
+                                  const FrontierArena& arena,
+                                  std::span<const FrontierSpan> frontier);
+
 /// Per-subtree frontier relaxation of the Multiple policy (valid for every
 /// policy, heterogeneous or not): one bottom-up pass of the core/frontier DP
-/// with the place step absorbing min(flow, W_v) computes, for every vertex,
-/// the Pareto frontier of (replicas inside subtree(v), requests flowing out
-/// unserved). Because a server outside subtree(v) serving one of its clients
+/// with RelaxationStep (core/bag_steps), whose place step absorbs
+/// min(flow, W_v), computes for every vertex the Pareto frontier of
+/// (replicas inside subtree(v), requests flowing out unserved). Because a server outside subtree(v) serving one of its clients
 /// must be a strict ancestor of v, the outflow of subtree(v) is capped by the
 /// total capacity of v's strict ancestors — so the frontier yields a hard
 /// floor on the replicas *inside* each subtree, information the structure-free
@@ -47,7 +64,7 @@ class FrontierSubtreeRelaxation {
 
   /// False when even a replica on every internal node leaves requests
   /// unserved at the root — the instance is infeasible for every policy.
-  bool feasible() const { return feasible_; }
+  bool feasible() const { return floors_.feasible; }
 
   /// Minimum total replica count of any feasible solution (any policy).
   /// Meaningful only when feasible().
@@ -58,14 +75,14 @@ class FrontierSubtreeRelaxation {
   /// cannot meet that outflow at all, every internal node of the subtree is
   /// required (and the instance is infeasible).
   std::int32_t minReplicasIn(VertexId v) const {
-    return minReplicas_[static_cast<std::size_t>(v)];
+    return floors_.minReplicas[static_cast<std::size_t>(v)];
   }
 
   /// Additive Replica Cost floor: over the best decomposition into disjoint
   /// subtrees, each subtree v contributes the sum of its minReplicasIn(v)
   /// cheapest internal storage costs. Always a valid lower bound on the
   /// optimal cost of every policy; 0 when the relaxation has nothing to say.
-  double decompositionBound() const { return decompositionBound_; }
+  double decompositionBound() const { return floors_.decompositionBound; }
 
   const FrontierStats& stats() const { return stats_; }
 
@@ -73,9 +90,7 @@ class FrontierSubtreeRelaxation {
   void build(const ProblemInstance& instance, FrontierArena& arena);
 
   const Tree* tree_;
-  std::vector<std::int32_t> minReplicas_;
-  double decompositionBound_ = 0.0;
-  bool feasible_ = true;
+  SubtreeFloors floors_;
   FrontierStats stats_;
 };
 

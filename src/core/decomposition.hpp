@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "tree/tree.hpp"
@@ -12,36 +13,28 @@ namespace treeplace {
 /// decompositions (bounded treewidth) number their bags independently.
 using BagId = VertexId;
 
-/// One merge node of a decomposition: the unit the frontier DPs fold over.
-///
-/// A bag *introduces* a set of vertices (for trees: exactly its anchor), folds
-/// the frontiers of its child bags into an accumulator via the convolution
-/// chain, and *forgets* the vertices that no longer interact with anything
-/// outside the bag's cone once it closes (for trees: the child anchors).
-/// Solvers run the place/skip decision on the anchor after the fold.
-struct MergeBag {
-  BagId id = kNoVertex;
-  /// The decision vertex of this bag — the one the place/skip step targets.
-  VertexId anchor = kNoVertex;
-  /// Child bags in canonical merge order (see Tree::mergeChildren): the order
-  /// every convolution chain uses, load-bearing for incremental prefix reuse.
-  std::span<const BagId> mergeChildren;
-  /// Child bags in raw id order: consumers that never reconstruct or replay
-  /// (bounds relaxations, streaming counts) fold in this order.
-  std::span<const BagId> children;
-  /// Vertices introduced at this bag ({anchor} for trees).
-  std::span<const VertexId> introduced;
-  /// Vertices forgotten when this bag closes (the child-bag anchors for
-  /// trees: their subtrees are summarised by the folded frontier).
-  std::span<const VertexId> forgotten;
+/// The shape facts of one bag that every policy's count caps and flow
+/// ceilings derive from (core/bag_steps).
+struct BagShape {
+  std::int32_t clients;    ///< clients in the bag's cone
+  std::int32_t internals;  ///< internal vertices in the cone, the anchor included
+  std::int32_t depth;      ///< hop depth of the anchor (root 0)
 };
 
-/// Zero-overhead width-1 decomposition of a rooted Tree: one bag per vertex,
-/// the schedule is the tree postorder, a bag's children are the vertex's
-/// children and its anchor is the vertex itself. Every accessor is an inline
-/// forward into the Tree's precomputed arrays, so DPs written against this
-/// interface compile to the exact loops they ran before the refactor —
-/// bit-identical outputs, no measurable cost.
+/// A *bag* is one merge node of a decomposition, the unit the frontier DPs
+/// fold over. A bag *introduces* a set of vertices (for trees: exactly
+/// its anchor), folds the frontiers of its child bags into an accumulator via
+/// the convolution chain, and *forgets* the vertices that no longer interact
+/// with anything outside the bag's cone once it closes (for trees: the child
+/// anchors). Solvers run the place/skip decision on the anchor after the
+/// fold.
+///
+/// TreeDecomposition is the zero-overhead width-1 decomposition of a rooted
+/// Tree: one bag per vertex, the schedule is the tree postorder, a bag's
+/// children are the vertex's children and its anchor is the vertex itself.
+/// Every accessor is an inline forward into the Tree's precomputed arrays,
+/// so DPs written against this interface compile to the exact loops they ran
+/// before the refactor — bit-identical outputs, no measurable cost.
 ///
 /// The adapter is a value type wrapping `const Tree*`; it must not outlive
 /// the tree. It holds no other state, so copies are free and one adapter may
@@ -83,6 +76,10 @@ class TreeDecomposition {
   std::size_t internalsInCone(BagId b) const {
     return verticesInCone(b) - clientsInCone(b);
   }
+  BagShape shape(BagId b) const {
+    return {static_cast<std::int32_t>(clientsInCone(b)),
+            static_cast<std::int32_t>(internalsInCone(b)), tree_->depth(b)};
+  }
 
   /// Vertices introduced at bag b: {anchor(b)}, viewed in place as the
   /// one-element slice of the tree's preorder at b's position.
@@ -95,14 +92,12 @@ class TreeDecomposition {
     return tree_->children(b);
   }
 
-  /// Assembled view of one merge node (diagnostics / generic consumers).
-  MergeBag bag(BagId b) const {
-    return {b,           anchor(b),    mergeChildren(b),
-            children(b), introduced(b), forgotten(b)};
-  }
-
  private:
   const Tree* tree_;
 };
+
+/// A child list of a decomposition: the canonical merge order every
+/// reconstructing DP folds in, or the raw order (TreeDecomposition::children).
+using ChildOrder = std::span<const BagId> (TreeDecomposition::*)(BagId) const;
 
 }  // namespace treeplace

@@ -130,6 +130,12 @@ void FrontierConvolver::noteArenaUsage() {
 // QosFrontierSweep
 // --------------------------------------------------------------------------
 
+FrontierSpan QosFrontierSweep::unit() {
+  const std::uint32_t begin = arena_->beginSpan();
+  arena_->push({0, 0, std::numeric_limits<double>::infinity(), -1, -1});
+  return arena_->endSpan(begin);
+}
+
 void QosFrontierSweep::begin(std::int32_t minCount, std::int32_t maxCount,
                              Requests ceiling) {
   const std::int32_t width = std::max(maxCount - minCount + 1, 0);

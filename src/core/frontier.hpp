@@ -5,10 +5,12 @@
 #include <limits>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/decomposition.hpp"
 #include "core/frontier_fwd.hpp"
+#include "support/budget.hpp"
 #include "support/fault_injection.hpp"
 #include "tree/problem.hpp"
 
@@ -17,6 +19,15 @@ namespace treeplace {
 /// Flow ceiling that drops nothing: the default of the merges below for
 /// callers whose states have no bounded absorber above them (relaxations).
 inline constexpr Requests kNoFlowCeiling = std::numeric_limits<Requests>::max();
+
+/// The bounds one merge runs under: counts above `maxCount` cannot be
+/// Pareto-optimal for the caller, and states whose flow exceeds `ceiling`
+/// are dead (see the live-state invariant below). Every policy derives both
+/// from the bag shape (core/bag_steps).
+struct FrontierLimits {
+  std::int32_t maxCount;
+  Requests ceiling;
+};
 
 /// One Pareto point of a subtree DP: with `count` replicas inside the
 /// covered forest, `flow` requests leave it unserved. Frontiers are kept
@@ -164,8 +175,8 @@ class FrontierConvolver {
                                std::int32_t maxCount,
                                Requests ceiling = kNoFlowCeiling);
 
+  FrontierArena& arena() const { return *arena_; }
   const FrontierStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
 
   /// Record the width of a frontier the caller assembled by hand (e.g. the
   /// place/skip options of a DP node, which bypass the bucket sweep).
@@ -210,6 +221,10 @@ class QosFrontierSweep {
  public:
   explicit QosFrontierSweep(QosFrontierArena& arena) : arena_(&arena) {}
 
+  /// The neutral frontier {(count 0, flow 0, infinite slack)} that seeds a
+  /// convolution chain.
+  FrontierSpan unit();
+
   /// Start a batch whose counts lie in [minCount, maxCount]; candidates with
   /// flow above `ceiling` are dead and dropped on add().
   void begin(std::int32_t minCount, std::int32_t maxCount, Requests ceiling);
@@ -230,8 +245,8 @@ class QosFrontierSweep {
   FrontierSpan convolve(FrontierSpan acc, FrontierSpan child, std::int32_t maxCount,
                         double uplink, Requests ceiling);
 
+  QosFrontierArena& arena() const { return *arena_; }
   const FrontierStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
   void noteArenaUsage();
 
  private:
@@ -260,11 +275,10 @@ class QosFrontierSweep {
 
 /// Shared scaffolding of the merge-bag DPs: one frontier span per bag, one
 /// span per (bag, child-prefix) convolution for the backpointer walk, and
-/// the top-down reconstruction itself. Solvers only differ in how they build
-/// a bag's frontier from the final prefix (`place/skip` step), so that part
-/// stays with them; the bookkeeping and the walk live here once. Templated on
-/// the entry type (FrontierEntry / QosFrontierEntry): reconstruction only
-/// needs the two backpointer fields both provide. Runs over any
+/// the top-down reconstruction itself. runFrontierDp below fills it through
+/// a policy's bag step (core/bag_steps). Templated on the entry type
+/// (FrontierEntry / QosFrontierEntry): reconstruction only needs the two
+/// backpointer fields both provide. Runs over any
 /// TreeDecomposition-shaped schedule; the rooted-tree case is the width-1
 /// adapter, where bags coincide with vertices.
 template <typename Entry>
@@ -288,6 +302,8 @@ class BasicFrontierDp {
   FrontierSpan frontier(BagId b) const {
     return frontier_[static_cast<std::size_t>(b)];
   }
+  /// Every bag's frontier, indexed by bag id.
+  std::span<const FrontierSpan> frontiers() const { return frontier_; }
   void setFrontier(BagId b, FrontierSpan span) {
     frontier_[static_cast<std::size_t>(b)] = span;
   }
@@ -346,15 +362,66 @@ class BasicFrontierDp {
   std::vector<std::int32_t> comboOffset_;
 };
 
-class FrontierDp : public BasicFrontierDp<FrontierEntry> {
- public:
-  using BasicFrontierDp::BasicFrontierDp;
-  using BasicFrontierDp::seedClient;
+using FrontierDp = BasicFrontierDp<FrontierEntry>;
 
-  /// Seed a client leaf with its single (0 replicas, r_i flow) point.
-  void seedClient(VertexId v, Requests requests) {
-    seedClient(v, FrontierEntry{0, requests, -1, -1});
+/// The one-shot driver of every frontier policy. Folds the bags of `dp`'s
+/// schedule through `step`, one of the bag steps of core/bag_steps:
+///  - a client bag takes step.seed;
+///  - any other bag convolves its child frontiers, in `order`, into the
+///    chain accumulator under step.chain's limits, recording each prefix for
+///    the backpointer walk, then runs step.placeSkip.
+/// `guard`, when non-null, is ticked once per bag. An empty frontier (some
+/// child has no live state) is carried forward like any other: it empties
+/// every ancestor's accumulator, so the root ends with no entry and the
+/// verdict is infeasible. The incremental driver (online/incremental) does
+/// the same, so both drivers fold the same bags and agree on every frontier.
+/// A DP folded in raw `children` order (the bounds relaxation) records its
+/// prefixes in that order and must not reconstruct.
+template <class Step>
+void runFrontierDp(BasicFrontierDp<typename Step::Entry>& dp,
+                   typename Step::Merger& merger, Step& step, BudgetGuard* guard,
+                   ChildOrder order = &TreeDecomposition::mergeChildren) {
+  const TreeDecomposition& decomp = dp.decomposition();
+  for (const BagId v : decomp.schedule()) {
+    if (guard != nullptr) guard->checkpoint();
+    if (decomp.anchorIsClient(v)) {
+      dp.seedClient(v, step.seed(decomp.anchor(v)));
+      continue;
+    }
+    const BagShape shape = decomp.shape(v);
+    const FrontierLimits limits = step.chain(shape);
+    FrontierSpan acc = merger.unit();
+    const std::span<const BagId> children = (decomp.*order)(v);
+    for (std::size_t ci = 0; ci < children.size(); ++ci) {
+      acc = step.fold(merger, acc, dp.frontier(children[ci]),
+                      decomp.anchor(children[ci]), limits);
+      dp.setCombo(v, ci, acc);
+    }
+    dp.setFrontier(v, step.placeSkip(merger, acc, decomp.anchor(v), shape));
   }
-};
+}
+
+/// A one-shot solve through runFrontierDp on a fresh per-solve arena. Writes
+/// the frontier telemetry into `stats` when non-null. When the instance is
+/// feasible, walks the backpointers from step.rootEntry and calls
+/// onReplica(v) for every replica; returns false when it is infeasible.
+template <class Step, class OnReplica>
+bool solveFrontierDp(const Tree& tree, Step step, FrontierStats* stats,
+                     BudgetGuard* guard, OnReplica&& onReplica) {
+  BasicFrontierArena<typename Step::Entry> arena;
+  arena.reset(4 * tree.vertexCount());
+  typename Step::Merger merger(arena);
+  BasicFrontierDp<typename Step::Entry> dp(TreeDecomposition(tree), arena);
+  runFrontierDp(dp, merger, step, guard);
+  if (stats != nullptr) {
+    merger.noteArenaUsage();
+    *stats = merger.stats();
+  }
+  const std::int32_t rootEntry =
+      step.rootEntry(arena, dp.frontier(dp.decomposition().rootBag()));
+  if (rootEntry < 0) return false;
+  dp.reconstruct(rootEntry, std::forward<OnReplica>(onReplica));
+  return true;
+}
 
 }  // namespace treeplace

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/decomposition.hpp"
 #include "support/budget.hpp"
 #include "tree/problem.hpp"
 
@@ -24,7 +25,7 @@ struct FrontierStreamOptions {
   /// bound. Every surviving point stays achievable, so capped results are
   /// valid upper bounds.
   std::int32_t widthCap = 512;
-  /// Optional shared budget: the driving postorder walk ticks it per visit
+  /// Optional shared budget: the driving preorder sweep ticks it per visit
   /// (throwing SolveInterrupted on a trip) and the streamer charges its slab
   /// high-water against the memory budget. Non-owning; must outlive the run.
   BudgetGuard* guard = nullptr;
@@ -82,10 +83,11 @@ struct StreamCountResult {
 /// O(total entries), at the price of dropping reconstruction backpointers
 /// (the streaming DPs return counts, not placements).
 ///
-/// Protocol, driven by the solver's postorder walk:
+/// Protocol, driven by the preorder sweep (sweepStreamingCount below):
 ///  - pushUnit() opens an internal node's accumulator {(0, 0)};
 ///  - a child frontier is then built on top of the slab (pushEntry for a
-///    leaf, recursively for a subtree) and folded into the accumulator with
+///    leaf; for a subtree, its own node frontier once its accumulator
+///    closes) and folded into the accumulator with
 ///    foldChild(), which convolves the two top frontiers (counts add, flows
 ///    add, bucket scatter + monotone sweep — no sort) and replaces them by
 ///    the capped result, dropping states above the caller's flow ceiling;
@@ -269,15 +271,13 @@ class QosFrontierStreamer {
 };
 
 /// One open internal vertex of a streaming sweep: its accumulator on the
-/// streamer's slab, the shape facts the caps and ceilings derive from, and
-/// the inputs the policy gathered for it.
+/// streamer's slab, the shape its policy's caps and ceilings derive from
+/// (core/bag_steps), and the inputs the policy gathered for it.
 template <class Input>
 struct SweepFrame {
-  std::size_t accBegin;    ///< first slab entry of the accumulator
-  std::int32_t end;        ///< preorder position one past the subtree
-  std::int32_t depth;      ///< hop depth of the vertex (root 0)
-  std::int32_t clients;    ///< clients in the subtree
-  std::int32_t internals;  ///< internal vertices in the subtree, itself included
+  std::size_t accBegin;  ///< first slab entry of the accumulator
+  std::int32_t end;      ///< preorder position one past the subtree
+  BagShape shape;        ///< of the vertex's subtree
   Input input;
 };
 
@@ -303,7 +303,8 @@ inline constexpr std::size_t kSweepBlock = 2048;
 /// internal vertex. A fold that leaves no live state stops the sweep, and
 /// the result is infeasible.
 ///
-/// `step` supplies the policy:
+/// `step` adapts the policy's bag step (core/bag_steps) to the streamer; the
+/// caps, ceilings and place rules are the bag step's:
 ///   Input gather(VertexId v, bool client) const;  // per-vertex values by id
 ///   void seed(const Input& client);       // push a client's frontier
 ///   void placeSkip(const SweepFrame<Input>& node);  // node frontier in place
@@ -328,8 +329,8 @@ StreamCountResult sweepStreamingCount(const Tree& tree, Streamer& streamer, Step
 
   const auto open = [&](std::int32_t pos, const Slot& slot) {
     const auto depth = static_cast<std::int32_t>(stack.size());
-    stack.push_back({streamer.pushUnit(), slot.end, depth, slot.clients,
-                     slot.end - pos - slot.clients, slot.input});
+    stack.push_back({streamer.pushUnit(), slot.end,
+                     {slot.clients, slot.end - pos - slot.clients, depth}, slot.input});
   };
   // Closes the top frame; false when its fold left the parent nothing live.
   const auto close = [&] {

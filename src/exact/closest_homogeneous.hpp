@@ -20,28 +20,22 @@ namespace treeplace {
 /// a subtree and the rest of the tree, and frontier sizes are bounded by the
 /// subtree's client/internal counts, giving an O(n^2) algorithm.
 ///
-/// Frontiers live in a per-solve FrontierArena and children are merged with
-/// the sort-free monotone convolution (see core/frontier.hpp). Pass `stats`
-/// to collect the per-solve frontier telemetry.
+/// The recurrence is ClosestStep (core/bag_steps), run by the one-shot
+/// driver runFrontierDp: frontiers live in a per-solve FrontierArena and
+/// children are merged with the sort-free monotone convolution (see
+/// core/frontier.hpp). Pass `stats` to collect the per-solve frontier
+/// telemetry.
 ///
 /// Returns the optimal placement (with each client assigned to the first
 /// replica on its root path), or std::nullopt when no Closest solution
 /// exists. Requires a homogeneous instance.
 ///
-/// `guard`, when non-null, is ticked once per postorder visit and throws
+/// `guard`, when non-null, is ticked once per bag (vertex) and throws
 /// SolveInterrupted (checkpoint form) on a trip — the DP has no partial
 /// placement to salvage, so budgeted callers catch and degrade.
 std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance,
                                                  FrontierStats* stats = nullptr,
                                                  BudgetGuard* guard = nullptr);
-
-/// The Closest place/skip step of a bag whose child-convolution frontier
-/// `acc` was built under the flow ceiling W (shared by the one-shot and the
-/// incremental DP). Every live state fits a replica on the anchor, and
-/// placing one on the cheapest state — (count + 1, flow 0) — dominates
-/// keeping any costlier state, so the node frontier is {acc[0], its place
-/// point} (prev = 0; child = 1 marks the replica). Empty when acc is.
-FrontierSpan closestPlaceSkip(FrontierArena& arena, FrontierSpan acc);
 
 /// Width-capped streaming variant of the Closest DP (count only, no
 /// placement): the same recurrence runs through a FrontierStreamer stack

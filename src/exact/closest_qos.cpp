@@ -1,164 +1,69 @@
 #include "exact/closest_qos.hpp"
 
-#include <limits>
-
-#include "core/frontier.hpp"
-#include "support/require.hpp"
+#include "core/bag_steps.hpp"
 
 namespace treeplace {
-namespace {
-
-constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
-FrontierSpan qosPlaceSkip(QosFrontierSweep& sweep, const QosFrontierArena& arena,
-                          FrontierSpan acc, Requests W, double compTime) {
-  if (acc.empty()) {
-    sweep.begin(0, -1, W);
-    return sweep.emit();
-  }
-  // acc is count-ascending: the options span [front, back + 1].
-  sweep.begin(arena.at(acc, 0).count, arena.at(acc, acc.size - 1).count + 1, W);
-  for (std::size_t k = 0; k < acc.size; ++k) {
-    const QosFrontierEntry e = arena.at(acc, k);
-    sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
-    if (e.flow <= W && e.slack >= compTime - 1e-9)
-      sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
-  }
-  return sweep.emit();
-}
 
 std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& instance,
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
-  instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-
-  QosFrontierArena arena;
-  arena.reset(4 * n);
-  QosFrontierSweep sweep(arena);
-  const TreeDecomposition decomp(tree);
-  BasicFrontierDp<QosFrontierEntry> dp(decomp, arena);
-
-  const auto publishStats = [&] {
-    if (stats != nullptr) {
-      sweep.noteArenaUsage();
-      *stats = sweep.stats();
-    }
-  };
-
-  for (const BagId v : decomp.schedule()) {
-    if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      // Slack measured at the client itself; its uplink comm is charged when
-      // the entry moves into the parent below.
-      const Requests r = instance.requests[vi];
-      dp.seedClient(v, {0, r, r > 0 ? instance.qos[vi] : kInfiniteSlack, -1, -1});
-      continue;
-    }
-
-    // Replica counts in the bag's cone never exceed its internal-node count,
-    // so that bounds every convolution at this node.
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-
-    // Convolve child bags: each child's frontier first pays its uplink comm.
-    // Candidates go straight into the count-bucketed sweep — no temporary
-    // cross-product vector, no sort. One replica serves whatever the bag
-    // sends up, so states above W are dead and never stored.
-    std::uint32_t accBegin = arena.beginSpan();
-    arena.push({0, 0, kInfiniteSlack, -1, -1});
-    FrontierSpan acc = arena.endSpan(accBegin);
-    const auto children = decomp.mergeChildren(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      acc = sweep.convolve(acc, dp.frontier(child), countCap, uplink, W);
-      if (acc.empty()) {
-        publishStats();
-        return std::nullopt;  // some child has no live state
-      }
-      dp.setCombo(v, ci, acc);
-    }
-    dp.setFrontier(v, qosPlaceSkip(sweep, arena, acc, W, instance.compTime[vi]));
-  }
-
-  publishStats();
-
-  // The pruned frontier holds at most one zero-flow entry (two would dominate
-  // one another through their infinite slack), and it is the cheapest one.
-  const FrontierSpan rootSpan = dp.frontier(decomp.rootBag());
-  std::int32_t bestIdx = -1;
-  for (std::size_t k = 0; k < rootSpan.size; ++k) {
-    if (arena.at(rootSpan, k).flow == 0) {
-      bestIdx = static_cast<std::int32_t>(k);
-      break;
-    }
-  }
-  if (bestIdx < 0) return std::nullopt;
-
-  Placement placement(n);
-  dp.reconstruct(bestIdx,
-                 [&placement](VertexId node) { placement.addReplica(node); });
-
+  const Requests W = homogeneousStepCapacity(instance);
+  Placement placement(instance.tree.vertexCount());
+  if (!solveFrontierDp(instance.tree, ClosestQosStep(instance, W), stats, guard,
+                       [&placement](VertexId node) { placement.addReplica(node); }))
+    return std::nullopt;
   assignClientsToClosest(instance, placement);
   return placement;
 }
 
 StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
                                            const FrontierStreamOptions& options) {
-  instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  const Requests W = homogeneousStepCapacity(instance);
 
   struct QosInput {
-    Requests request;
-    double limit;   ///< client: QoS bound q_i; internal: computation time
+    Requests flow;  ///< client: the seed's flow
+    double limit;   ///< client: the seed's slack; internal: computation time
     double uplink;  ///< comm time of the link to the parent
   };
-  // The exact solver's recurrence on the preorder sweep. A fold can kill
-  // every state (some client unreachable in time, or more than W sent up):
-  // the sweep then stops, infeasible.
-  struct Step {
+  // The ClosestQos bag step on the preorder sweep. A fold can kill every
+  // state (some client unreachable in time, or more than W sent up): the
+  // sweep then stops, infeasible.
+  struct Stream {
     QosFrontierStreamer& streamer;
-    const ProblemInstance& instance;
-    Requests W;
+    ClosestQosStep policy;
 
     QosInput gather(VertexId v, bool client) const {
       const auto vi = static_cast<std::size_t>(v);
-      return client ? QosInput{instance.requests[vi], instance.qos[vi], instance.commTime[vi]}
-                    : QosInput{0, instance.compTime[vi], instance.commTime[vi]};
+      const double uplink = policy.instance->commTime[vi];
+      if (!client) return {0, policy.instance->compTime[vi], uplink};
+      const QosFrontierEntry e = policy.seed(v);
+      return {e.flow, e.slack, uplink};
     }
-    // Slack is measured at the client; the uplink is charged by the fold.
-    void seed(const QosInput& client) {
-      streamer.pushEntry(0, client.request,
-                         client.request > 0 ? client.limit : kInfiniteSlack);
-    }
+    void seed(const QosInput& client) { streamer.pushEntry(0, client.flow, client.limit); }
     void fold(const SweepFrame<QosInput>& parent, std::size_t childBegin,
               const QosInput& child) {
-      streamer.foldChild(parent.accBegin, childBegin, parent.internals, child.uplink, W);
+      const FrontierLimits limits = policy.chain(parent.shape);
+      streamer.foldChild(parent.accBegin, childBegin, limits.maxCount, child.uplink,
+                         limits.ceiling);
     }
     void placeSkip(const SweepFrame<QosInput>& node) {
       streamer.clearCandidates();
       for (std::size_t k = node.accBegin; k < streamer.top(); ++k) {
-        const std::int32_t c = streamer.countAt(k);
-        const Requests f = streamer.flowAt(k);
-        const double s = streamer.slackAt(k);
-        streamer.addCandidate(c, f, s);
-        if (f <= W && s >= node.input.limit - 1e-9)
-          streamer.addCandidate(c + 1, 0, kInfiniteSlack);
+        const QosFrontierEntry e{streamer.countAt(k), streamer.flowAt(k),
+                                 streamer.slackAt(k)};
+        streamer.addCandidate(e.count, e.flow, e.slack);
+        if (policy.placeable(e, node.input.limit)) {
+          const QosFrontierEntry p = ClosestQosStep::placed(e, 0);
+          streamer.addCandidate(p.count, p.flow, p.slack);
+        }
       }
-      streamer.commitPruned(node.accBegin, node.internals, W);
+      const FrontierLimits limits = policy.chain(node.shape);
+      streamer.commitPruned(node.accBegin, limits.maxCount, limits.ceiling);
     }
   };
   QosFrontierStreamer streamer(options);
-  Step step{streamer, instance, W};
-  return sweepStreamingCount(instance.tree, streamer, step, options.guard);
+  Stream stream{streamer, ClosestQosStep(instance, W)};
+  return sweepStreamingCount(instance.tree, streamer, stream, options.guard);
 }
 
 }  // namespace treeplace

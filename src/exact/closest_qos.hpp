@@ -27,28 +27,20 @@ namespace treeplace {
 /// for the hop-count QoS of the paper's experiments (slacks take O(depth)
 /// distinct values).
 ///
-/// Runs on the core/frontier machinery: all frontiers live in one
-/// QosFrontierArena slab and candidates are pruned by the count-bucketed
+/// The recurrence is ClosestQosStep (core/bag_steps), run by the one-shot
+/// driver runFrontierDp: all frontiers live in one QosFrontierArena slab
+/// and candidates are pruned by the count-bucketed
 /// QosFrontierSweep (slack-monotone staircase per count bucket) instead of
 /// the retired sort + pairwise O(k^2) prune. When `stats` is non-null the
 /// per-solve frontier telemetry is written there.
 ///
 /// Returns the optimal placement or std::nullopt when no Closest solution
 /// satisfies capacities and QoS. Requires a homogeneous instance. `guard`,
-/// when non-null, is ticked once per postorder visit and throws
+/// when non-null, is ticked once per bag (vertex) and throws
 /// SolveInterrupted on a trip (see solveClosestHomogeneous).
 std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& instance,
                                                     FrontierStats* stats = nullptr,
                                                     BudgetGuard* guard = nullptr);
-
-/// The Closest+QoS place/skip step of a bag whose child-convolution frontier
-/// `acc` was built under the flow ceiling W (shared by the one-shot and the
-/// incremental DP): every state is kept, and a state whose flow fits W and
-/// whose slack covers the anchor's `compTime` also offers the place point
-/// (count + 1, flow 0, infinite slack). Backpointers: prev = index into acc,
-/// child = 1 when a replica sits on the anchor. Empty when acc is.
-FrontierSpan qosPlaceSkip(QosFrontierSweep& sweep, const QosFrontierArena& arena,
-                          FrontierSpan acc, Requests W, double compTime);
 
 /// Width-capped streaming variant of the QoS DP (count only, no placement):
 /// the same recurrence through a QosFrontierStreamer stack machine, memory

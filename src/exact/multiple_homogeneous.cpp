@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/bag_steps.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -77,9 +78,7 @@ Placement assignMultipleRequests(const ProblemInstance& instance,
 
 std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instance,
                                                   MultipleHomogeneousTrace* trace) {
-  instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  const Requests W = homogeneousStepCapacity(instance);
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
 
@@ -129,21 +128,14 @@ std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instanc
   // subtreeEndIdx[k]: index into `internals` just past subtree(internals[k]).
   std::vector<std::int32_t> subtreeEndIdx(internalCount);
   {
-    std::vector<std::int32_t> prePos(n, 0);
-    const auto& pre = tree.preorder();
-    for (std::size_t i = 0; i < pre.size(); ++i)
-      prePos[static_cast<std::size_t>(pre[i])] = static_cast<std::int32_t>(i);
     std::vector<std::int32_t> intPos(internalCount);
     for (std::size_t k = 0; k < internalCount; ++k)
-      intPos[k] = prePos[static_cast<std::size_t>(internals[k])];
-    for (std::size_t k = 0; k < internalCount; ++k) {
-      const std::int32_t end =
-          intPos[k] + static_cast<std::int32_t>(tree.subtreeSize(internals[k]));
+      intPos[k] = tree.preorderIndex(internals[k]);
+    for (std::size_t k = 0; k < internalCount; ++k)
       subtreeEndIdx[k] = static_cast<std::int32_t>(
           std::lower_bound(intPos.begin() + static_cast<std::ptrdiff_t>(k),
-                           intPos.end(), end) -
+                           intPos.end(), tree.preorderEnd(internals[k])) -
           intPos.begin());
-    }
   }
 
   std::vector<Requests> uflow(n, 0);
@@ -187,79 +179,16 @@ std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instanc
   return assignMultipleRequests(instance, isReplica);
 }
 
-FrontierSpan multiplePlaceSkip(FrontierConvolver& conv, const FrontierArena& arena,
-                               FrontierSpan acc, Requests W, std::int32_t maxCount,
-                               Requests ceiling, std::vector<FrontierEntry>& options) {
-  options.clear();
-  for (std::size_t k = 0; k < acc.size; ++k) {
-    const FrontierEntry e = arena.at(acc, k);
-    options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-    if (e.flow > 0)
-      options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
-                         static_cast<std::int32_t>(k), 1});
-  }
-  return conv.pruneCandidates(options, maxCount, ceiling);
-}
-
 std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& instance,
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
-  instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-
-  FrontierArena arena;
-  arena.reset(4 * n);
-  FrontierConvolver conv(arena);
-  const TreeDecomposition decomp(tree);
-  FrontierDp dp(decomp, arena);
-
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      dp.seedClient(v, instance.requests[vi]);
-      continue;
-    }
-
-    // Replicas sit on distinct internal nodes and a replica absorbing
-    // nothing is dominated, so Pareto counts never exceed the internal-node
-    // count of the covered forest.
-    const std::size_t internalsBelow = decomp.internalsInCone(v);
-    const auto forestCap = static_cast<std::int32_t>(internalsBelow - 1);
-    // Flow the bag sends up is absorbed by its depth ancestors at most W
-    // each; the chain's flow may still meet a replica on the anchor itself.
-    const Requests nodeCeiling = W * tree.depth(decomp.anchor(v));
-
-    FrontierSpan acc = conv.unit();
-    const auto children = decomp.mergeChildren(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap, nodeCeiling + W);
-      dp.setCombo(v, ci, acc);
-    }
-    dp.setFrontier(v, multiplePlaceSkip(conv, arena, acc, W,
-                                        static_cast<std::int32_t>(internalsBelow),
-                                        nodeCeiling, options));
-  }
-
-  if (stats != nullptr) {
-    conv.noteArenaUsage();
-    *stats = conv.stats();
-  }
-
-  const FrontierSpan rootSpan = dp.frontier(decomp.rootBag());
-  if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
+  const Requests W = homogeneousStepCapacity(instance);
+  std::vector<char> isReplica(instance.tree.vertexCount(), 0);
+  if (!solveFrontierDp(instance.tree, MultipleStep(instance, W), stats, guard,
+                       [&isReplica](VertexId node) {
+                         isReplica[static_cast<std::size_t>(node)] = 1;
+                       }))
     return std::nullopt;
-
-  std::vector<char> isReplica(n, 0);
-  dp.reconstruct(static_cast<std::int32_t>(rootSpan.size - 1),
-                 [&isReplica](VertexId node) {
-                   isReplica[static_cast<std::size_t>(node)] = 1;
-                 });
-
   return assignMultipleRequests(instance, isReplica);
 }
 
@@ -271,44 +200,41 @@ std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& in
 
 StreamCountResult countMultipleHomogeneousStreaming(
     const ProblemInstance& instance, const FrontierStreamOptions& options) {
-  instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+  const Requests W = homogeneousStepCapacity(instance);
 
-  // The arena DP's recurrence on the preorder sweep: counts are bounded by
-  // the internal vertices below (the node itself only once it may place),
-  // and a node's depth ancestors absorb at most W * depth of its flow — a
-  // fold that keeps nothing under that ceiling stops the sweep, infeasible.
-  struct Step {
+  // The Multiple bag step on the preorder sweep: a fold that keeps nothing
+  // under the chain's ceiling stops the sweep, infeasible.
+  struct Stream {
     FrontierStreamer& streamer;
-    const std::vector<Requests>& requests;
-    Requests W;
+    MultipleStep policy;
 
-    Requests gather(VertexId v, bool client) const {
-      return client ? requests[static_cast<std::size_t>(v)] : 0;
+    FrontierEntry gather(VertexId v, bool client) const {
+      return client ? policy.seed(v) : FrontierEntry{};
     }
-    void seed(Requests request) { streamer.pushEntry(0, request); }
-    void fold(const SweepFrame<Requests>& parent, std::size_t childBegin, Requests) {
-      streamer.foldChild(parent.accBegin, childBegin, parent.internals - 1,
-                         W * parent.depth + W);
+    void seed(const FrontierEntry& e) { streamer.pushEntry(e.count, e.flow); }
+    void fold(const SweepFrame<FrontierEntry>& parent, std::size_t childBegin,
+              const FrontierEntry&) {
+      const FrontierLimits limits = policy.chain(parent.shape);
+      streamer.foldChild(parent.accBegin, childBegin, limits.maxCount, limits.ceiling);
     }
-    // Place/skip as in multiplePlaceSkip: a replica at the node absorbs
-    // min(flow, W), so every state offers (count + 1, max(0, flow - W)) —
-    // the general candidate prune, not Closest's two-point step.
-    void placeSkip(const SweepFrame<Requests>& node) {
+    // The general candidate prune, not Closest's two-point step.
+    void placeSkip(const SweepFrame<FrontierEntry>& node) {
       streamer.clearCandidates();
       for (std::size_t k = node.accBegin; k < streamer.top(); ++k) {
-        const std::int32_t c = streamer.countAt(k);
-        const Requests f = streamer.flowAt(k);
-        streamer.addCandidate(c, f);
-        if (f > 0) streamer.addCandidate(c + 1, std::max<Requests>(0, f - W));
+        const FrontierEntry e{streamer.countAt(k), streamer.flowAt(k)};
+        streamer.addCandidate(e.count, e.flow);
+        if (MultipleStep::placeable(e, policy.W)) {
+          const FrontierEntry p = MultipleStep::placed(e, 0, policy.W);
+          streamer.addCandidate(p.count, p.flow);
+        }
       }
-      streamer.commitPruned(node.accBegin, node.internals, W * node.depth);
+      const FrontierLimits limits = policy.node(node.shape);
+      streamer.commitPruned(node.accBegin, limits.maxCount, limits.ceiling);
     }
   };
   FrontierStreamer streamer(options);
-  Step step{streamer, instance.requests, W};
-  return sweepStreamingCount(instance.tree, streamer, step, options.guard);
+  Stream stream{streamer, MultipleStep(instance, W)};
+  return sweepStreamingCount(instance.tree, streamer, stream, options.guard);
 }
 
 }  // namespace treeplace

@@ -35,23 +35,13 @@ std::optional<Placement> solveMultipleHomogeneous(
 /// replica at a node absorbs min(flow, W). Same optimal replica count as the
 /// 3-pass algorithm — kept as a cross-check of both the greedy and the
 /// frontier machinery, and as the template for frontier-based extensions.
-/// Pass `stats` to collect per-solve frontier telemetry. `guard`, when
-/// non-null, is ticked once per postorder visit and throws SolveInterrupted
-/// on a trip (see solveClosestHomogeneous).
+/// The recurrence is MultipleStep (core/bag_steps), run by the one-shot
+/// driver runFrontierDp. Pass `stats` to collect per-solve frontier
+/// telemetry. `guard`, when non-null, is ticked once per bag (vertex) and
+/// throws SolveInterrupted on a trip (see solveClosestHomogeneous).
 std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& instance,
                                                     FrontierStats* stats = nullptr,
                                                     BudgetGuard* guard = nullptr);
-
-/// The Multiple place/skip step of the frontier DP (shared by the one-shot
-/// and the incremental solver): a replica on the anchor absorbs min(flow, W),
-/// so every state of `acc` offers keep (count, flow) and place (count + 1,
-/// max(0, flow - W)). The options are pruned to counts <= maxCount and flows
-/// <= ceiling — W * depth(anchor), all the anchor's ancestors can absorb.
-/// Backpointers: prev = index into acc, child = 1 when a replica sits on the
-/// anchor. `options` is caller-owned scratch.
-FrontierSpan multiplePlaceSkip(FrontierConvolver& conv, const FrontierArena& arena,
-                               FrontierSpan acc, Requests W, std::int32_t maxCount,
-                               Requests ceiling, std::vector<FrontierEntry>& options);
 
 /// Minimal number of replicas, or nullopt if infeasible — convenience wrapper.
 std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& instance);

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "exact/closest_homogeneous.hpp"
-#include "exact/closest_qos.hpp"
-#include "exact/multiple_homogeneous.hpp"
 #include "support/fault_injection.hpp"
 #include "support/require.hpp"
 #include "support/stats.hpp"
@@ -18,19 +15,6 @@ double millis(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// The exact solver the incremental engine mirrors (NOT the 3-pass greedy:
-/// only the frontier DP twin reconstructs the same replica set bit-for-bit).
-std::optional<Placement> scratchSolve(const ProblemInstance& instance,
-                                      OnlinePolicy policy) {
-  switch (policy) {
-    case OnlinePolicy::Closest: return solveClosestHomogeneous(instance);
-    case OnlinePolicy::Multiple: return solveMultipleHomogeneousDP(instance);
-    case OnlinePolicy::ClosestQos: return solveClosestHomogeneousQos(instance);
-  }
-  TREEPLACE_REQUIRE(false, "unknown online policy");
-  return std::nullopt;
 }
 
 VertexId randomClient(const ProblemInstance& instance, Prng& rng) {
@@ -176,7 +160,7 @@ MutationRunResult runMutationWorkload(ProblemInstance& instance,
 
     if (config.verifyScratch) {
       const auto t1 = std::chrono::steady_clock::now();
-      const std::optional<Placement> scratch = scratchSolve(instance, config.policy);
+      const std::optional<Placement> scratch = solveOneShot(instance, config.policy);
       record.scratchMs = millis(t1);
       scratchMs.push_back(record.scratchMs);
       record.scratchFeasible = scratch.has_value();

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <utility>
 
+#include "core/bag_steps.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
@@ -12,6 +12,26 @@
 
 namespace treeplace {
 namespace detail {
+namespace {
+
+/// The flat combo-table layout of a schedule: each bag's first slot and its
+/// merge-child count. Returns the table size.
+std::int32_t layoutCombos(const TreeDecomposition& decomp,
+                          std::vector<std::int32_t>& offset,
+                          std::vector<std::int32_t>& count) {
+  offset.assign(decomp.bagCount(), 0);
+  count.assign(decomp.bagCount(), 0);
+  std::int32_t running = 0;
+  for (const BagId v : decomp.schedule()) {
+    const auto vi = static_cast<std::size_t>(v);
+    offset[vi] = running;
+    count[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
+    running += count[vi];
+  }
+  return running;
+}
+
+}  // namespace
 
 template <typename Entry>
 void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
@@ -37,15 +57,7 @@ void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
   comboOffset.clear();
   comboCount.clear();
   if (!withCombos) return;
-  comboOffset.assign(n, 0);
-  comboCount.assign(n, 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    comboOffset[vi] = running;
-    comboCount[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += comboCount[vi];
-  }
+  const std::int32_t running = layoutCombos(decomp, comboOffset, comboCount);
   comboSpans.assign(static_cast<std::size_t>(running), FrontierSpan{});
   comboChild.assign(static_cast<std::size_t>(running), kNoVertex);
 }
@@ -63,15 +75,9 @@ void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
   chosenEpoch.resize(n, 0);
   replicaBit.resize(n, 0);
   if (!withCombos) return;
-  std::vector<std::int32_t> newOffset(n, 0);
-  std::vector<std::int32_t> newCount(n, 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    newOffset[vi] = running;
-    newCount[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += newCount[vi];
-  }
+  std::vector<std::int32_t> newOffset;
+  std::vector<std::int32_t> newCount;
+  const std::int32_t running = layoutCombos(decomp, newOffset, newCount);
   std::vector<FrontierSpan> newSpans(static_cast<std::size_t>(running));
   std::vector<VertexId> newChild(static_cast<std::size_t>(running), kNoVertex);
   // Old vertices keep their prefix-convolution spans together with the child
@@ -110,8 +116,6 @@ struct IncumbentBuffer {
 }  // namespace detail
 
 namespace {
-
-constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
 
 /// Hand out `buffer`'s placement as an immutable snapshot. The lease keeps
 /// the buffer alive past the solver and clears `held` once the last holder
@@ -194,7 +198,86 @@ void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree
   ++stats.compactions;
 }
 
+/// The incremental driver of every frontier policy. Recomputes the stale
+/// bags of `visit` (in schedule order) through the policy's bag step, as
+/// runFrontierDp (core/frontier) would, so every recomputed frontier is
+/// bit-identical to a scratch solve's, empty ones included. The one
+/// difference: a cache with combo tables reuses the clean prefix of a bag's
+/// chain. The cached chain is exact up to the first slot whose recorded
+/// child diverges from the current child order, or whose child frontier was
+/// recomputed after the chain was built (children run first, so their
+/// stamps are current). The chain's limits are part of the key: the ceiling
+/// derives from W, so a capacity change re-convolves every chain.
+/// `guard` is ticked BEFORE a bag is stamped, so an interrupted refresh
+/// leaves that bag dirty and everything already recomputed exact. Returns
+/// the number of bags recomputed.
+template <class Step>
+std::size_t refreshFrontiers(detail::FrontierCacheState<typename Step::Entry>& cache,
+                             Step& step, const TreeDecomposition& decomp,
+                             const DirtyTracker& tracker,
+                             std::span<const BagId> visit, BudgetGuard* guard,
+                             ChildOrder order) {
+  typename Step::Merger merger(cache.arena);
+  const bool withCombos = !cache.comboOffset.empty();
+  std::size_t misses = 0;
+  for (const BagId v : visit) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (cache.computedEpoch[vi] >= tracker.dirtySince(v)) continue;
+    if (guard != nullptr) guard->checkpoint();
+    ++misses;
+    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
+    cache.computedEpoch[vi] = tracker.epoch();
+
+    if (decomp.anchorIsClient(v)) {
+      const std::uint32_t begin = cache.arena.beginSpan();
+      cache.arena.push(step.seed(decomp.anchor(v)));
+      cache.frontier[vi] = cache.arena.endSpan(begin);
+      continue;
+    }
+
+    const BagShape shape = decomp.shape(v);
+    const FrontierLimits limits = step.chain(shape);
+    const std::span<const BagId> children = (decomp.*order)(v);
+    const auto base = withCombos ? static_cast<std::size_t>(cache.comboOffset[vi]) : 0;
+    std::size_t f = 0;
+    if (withCombos && prevEpoch > 0 && cache.comboCap[vi] == limits.maxCount &&
+        cache.comboCeiling[vi] == limits.ceiling) {
+      while (f < children.size() && cache.comboChild[base + f] == children[f] &&
+             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
+        ++f;
+    }
+    FrontierSpan acc = f == 0 ? merger.unit() : cache.comboSpans[base + f - 1];
+    for (std::size_t ci = f; ci < children.size(); ++ci) {
+      const BagId child = children[ci];
+      acc = step.fold(merger, acc, cache.frontier[static_cast<std::size_t>(child)],
+                      decomp.anchor(child), limits);
+      if (withCombos) {
+        cache.comboSpans[base + ci] = acc;
+        cache.comboChild[base + ci] = child;
+      }
+    }
+    if (withCombos) {
+      cache.comboCap[vi] = limits.maxCount;
+      cache.comboCeiling[vi] = limits.ceiling;
+    }
+    cache.frontier[vi] = step.placeSkip(merger, acc, decomp.anchor(v), shape);
+  }
+  return misses;
+}
+
 }  // namespace
+
+std::optional<Placement> solveOneShot(const ProblemInstance& instance,
+                                      OnlinePolicy policy, BudgetGuard* guard) {
+  switch (policy) {
+    case OnlinePolicy::Closest: return solveClosestHomogeneous(instance, nullptr, guard);
+    case OnlinePolicy::Multiple: return solveMultipleHomogeneousDP(instance, nullptr, guard);
+    case OnlinePolicy::ClosestQos:
+      return solveClosestHomogeneousQos(instance, nullptr, guard);
+  }
+  TREEPLACE_REQUIRE(false, "unknown online policy");
+  return std::nullopt;
+}
 
 IncrementalSolver::IncrementalSolver(ProblemInstance& instance, OnlinePolicy policy)
     : instance_(&instance), policy_(policy),
@@ -280,7 +363,7 @@ DeltaApplication IncrementalSolver::applyWithoutInvalidation(
 
 std::shared_ptr<const Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
   try {
-    return policy_ == OnlinePolicy::ClosestQos ? resolveQos(guard) : resolve2d(guard);
+    return resolveOnce(guard);
   } catch (const SolveInterrupted&) {
     // Budget trips are clean by construction (the checkpoint precedes the
     // vertex stamp): caches and dirty set are exact, so the verdict goes
@@ -295,8 +378,7 @@ std::shared_ptr<const Placement> IncrementalSolver::resolve(BudgetGuard* guard) 
     ++stats_.scratchFallbacks;
     invalidateCaches();
     try {
-      return policy_ == OnlinePolicy::ClosestQos ? resolveQos(guard)
-                                                 : resolve2d(guard);
+      return resolveOnce(guard);
     } catch (...) {
       invalidateCaches();  // leave a coherent (empty) state for the next call
       throw;
@@ -322,11 +404,6 @@ void IncrementalSolver::invalidateCaches() {
   journalClients_.clear();
   backStale_ = true;
   assignRebuildNeeded_ = true;
-}
-
-template <typename Entry>
-void IncrementalSolver::maybeCompact(detail::FrontierCacheState<Entry>& cache) {
-  compactIfBloated(cache, instance_->tree, tracker_, stats_);
 }
 
 Requests IncrementalSolver::foldCapacity() const {
@@ -395,245 +472,53 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
   }
 }
 
-// The 2-D policies share one body: same convolution chain as the exact
-// solvers (solveClosestHomogeneous / solveMultipleHomogeneousDP), same
-// place/skip steps, run only over dirty vertices. Because the merges go
-// through the very same FrontierConvolver, every recomputed frontier is
-// bit-identical to what a scratch solve would build — the incremental
-// placement therefore *equals* the scratch placement, not merely its cost.
-std::shared_ptr<const Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
-  const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
+std::shared_ptr<const Placement> IncrementalSolver::resolveOnce(BudgetGuard* guard) {
   const Requests W = foldCapacity();
-
-  auto& cache = cache2d_;
-  maybeCompact(cache);
-  auto& arena = cache.arena;
-  FrontierConvolver conv(arena);
-  const TreeDecomposition decomp(tree);
-
-  std::vector<FrontierEntry> options;
-  std::size_t misses = 0;
-  const auto recompute = [&](BagId v) {
-    // Safepoint BEFORE the epoch stamp: an interrupted resolve leaves this
-    // bag dirty and everything already recomputed exact.
-    if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(v);
-    ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
-    cache.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push(
-          {0, instance.requests[static_cast<std::size_t>(decomp.anchor(v))], -1,
-           -1});
-      cache.frontier[vi] = arena.endSpan(begin);
-      return;
-    }
-
-    const std::size_t clientsBelow = decomp.clientsInCone(v);
-    const std::size_t internalsBelow = decomp.internalsInCone(v);
-    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[vi]);
-    const std::span<const BagId> children = decomp.mergeChildren(v);
-
-    // Prefix reuse: the cached combo chain is still exact up to the first
-    // slot whose recorded child diverges from the current merge order or
-    // whose child frontier was recomputed after the chain was built
-    // (children run first in postorder, so their stamps are current). The
-    // chain's flow ceiling is part of the key: W bounds every stored state,
-    // so a capacity change re-convolves the chain too.
-    const auto reuseChain = [&](std::int32_t cap, Requests ceiling) -> FrontierSpan {
-      std::size_t f = 0;
-      if (prevEpoch > 0 && cache.comboCap[vi] == cap &&
-          cache.comboCeiling[vi] == ceiling) {
-        while (f < children.size() &&
-               cache.comboChild[comboBase + f] == children[f] &&
-               cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-          ++f;
-      }
-      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
-      for (std::size_t ci = f; ci < children.size(); ++ci) {
-        acc = conv.convolve(
-            acc, cache.frontier[static_cast<std::size_t>(children[ci])], cap, ceiling);
-        cache.comboSpans[comboBase + ci] = acc;
-        cache.comboChild[comboBase + ci] = children[ci];
-      }
-      cache.comboCap[vi] = cap;
-      cache.comboCeiling[vi] = ceiling;
-      return acc;
-    };
-
-    if (policy_ == OnlinePolicy::Closest) {
-      const auto forestCap =
-          static_cast<std::int32_t>(std::min(clientsBelow, internalsBelow - 1));
-      cache.frontier[vi] = closestPlaceSkip(arena, reuseChain(forestCap, W));
-    } else {
-      const Requests nodeCeiling = W * tree.depth(decomp.anchor(v));
-      const FrontierSpan acc =
-          reuseChain(static_cast<std::int32_t>(internalsBelow - 1), nodeCeiling + W);
-      cache.frontier[vi] =
-          multiplePlaceSkip(conv, arena, acc, W,
-                            static_cast<std::int32_t>(internalsBelow), nodeCeiling,
-                            options);
-    }
-  };
-
-  // A global invalidation (or the first solve) sweeps everything; otherwise
-  // exactly the stamped bags, in schedule order, are recomputed — the clean
-  // rest of the tree is never even looked at.
-  if (pendingGlobal_) {
-    for (const BagId v : decomp.schedule()) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
-  } else {
-    orderPendingDirty();
-    for (const VertexId v : pendingDirty_) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
+  switch (policy_) {
+    case OnlinePolicy::Closest:
+      return resolveWith(cache2d_, ClosestStep(*instance_, W), guard);
+    case OnlinePolicy::Multiple:
+      return resolveWith(cache2d_, MultipleStep(*instance_, W), guard);
+    case OnlinePolicy::ClosestQos:
+      return resolveWith(cacheQos_, ClosestQosStep(*instance_, W), guard);
   }
+  TREEPLACE_REQUIRE(false, "unknown online policy");
+  return nullptr;
+}
+
+// A global invalidation (or the first solve) sweeps the whole schedule;
+// otherwise exactly the stamped bags, in schedule order, are recomputed —
+// the clean rest of the tree is never even looked at.
+template <class Step>
+std::shared_ptr<const Placement> IncrementalSolver::resolveWith(
+    detail::FrontierCacheState<typename Step::Entry>& cache, Step step,
+    BudgetGuard* guard) {
+  const TreeDecomposition decomp(instance_->tree);
+  compactIfBloated(cache, instance_->tree, tracker_, stats_);
+  std::span<const BagId> visit = decomp.schedule();
+  if (!pendingGlobal_) {
+    orderPendingDirty();
+    visit = pendingDirty_;
+  }
+  const std::size_t misses = refreshFrontiers(cache, step, decomp, tracker_, visit,
+                                              guard, &TreeDecomposition::mergeChildren);
   pendingDirty_.clear();
   pendingGlobal_ = false;
   stats_.misses += misses;
-  stats_.hits += n - misses;
+  stats_.hits += decomp.bagCount() - misses;
+  stats_.arenaEntries = cache.arena.entryCount();
+  stats_.arenaBytes = cache.arena.bytes();
 
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  const FrontierSpan rootSpan =
-      cache.frontier[static_cast<std::size_t>(decomp.rootBag())];
-  if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
-    return nullptr;
+  const std::int32_t rootEntry = step.rootEntry(
+      cache.arena, cache.frontier[static_cast<std::size_t>(decomp.rootBag())]);
+  if (rootEntry < 0) return nullptr;
 
   flips_.clear();
-  reconstruct(cache, static_cast<std::int32_t>(rootSpan.size - 1));
-
+  reconstruct(cache, rootEntry);
   if (policy_ == OnlinePolicy::Multiple)
     refreshMultipleAssignment(cache.replicaBit);
   else
     refreshClosestAssignment(cache.replicaBit);
-  return published_;
-}
-
-// Incremental twin of solveClosestHomogeneousQos. One deliberate divergence:
-// the one-shot solver aborts as soon as a fold kills every state, while this
-// loop carries the empty span forward — an empty child frontier empties every
-// ancestor accumulator, so the root frontier ends without a zero-flow entry
-// and the verdict (infeasible) is identical, but the cache stays coherent for
-// the next mutation.
-std::shared_ptr<const Placement> IncrementalSolver::resolveQos(BudgetGuard* guard) {
-  const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  const Requests W = foldCapacity();
-
-  auto& cache = cacheQos_;
-  maybeCompact(cache);
-  auto& arena = cache.arena;
-  QosFrontierSweep sweep(arena);
-  const TreeDecomposition decomp(tree);
-
-  std::size_t misses = 0;
-  const auto recompute = [&](BagId v) {
-    if (guard != nullptr) guard->checkpoint();  // before the stamp, as in resolve2d
-    const auto vi = static_cast<std::size_t>(v);
-    ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
-    cache.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const auto ai = static_cast<std::size_t>(decomp.anchor(v));
-      const Requests r = instance.requests[ai];
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push({0, r, r > 0 ? instance.qos[ai] : kInfiniteSlack, -1, -1});
-      cache.frontier[vi] = arena.endSpan(begin);
-      return;
-    }
-
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[vi]);
-    const std::span<const BagId> children = decomp.mergeChildren(v);
-
-    // Prefix reuse, as in resolve2d: uplinks are immutable and compTime
-    // enters only the place step, so the cached chain is exact up to the
-    // first slot whose recorded child diverges from the merge order or was
-    // recomputed after the chain was built — provided it was built under the
-    // same count cap and flow ceiling (W).
-    std::size_t f = 0;
-    if (prevEpoch > 0 && cache.comboCap[vi] == countCap &&
-        cache.comboCeiling[vi] == W) {
-      while (f < children.size() &&
-             cache.comboChild[comboBase + f] == children[f] &&
-             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-    }
-    FrontierSpan acc;
-    if (f == 0) {
-      const std::uint32_t accBegin = arena.beginSpan();
-      arena.push({0, 0, kInfiniteSlack, -1, -1});
-      acc = arena.endSpan(accBegin);
-    } else {
-      acc = cache.comboSpans[comboBase + f - 1];
-    }
-    for (std::size_t ci = f; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      acc = sweep.convolve(acc, cache.frontier[static_cast<std::size_t>(child)],
-                           countCap, uplink, W);
-      cache.comboSpans[comboBase + ci] = acc;
-      cache.comboChild[comboBase + ci] = children[ci];
-    }
-    cache.comboCap[vi] = countCap;
-    cache.comboCeiling[vi] = W;
-
-    cache.frontier[vi] = qosPlaceSkip(
-        sweep, arena, acc, W,
-        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))]);
-  };
-
-  if (pendingGlobal_) {
-    for (const BagId v : decomp.schedule()) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
-  } else {
-    orderPendingDirty();
-    for (const VertexId v : pendingDirty_) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
-  }
-  pendingDirty_.clear();
-  pendingGlobal_ = false;
-  stats_.misses += misses;
-  stats_.hits += n - misses;
-
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  // The cheapest zero-flow entry is the first one (cf. solveClosestHomogeneousQos).
-  const FrontierSpan rootSpan =
-      cache.frontier[static_cast<std::size_t>(decomp.rootBag())];
-  std::int32_t bestIdx = -1;
-  for (std::size_t k = 0; k < rootSpan.size; ++k) {
-    if (arena.at(rootSpan, k).flow == 0) {
-      bestIdx = static_cast<std::int32_t>(k);
-      break;
-    }
-  }
-  if (bestIdx < 0) return nullptr;
-
-  flips_.clear();
-  reconstruct(cache, bestIdx);
-  refreshClosestAssignment(cache.replicaBit);
   return published_;
 }
 
@@ -984,147 +869,23 @@ DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
 }
 
 // Incremental twin of FrontierSubtreeRelaxation::build: the frontier pass is
-// memoized per subtree (the expensive part), while the derived scalar passes
-// — ancestor capacities, per-subtree floors, the decomposition bound — are
-// linear scans recomputed wholesale.
+// memoized per subtree (the expensive part) and folds in raw child order, as
+// the one-shot does; the derived passes are linear scans recomputed
+// wholesale.
 void IncrementalBounds::refresh() {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  minReplicas_.assign(n, 0);
-
   compactIfBloated(cache_, tree, tracker_, stats_);
-  auto& arena = cache_.arena;
-  FrontierConvolver conv(arena);
   const TreeDecomposition decomp(tree);
-
-  // Raw child order, matching FrontierSubtreeRelaxation::build — no replay,
-  // no reconstruction, so canonical merge order buys nothing here.
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (cache_.computedEpoch[vi] >= tracker_.dirtySince(v)) {
-      ++stats_.hits;
-      continue;
-    }
-    ++stats_.misses;
-    cache_.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push(
-          {0, instance.requests[static_cast<std::size_t>(decomp.anchor(v))], -1,
-           -1});
-      cache_.frontier[vi] = arena.endSpan(begin);
-      continue;
-    }
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    FrontierSpan acc = conv.unit();
-    for (const BagId child : decomp.children(v))
-      acc = conv.convolve(acc, cache_.frontier[static_cast<std::size_t>(child)],
-                          internalsBelow);
-    options.clear();
-    const Requests cap = instance.capacity[vi];
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, -1, -1});
-      if (cap > 0 && e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - cap), -1, -1});
-    }
-    cache_.frontier[vi] = conv.pruneCandidates(options, internalsBelow);
-  }
-
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  // Derived passes, verbatim from FrontierSubtreeRelaxation::build.
-  feasible_ = true;
-  std::vector<Requests> ancestorCapacity(n, 0);
-  for (const VertexId v : tree.preorder()) {
-    const VertexId p = tree.parent(v);
-    if (p == kNoVertex) continue;
-    const auto pi = static_cast<std::size_t>(p);
-    ancestorCapacity[static_cast<std::size_t>(v)] =
-        ancestorCapacity[pi] + instance.capacity[pi];
-  }
-
-  for (const VertexId v : tree.internals()) {
-    const auto vi = static_cast<std::size_t>(v);
-    const std::span<const FrontierEntry> f = arena.view(cache_.frontier[vi]);
-    std::int32_t r = -1;
-    for (const FrontierEntry& e : f) {  // flow decreases: first hit is cheapest
-      if (e.flow <= ancestorCapacity[vi]) {
-        r = e.count;
-        break;
-      }
-    }
-    if (r < 0) {
-      feasible_ = false;
-      r = static_cast<std::int32_t>(tree.subtreeSize(v) -
-                                    tree.clientsInSubtree(v).size());
-    }
-    minReplicas_[vi] = r;
-  }
-
-  const auto& internals = tree.internals();
-  const std::size_t internalCount = internals.size();
-  std::vector<std::int32_t> prePos(n, 0);
-  {
-    const auto& pre = tree.preorder();
-    for (std::size_t i = 0; i < pre.size(); ++i)
-      prePos[static_cast<std::size_t>(pre[i])] = static_cast<std::int32_t>(i);
-  }
-  std::vector<std::int32_t> intPos(internalCount);
-  std::vector<double> intCosts(internalCount);
-  std::vector<std::size_t> intIndex(n, 0);
-  for (std::size_t k = 0; k < internalCount; ++k) {
-    const auto vi = static_cast<std::size_t>(internals[k]);
-    intPos[k] = prePos[vi];
-    intCosts[k] = instance.storageCost[vi];
-    intIndex[vi] = k;
-  }
-  std::vector<double> minCostBelow(n, 0.0);
-  std::vector<double> maxCostBelow(n, 0.0);
-  std::vector<double> best(n, 0.0);
-  std::vector<double> costScratch;
-  for (const VertexId v : tree.postorder()) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (tree.isClient(v)) continue;
-    double childSum = 0.0;
-    minCostBelow[vi] = maxCostBelow[vi] = instance.storageCost[vi];
-    for (const VertexId c : tree.children(v)) {
-      const auto ci = static_cast<std::size_t>(c);
-      childSum += best[ci];
-      if (tree.isInternal(c)) {
-        minCostBelow[vi] = std::min(minCostBelow[vi], minCostBelow[ci]);
-        maxCostBelow[vi] = std::max(maxCostBelow[vi], maxCostBelow[ci]);
-      }
-    }
-    double own = 0.0;
-    if (minReplicas_[vi] > 0) {
-      const std::size_t k = intIndex[vi];
-      const auto endPos =
-          prePos[vi] + static_cast<std::int32_t>(tree.subtreeSize(v));
-      const auto endIdx = static_cast<std::size_t>(
-          std::lower_bound(intPos.begin() + static_cast<std::ptrdiff_t>(k),
-                           intPos.end(), endPos) -
-          intPos.begin());
-      const std::size_t r =
-          std::min(static_cast<std::size_t>(minReplicas_[vi]), endIdx - k);
-      if (minCostBelow[vi] == maxCostBelow[vi]) {
-        own = static_cast<double>(r) * minCostBelow[vi];
-      } else {
-        costScratch.assign(intCosts.begin() + static_cast<std::ptrdiff_t>(k),
-                          intCosts.begin() + static_cast<std::ptrdiff_t>(endIdx));
-        std::partial_sort(costScratch.begin(),
-                          costScratch.begin() + static_cast<std::ptrdiff_t>(r),
-                          costScratch.end());
-        for (std::size_t i = 0; i < r; ++i) own += costScratch[i];
-      }
-    }
-    best[vi] = std::max(own, childSum);
-  }
-  decompositionBound_ = best[static_cast<std::size_t>(tree.root())];
+  RelaxationStep step(instance);
+  const std::size_t misses =
+      refreshFrontiers(cache_, step, decomp, tracker_, decomp.schedule(), nullptr,
+                       &TreeDecomposition::children);
+  stats_.misses += misses;
+  stats_.hits += decomp.bagCount() - misses;
+  stats_.arenaEntries = cache_.arena.entryCount();
+  stats_.arenaBytes = cache_.arena.bytes();
+  floors_ = deriveSubtreeFloors(instance, cache_.arena, cache_.frontier);
 }
 
 }  // namespace treeplace

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
+#include "core/bounds.hpp"
 #include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "online/delta.hpp"
@@ -31,6 +33,13 @@ constexpr std::string_view toString(OnlinePolicy policy) {
   }
   return "?";
 }
+
+/// The one-shot exact solver `policy` names: the frontier DP an incremental
+/// solve is bit-identical to (for Multiple that is solveMultipleHomogeneousDP,
+/// not the 3-pass greedy). `guard` is ticked once per bag, as in
+/// solveClosestHomogeneous.
+std::optional<Placement> solveOneShot(const ProblemInstance& instance,
+                                      OnlinePolicy policy, BudgetGuard* guard = nullptr);
 
 /// Telemetry of a memoized frontier cache (see experiments/report for
 /// rendering). hits/misses count per-vertex subtree results across all
@@ -121,10 +130,12 @@ struct IncumbentBuffer;
 /// convolutions the reconstruction walk needs) in a persistent arena, keyed
 /// by epoch counters: a mutation stamps only the touched vertices and their
 /// root paths (DirtyTracker), so a re-solve recomputes O(depth) frontiers
-/// instead of O(s) and reuses everything else. Recomputation runs the exact
-/// solvers' own merge code (FrontierConvolver / QosFrontierSweep), so the
-/// incremental placement is bit-identical to a from-scratch solve after
-/// every step — the equivalence tests pin this down per policy.
+/// instead of O(s) and reuses everything else. One driver serves all three
+/// policies: it recomputes a stale bag through the policy's bag step
+/// (core/bag_steps), the very step the one-shot solver runs, so every
+/// recomputed frontier and the incremental placement are bit-identical to a
+/// from-scratch solve after every step — the equivalence tests pin this
+/// down per policy.
 ///
 /// The instance is shared with the caller (scratch comparisons and the
 /// mutation driver read it); it must outlive the solver and mutate only
@@ -179,14 +190,17 @@ class IncrementalSolver {
 
  private:
   void noteDelta(const DeltaApplication& app);
-  std::shared_ptr<const Placement> resolve2d(BudgetGuard* guard);
-  std::shared_ptr<const Placement> resolveQos(BudgetGuard* guard);
+  /// One resolve attempt through the policy's bag step (resolve() adds the
+  /// scratch fallback).
+  std::shared_ptr<const Placement> resolveOnce(BudgetGuard* guard);
+  template <class Step>
+  std::shared_ptr<const Placement> resolveWith(
+      detail::FrontierCacheState<typename Step::Entry>& cache, Step step,
+      BudgetGuard* guard);
   /// Drop every cache, the pending dirty bookkeeping, and both incumbent
   /// buffers — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
-  template <typename Entry>
-  void maybeCompact(detail::FrontierCacheState<Entry>& cache);
   /// W for the place folds. homogeneousCapacity() scans every internal
   /// vertex (it also rejects a heterogeneous instance), so a resolve with
   /// nothing dirty — a read — skips it; every capacity delta dirties.
@@ -271,10 +285,10 @@ class IncrementalSolver {
 };
 
 /// Incremental twin of core/bounds' FrontierSubtreeRelaxation: the per-subtree
-/// relaxation frontiers (place absorbs min(flow, W_v) — valid for every
-/// policy) are memoized with the same epoch scheme as IncrementalSolver,
-/// while the cheap derived passes (ancestor capacities, per-subtree replica
-/// floors R_v, the additive decomposition bound) are recomputed per refresh.
+/// relaxation frontiers (RelaxationStep: place absorbs min(flow, W_v) — valid
+/// for every policy) are memoized with the same epoch scheme and the same
+/// driver as IncrementalSolver, without combo tables, while the cheap derived
+/// passes (deriveSubtreeFloors) are recomputed per refresh.
 /// Feeds knownLowerBound into the warm ILP re-solve path.
 class IncrementalBounds {
  public:
@@ -289,10 +303,10 @@ class IncrementalBounds {
   /// Recompute dirty relaxation frontiers and the derived floors/bound.
   void refresh();
 
-  bool feasible() const { return feasible_; }
-  double decompositionBound() const { return decompositionBound_; }
+  bool feasible() const { return floors_.feasible; }
+  double decompositionBound() const { return floors_.decompositionBound; }
   std::int32_t minReplicasIn(VertexId v) const {
-    return minReplicas_[static_cast<std::size_t>(v)];
+    return floors_.minReplicas[static_cast<std::size_t>(v)];
   }
   std::int32_t minTotalReplicas() const {
     return minReplicasIn(instance_->tree.root());
@@ -304,9 +318,7 @@ class IncrementalBounds {
   DirtyTracker tracker_;
   FrontierCacheStats stats_;
   detail::FrontierCacheState<FrontierEntry> cache_;
-  std::vector<std::int32_t> minReplicas_;
-  double decompositionBound_ = 0.0;
-  bool feasible_ = true;
+  SubtreeFloors floors_;
 };
 
 }  // namespace treeplace

@@ -54,19 +54,6 @@ SolveBudget remainingBudget(const SolveBudget& whole, double elapsedMs,
   return b;
 }
 
-std::optional<Placement> exactSolve(const ProblemInstance& instance,
-                                    OnlinePolicy policy, BudgetGuard* guard) {
-  switch (policy) {
-    case OnlinePolicy::Closest:
-      return solveClosestHomogeneous(instance, nullptr, guard);
-    case OnlinePolicy::Multiple:
-      return solveMultipleHomogeneousDP(instance, nullptr, guard);
-    case OnlinePolicy::ClosestQos:
-      return solveClosestHomogeneousQos(instance, nullptr, guard);
-  }
-  return std::nullopt;
-}
-
 /// O(n log n) feasible-or-give-up placement for the Closest policy, QoS-aware
 /// so the same sweep serves the ClosestQos rung. Each node tracks its unserved
 /// flow and the tightest remaining QoS headroom ("slack") among the clients
@@ -271,7 +258,7 @@ SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy
 
   BudgetGuard exactGuard(scaledBudget(budget, fraction));
   try {
-    fillOptimal(out, toSnapshot(exactSolve(instance, policy, &exactGuard)));
+    fillOptimal(out, toSnapshot(solveOneShot(instance, policy, &exactGuard)));
     out.steps = exactGuard.stepsUsed();
     out.elapsedMs = msSince(t0);
     return out;

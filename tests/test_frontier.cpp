@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "core/bag_steps.hpp"
 #include "core/validate.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/multiple_homogeneous.hpp"
@@ -358,56 +359,23 @@ TEST(FrontierSolverEquivalence, MultipleDPMatchesGreedyOn100RandomInstances) {
   }
 }
 
-// Drive the exact Closest recurrence through a caller-constructed FrontierDp
-// (mirroring exact/closest_homogeneous.cpp) and return the replica list.
-// Used to pin the merge-bag interface: a DP built from the Tree delegating
-// constructor and one built from an explicit TreeDecomposition value must
-// walk the same schedule, fold the same merge order and reconstruct the same
-// placement, entry for entry.
+// Drive the shared Closest bag step through a caller-constructed FrontierDp
+// and the one-shot driver, and return the replica list. Used to pin the
+// merge-bag interface: a DP built from the Tree delegating constructor and
+// one built from an explicit TreeDecomposition value must walk the same
+// schedule, fold the same merge order and reconstruct the same placement,
+// entry for entry.
 std::optional<std::vector<VertexId>> driveClosestDp(const ProblemInstance& instance,
                                                     FrontierDp& dp,
                                                     FrontierArena& arena) {
-  const TreeDecomposition& decomp = dp.decomposition();
-  const Requests W = instance.homogeneousCapacity();
   FrontierConvolver conv(arena);
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      dp.seedClient(v, instance.requests[vi]);
-      continue;
-    }
-    const auto forestCap = static_cast<std::int32_t>(
-        std::min(decomp.clientsInCone(v), decomp.internalsInCone(v) - 1));
-    FrontierSpan acc = conv.unit();
-    const auto children = decomp.mergeChildren(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap);
-      dp.setCombo(v, ci, acc);
-    }
-    std::size_t k0 = acc.size;
-    for (std::size_t k = 0; k < acc.size; ++k)
-      if (arena.at(acc, k).flow <= W) {
-        k0 = k;
-        break;
-      }
-    const std::uint32_t begin = arena.beginSpan();
-    for (std::size_t k = 0; k < std::min(k0 + 1, static_cast<std::size_t>(acc.size));
-         ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      arena.push({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-    }
-    if (k0 < acc.size) {
-      const FrontierEntry e = arena.at(acc, k0);
-      if (e.flow > 0) arena.push({e.count + 1, 0, static_cast<std::int32_t>(k0), 1});
-    }
-    dp.setFrontier(v, arena.endSpan(begin));
-  }
-  const FrontierSpan rootSpan = dp.frontier(decomp.rootBag());
-  if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
-    return std::nullopt;
+  ClosestStep step(instance, instance.homogeneousCapacity());
+  runFrontierDp(dp, conv, step, nullptr);
+  const std::int32_t rootEntry =
+      ClosestStep::rootEntry(arena, dp.frontier(dp.decomposition().rootBag()));
+  if (rootEntry < 0) return std::nullopt;
   std::vector<VertexId> replicas;
-  dp.reconstruct(static_cast<std::int32_t>(rootSpan.size - 1),
-                 [&replicas](VertexId node) { replicas.push_back(node); });
+  dp.reconstruct(rootEntry, [&replicas](VertexId node) { replicas.push_back(node); });
   std::sort(replicas.begin(), replicas.end());
   return replicas;
 }

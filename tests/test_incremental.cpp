@@ -37,12 +37,7 @@ ProblemInstance smallHomogeneous(std::uint64_t seed, double qosFraction = 0.0) {
 
 std::optional<Placement> scratch(const ProblemInstance& instance,
                                  OnlinePolicy policy) {
-  switch (policy) {
-    case OnlinePolicy::Closest: return solveClosestHomogeneous(instance);
-    case OnlinePolicy::Multiple: return solveMultipleHomogeneousDP(instance);
-    case OnlinePolicy::ClosestQos: return solveClosestHomogeneousQos(instance);
-  }
-  return std::nullopt;
+  return solveOneShot(instance, policy);
 }
 
 // ---------------------------------------------------------------------------
