@@ -77,7 +77,8 @@ Placement assignMultipleRequests(const ProblemInstance& instance,
 }
 
 std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instance,
-                                                  MultipleHomogeneousTrace* trace) {
+                                                  MultipleHomogeneousTrace* trace,
+                                                  BudgetGuard* guard) {
   const Requests W = homogeneousStepCapacity(instance);
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
@@ -140,6 +141,7 @@ std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instanc
 
   std::vector<Requests> uflow(n, 0);
   while (flow[ri] != 0) {
+    if (guard != nullptr) guard->checkpoint();
     VertexId best = kNoVertex;
     Requests bestFlow = 0;
     for (std::size_t k = 0; k < internalCount;) {

@@ -27,8 +27,11 @@ struct MultipleHomogeneousTrace {
 /// stays near-linear away from adversarial shapes.
 /// Returns std::nullopt when the instance is infeasible (some requests cannot
 /// be served even using every node). Requires a homogeneous instance.
+/// `guard`, when non-null, is ticked once per pass-2 rescan (each costs
+/// O(internals) at worst) and throws SolveInterrupted on a trip.
 std::optional<Placement> solveMultipleHomogeneous(
-    const ProblemInstance& instance, MultipleHomogeneousTrace* trace = nullptr);
+    const ProblemInstance& instance, MultipleHomogeneousTrace* trace = nullptr,
+    BudgetGuard* guard = nullptr);
 
 /// Independent exact solver for the same problem on the shared frontier core:
 /// a subtree DP over (replica count, residual flow) Pareto frontiers where a

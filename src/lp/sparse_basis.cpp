@@ -1,7 +1,9 @@
 #include "lp/sparse_basis.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "lp/tolerances.hpp"
 #include "lp/workspace.hpp"
@@ -23,6 +25,19 @@ inline bool budgetTripped(BudgetGuard* guard) {
 /// classic compromise between stability (1.0 = strict partial pivoting) and
 /// Markowitz fill control.
 constexpr double kPivotThreshold = 0.1;
+
+/// PRICE treats rho as dense once more than 1 / kDenseRhoFactor of its rows
+/// are nonzero: past that, listing every nonbasic column after the scatter
+/// is cheaper than marking the touched ones entry by entry.
+constexpr std::size_t kDenseRhoFactor = 4;
+
+/// `v` when `keep`, else +0.0, by masking the bits: a ternary or a multiply
+/// by 0/1 here compiles to a jump that mispredicts on a quarter of the
+/// columns (the basic ones).
+inline double keepIf(double v, bool keep) {
+  const std::uint64_t mask = std::uint64_t{0} - static_cast<std::uint64_t>(keep);
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) & mask);
+}
 
 }  // namespace
 
@@ -50,6 +65,10 @@ bool SparseLu::factorize(int m, std::span<const int> colStart,
   etaVal_.clear();
   etaPivotPos_.clear();
   etaPivotVal_.clear();
+  sparseZ_.assign(mz, 0.0);
+  reach_.resize(mz);
+  reachBits_.assign((mz + 63) / 64, 0);
+  listBits_.assign((mz + 63) / 64, 0);
 
   // Static Markowitz ordering: columns ascending by nnz (singleton logical
   // columns triangularize first with zero fill), rows tie-broken by their
@@ -159,7 +178,69 @@ bool SparseLu::factorize(int m, std::span<const int> colStart,
   return true;
 }
 
-void SparseLu::ftran(std::span<double> x) const {
+void SparseLu::markListed(int i) const {
+  listBits_[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
+}
+
+void SparseLu::markStep(int k) const {
+  reachBits_[static_cast<std::size_t>(k) >> 6] |= std::uint64_t{1} << (k & 63);
+}
+
+void SparseLu::takeListed(std::vector<int>& out) const {
+  out.clear();
+  for (std::size_t w = 0; w < listBits_.size(); ++w) {
+    for (std::uint64_t bits = listBits_[w]; bits != 0; bits &= bits - 1)
+      out.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+    listBits_[w] = 0;
+  }
+}
+
+int SparseLu::takeLowestStep(std::size_t& word) const {
+  for (; word < reachBits_.size(); ++word) {
+    std::uint64_t& bits = reachBits_[word];
+    if (bits == 0) continue;
+    const int k = static_cast<int>(word * 64) + std::countr_zero(bits);
+    bits &= bits - 1;
+    return k;
+  }
+  return -1;
+}
+
+int SparseLu::takeHighestStep(std::size_t& word) const {
+  // Here `word` is one past the next word to scan.
+  for (; word > 0; --word) {
+    std::uint64_t& bits = reachBits_[word - 1];
+    if (bits == 0) continue;
+    const int bit = 63 - std::countl_zero(bits);
+    bits &= ~(std::uint64_t{1} << bit);
+    return static_cast<int>((word - 1) * 64) + bit;
+  }
+  return -1;
+}
+
+void SparseLu::ftran(std::span<double> x, std::vector<int>* nonzeros) const {
+  if (nonzeros != nullptr) {
+    ftranSparse(x, *nonzeros);
+  } else {
+    ftranDense(x);
+  }
+  // Eta file, oldest first: x <- E^-1 x per recorded pivot (a sparse solve
+  // grows its pattern where a zero fills in).
+  for (std::size_t e = 0; e < etaPivotPos_.size(); ++e) {
+    const auto p = static_cast<std::size_t>(etaPivotPos_[e]);
+    const double t = x[p] / etaPivotVal_[e];
+    x[p] = t;
+    if (t == 0.0) continue;
+    for (int q = etaStart_[e]; q < etaStart_[e + 1]; ++q) {
+      const int i = etaRow_[static_cast<std::size_t>(q)];
+      if (nonzeros != nullptr) markListed(i);
+      x[static_cast<std::size_t>(i)] -= etaVal_[static_cast<std::size_t>(q)] * t;
+    }
+  }
+  if (nonzeros != nullptr) takeListed(*nonzeros);
+}
+
+void SparseLu::ftranDense(std::span<double> x) const {
   // L z = x (x indexed by original row; z by elimination position).
   solveZ_.resize(static_cast<std::size_t>(m_));
   for (int k = 0; k < m_; ++k) {
@@ -187,15 +268,55 @@ void SparseLu::ftran(std::span<double> x) const {
   for (int k = 0; k < m_; ++k)
     x[static_cast<std::size_t>(colOrder_[static_cast<std::size_t>(k)])] =
         solveZ_[static_cast<std::size_t>(k)];
-  // Eta file, oldest first: x <- E^-1 x per recorded pivot.
-  for (std::size_t e = 0; e < etaPivotPos_.size(); ++e) {
-    const auto p = static_cast<std::size_t>(etaPivotPos_[e]);
-    const double t = x[p] / etaPivotVal_[e];
-    x[p] = t;
-    if (t == 0.0) continue;
-    for (int q = etaStart_[e]; q < etaStart_[e + 1]; ++q)
-      x[static_cast<std::size_t>(etaRow_[static_cast<std::size_t>(q)])] -=
-          etaVal_[static_cast<std::size_t>(q)] * t;
+}
+
+void SparseLu::ftranSparse(std::span<double> x, std::span<const int> rows) const {
+  double* xv = x.data();
+  double* z = sparseZ_.data();
+  const int* rowElim = rowElim_.data();
+  const int* lStart = lColStart_.data();
+  const int* lRow = lRowIdx_.data();
+  const double* lVal = lVal_.data();
+  const int* uStart = uColStart_.data();
+  const int* uRow = uRowIdx_.data();
+  const double* uVal = uVal_.data();
+  int* reach = reach_.data();
+  int reached = 0;
+
+  // L z = x over the reach of the listed rows, in ascending elimination
+  // order. Each row is read once, at its own step, and zeroed as it moves
+  // into sparseZ_ (later steps only write rows eliminated after them).
+  for (const int r : rows)
+    if (xv[r] != 0.0) markStep(rowElim[r]);
+  std::size_t word = 0;
+  for (int k; (k = takeLowestStep(word)) >= 0;) {
+    const int row = elimRow_[static_cast<std::size_t>(k)];
+    const double zk = xv[row];
+    xv[row] = 0.0;
+    if (zk == 0.0) continue;
+    z[k] = zk;
+    reach[reached++] = k;
+    for (int t = lStart[k]; t < lStart[k + 1]; ++t) {
+      xv[lRow[t]] -= lVal[t] * zk;
+      markStep(rowElim[lRow[t]]);
+    }
+  }
+  // U w = z, descending over the reach of the nonzero z_k.
+  for (int c = 0; c < reached; ++c) markStep(reach[c]);
+  word = reachBits_.size();
+  for (int k; (k = takeHighestStep(word)) >= 0;) {
+    double wk = z[k];
+    z[k] = 0.0;
+    if (wk == 0.0) continue;
+    wk /= uDiag_[static_cast<std::size_t>(k)];
+    for (int t = uStart[k]; t < uStart[k + 1]; ++t) {
+      z[uRow[t]] -= uVal[t] * wk;
+      markStep(uRow[t]);
+    }
+    // w_k belongs to basis column colOrder_[k]; x is all zero by now.
+    const int pos = colOrder_[static_cast<std::size_t>(k)];
+    xv[pos] = wk;
+    markListed(pos);
   }
 }
 
@@ -233,10 +354,11 @@ void SparseLu::btran(std::span<double> y) const {
   std::copy(work_.begin(), work_.end(), y.begin());
 }
 
-bool SparseLu::appendEta(int p, std::span<const double> w, double pivotTol) {
+bool SparseLu::appendEta(int p, std::span<const double> w, std::span<const int> nonzeros,
+                         double pivotTol) {
   const double pivot = w[static_cast<std::size_t>(p)];
   if (std::abs(pivot) <= pivotTol) return false;
-  for (int i = 0; i < m_; ++i) {
+  for (const int i : nonzeros) {
     if (i == p) continue;
     const double v = w[static_cast<std::size_t>(i)];
     if (v != 0.0) {
@@ -278,6 +400,28 @@ void SparseSimplex::build(int m, int nStruct, int artificialStart,
   atUpper_.assign(nc, 0);
   xB_.assign(static_cast<std::size_t>(m_), 0.0);
   d_.assign(nc, 0.0);
+  alpha_.assign(static_cast<std::size_t>(artificialStart_), 0.0);
+  priceMark_.assign(static_cast<std::size_t>(artificialStart_), 0);
+  priced_.assign(static_cast<std::size_t>(artificialStart_) + 1, 0);
+  pricedCount_ = 0;
+  pricedAll_ = false;
+
+  // Row-wise copy of the structural + slack columns for PRICE. Columns are
+  // visited in ascending order, so each row lists its entries by ascending
+  // column and, within a column, in the column store's order.
+  rowStart_.assign(static_cast<std::size_t>(m_) + 1, 0);
+  for (int k = 0; k < colStart_[static_cast<std::size_t>(artificialStart_)]; ++k)
+    ++rowStart_[static_cast<std::size_t>(rowIdx_[static_cast<std::size_t>(k)]) + 1];
+  for (std::size_t r = 1; r < rowStart_.size(); ++r) rowStart_[r] += rowStart_[r - 1];
+  std::vector<int> cursor(rowStart_.begin(), rowStart_.end() - 1);
+  rowCol_.resize(static_cast<std::size_t>(rowStart_.back()));
+  rowVal_.resize(rowCol_.size());
+  for (int j = 0; j < artificialStart_; ++j)
+    forColumn(j, [&](int r, double v) {
+      const auto slot = static_cast<std::size_t>(cursor[static_cast<std::size_t>(r)]++);
+      rowCol_[slot] = j;
+      rowVal_[slot] = v;
+    });
   ready_ = false;
 }
 
@@ -285,16 +429,72 @@ void SparseSimplex::setWidths(std::span<const double> upper) {
   std::copy(upper.begin(), upper.begin() + nStruct_, colUpper_.begin());
 }
 
-double SparseSimplex::dot(std::span<const double> rowVec, int col) const {
-  double s = 0.0;
-  forColumn(col, [&](int r, double v) { s += rowVec[static_cast<std::size_t>(r)] * v; });
-  return s;
+std::span<const int> SparseSimplex::priceRow(std::span<const double> rho) {
+  rhoRows_.clear();
+  for (int i = 0; i < m_; ++i)
+    if (rho[static_cast<std::size_t>(i)] != 0.0) rhoRows_.push_back(i);
+
+  // Raw pointers: the stores into alpha would otherwise make the compiler
+  // reload every vector's data pointer per entry.
+  double* alpha = alpha_.data();
+  char* mark = priceMark_.data();
+  int* priced = priced_.data();
+  const int* basisPos = basisPos_.data();
+  const int* rowStart = rowStart_.data();
+  const int* rowCol = rowCol_.data();
+  const double* rowVal = rowVal_.data();
+  if (pricedAll_) {
+    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+  } else {
+    for (int c = 0; c < pricedCount_; ++c) {
+      alpha[priced[c]] = 0.0;
+      mark[priced[c]] = 0;
+    }
+  }
+  // Row by row, ascending: every alpha_j receives rho_r a_rj in the
+  // order of column j's entries, exactly the sum a column-wise dot forms
+  // (the terms it would add for rho_r == 0 are zeros that change no sum).
+  // A sparse rho marks the nonbasic columns it reaches; basic columns add an
+  // exact zero and stay unlisted, so the loop body has no data-dependent
+  // branch. A dense rho reaches nearly every column: it scatters into all of
+  // them, lists the nonbasic ones afterwards (the unreached ones keep
+  // alpha_j = 0), and the next call wipes alpha whole.
+  const bool dense = rhoRows_.size() * kDenseRhoFactor > static_cast<std::size_t>(m_);
+  int count = 0;
+  for (const int r : rhoRows_) {
+    const double rr = rho[static_cast<std::size_t>(r)];
+    const int end = rowStart[r + 1];
+    if (dense) {
+      for (int k = rowStart[r]; k < end; ++k) alpha[rowCol[k]] += rr * rowVal[k];
+    } else {
+      for (int k = rowStart[r]; k < end; ++k) {
+        const int j = rowCol[k];
+        const int nonbasic = static_cast<int>(basisPos[j] < 0);
+        priced[count] = j;
+        count += nonbasic & (mark[j] ^ 1);
+        mark[j] = static_cast<char>(mark[j] | nonbasic);
+        alpha[j] += keepIf(rr * rowVal[k], nonbasic != 0);
+      }
+    }
+  }
+  if (dense)
+    for (int j = 0; j < artificialStart_; ++j) {
+      priced[count] = j;
+      count += static_cast<int>(basisPos[j] < 0);
+    }
+  pricedCount_ = count;
+  pricedAll_ = dense;
+  return {priced, static_cast<std::size_t>(count)};
 }
 
-void SparseSimplex::ftranColumn(int col, std::vector<double>& out) const {
-  out.assign(static_cast<std::size_t>(m_), 0.0);
-  forColumn(col, [&](int r, double v) { out[static_cast<std::size_t>(r)] += v; });
-  lu_.ftran(out);
+void SparseSimplex::ftranColumn(int col) {
+  wScratch_.assign(static_cast<std::size_t>(m_), 0.0);
+  wRows_.clear();
+  forColumn(col, [&](int r, double v) {
+    wScratch_[static_cast<std::size_t>(r)] += v;
+    wRows_.push_back(r);
+  });
+  lu_.ftran(wScratch_, &wRows_);
 }
 
 bool SparseSimplex::factorizeBasis(WarmStartStats& stats, bool isRefactor) {
@@ -315,9 +515,8 @@ bool SparseSimplex::factorizeBasis(WarmStartStats& stats, bool isRefactor) {
   return true;
 }
 
-bool SparseSimplex::recordPivot(int leavingPos, std::span<const double> w,
-                                WarmStartStats& stats) {
-  if (!lu_.appendEta(leavingPos, w, options_.pivotTol))
+bool SparseSimplex::recordPivot(int leavingPos, WarmStartStats& stats) {
+  if (!lu_.appendEta(leavingPos, wScratch_, wRows_, options_.pivotTol))
     return factorizeBasis(stats, true);
   ++stats.etaCount;
   if (lu_.etaCount() >= options_.refactorEtaLimit ||
@@ -353,11 +552,13 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       yScratch_[static_cast<std::size_t>(i)] =
           phaseCost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
     lu_.btran(yScratch_);
+    priceRow(yScratch_);
     int entering = -1;
     double best = options_.pivotTol;
     for (int j = 0; j < artificialStart_; ++j) {
       if (basisPos_[static_cast<std::size_t>(j)] >= 0) continue;
-      const double dj = phaseCost[static_cast<std::size_t>(j)] - dot(yScratch_, j);
+      const double dj =
+          phaseCost[static_cast<std::size_t>(j)] - alpha_[static_cast<std::size_t>(j)];
       const double gain = atUpper_[static_cast<std::size_t>(j)] ? dj : -dj;
       if (gain > best) {
         best = gain;
@@ -369,7 +570,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
     const bool fromUpper = atUpper_[static_cast<std::size_t>(entering)] != 0;
     const double sigma = fromUpper ? -1.0 : 1.0;
 
-    ftranColumn(entering, wScratch_);
+    ftranColumn(entering);
 
     // Bounded ratio test: basic columns block at both box ends; the entering
     // column's own width caps the step (a binding cap degenerates the pivot
@@ -429,7 +630,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       atUpper_[static_cast<std::size_t>(entering)] = 0;
       atUpper_[static_cast<std::size_t>(leavingCol)] = leavingToUpper ? 1 : 0;
       ++stats.primalIterations;
-      if (!recordPivot(leaving, wScratch_, stats)) return SolveStatus::IterationLimit;
+      if (!recordPivot(leaving, stats)) return SolveStatus::IterationLimit;
     }
 
     const double obj = objectiveOf(phaseCost);
@@ -531,11 +732,12 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     yScratch_[static_cast<std::size_t>(i)] =
         columnCost(basis_[static_cast<std::size_t>(i)]);
   lu_.btran(yScratch_);
+  priceRow(yScratch_);
   for (int j = 0; j < artificialStart_; ++j)
     d_[static_cast<std::size_t>(j)] =
         basisPos_[static_cast<std::size_t>(j)] >= 0
             ? 0.0
-            : columnCost(j) - dot(yScratch_, j);
+            : columnCost(j) - alpha_[static_cast<std::size_t>(j)];
 
   long pivots = 0;
   bool useBland = false;
@@ -575,17 +777,16 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     const double target =
         aboveUpper ? colUpper_[static_cast<std::size_t>(leavingCol)] : 0.0;
 
-    // Tableau row `leaving` via one btran: alpha_j = rho a_j with
-    // rho = B^-T e_leaving — the O(nnz) replacement for a dense row read.
+    // Tableau row `leaving`: alpha_j = rho a_j with rho = B^-T e_leaving,
+    // priced through the rows where rho is nonzero. Columns it misses have
+    // alpha_j = 0 and can neither enter nor move a reduced cost.
     yScratch_.assign(static_cast<std::size_t>(m_), 0.0);
     yScratch_[static_cast<std::size_t>(leaving)] = 1.0;
     lu_.btran(yScratch_);
-    alpha_.assign(static_cast<std::size_t>(artificialStart_), 0.0);
+    const std::span<const int> priced = priceRow(yScratch_);
     dualCandidates_.clear();
-    for (int j = 0; j < artificialStart_; ++j) {
-      if (basisPos_[static_cast<std::size_t>(j)] >= 0) continue;
-      const double arj = dot(yScratch_, j);
-      alpha_[static_cast<std::size_t>(j)] = arj;
+    for (const int j : priced) {
+      const double arj = alpha_[static_cast<std::size_t>(j)];
       const bool up = atUpper_[static_cast<std::size_t>(j)] != 0;
       const bool eligible = aboveUpper ? (up ? arj < -options_.pivotTol
                                              : arj > options_.pivotTol)
@@ -604,6 +805,9 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
 
     int entering = -1;
     if (useBland) {
+      // Bland's rule scans by ascending column.
+      std::sort(dualCandidates_.begin(), dualCandidates_.end(),
+                [](const auto& a, const auto& b) { return a.second < b.second; });
       double bestRatio = kInfinity;
       for (const auto& [ratio, j] : dualCandidates_) {
         if (ratio < bestRatio - kRatioTieTol) {
@@ -614,24 +818,30 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     } else {
       // Bound-flipping ratio test: while the cheapest candidate's whole box
       // cannot absorb the violation, flip it and move on. Flips are batched
-      // into one raw-space delta and applied with a single ftran.
-      std::sort(dualCandidates_.begin(), dualCandidates_.end());
+      // into one raw-space delta and applied with a single ftran. A min-heap
+      // pops candidates in ascending (ratio, column) order and stops at the
+      // one that enters, so the unpopped rest is never sorted.
+      std::make_heap(dualCandidates_.begin(), dualCandidates_.end(), std::greater<>{});
       double leavingVal = xB_[static_cast<std::size_t>(leaving)];
       bool flipped = false;
-      for (std::size_t c = 0; c < dualCandidates_.size(); ++c) {
-        const int j = dualCandidates_[c].second;
+      while (!dualCandidates_.empty()) {
+        std::pop_heap(dualCandidates_.begin(), dualCandidates_.end(), std::greater<>{});
+        const int j = dualCandidates_.back().second;
+        dualCandidates_.pop_back();
         const double u = colUpper_[static_cast<std::size_t>(j)];
-        if (u != kInfinity && c + 1 < dualCandidates_.size()) {
+        if (u != kInfinity && !dualCandidates_.empty()) {
           const double residual = std::abs(leavingVal - target);
           if (std::abs(alpha_[static_cast<std::size_t>(j)]) * u <
               residual - options_.feasTol) {
             const double delta = atUpper_[static_cast<std::size_t>(j)] ? -u : u;
             if (!flipped) {
               flipScratch_.assign(static_cast<std::size_t>(m_), 0.0);
+              flipRows_.clear();
               flipped = true;
             }
             forColumn(j, [&](int r, double v) {
               flipScratch_[static_cast<std::size_t>(r)] += delta * v;
+              flipRows_.push_back(r);
             });
             leavingVal -= delta * alpha_[static_cast<std::size_t>(j)];
             atUpper_[static_cast<std::size_t>(j)] ^= 1;
@@ -643,13 +853,13 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
         break;
       }
       if (flipped) {
-        lu_.ftran(flipScratch_);
-        for (int i = 0; i < m_; ++i)
+        lu_.ftran(flipScratch_, &flipRows_);
+        for (const int i : flipRows_)
           xB_[static_cast<std::size_t>(i)] -= flipScratch_[static_cast<std::size_t>(i)];
       }
     }
 
-    ftranColumn(entering, wScratch_);
+    ftranColumn(entering);
     const double pivotVal = wScratch_[static_cast<std::size_t>(leaving)];
     if (std::abs(pivotVal) <= options_.pivotTol) {
       // The recomputed column disagrees with the priced row — numerical
@@ -663,18 +873,15 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
              ? colUpper_[static_cast<std::size_t>(entering)]
              : 0.0) +
         t;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leaving) continue;
+    for (const int i : wRows_)
       xB_[static_cast<std::size_t>(i)] -= t * wScratch_[static_cast<std::size_t>(i)];
-    }
     xB_[static_cast<std::size_t>(leaving)] = enterValue;
 
     // Dual price update: theta = d_e / alpha_e, d_j -= theta alpha_j.
     const double thetaD = d_[static_cast<std::size_t>(entering)] / pivotVal;
     if (thetaD != 0.0)
-      for (int j = 0; j < artificialStart_; ++j)
-        if (basisPos_[static_cast<std::size_t>(j)] < 0)
-          d_[static_cast<std::size_t>(j)] -= thetaD * alpha_[static_cast<std::size_t>(j)];
+      for (const int j : priced)
+        d_[static_cast<std::size_t>(j)] -= thetaD * alpha_[static_cast<std::size_t>(j)];
     d_[static_cast<std::size_t>(entering)] = 0.0;
     if (leavingCol < artificialStart_)
       d_[static_cast<std::size_t>(leavingCol)] = -thetaD;
@@ -686,7 +893,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     atUpper_[static_cast<std::size_t>(leavingCol)] = aboveUpper ? 1 : 0;
     ++pivots;
     ++stats.dualIterations;
-    if (!recordPivot(leaving, wScratch_, stats)) {
+    if (!recordPivot(leaving, stats)) {
       ready_ = false;
       return SolveStatus::IterationLimit;
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,16 +35,24 @@ class SparseLu {
                  std::span<const double> values, double pivotTol);
 
   /// Solve B x = b in place (b indexed by row, x by basis position).
-  void ftran(std::span<double> x) const;
+  ///
+  /// With `nonzeros`, b may be nonzero only at the rows it lists, and on
+  /// return it lists (ascending) the positions where x may be nonzero; x is
+  /// exactly zero elsewhere. Only the elimination steps in the symbolic
+  /// reach of b run, in the dense sweep's order and with its arithmetic, so
+  /// every nonzero entry equals the dense solve's bit for bit.
+  void ftran(std::span<double> x, std::vector<int>* nonzeros = nullptr) const;
 
   /// Solve B^T y = c in place (c indexed by basis position, y by row).
   void btran(std::span<double> y) const;
 
   /// Record a pivot: basis position `p` received a column whose ftran image
-  /// is the dense vector `w` (the caller already has it from the ratio
-  /// test). Returns false when the pivot element |w[p]| is too small to
-  /// apply stably — the caller should refactorize instead.
-  bool appendEta(int p, std::span<const double> w, double pivotTol);
+  /// is `w`, nonzero only at the ascending positions `nonzeros` (the caller
+  /// already has both from the ratio test). Returns false when the pivot
+  /// element |w[p]| is too small to apply stably — the caller should
+  /// refactorize instead.
+  bool appendEta(int p, std::span<const double> w, std::span<const int> nonzeros,
+                 double pivotTol);
 
   int etaCount() const { return static_cast<int>(etaPivotPos_.size()); }
   long etaEntries() const { return static_cast<long>(etaRow_.size()); }
@@ -53,6 +62,23 @@ class SparseLu {
   }
 
  private:
+  // The L and U stages of ftran. The sparse one marks its output positions
+  // (see markListed).
+  void ftranDense(std::span<double> x) const;
+  void ftranSparse(std::span<double> x, std::span<const int> rows) const;
+  /// Schedule elimination step k. The sparse solve only ever schedules steps
+  /// after the one it is at (before it, when sweeping down), so a bitset
+  /// scanned by a moving word cursor hands them out in the dense order.
+  void markStep(int k) const;
+  /// Pop the lowest (highest) scheduled step, scanning up (down) from
+  /// `word`; -1 when none is left.
+  int takeLowestStep(std::size_t& word) const;
+  int takeHighestStep(std::size_t& word) const;
+  /// Output pattern of the sparse solve: mark an index, then take all
+  /// marked ones in ascending order (which clears the marks).
+  void markListed(int i) const;
+  void takeListed(std::vector<int>& out) const;
+
   int m_ = 0;
   // Row permutation: elimination position per original row and its inverse.
   std::vector<int> rowElim_, elimRow_;
@@ -70,6 +96,11 @@ class SparseLu {
   std::vector<double> etaVal_, etaPivotVal_;
   // Dense scratch for factorize/ftran/btran (by original row / by elim pos).
   mutable std::vector<double> work_, solveZ_;
+  // Sparse ftran scratch: sparseZ_ and the bitsets are all zero between
+  // solves; reach_ lists the steps of the L stage.
+  mutable std::vector<double> sparseZ_;
+  mutable std::vector<std::uint64_t> reachBits_, listBits_;
+  mutable std::vector<int> reach_;
   // factorize() scratch: touched-row list and the pending-elimination heap.
   std::vector<int> touched_, heap_, rowCount_;
   std::vector<char> touchedMark_, heapMark_;
@@ -78,10 +109,14 @@ class SparseLu {
 /// Bounded-variable revised simplex over a sparse column store — the engine
 /// behind LpWorkspace. The constraint matrix lives in CSC
 /// form (structural + slack columns; artificials are implicit +-e_r
-/// singletons issued per cold solve), the basis in a SparseLu with eta
-/// updates, and both solve paths price through ftran/btran instead of dense
-/// tableau sweeps: a warm dual re-solve costs O(nnz) per pivot where a
-/// dense tableau pays O(rows * columns).
+/// singletons issued per cold solve) plus a row-wise copy for PRICE, the
+/// basis in a SparseLu with eta updates, and both solve paths price through
+/// ftran/btran instead of dense tableau sweeps. A warm dual pivot is
+/// hypersparse: the pivot row is scattered from the rows where
+/// rho = B^-T e_r is nonzero (its cost is the entries of those rows, not
+/// nnz(A)), and the entering column's sparse ftran pattern drives the x_B
+/// update and the eta append. Every pivot equals the one a dense
+/// column-wise evaluation would take, bit for bit.
 ///
 /// Pivot rules: Dantzig pricing, bounded ratio tests, a bound-flipping dual
 /// ratio test, and stall detection falling back to Bland. The independent
@@ -137,10 +172,17 @@ class SparseSimplex {
          k < colStart_[static_cast<std::size_t>(col) + 1]; ++k)
       fn(rowIdx_[static_cast<std::size_t>(k)], colVal_[static_cast<std::size_t>(k)]);
   }
-  double dot(std::span<const double> rowVec, int col) const;
-  void ftranColumn(int col, std::vector<double>& out) const;
+  /// PRICE: alpha_j = rho a_j for every nonbasic structural/slack column,
+  /// scattered from the nonzero rows of rho through the row-wise copy of A.
+  /// Returns the nonbasic columns it touched; every other nonbasic column
+  /// has alpha_j = 0 (basic columns' alpha_j mean nothing). Resets the
+  /// previous call's entries first.
+  std::span<const int> priceRow(std::span<const double> rho);
+  /// wScratch_ = B^-1 a_col, nonzero only at the ascending positions wRows_.
+  void ftranColumn(int col);
   bool factorizeBasis(WarmStartStats& stats, bool isRefactor);
-  bool recordPivot(int leavingPos, std::span<const double> w, WarmStartStats& stats);
+  /// Append the eta of the pivot whose column is in wScratch_/wRows_.
+  bool recordPivot(int leavingPos, WarmStartStats& stats);
   SolveStatus primalIterate(std::span<const double> phaseCost, WarmStartStats& stats);
   double objectiveOf(std::span<const double> phaseCost) const;
 
@@ -155,6 +197,9 @@ class SparseSimplex {
   std::vector<double> cost0_;
   std::vector<int> slackCol_;
   std::vector<double> slackSign_;
+  // Row-wise copy of the same columns (CSR, ascending column per row).
+  std::vector<int> rowStart_, rowCol_;
+  std::vector<double> rowVal_;
 
   // ---- per-solve state ----
   std::vector<double> colUpper_;   ///< box width per column (kInfinity = open)
@@ -169,7 +214,14 @@ class SparseSimplex {
 
   // scratch
   std::vector<double> wScratch_, yScratch_, bScratch_, flipScratch_;
-  std::vector<double> alpha_, phaseCost_;
+  std::vector<double> phaseCost_;
+  std::vector<double> alpha_;      ///< priced row: zero outside priced_, but
+                                   ///< any column after a dense call
+  std::vector<char> priceMark_;    ///< column is in priced_ (sparse calls)
+  std::vector<int> priced_;        ///< nonbasic columns touched (first pricedCount_)
+  int pricedCount_ = 0;
+  bool pricedAll_ = false;         ///< the last call was dense
+  std::vector<int> rhoRows_, wRows_, flipRows_;
   std::vector<int> scratchStart_, scratchRow_;
   std::vector<double> scratchVal_;
   std::vector<std::pair<double, int>> dualCandidates_;

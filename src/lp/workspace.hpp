@@ -76,11 +76,12 @@ struct WarmStartStats {
 /// pivots or pure bound flips instead of a full two-phase primal solve.
 ///
 /// The basis inverse lives in a SparseLu factorization with product-form
-/// eta updates (lp/sparse_basis): the constraint matrix is kept in CSC form,
-/// every pivot appends one eta column, and ftran/btran replace dense tableau
-/// sweeps, so a warm re-solve costs O(nnz) instead of O(rows^2). The
-/// independent reference it is tested against is the textbook dense tableau
-/// in tests/lp_oracle.
+/// eta updates (lp/sparse_basis): the constraint matrix is kept in CSC form
+/// and row-wise, every pivot appends one eta column, and ftran/btran replace
+/// dense tableau sweeps. A warm dual pivot prices the pivot row from the
+/// nonzeros of rho = B^-T e_r, so it costs what rho's rows hold rather than
+/// O(nnz) or O(rows^2). The independent reference it is tested against is
+/// the textbook dense tableau in tests/lp_oracle.
 ///
 /// Restrictions: a variable mapped by its finite lower bound (Shift) must
 /// keep a finite lower bound in every box, one mapped by its upper (Mirror)

@@ -145,22 +145,25 @@ std::optional<Placement> greedyClosest(const ProblemInstance& instance) {
 }
 
 /// Degraded rung for Multiple: the paper's three-pass algorithm is exact for
-/// homogeneous Multiple and runs unguarded in near-linear time — the same
-/// latency class as a greedy sweep — so it IS the fallback. The outcome is
-/// still reported through the degraded path (validated placement plus a
-/// streaming floor) rather than claimed Optimal: this rung runs after faults
-/// or budget trips, where the cheap end-to-end checks are the contract.
-std::optional<Placement> greedyMultiple(const ProblemInstance& instance) {
+/// homogeneous Multiple and usually runs in near-linear time — the same
+/// latency class as a greedy sweep — so it IS the fallback. Its pass-2
+/// rescans can still add up to O(replicas x internals) on large trees, so
+/// they charge the rung's guard and give up (no placement) on a trip. The
+/// outcome is still reported through the degraded path (validated placement
+/// plus a streaming floor) rather than claimed Optimal: this rung runs after
+/// faults or budget trips, where the cheap end-to-end checks are the
+/// contract.
+std::optional<Placement> greedyMultiple(const ProblemInstance& instance, BudgetGuard& guard) {
   try {
-    return solveMultipleHomogeneous(instance);
+    return solveMultipleHomogeneous(instance, nullptr, &guard);
   } catch (...) {
     return std::nullopt;
   }
 }
 
 std::optional<Placement> greedyPlacement(const ProblemInstance& instance,
-                                         OnlinePolicy policy) {
-  return policy == OnlinePolicy::Multiple ? greedyMultiple(instance)
+                                         OnlinePolicy policy, BudgetGuard& guard) {
+  return policy == OnlinePolicy::Multiple ? greedyMultiple(instance, guard)
                                           : greedyClosest(instance);
 }
 
@@ -286,7 +289,7 @@ SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy
   const DegradedFloor relax = coverFloorOf(instance);
   std::optional<Placement> p;
   try {
-    p = greedyPlacement(instance, policy);
+    p = greedyPlacement(instance, policy, degradedGuard);
   } catch (...) {
     p.reset();
   }
@@ -514,7 +517,7 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
   streamOpts.guard = &degradedGuard;
   std::optional<Placement> p;
   try {
-    p = greedyPlacement(*instance_, policy_);
+    p = greedyPlacement(*instance_, policy_, degradedGuard);
   } catch (...) {
     p.reset();
   }

@@ -421,5 +421,21 @@ TEST(FrontierSolverEquivalence, ClosestStatsRespectWidthBound) {
   EXPECT_GT(stats.arenaBytes, 0u);
 }
 
+// The same bounds on an instance the solver actually places (the seed-42,
+// lambda-0.5 instance above is infeasible): the widest frontier here is 5.
+TEST(FrontierSolverEquivalence, ClosestStatsRespectWidthBoundWhenSolved) {
+  const ProblemInstance inst = testutil::smallRandomInstance(
+      40, 0.1, /*hetero=*/false, /*unit=*/true, /*minSize=*/30, /*maxSize=*/60);
+  FrontierStats stats;
+  const std::optional<Placement> placement = solveClosestHomogeneous(inst, &stats);
+  ASSERT_TRUE(placement.has_value());
+  EXPECT_TRUE(testutil::placementValid(inst, *placement, Policy::Closest));
+  const std::size_t clients = inst.tree.clients().size();
+  const std::size_t internals = inst.tree.internals().size();
+  EXPECT_LE(stats.peakWidth, std::min(clients, internals) + 1);
+  EXPECT_GT(stats.peakWidth, 2u);
+  EXPECT_EQ(stats.convolutions, inst.tree.vertexCount() - 1);
+}
+
 }  // namespace
 }  // namespace treeplace

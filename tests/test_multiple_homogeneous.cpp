@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "support/budget.hpp"
+#include "support/prng.hpp"
 #include "support/require.hpp"
 
 #include "core/validate.hpp"
 #include "exact/exact_ilp.hpp"
 #include "test_util.hpp"
+#include "tree/generator.hpp"
 #include "tree/paper_instances.hpp"
 
 namespace treeplace {
@@ -111,6 +114,48 @@ TEST(MultipleHomogeneous, CountHelperAgrees) {
   const auto count = optimalMultipleReplicaCount(inst);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, 4u);
+}
+
+// The guard charges one step per pass-2 rescan: a budget of k steps stops
+// the solve at its (k+1)-th rescan, and a budget that covers every rescan
+// leaves the placement untouched.
+TEST(MultipleHomogeneous, GuardStopsPassTwoWithinItsSteps) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = 4000;
+  config.unitCosts = true;
+  config.lambda = 0.3;
+  Prng rng(11);
+  const ProblemInstance instance = generateInstance(config, rng);
+  const std::optional<Placement> unguarded = solveMultipleHomogeneous(instance);
+  ASSERT_TRUE(unguarded.has_value());
+
+  SolveBudget counting;
+  counting.maxSteps = 1L << 40;
+  BudgetGuard counter(counting);
+  const std::optional<Placement> counted = solveMultipleHomogeneous(instance, nullptr, &counter);
+  const long rescans = counter.stepsUsed();
+  ASSERT_GT(rescans, 10) << "the instance must need pass-2 rescans to be a test";
+  ASSERT_TRUE(counted.has_value());
+  EXPECT_EQ(counted->replicaList(), unguarded->replicaList());
+
+  SolveBudget half;
+  half.maxSteps = rescans / 2;
+  BudgetGuard halfGuard(half);
+  try {
+    solveMultipleHomogeneous(instance, nullptr, &halfGuard);
+    ADD_FAILURE() << "a budget of " << half.maxSteps << " of " << rescans
+                  << " rescans did not stop the solve";
+  } catch (const SolveInterrupted& e) {
+    EXPECT_EQ(e.verdict(), BudgetVerdict::StepLimit);
+  }
+  EXPECT_EQ(halfGuard.stepsUsed(), half.maxSteps + 1);
+
+  SolveBudget exact;
+  exact.maxSteps = rescans;
+  BudgetGuard exactGuard(exact);
+  const std::optional<Placement> fits = solveMultipleHomogeneous(instance, nullptr, &exactGuard);
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_EQ(fits->replicaList(), unguarded->replicaList());
 }
 
 }  // namespace

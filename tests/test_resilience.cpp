@@ -18,6 +18,7 @@
 #include "exact/exact_ilp.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "experiments/mutation_driver.hpp"
+#include "support/budget.hpp"
 #include "support/fault_injection.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
@@ -280,6 +281,51 @@ TEST(Resilience, DeadlineHonoredOnLargeInstance) {
   // fast, in which case Optimal is legitimately exact. Either way the
   // outcome soundness above is the real assertion.
   SUCCEED();
+}
+
+// The degraded Multiple rung runs the three-pass solver under the rung's
+// share of the step budget (one step per pass-2 rescan). Deterministic, so
+// no wall clock: a share below the rescan count stops the rung with no
+// placement; a share that covers it answers with a validated one. Either
+// way the whole pipeline stays within its steps and its outcome is sound.
+TEST(Resilience, DegradedMultipleRungHonorsStepBudget) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = 4000;
+  config.unitCosts = true;
+  config.lambda = 0.3;
+  Prng rng(11);
+  const ProblemInstance instance = generateInstance(config, rng);
+  const std::optional<Placement> truth = scratch(instance, OnlinePolicy::Multiple);
+  ASSERT_TRUE(truth.has_value());
+  SolveBudget counting;
+  counting.maxSteps = 1L << 40;
+  BudgetGuard counter(counting);
+  ASSERT_TRUE(solveMultipleHomogeneous(instance, nullptr, &counter).has_value());
+  const long rescans = counter.stepsUsed();
+  // Budgets whose exact share (60%) trips long before the DP's one step per
+  // vertex runs out.
+  ASSERT_LT(3 * rescans, static_cast<long>(instance.tree.vertexCount()));
+  const double rungShare = 1.0 - ResilientOptions{}.exactFraction;
+
+  SolveBudget tight;
+  tight.maxSteps = rescans;
+  ASSERT_LT(static_cast<double>(tight.maxSteps) * rungShare, static_cast<double>(rescans));
+  const SolveOutcome stopped = solveResilient(instance, OnlinePolicy::Multiple, tight);
+  EXPECT_FALSE(stopped.hasPlacement()) << toString(stopped.status);
+  EXPECT_NE(stopped.status, OutcomeStatus::Infeasible);
+  EXPECT_LE(stopped.steps, tight.maxSteps + 2);
+  expectOutcomeSound(stopped, instance, OnlinePolicy::Multiple, truth, "tight");
+
+  SolveBudget roomy;
+  roomy.maxSteps = 3 * rescans;
+  ASSERT_GE(static_cast<double>(roomy.maxSteps) * rungShare, static_cast<double>(rescans + 1));
+  const SolveOutcome degraded = solveResilient(instance, OnlinePolicy::Multiple, roomy);
+  EXPECT_EQ(degraded.status, OutcomeStatus::FeasibleDegraded);
+  EXPECT_EQ(degraded.level, DegradationLevel::StreamCapped);
+  ASSERT_TRUE(degraded.hasPlacement());
+  EXPECT_EQ(degraded.placement->replicaCount(), truth->replicaCount());
+  EXPECT_LE(degraded.steps, roomy.maxSteps + 2);
+  expectOutcomeSound(degraded, instance, OnlinePolicy::Multiple, truth, "roomy");
 }
 
 TEST(Resilience, InfeasibleInstanceIsProvenInfeasible) {
