@@ -150,9 +150,10 @@ struct LargeRow {
   std::size_t peakRssBytes = 0;  ///< process high-water after this size
 };
 
-/// One row of part (h): a single-client mutation stream replayed against the
-/// incremental frontier-cache solver, every step verified bit-for-bit and
-/// timed against the from-scratch exact DP.
+/// One row of part (h): a mutation stream replayed against the incremental
+/// frontier-cache solver, every step verified bit-for-bit and timed against
+/// the from-scratch exact DP. Single-client value mutations, or (structural)
+/// drawMutation's full mix: joins, pod attaches and detaches, W changes.
 struct IncrementalRow {
   int size = 0;
   std::size_t vertices = 0;
@@ -716,7 +717,9 @@ int main(int argc, char** argv) try {
   std::cout << "\n(h) Incremental re-optimization — dirty-subtree frontier "
                "caches vs from-scratch exact DP, " << mutateSteps
             << " single-client mutations per stream (every step verified)\n";
+  constexpr int churnSize = 10000;  // serve-churn's scale
   std::vector<IncrementalRow> incrementalRows;
+  std::vector<IncrementalRow> churnRows;
   {
     // Unit base requests at light load (lambda 0.05): each mutation then
     // moves a handful of replicas at most, which is the regime incremental
@@ -780,6 +783,46 @@ int main(int argc, char** argv) try {
                  "bit-for-bit; a single-client mutation dirties O(depth) "
                  "subtree frontiers, so the incremental re-solve pulls ahead "
                  "of the O(s) scratch DP as s grows (>= 5x at s=10^4)\n";
+
+    // The same check under structural churn: drawMutation's mix (joins, pod
+    // attaches and detaches, global W changes) at rate cap 0.1 on the
+    // serve-churn instance profile, one stream per policy.
+    GeneratorConfig churn = config;
+    churn.minSize = churn.maxSize = churnSize;
+    churn.qosFraction = 0.3;
+    churn.qosMinHops = 6;
+    churn.qosMaxHops = 12;
+    TextTable c;
+    c.setHeader({"s", "policy", "inc p50 (ms)", "scratch p50", "match", "copies",
+                 "fallbacks", "final s"});
+    for (const OnlinePolicy policy :
+         {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+      ProblemInstance inst = generateInstance(churn, 11, static_cast<std::uint64_t>(churnSize));
+      MutationWorkloadConfig mc;
+      mc.policy = policy;
+      mc.steps = mutateSteps;
+      mc.seed = 4321 + static_cast<std::uint64_t>(churnSize);
+      mc.rateCap = 0.1;
+      mc.verifyScratch = true;
+      IncrementalRow row;
+      row.size = churnSize;
+      row.vertices = inst.tree.vertexCount();
+      row.policy = policy;
+      row.run = runMutationWorkload(inst, mc);
+      c.addRow({std::to_string(churnSize), std::string(toString(policy)),
+                formatDouble(row.run.p50IncrementalMs, 3),
+                formatDouble(row.run.p50ScratchMs, 3), row.run.allMatch ? "yes" : "NO",
+                std::to_string(row.run.cache.snapshotCopies),
+                std::to_string(row.run.cache.scratchFallbacks),
+                std::to_string(inst.tree.vertexCount())});
+      churnRows.push_back(std::move(row));
+    }
+    std::cout << "  structural churn (joins, pods, detaches, W changes; rate cap 0.1):\n"
+              << c.render();
+    std::cout << "  expectation: every step matches the from-scratch optimum and "
+                 "no resolve falls back to scratch; joins and pods repair the "
+                 "assignment in place, so snapshot copies follow the W changes "
+                 "only\n";
   }
   const std::size_t rssIncremental = bench::peakRssBytes();
 
@@ -1134,6 +1177,8 @@ int main(int argc, char** argv) try {
   bool verificationFailed = false;
   for (const IncrementalRow& row : incrementalRows)
     if (!row.run.allMatch) verificationFailed = true;
+  for (const IncrementalRow& row : churnRows)
+    if (!row.run.allMatch || row.run.cache.scratchFallbacks > 0) verificationFailed = true;
   for (const ResilienceRow& row : resilienceRows)
     if (!row.valid) verificationFailed = true;
   for (const MultitreeRow& row : multitreeRows)
@@ -1293,6 +1338,21 @@ int main(int argc, char** argv) try {
       json.key("p99_scratch_ms").value(row.run.p99ScratchMs);
       json.key("speedup_p50").value(row.run.speedupP50());
       json.key("speedup_p99").value(row.run.speedupP99());
+      json.key("cache");
+      writeFrontierCacheStats(json, row.run.cache);
+      json.endObject();
+    }
+    json.endArray();
+    json.key("structural_runs").beginArray();
+    for (const IncrementalRow& row : churnRows) {
+      json.beginObject();
+      json.key("s").value(row.size);
+      json.key("vertices").value(static_cast<std::int64_t>(row.vertices));
+      json.key("policy").value(std::string(toString(row.policy)));
+      json.key("rate_cap").value(0.1);
+      json.key("all_match").value(row.run.allMatch);
+      json.key("p50_incremental_ms").value(row.run.p50IncrementalMs);
+      json.key("p50_scratch_ms").value(row.run.p50ScratchMs);
       json.key("cache");
       writeFrontierCacheStats(json, row.run.cache);
       json.endObject();

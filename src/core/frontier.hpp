@@ -133,6 +133,8 @@ class BasicFrontierArena {
 
   std::size_t bytes() const { return slab_.capacity() * sizeof(Entry); }
   std::size_t entryCount() const { return slab_.size(); }
+  /// Entries the slab holds before its next (doubling) reallocation.
+  std::size_t capacity() const { return slab_.capacity(); }
 
  private:
   std::vector<Entry> slab_;

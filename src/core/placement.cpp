@@ -30,6 +30,14 @@ Placement::Placement(std::size_t vertexCount, PlacementArena& arena) {
   reuse(isReplica_, char{0});
 }
 
+void Placement::grow(std::size_t vertexCount) {
+  TREEPLACE_REQUIRE(vertexCount >= runs_.size(), "a placement only grows");
+  if (vertexCount > runs_.capacity()) heapAllocs_ += 3;
+  runs_.resize(vertexCount);
+  serverLoad_.resize(vertexCount, 0);
+  isReplica_.resize(vertexCount, 0);
+}
+
 void Placement::addReplica(VertexId node) {
   TREEPLACE_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < runs_.size(),
                     "replica id out of range");

@@ -53,6 +53,10 @@ class Placement {
 
   std::size_t vertexCount() const { return runs_.size(); }
 
+  /// Extend to `vertexCount` (>= vertexCount()) vertices; the new ones hold
+  /// no replica and no share. Tracks a tree grown by appends.
+  void grow(std::size_t vertexCount);
+
   void addReplica(VertexId node);
   void removeReplica(VertexId node);
   bool hasReplica(VertexId node) const;

@@ -209,6 +209,8 @@ void writeFrontierCacheStats(JsonWriter& json, const FrontierCacheStats& stats) 
   json.key("compactions").value(static_cast<std::int64_t>(stats.compactions));
   json.key("arena_entries").value(static_cast<std::int64_t>(stats.arenaEntries));
   json.key("arena_bytes").value(static_cast<std::int64_t>(stats.arenaBytes));
+  json.key("snapshot_copies").value(static_cast<std::int64_t>(stats.snapshotCopies));
+  json.key("scratch_fallbacks").value(static_cast<std::int64_t>(stats.scratchFallbacks));
   json.endObject();
 }
 

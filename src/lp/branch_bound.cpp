@@ -114,6 +114,10 @@ struct SharedState {
   std::atomic<long> outstanding{0};   ///< nodes in shards + nodes being expanded
   std::atomic<unsigned long> pushEpoch{0};
   std::atomic<bool> budgetExhausted{false};
+  /// Set when the root's children are first pushed. Until then no worker
+  /// steals, so worker 0 — the one solving in the caller's persistent
+  /// workspace — always solves the root and leaves that workspace warm.
+  std::atomic<bool> rootExpanded{false};
   std::atomic<bool> abortUnbounded{false};
   std::atomic<bool> sawIterationLimit{false};
 
@@ -172,7 +176,8 @@ struct Claim {
   int shard = -1;
 };
 
-/// Pop one node, own shard first, then foreign shards in round-robin order.
+/// Pop one node, own shard first, then foreign shards in round-robin order
+/// (foreign shards only once the root is expanded).
 /// Budgets are charged only when a node is available, under the shard mutex:
 /// the node cap first, then the shared guard, then the budget slot is
 /// reserved (CAS) before popping. Returns false via `stop` when either
@@ -181,7 +186,8 @@ bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
               long& steals) {
   const MipOptions& options = shared.options;
   const int shardCount = static_cast<int>(shared.shards.size());
-  for (int k = 0; k < shardCount; ++k) {
+  const int scan = shared.rootExpanded.load() ? shardCount : 1;
+  for (int k = 0; k < scan; ++k) {
     const int s = (self + k) % shardCount;
     Shard& shard = *shared.shards[static_cast<std::size_t>(s)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -391,6 +397,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       // hit zero while claimable work exists (this node still counts as 1
       // until the final decrement below).
       shared.outstanding.fetch_add(children);
+      shared.rootExpanded.store(true);
       {
         const std::lock_guard<std::mutex> lock(ownShard.mutex);
         for (int c = 0; c < children; ++c)

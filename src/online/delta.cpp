@@ -1,32 +1,16 @@
 #include "online/delta.hpp"
 
 #include <sstream>
-#include <utility>
 
 #include "support/require.hpp"
 
 namespace treeplace {
 namespace {
 
-/// Rebuild the Tree with `extraParents`/`extraKinds` appended. Existing ids,
-/// children orders and subtree contents are untouched (children are id-
-/// ordered and new ids are maximal), so only the attach path changes.
-void appendVertices(ProblemInstance& instance,
-                    const std::vector<VertexId>& extraParents,
-                    const std::vector<VertexKind>& extraKinds) {
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  std::vector<VertexId> parents(n + extraParents.size());
-  std::vector<VertexKind> kinds(n + extraKinds.size());
-  for (std::size_t v = 0; v < n; ++v) {
-    parents[v] = tree.parent(static_cast<VertexId>(v));
-    kinds[v] = tree.kind(static_cast<VertexId>(v));
-  }
-  for (std::size_t k = 0; k < extraParents.size(); ++k) {
-    parents[n + k] = extraParents[k];
-    kinds[n + k] = extraKinds[k];
-  }
-  instance.tree = Tree::fromParents(std::move(parents), std::move(kinds));
+/// Grow the per-vertex value arrays to the tree's (grown) vertex count,
+/// with the defaults a fresh vertex carries. resize grows the capacity
+/// geometrically, so a stream of appends costs amortized O(added).
+void growValues(ProblemInstance& instance) {
   const std::size_t grown = instance.tree.vertexCount();
   instance.requests.resize(grown, 0);
   instance.capacity.resize(grown, 0);
@@ -167,8 +151,8 @@ DeltaApplication applyDelta(ProblemInstance& instance, const InstanceDelta& delt
     }
     case DeltaKind::ClientJoin: {
       app.structural = true;
-      app.firstNewVertex = static_cast<VertexId>(tree.vertexCount());
-      appendVertices(instance, {delta.node}, {VertexKind::Client});
+      app.firstNewVertex = instance.tree.appendClient(delta.node);
+      growValues(instance);
       const auto c = static_cast<std::size_t>(app.firstNewVertex);
       instance.requests[c] = delta.rate;
       instance.commTime[c] = delta.commTime;
@@ -178,14 +162,8 @@ DeltaApplication applyDelta(ProblemInstance& instance, const InstanceDelta& delt
     }
     case DeltaKind::SubtreeAttach: {
       app.structural = true;
-      app.firstNewVertex = static_cast<VertexId>(tree.vertexCount());
-      std::vector<VertexId> parents{delta.node};
-      std::vector<VertexKind> kinds{VertexKind::Internal};
-      for (std::size_t k = 0; k < delta.podRates.size(); ++k) {
-        parents.push_back(app.firstNewVertex);
-        kinds.push_back(VertexKind::Client);
-      }
-      appendVertices(instance, parents, kinds);
+      app.firstNewVertex = instance.tree.appendPod(delta.node, delta.podRates.size());
+      growValues(instance);
       const auto pod = static_cast<std::size_t>(app.firstNewVertex);
       instance.capacity[pod] = delta.capacity;
       instance.storageCost[pod] = delta.storageCost;

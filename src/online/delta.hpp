@@ -12,8 +12,8 @@ namespace treeplace {
 
 /// Kinds of live-instance mutations the online layer understands. Vertex ids
 /// are stable across every mutation: structural changes append vertices at
-/// the end of the id range (Tree::fromParents uses index == id), and removal
-/// is logical — a leaving client keeps its vertex with a zero request rate.
+/// the end of the id range (Tree::appendClient/appendPod), and removal is
+/// logical — a leaving client keeps its vertex with a zero request rate.
 enum class DeltaKind : std::uint8_t {
   RateChange,      ///< client request rate r_i changes
   ClientJoin,      ///< a new client leaf attaches under an internal node
@@ -74,7 +74,7 @@ class DeltaError : public std::invalid_argument {
 /// What applying a delta did, in terms every incremental consumer needs for
 /// invalidation. `touched` lists the vertices whose own subtree DP state
 /// changed (consumers dirty them plus their root paths); `structural` says
-/// the Tree object was rebuilt (vertices appended, ids stable); `global`
+/// the Tree grew (vertices appended under one parent, ids stable); `global`
 /// says every cached subtree result is stale (homogeneous capacity change —
 /// W appears in every place step).
 struct DeltaApplication {
@@ -85,8 +85,9 @@ struct DeltaApplication {
   VertexId firstNewVertex = kNoVertex;  ///< structural only: old vertexCount
 };
 
-/// Apply `delta` to `instance` in place. Structural deltas rebuild the Tree
-/// from an extended parent array (O(n), ids stable); value deltas edit the
+/// Apply `delta` to `instance` in place. Structural deltas grow the Tree in
+/// place (Tree::appendClient/appendPod: O(depth + added) plus one splice of
+/// the preorder-position arrays, ids stable); value deltas edit the
 /// per-vertex arrays directly. Malformed deltas — out-of-range or wrong-kind
 /// vertex ids, detach of the root, negative rates, non-positive capacities,
 /// empty pods — throw DeltaError from a validation pass that precedes every

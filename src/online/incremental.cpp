@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <new>
 #include <utility>
 
 #include "core/bag_steps.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
+#include "support/fault_injection.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -37,11 +39,11 @@ template <typename Entry>
 void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
                                      bool withCombos) {
   const std::size_t n = decomp.bagCount();
-  // Reserve past the 16n compaction gate (compactIfBloated): the slab then
-  // reaches the compaction decision before its first doubling reallocation,
-  // so steady-state pushes never pay a multi-MiB slab copy inside a timed
-  // re-solve. The combo-less bounds cache sees no latency bar and keeps the
-  // modest reserve instead.
+  // Reserve past the 16n compaction floor: the capacity-aware gate
+  // (compactIfBloated) then compacts before any recompute could overflow the
+  // slab, so it never doubles and steady-state pushes never pay a multi-MiB
+  // slab copy inside a timed re-solve. The combo-less bounds cache sees no
+  // latency bar and keeps the modest reserve instead.
   arena.reset((withCombos ? 17 : 4) * n);
   frontier.assign(n, FrontierSpan{});
   computedEpoch.assign(n, 0);
@@ -52,6 +54,7 @@ void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
   replicaBit.assign(n, 0);
   liveEntries = 0;
   nextCompactCheck = 0;
+  deadComboSlots = 0;
   comboSpans.clear();
   comboChild.clear();
   comboOffset.clear();
@@ -63,10 +66,9 @@ void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
 }
 
 template <typename Entry>
-void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
-                                     bool withCombos) {
+void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp, bool withCombos,
+                                     BagId firstNew) {
   const std::size_t n = decomp.bagCount();
-  const std::size_t oldN = frontier.size();
   frontier.resize(n);
   computedEpoch.resize(n, 0);
   comboCap.resize(n, -1);
@@ -75,30 +77,54 @@ void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
   chosenEpoch.resize(n, 0);
   replicaBit.resize(n, 0);
   if (!withCombos) return;
+  comboOffset.resize(n, 0);
+  comboCount.resize(n, 0);
+  // Only the attach parent gained a child: its chain moves to the table's
+  // tail one slot longer, and each new bag gets its slots there. The old
+  // slots travel with the child each one folded in; the prefix-reuse scan
+  // revalidates those against the grown merge order, so a reshuffle
+  // degrades to a partial or full re-convolve instead of silently pairing
+  // spans with the wrong child.
+  const auto moveToTail = [&](BagId v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const auto count = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
+    const std::size_t tail = comboSpans.size();
+    const std::size_t old = static_cast<std::size_t>(comboOffset[vi]);
+    const std::int32_t keep = std::min(comboCount[vi], count);
+    comboSpans.resize(tail + static_cast<std::size_t>(count));
+    comboChild.resize(tail + static_cast<std::size_t>(count), kNoVertex);
+    for (std::int32_t ci = 0; ci < keep; ++ci) {
+      comboSpans[tail + static_cast<std::size_t>(ci)] = comboSpans[old + static_cast<std::size_t>(ci)];
+      comboChild[tail + static_cast<std::size_t>(ci)] = comboChild[old + static_cast<std::size_t>(ci)];
+    }
+    deadComboSlots += static_cast<std::size_t>(comboCount[vi]);
+    comboOffset[vi] = static_cast<std::int32_t>(tail);
+    comboCount[vi] = count;
+  };
+  moveToTail(decomp.tree().parent(decomp.anchor(firstNew)));
+  for (auto v = static_cast<std::size_t>(firstNew); v < n; ++v) {
+    comboCount[v] = 0;
+    moveToTail(static_cast<BagId>(v));
+  }
+  if (deadComboSlots <= comboSpans.size() / 2) return;
+  // Holes dominate: lay the table out afresh, every chain kept.
   std::vector<std::int32_t> newOffset;
   std::vector<std::int32_t> newCount;
   const std::int32_t running = layoutCombos(decomp, newOffset, newCount);
   std::vector<FrontierSpan> newSpans(static_cast<std::size_t>(running));
   std::vector<VertexId> newChild(static_cast<std::size_t>(running), kNoVertex);
-  // Old vertices keep their prefix-convolution spans together with the child
-  // each slot folded in; the prefix-reuse scan revalidates the recorded
-  // children against the rebuilt merge order, so a reshuffle (the grown
-  // subtree got heavier) degrades to a partial or full re-convolve instead
-  // of silently pairing spans with the wrong child.
-  for (std::size_t vi = 0; vi < oldN; ++vi) {
-    const auto keep =
-        static_cast<std::size_t>(std::min(comboCount[vi], newCount[vi]));
-    for (std::size_t ci = 0; ci < keep; ++ci) {
-      newSpans[static_cast<std::size_t>(newOffset[vi]) + ci] =
-          comboSpans[static_cast<std::size_t>(comboOffset[vi]) + ci];
-      newChild[static_cast<std::size_t>(newOffset[vi]) + ci] =
-          comboChild[static_cast<std::size_t>(comboOffset[vi]) + ci];
+  for (std::size_t vi = 0; vi < n; ++vi)
+    for (std::int32_t ci = 0; ci < newCount[vi]; ++ci) {
+      newSpans[static_cast<std::size_t>(newOffset[vi] + ci)] =
+          comboSpans[static_cast<std::size_t>(comboOffset[vi] + ci)];
+      newChild[static_cast<std::size_t>(newOffset[vi] + ci)] =
+          comboChild[static_cast<std::size_t>(comboOffset[vi] + ci)];
     }
-  }
   comboSpans = std::move(newSpans);
   comboChild = std::move(newChild);
   comboOffset = std::move(newOffset);
   comboCount = std::move(newCount);
+  deadComboSlots = 0;
 }
 
 template struct FrontierCacheState<FrontierEntry>;
@@ -131,19 +157,29 @@ std::shared_ptr<const Placement> lease(
   return {std::move(owner), &raw->placement};
 }
 
-/// Copy-compact the persistent arena once dead generations dominate: stage
-/// every clean vertex's spans, reset the slab, re-push. Spans are indices and
+/// Copy-compact the persistent arena once dead generations dominate, or
+/// before the next recompute could overflow the slab: stage every clean
+/// vertex's spans, reset the slab, re-push. Spans are indices and
 /// within-span backpointers are span-relative, so relocation preserves the
 /// reconstruction walk; dirty vertices are recomputed by the next resolve, so
 /// their stale spans are simply dropped.
+///
+/// The gate is capacity-aware. A slab that overflows doubles and never gives
+/// the memory back (reset only reserves), and one global W change recomputes
+/// about as many entries as are live. So the cheap early return holds only
+/// while 4n more entries still fit, and deferring a compaction only while a
+/// recompute of the live set (plus n) still fits — until the slab has taken
+/// as many entries as that margin left.
 template <typename Entry>
 void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree,
                       const DirtyTracker& tracker, FrontierCacheStats& stats) {
   const std::size_t n = tree.vertexCount();
   const std::size_t total = cache.arena.entryCount();
-  if (total <= 16 * n) return;  // smaller than a few scratch generations
+  const std::size_t capacity = cache.arena.capacity();
+  if (total <= 16 * n && total + 4 * n <= capacity) return;  // a few scratch generations
   // The live-scan below is O(n); once the slab passes the floor, rerun it
-  // only after another ~n entries of churn, not on every resolve.
+  // only after another ~n entries of churn (or once a recompute of the live
+  // set measured last time might no longer fit), not on every resolve.
   if (total < cache.nextCompactCheck) return;
 
   const bool withCombos = !cache.comboOffset.empty();
@@ -163,11 +199,14 @@ void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree
   // Prefix reuse keeps per-resolve churn small, so a generous dead:live
   // ratio trades a few MiB of slab for compaction spikes rare enough to
   // stay out of the p99 re-solve latency.
-  if (total <= 6 * live + 8 * n) {
-    cache.nextCompactCheck = total + n;
+  if (total <= 6 * live + 8 * n && total + live + n <= capacity) {
+    cache.nextCompactCheck = std::min(total + n, capacity - live - n);
     return;
   }
 
+  // The staging copy is the compaction's own allocation, and an Allocation
+  // fault site like slab growth.
+  if (fault::fire(fault::Site::Allocation)) throw std::bad_alloc();
   std::vector<Entry> stage;
   stage.reserve(live);
   const auto copySpan = [&](FrontierSpan& span) {
@@ -289,21 +328,11 @@ IncrementalSolver::IncrementalSolver(ProblemInstance& instance, OnlinePolicy pol
     cacheQos_.init(decomp, true);
   else
     cache2d_.init(decomp, true);
-  rebuildPositions();
+  growVertexTables();
 }
 
-void IncrementalSolver::rebuildPositions() {
-  const Tree& tree = instance_->tree;
-  const std::size_t n = tree.vertexCount();
-  postPos_.assign(n, 0);
-  const auto& post = tree.postorder();
-  for (std::size_t i = 0; i < post.size(); ++i)
-    postPos_[static_cast<std::size_t>(post[i])] = static_cast<std::int32_t>(i);
-  clientIndex_.assign(n, -1);
-  const auto& clients = tree.clients();
-  for (std::size_t i = 0; i < clients.size(); ++i)
-    clientIndex_[static_cast<std::size_t>(clients[i])] =
-        static_cast<std::int32_t>(i);
+void IncrementalSolver::growVertexTables() {
+  const std::size_t n = instance_->tree.vertexCount();
   pathMark_.resize(n, 0);
   clientMark_.resize(n, 0);
   remainingScratch_.resize(n, 0);
@@ -315,16 +344,20 @@ void IncrementalSolver::rebuildPositions() {
 
 void IncrementalSolver::noteDelta(const DeltaApplication& app) {
   if (app.structural) {
-    const TreeDecomposition decomp(instance_->tree);
+    const Tree& tree = instance_->tree;
+    const TreeDecomposition decomp(tree);
     if (policy_ == OnlinePolicy::ClosestQos)
-      cacheQos_.grow(decomp, true);
+      cacheQos_.grow(decomp, true, app.firstNewVertex);
     else
-      cache2d_.grow(decomp, true);
-    stats_.trackedVertices = instance_->tree.vertexCount();
-    rebuildPositions();
-    // The incumbent assignment is sized for the old vertex range; the next
-    // feasible resolve rebuilds it wholesale.
-    assignRebuildNeeded_ = true;
+      cache2d_.grow(decomp, true, app.firstNewVertex);
+    stats_.trackedVertices = tree.vertexCount();
+    growVertexTables();
+    // Each new client is a 0 -> r rate change under a known vertex: the
+    // assignment repair serves it like any other changed client, and the
+    // buffers grow to the new vertex range as they are levelled.
+    for (auto v = static_cast<std::size_t>(app.firstNewVertex); v < tree.vertexCount(); ++v)
+      if (tree.isClient(static_cast<VertexId>(v)))
+        pendingChangedClients_.push_back(static_cast<VertexId>(v));
   }
   stats_.invalidations += tracker_.note(instance_->tree, app, &pendingDirty_);
   if (app.global) {
@@ -344,7 +377,7 @@ void IncrementalSolver::noteDelta(const DeltaApplication& app) {
                                     app.touched.begin(), app.touched.end());
       break;
     default:
-      break;  // structural kinds force a rebuild; capacity changes touch no rate
+      break;  // structural kinds queued their new clients above; capacity changes touch no rate
   }
 }
 
@@ -392,7 +425,7 @@ void IncrementalSolver::invalidateCaches() {
     cacheQos_.init(decomp, true);
   else
     cache2d_.init(decomp, true);
-  rebuildPositions();
+  growVertexTables();
   pendingDirty_.clear();
   pendingGlobal_ = true;
   pendingChangedClients_.clear();
@@ -414,11 +447,10 @@ Requests IncrementalSolver::foldCapacity() const {
 }
 
 void IncrementalSolver::orderPendingDirty() {
-  std::sort(pendingDirty_.begin(), pendingDirty_.end(),
-            [this](VertexId a, VertexId b) {
-              return postPos_[static_cast<std::size_t>(a)] <
-                     postPos_[static_cast<std::size_t>(b)];
-            });
+  const Tree& tree = instance_->tree;
+  std::sort(pendingDirty_.begin(), pendingDirty_.end(), [&tree](VertexId a, VertexId b) {
+    return tree.postorderIndex(a) < tree.postorderIndex(b);
+  });
   pendingDirty_.erase(std::unique(pendingDirty_.begin(), pendingDirty_.end()),
                       pendingDirty_.end());
 }
@@ -534,6 +566,7 @@ Placement& IncrementalSolver::levelBackBuffer() {
     ++stats_.snapshotCopies;
   } else {
     Placement& back = back_->placement;
+    back.grow(front.vertexCount());
     for (const VertexId v : journalFlips_) {
       if (front.hasReplica(v))
         back.addReplica(v);
@@ -546,6 +579,7 @@ Placement& IncrementalSolver::levelBackBuffer() {
     }
   }
   backStale_ = false;
+  back_->placement.grow(instance_->tree.vertexCount());
   return back_->placement;
 }
 
@@ -614,8 +648,8 @@ std::vector<VertexId> IncrementalSolver::repairClosestAssignment(
     mark = candidateGen;
     moved.push_back(c);
   };
-  const auto indexLess = [this](VertexId c, std::int32_t pos) {
-    return clientIndex_[static_cast<std::size_t>(c)] < pos;
+  const auto indexLess = [&tree](VertexId c, std::int32_t pos) {
+    return tree.clientIndex(c) < pos;
   };
   for (const VertexId v : flips_) {
     const auto vi = static_cast<std::size_t>(v);
@@ -630,7 +664,7 @@ std::vector<VertexId> IncrementalSolver::repairClosestAssignment(
       const auto& list = serverClients_[static_cast<std::size_t>(u)];
       if (list.empty()) continue;
       for (auto it = std::lower_bound(list.begin(), list.end(), lo, indexLess);
-           it != list.end() && clientIndex_[static_cast<std::size_t>(*it)] < hi;
+           it != list.end() && tree.clientIndex(*it) < hi;
            ++it)
         candidate(*it);
     }
@@ -694,9 +728,8 @@ std::vector<VertexId> IncrementalSolver::repairClosestAssignment(
       return clientMark_[static_cast<std::size_t>(c)] == leftGen;
     });
   }
-  const auto scanLess = [this](VertexId a, VertexId b) {
-    return clientIndex_[static_cast<std::size_t>(a)] <
-           clientIndex_[static_cast<std::size_t>(b)];
+  const auto scanLess = [&tree](VertexId a, VertexId b) {
+    return tree.clientIndex(a) < tree.clientIndex(b);
   };
   std::sort(arrivals.begin(), arrivals.end(),
             [&](const auto& a, const auto& b) {
@@ -808,13 +841,11 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
 
   // 4. Replay in the exact greedy's order: servers in postorder, clients in
   // scan order within the server's subtree, absorb min(rest, budget).
-  std::sort(affected.begin(), affected.end(), [this](VertexId a, VertexId b) {
-    return postPos_[static_cast<std::size_t>(a)] <
-           postPos_[static_cast<std::size_t>(b)];
+  std::sort(affected.begin(), affected.end(), [&tree](VertexId a, VertexId b) {
+    return tree.postorderIndex(a) < tree.postorderIndex(b);
   });
-  std::sort(tracked.begin(), tracked.end(), [this](VertexId a, VertexId b) {
-    return clientIndex_[static_cast<std::size_t>(a)] <
-           clientIndex_[static_cast<std::size_t>(b)];
+  std::sort(tracked.begin(), tracked.end(), [&tree](VertexId a, VertexId b) {
+    return tree.clientIndex(a) < tree.clientIndex(b);
   });
   for (const VertexId s : affected) {
     if (replicaBit[static_cast<std::size_t>(s)] == 0) continue;  // lost its replica
@@ -823,13 +854,10 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
     const auto hi = lo + static_cast<std::int32_t>(span.size());
     Requests budget = W;
     auto it = std::lower_bound(
-        tracked.begin(), tracked.end(), lo, [this](VertexId c, std::int32_t pos) {
-          return clientIndex_[static_cast<std::size_t>(c)] < pos;
-        });
+        tracked.begin(), tracked.end(), lo,
+        [&tree](VertexId c, std::int32_t pos) { return tree.clientIndex(c) < pos; });
     auto& takes = serverTakes_[static_cast<std::size_t>(s)];
-    for (; it != tracked.end() &&
-           clientIndex_[static_cast<std::size_t>(*it)] < hi && budget > 0;
-         ++it) {
+    for (; it != tracked.end() && tree.clientIndex(*it) < hi && budget > 0; ++it) {
       const VertexId c = *it;
       auto& rest = remainingScratch_[static_cast<std::size_t>(c)];
       if (rest == 0) continue;
@@ -855,7 +883,7 @@ IncrementalBounds::IncrementalBounds(ProblemInstance& instance)
 
 void IncrementalBounds::noteDelta(const DeltaApplication& app) {
   if (app.structural) {
-    cache_.grow(TreeDecomposition(instance_->tree), false);
+    cache_.grow(TreeDecomposition(instance_->tree), false, app.firstNewVertex);
     stats_.trackedVertices = instance_->tree.vertexCount();
   }
   stats_.invalidations += tracker_.note(instance_->tree, app);

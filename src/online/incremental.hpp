@@ -88,6 +88,9 @@ struct FrontierCacheState {
   std::vector<VertexId> comboChild;
   std::vector<std::int32_t> comboOffset;   ///< per vertex
   std::vector<std::int32_t> comboCount;    ///< children count at layout time
+  /// Combo slots abandoned by grow() relocations; the table is laid out
+  /// afresh once they outnumber the live ones.
+  std::size_t deadComboSlots = 0;
   std::vector<std::uint64_t> computedEpoch;  ///< 0 = never computed
   /// Count cap and flow ceiling the vertex's combo chain was built with
   /// (cap -1: chain invalid). A dirty vertex whose cap and ceiling are both
@@ -112,10 +115,11 @@ struct FrontierCacheState {
   std::size_t nextCompactCheck = 0;
 
   void init(const TreeDecomposition& decomp, bool withCombos);
-  /// Structural growth: extend per-bag tables, remap the flat combo table
-  /// onto the new schedule's layout (old bags keep their spans; the attach
-  /// target is dirty anyway).
-  void grow(const TreeDecomposition& decomp, bool withCombos);
+  /// Structural growth (bags firstNew.. appended under one parent): extend
+  /// the per-bag tables geometrically and give the parent and the new bags
+  /// their combo slots at the table's tail — O(added + the parent's
+  /// degree), amortized; every other bag keeps its slots.
+  void grow(const TreeDecomposition& decomp, bool withCombos, BagId firstNew);
 };
 
 /// One of IncrementalSolver's two incumbent buffers (defined with the solver).
@@ -208,14 +212,16 @@ class IncrementalSolver {
   /// Sort the pending dirty list into postorder processing position and drop
   /// duplicates (the same vertex stamped across several epochs).
   void orderPendingDirty();
-  void rebuildPositions();
+  /// Size the per-vertex scratch tables to the tree (geometric growth).
+  void growVertexTables();
   template <typename Entry>
   void reconstruct(detail::FrontierCacheState<Entry>& cache,
                    std::int32_t rootEntryIndex);
   /// Persistent-assignment maintenance after a feasible reconstruct: either a
-  /// full rebuild (first solve, structural growth, Multiple after a global W
-  /// change) or an O(changed region) repair driven by the replica-bit flips
-  /// the walk collected plus the clients whose rates mutated.
+  /// full rebuild (first solve, Multiple after a global W change) or an
+  /// O(changed region) repair driven by the replica-bit flips the walk
+  /// collected plus the clients whose rates mutated — appended clients
+  /// included, as 0 -> r changes.
   void refreshClosestAssignment(const std::vector<char>& replicaBit);
   void refreshMultipleAssignment(const std::vector<char>& replicaBit);
   /// The repairs write `placement` (the levelled back buffer) and return the
@@ -226,7 +232,8 @@ class IncrementalSolver {
                                                  Placement& placement);
   /// The back buffer, made equal to the published snapshot: by replaying the
   /// journal in place, or by one full copy when a caller still holds it or
-  /// the journal does not cover the difference.
+  /// the journal does not cover the difference. Grown to the tree's current
+  /// vertex count either way.
   Placement& levelBackBuffer();
   /// Swap the repaired back buffer in as the published snapshot; `touched`
   /// (plus flips_) becomes the journal the next step replays.
@@ -276,8 +283,6 @@ class IncrementalSolver {
   /// client under the flipped vertex.
   std::vector<std::vector<VertexId>> serverClients_;
 
-  std::vector<std::int32_t> postPos_;      ///< postorder position per vertex
-  std::vector<std::int32_t> clientIndex_;  ///< index in tree.clients(), -1 else
   std::vector<Requests> remainingScratch_;  ///< valid only for tracked clients
   std::vector<std::uint64_t> pathMark_;    ///< root-path walk dedup stamps
   std::vector<std::uint64_t> clientMark_;  ///< tracked-client dedup stamps

@@ -401,14 +401,7 @@ SolveOutcome solveResilientIlp(WarmIlpSession& session, const SolveBudget& budge
 ResilientSession::ResilientSession(ProblemInstance& instance, OnlinePolicy policy,
                                    ResilientOptions options)
     : instance_(&instance), policy_(policy), options_(options),
-      solver_(instance, policy) {
-  try {
-    bounds_.emplace(instance);
-  } catch (...) {
-    // A fault during warm-up costs the floor, not the session; rebuilt lazily.
-    bounds_.reset();
-  }
-}
+      solver_(instance, policy) {}
 
 DeltaApplication ResilientSession::apply(const InstanceDelta& delta) {
   DeltaApplication app = solver_.apply(delta);

@@ -109,8 +109,10 @@ class ResilientSession {
 
  private:
   /// Certified replica-count floor from the (lazily refreshed) relaxation;
-  /// 0 when the refresh itself failed. Self-heals the bounds cache by
-  /// rebuilding it from scratch on any refresh failure.
+  /// 0 when the refresh itself failed. The bounds cache is built on the
+  /// first degraded rung that needs it — a session whose exact rung always
+  /// answers never pays for it — and rebuilt from scratch after any refresh
+  /// failure.
   std::int32_t relaxationFloor();
 
   ProblemInstance* instance_;

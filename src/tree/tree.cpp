@@ -1,6 +1,7 @@
 #include "tree/tree.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "support/require.hpp"
@@ -94,13 +95,8 @@ Tree Tree::fromParents(std::vector<VertexId> parents, std::vector<VertexKind> ki
   t.mergeList_ = t.childList_;
   for (VertexId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    auto* begin = t.mergeList_.data() + t.childStart_[vi];
-    auto* end = t.mergeList_.data() + t.childStart_[vi + 1];
-    std::sort(begin, end, [&t](VertexId a, VertexId b) {
-      const std::size_t sa = t.subtreeSize(a);
-      const std::size_t sb = t.subtreeSize(b);
-      return sa != sb ? sa < sb : a < b;
-    });
+    std::sort(t.mergeList_.data() + t.childStart_[vi], t.mergeList_.data() + t.childStart_[vi + 1],
+              [&t](VertexId a, VertexId b) { return t.mergesBefore(a, b); });
   }
 
   // Kind/shape constraints, client/internal lists in preorder order and the
@@ -132,6 +128,109 @@ std::span<const VertexId> Tree::mergeChildren(VertexId v) const {
   const auto begin = static_cast<std::size_t>(childStart_[i]);
   const auto end = static_cast<std::size_t>(childStart_[i + 1]);
   return {mergeList_.data() + begin, end - begin};
+}
+
+bool Tree::mergesBefore(VertexId a, VertexId b) const {
+  const std::size_t sa = subtreeSize(a);
+  const std::size_t sb = subtreeSize(b);
+  return sa != sb ? sa < sb : a < b;
+}
+
+VertexId Tree::appendClient(VertexId parent) { return graft(parent, 0); }
+
+VertexId Tree::appendPod(VertexId parent, std::size_t clients) {
+  TREEPLACE_REQUIRE(clients > 0, "a pod needs at least one client");
+  return graft(parent, clients);
+}
+
+VertexId Tree::graft(VertexId parent, std::size_t podClients) {
+  TREEPLACE_REQUIRE(isInternal(parent), "appended vertices need an internal parent");
+  const std::size_t n = vertexCount();
+  const std::size_t added = 1 + podClients;
+  TREEPLACE_REQUIRE(n + added <= static_cast<std::size_t>(INT32_MAX), "vertex ids exhausted");
+  const auto first = static_cast<VertexId>(n);
+  const auto k = static_cast<std::int32_t>(added);
+  const bool pod = podClients > 0;
+  const auto pi = static_cast<std::size_t>(parent);
+
+  // The new subtree (its root, then a pod's clients) becomes the parent's
+  // last child — its ids are maximal — so in preorder it opens where the
+  // parent's interval used to end, and in postorder it closes right before
+  // the parent.
+  const std::int32_t pos = subtreeEnd_[pi];
+  const std::int32_t postPos = postorderIndex(parent);
+  const std::int32_t clientsAhead = clientsBefore_[static_cast<std::size_t>(pos)];
+  std::vector<VertexId> inPreorder(added);
+  std::vector<std::int32_t> prefix(added);  // clientsBefore at each new position
+  for (std::size_t j = 0; j < added; ++j) {
+    inPreorder[j] = first + static_cast<VertexId>(j);
+    prefix[j] = clientsAhead + static_cast<std::int32_t>(j == 0 ? 0 : j - 1);
+  }
+  std::vector<VertexId> inPostorder(inPreorder.begin() + 1, inPreorder.end());
+  inPostorder.push_back(first);
+  const auto newClients = inPreorder.begin() + (pod ? 1 : 0);
+
+  // Splice the preorder-position arrays: every vertex opened at or after
+  // `pos` moves k slots on; the root path's intervals widen by k.
+  {
+    std::int32_t* pre = preIndex_.data();
+    std::int32_t* end = subtreeEnd_.data();
+    for (std::size_t v = 0; v < n; ++v) {  // branch-free, so it vectorizes
+      const std::int32_t shift = pre[v] >= pos ? k : 0;
+      pre[v] += shift;
+      end[v] += shift;
+    }
+  }
+  for (VertexId u = parent; u != kNoVertex; u = parents_[static_cast<std::size_t>(u)])
+    subtreeEnd_[static_cast<std::size_t>(u)] += k;
+  const auto clientCount = static_cast<std::int32_t>(inPreorder.end() - newClients);
+  for (std::size_t i = static_cast<std::size_t>(pos); i < clientsBefore_.size(); ++i)
+    clientsBefore_[i] += clientCount;
+  clientsBefore_.insert(clientsBefore_.begin() + pos, prefix.begin(), prefix.end());
+  preorder_.insert(preorder_.begin() + pos, inPreorder.begin(), inPreorder.end());
+  postorder_.insert(postorder_.begin() + postPos, inPostorder.begin(), inPostorder.end());
+  clients_.insert(clients_.begin() + clientsAhead, newClients, inPreorder.end());
+  if (pod) internals_.insert(internals_.begin() + (pos - clientsAhead), first);
+
+  // Per-vertex facts of the new vertices.
+  const int parentDepth = depths_[pi];
+  for (std::size_t j = 0; j < added; ++j) {
+    const bool root = j == 0;
+    parents_.push_back(root ? parent : first);
+    kinds_.push_back(root && pod ? VertexKind::Internal : VertexKind::Client);
+    depths_.push_back(parentDepth + (root ? 1 : 2));
+    preIndex_.push_back(pos + static_cast<std::int32_t>(j));
+    subtreeEnd_.push_back(root ? pos + k : pos + static_cast<std::int32_t>(j) + 1);
+  }
+
+  // Child lists: the graft becomes the parent's last slot (every later
+  // list moves one slot on) and slides left in the merge order past heavier
+  // siblings; a pod's clients fill the new root's list at the tail (they tie
+  // on size, so both orders are by id). Every root-path vertex whose subtree
+  // grew then slides right past the siblings it now outweighs.
+  const std::int32_t slot = childStart_[pi + 1];
+  childList_.insert(childList_.begin() + slot, first);
+  mergeList_.insert(mergeList_.begin() + slot, first);
+  for (std::size_t v = pi + 1; v <= n; ++v) ++childStart_[v];
+  for (auto i = static_cast<std::size_t>(slot);
+       i > static_cast<std::size_t>(childStart_[pi]) && mergesBefore(first, mergeList_[i - 1]); --i)
+    std::swap(mergeList_[i], mergeList_[i - 1]);
+  childList_.insert(childList_.end(), inPreorder.begin() + 1, inPreorder.end());
+  mergeList_.insert(mergeList_.end(), inPreorder.begin() + 1, inPreorder.end());
+  childStart_.resize(n + added + 1, static_cast<std::int32_t>(childList_.size()));
+  for (VertexId u = parent; parents_[static_cast<std::size_t>(u)] != kNoVertex;
+       u = parents_[static_cast<std::size_t>(u)])
+    resortMergeSlot(u);
+  return first;
+}
+
+void Tree::resortMergeSlot(VertexId v) {
+  const auto pi = static_cast<std::size_t>(parents_[static_cast<std::size_t>(v)]);
+  VertexId* slots = mergeList_.data() + childStart_[pi];
+  const std::int32_t count = childStart_[pi + 1] - childStart_[pi];
+  std::int32_t i = 0;
+  while (slots[i] != v) ++i;
+  for (; i + 1 < count && mergesBefore(slots[i + 1], v); ++i) std::swap(slots[i], slots[i + 1]);
 }
 
 bool Tree::isAncestor(VertexId a, VertexId d) const {

@@ -27,11 +27,16 @@ struct TreeBuildOptions {
   bool allowBareInternals = false;
 };
 
-/// Immutable rooted tree with two vertex kinds. Clients are leaves; every
-/// internal node has at least one child (unless allowBareInternals).
-/// Construction validates the shape and precomputes depths, preorder
-/// intervals (for O(1) ancestry tests) and a prefix client count over
-/// preorder positions (for the O(1) contiguous clients of a subtree).
+/// Rooted tree with two vertex kinds. Clients are leaves; every internal
+/// node has at least one child (unless allowBareInternals). Construction
+/// validates the shape and precomputes depths, preorder intervals (for O(1)
+/// ancestry tests) and a prefix client count over preorder positions (for
+/// the O(1) contiguous clients of a subtree).
+///
+/// The only mutation is growth at the end of the id range (appendClient,
+/// appendPod): the online layer's joins and pod attaches. A grown tree is
+/// indistinguishable through every accessor from Tree::fromParents on the
+/// extended parent array.
 class Tree {
  public:
   /// Build from a parent array. parents[v] == kNoVertex exactly for the root.
@@ -41,6 +46,25 @@ class Tree {
   static Tree fromParents(std::vector<VertexId> parents,
                           std::vector<VertexKind> kinds,
                           const TreeBuildOptions& options = {});
+
+  /// Attach one new client leaf under the internal vertex `parent`; returns
+  /// its id (the old vertexCount()). Equivalent to rebuilding through
+  /// fromParents with the parent appended, at the cost below.
+  VertexId appendClient(VertexId parent);
+
+  /// Attach a pod: one new internal vertex under the internal vertex
+  /// `parent`, carrying `clients` (>= 1) new client leaves. Returns the pod
+  /// root's id; its clients take the ids right after it.
+  ///
+  /// Cost of both appends: O(depth) for the root path, O(degree) for each
+  /// merge list on it (only the child whose subtree grew moves), O(added)
+  /// for the new vertices, plus one splice of the child lists and the
+  /// preorder-position arrays (preorder, postorder, intervals, prefix client
+  /// counts, clients or internals): block moves and linear shift passes,
+  /// O(s) word moves with no search or sort. The splice keeps every const
+  /// accessor exact right after the append, so no batch reader needs a
+  /// rebuild first, and a grown tree keeps the packed layout of a built one.
+  VertexId appendPod(VertexId parent, std::size_t clients);
 
   std::size_t vertexCount() const { return parents_.size(); }
   VertexId root() const { return root_; }
@@ -130,6 +154,17 @@ class Tree {
   /// Vertices in postorder (children before parents).
   const std::vector<VertexId>& postorder() const { return postorder_; }
 
+  /// Position of v in postorder(): the vertices finished before v are those
+  /// opened before preorderEnd(v) minus v and its depth(v) ancestors.
+  std::int32_t postorderIndex(VertexId v) const {
+    return preorderEnd(v) - 1 - depth(v);
+  }
+
+  /// Position of client c in clients() (its preorder rank among clients).
+  std::int32_t clientIndex(VertexId c) const {
+    return clientsBefore(preorderIndex(c));
+  }
+
   /// Number of vertices in subtree(v), v included.
   std::size_t subtreeSize(VertexId v) const;
 
@@ -143,6 +178,14 @@ class Tree {
 
  private:
   VertexId checked(VertexId v) const;
+  /// The append path: a subtree of `podClients + 1` vertices (a pod) or one
+  /// client (podClients == 0) grafted under `parent` as its last child.
+  VertexId graft(VertexId parent, std::size_t podClients);
+  /// Move `v` within its parent's merge list to the slot its (grown) subtree
+  /// size sorts to.
+  void resortMergeSlot(VertexId v);
+  /// Merge order: ascending subtree size, ties by id.
+  bool mergesBefore(VertexId a, VertexId b) const;
 
   std::vector<VertexId> parents_;
   std::vector<VertexKind> kinds_;

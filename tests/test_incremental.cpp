@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -386,6 +387,123 @@ TEST(IncrementalSnapshots, HeldSnapshotSurvivesScratchFallback) {
   EXPECT_EQ(healed->replicaCount(), 2u);
   EXPECT_NE(healed.get(), held.get());
   EXPECT_EQ(*held, deep);
+}
+
+// A join or a pod attach is an assignment repair, not a rebuild: the step
+// levels the back buffer from the journal and grows it, and once its answer
+// is dropped the next step does the same — neither makes a full O(s) copy.
+TEST(IncrementalSolver, StructuralStepMakesNoSnapshotCopy) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    int checked = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      GeneratorConfig config;
+      config.minSize = 8;
+      config.maxSize = 20;
+      config.clientFraction = 0.55;
+      config.maxRequests = 8;
+      config.lambda = 0.25;  // light load: Closest streams stay feasible
+      config.unitCosts = true;
+      config.qosFraction = qosFraction;
+      Prng gen(seed);
+      ProblemInstance instance = generateInstance(config, gen);
+      IncrementalSolver solver(instance, policy);
+      if (!solver.resolve()) continue;
+      const VertexId client = instance.tree.clients().front();
+      const VertexId host = instance.tree.internals().back();
+      InstanceDelta rate;
+      rate.kind = DeltaKind::RateChange;
+      rate.node = client;
+      rate.rate = 0;
+      solver.apply(rate);
+      if (!solver.resolve()) continue;  // levels the rebuilt first answer: one copy
+
+      InstanceDelta join;
+      join.kind = DeltaKind::ClientJoin;
+      join.node = host;
+      join.rate = 1;
+      InstanceDelta pod;
+      pod.kind = DeltaKind::SubtreeAttach;
+      pod.node = host;
+      pod.capacity = instance.homogeneousCapacity();
+      pod.podRates = {1, 0, 1};
+      for (const InstanceDelta& structural : {join, pod}) {
+        const std::string ctx = std::string(toString(policy)) + " seed=" +
+                                std::to_string(seed) + " kind=" +
+                                std::to_string(static_cast<int>(structural.kind));
+        const std::size_t copies = solver.cacheStats().snapshotCopies;
+        solver.apply(structural);
+        const bool feasible = solver.resolve() != nullptr;  // answer dropped
+        EXPECT_EQ(solver.cacheStats().snapshotCopies, copies) << ctx;
+        if (!feasible) break;
+        rate.rate = instance.requests[static_cast<std::size_t>(client)] == 0 ? 1 : 0;
+        solver.apply(rate);
+        const auto next = solver.resolve();
+        EXPECT_EQ(solver.cacheStats().snapshotCopies, copies) << ctx;
+        const auto truth = scratch(instance, policy);
+        ASSERT_EQ(next != nullptr, truth.has_value()) << ctx;
+        if (!truth) break;
+        EXPECT_EQ(*next, *truth) << ctx;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 20) << toString(policy);
+  }
+}
+
+// The persistent slab must not double under churn. A global W change
+// recomputes about as many entries as are live, so the compaction gate runs
+// before such a recompute could overflow the reserve, and the slab keeps the
+// footprint of the cold solve over a seeded 500-step stream of the
+// serve-churn mix (rate redraws at cap 0.1, leaves, joins, pod attaches and
+// detaches, W raised by up to 10 % and restored).
+TEST(IncrementalSolver, ArenaStaysWithinItsReserveUnderChurn) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    GeneratorConfig config;
+    config.minSize = config.maxSize = 3000;
+    config.clientFraction = 0.8;
+    config.leafClientBias = 1.0;
+    config.minRequests = config.maxRequests = 1;
+    config.lambda = 0.05;
+    config.unitCosts = true;
+    config.qosFraction = 0.3;
+    config.qosMinHops = 6;
+    config.qosMaxHops = 12;
+    ProblemInstance instance = generateInstance(config, 11, 0);
+    const Requests baseW = instance.homogeneousCapacity();
+    const auto redraw = [&](Prng& rng) {
+      return rng.uniformInt(0, std::max<Requests>(1, (baseW + 5) / 10));
+    };
+    IncrementalSolver solver(instance, policy);
+    ASSERT_NE(solver.resolve(), nullptr) << toString(policy);
+    const std::size_t reserve = solver.cacheStats().arenaBytes;
+    MutationWorkloadConfig mix;
+    mix.rateCap = 0.1;
+    Prng rng(4242);
+    std::size_t peak = reserve;
+    int feasible = 0;
+    for (int step = 0; step < 500; ++step) {
+      InstanceDelta delta = drawMutation(instance, mix, rng);
+      if (delta.kind == DeltaKind::CapacityChange) {
+        const Requests W = instance.homogeneousCapacity();
+        delta.capacity = W == baseW ? baseW + rng.uniformInt(1, std::max<Requests>(1, baseW / 10))
+                                    : baseW;
+      } else if (delta.kind == DeltaKind::ClientJoin) {
+        delta.rate = redraw(rng);
+      } else if (delta.kind == DeltaKind::SubtreeAttach) {
+        for (Requests& r : delta.podRates) r = redraw(rng);
+      }
+      solver.apply(delta);
+      if (solver.resolve() != nullptr) ++feasible;
+      peak = std::max(peak, solver.cacheStats().arenaBytes);
+    }
+    EXPECT_EQ(peak, reserve) << toString(policy);
+    EXPECT_GT(solver.cacheStats().compactions, 0u) << toString(policy);
+    EXPECT_GT(solver.cacheStats().globalInvalidations, 10u) << toString(policy);
+    EXPECT_GT(feasible, 450) << toString(policy);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "support/prng.hpp"
 #include "support/require.hpp"
 #include "tree/generator.hpp"
 #include "tree/multitree.hpp"
@@ -240,6 +244,109 @@ TEST(Tree, ClientsInSubtreeMatchesBruteForceFilter) {
     }
   }
   EXPECT_GT(bareInternals, 0);  // the multitree members exercised bare internals
+}
+
+// The append path (appendClient / appendPod) must leave a tree that every
+// accessor reads exactly as Tree::fromParents on the extended parent array:
+// children and merge orders, parents, depths, subtree sizes and client
+// counts, ancestry, and the preorder-position arrays the batch readers use.
+// Seeded joins and pods land anywhere, several in a row under one parent
+// too, so the child-list relocations and repacks all run.
+void expectSameTree(const Tree& grown, const Tree& built, const std::string& ctx) {
+  ASSERT_EQ(grown.vertexCount(), built.vertexCount()) << ctx;
+  EXPECT_EQ(grown.root(), built.root()) << ctx;
+  EXPECT_EQ(grown.preorder(), built.preorder()) << ctx;
+  EXPECT_EQ(grown.postorder(), built.postorder()) << ctx;
+  EXPECT_EQ(grown.clients(), built.clients()) << ctx;
+  EXPECT_EQ(grown.internals(), built.internals()) << ctx;
+  const auto n = static_cast<VertexId>(built.vertexCount());
+  for (std::int32_t pos = 0; pos <= n; ++pos)
+    ASSERT_EQ(grown.clientsBefore(pos), built.clientsBefore(pos)) << ctx << " pos " << pos;
+  for (VertexId v = 0; v < n; ++v) {
+    const std::string at = ctx + " vertex " + std::to_string(v);
+    ASSERT_EQ(grown.kind(v), built.kind(v)) << at;
+    ASSERT_EQ(grown.parent(v), built.parent(v)) << at;
+    ASSERT_EQ(grown.depth(v), built.depth(v)) << at;
+    ASSERT_EQ(grown.subtreeSize(v), built.subtreeSize(v)) << at;
+    ASSERT_EQ(grown.clientsInSubtree(v).size(), built.clientsInSubtree(v).size()) << at;
+    ASSERT_EQ(grown.preorderIndex(v), built.preorderIndex(v)) << at;
+    ASSERT_EQ(grown.preorderEnd(v), built.preorderEnd(v)) << at;
+    ASSERT_EQ(grown.postorderIndex(v), built.postorderIndex(v)) << at;
+    ASSERT_EQ(built.postorder()[static_cast<std::size_t>(built.postorderIndex(v))], v) << at;
+    if (built.isClient(v)) {
+      ASSERT_EQ(grown.clientIndex(v), built.clientIndex(v)) << at;
+      ASSERT_EQ(built.clients()[static_cast<std::size_t>(built.clientIndex(v))], v) << at;
+    }
+    const auto kids = grown.children(v);
+    const auto wantKids = built.children(v);
+    ASSERT_EQ(std::vector<VertexId>(kids.begin(), kids.end()),
+              std::vector<VertexId>(wantKids.begin(), wantKids.end()))
+        << at;
+    const auto merge = grown.mergeChildren(v);
+    const auto wantMerge = built.mergeChildren(v);
+    ASSERT_EQ(std::vector<VertexId>(merge.begin(), merge.end()),
+              std::vector<VertexId>(wantMerge.begin(), wantMerge.end()))
+        << at;
+    EXPECT_EQ(grown.ancestors(v), built.ancestors(v)) << at;
+  }
+  for (VertexId a = 0; a < n; ++a)
+    for (VertexId d = 0; d < n; ++d)
+      ASSERT_EQ(grown.isAncestor(a, d), built.isAncestor(a, d)) << ctx << " " << a << "/" << d;
+}
+
+TEST(Tree, AppendPathMatchesFromParents) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    GeneratorConfig config;
+    config.minSize = 3;
+    config.maxSize = 40;
+    Tree grown = generateInstance(config, 77, seed).tree;
+    std::vector<VertexId> parents(grown.vertexCount());
+    std::vector<VertexKind> kinds(grown.vertexCount());
+    for (std::size_t v = 0; v < grown.vertexCount(); ++v) {
+      parents[v] = grown.parent(static_cast<VertexId>(v));
+      kinds[v] = grown.kind(static_cast<VertexId>(v));
+    }
+    Prng rng(seed * 31 + 3);
+    VertexId lastParent = grown.root();
+    for (int step = 0; step < 60; ++step) {
+      const auto& internals = grown.internals();
+      // One append in four reuses the previous parent: its lists then sit
+      // at the pool tail and grow in place.
+      const VertexId parent =
+          rng.bernoulli(0.25)
+              ? lastParent
+              : internals[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(internals.size()) - 1))];
+      lastParent = parent;
+      if (rng.bernoulli(0.5)) {
+        const VertexId c = grown.appendClient(parent);
+        ASSERT_EQ(static_cast<std::size_t>(c), parents.size());
+        parents.push_back(parent);
+        kinds.push_back(VertexKind::Client);
+      } else {
+        const auto pod = static_cast<std::size_t>(rng.uniformInt(1, 4));
+        const VertexId root = grown.appendPod(parent, pod);
+        ASSERT_EQ(static_cast<std::size_t>(root), parents.size());
+        parents.push_back(parent);
+        kinds.push_back(VertexKind::Internal);
+        for (std::size_t k = 0; k < pod; ++k) {
+          parents.push_back(root);
+          kinds.push_back(VertexKind::Client);
+        }
+      }
+      if (step % 6 == 5 || step == 59)
+        expectSameTree(grown, Tree::fromParents(parents, kinds),
+                       "seed " + std::to_string(seed) + " step " + std::to_string(step));
+    }
+  }
+}
+
+TEST(Tree, AppendRejectsClientParentAndEmptyPod) {
+  Tree t = sampleTree();
+  EXPECT_THROW(t.appendClient(3), PreconditionError);
+  EXPECT_THROW(t.appendPod(0, 0), PreconditionError);
+  EXPECT_THROW(t.appendClient(17), PreconditionError);
+  EXPECT_EQ(t.vertexCount(), 6u);
 }
 
 }  // namespace
