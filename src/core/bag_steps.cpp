@@ -25,6 +25,23 @@ FrontierSpan ClosestStep::placeSkip(FrontierConvolver& conv, FrontierSpan acc, V
   return out;
 }
 
+FrontierSpan ConstrainedClosestStep::placeSkip(FrontierConvolver& conv, FrontierSpan acc,
+                                               VertexId anchor, const BagShape&) const {
+  const NodeState s = state[static_cast<std::size_t>(anchor)];
+  if (s == NodeState::Forbidden) return acc;
+  FrontierArena& arena = conv.arena();
+  const std::uint32_t begin = arena.beginSpan();
+  if (!acc.empty()) {
+    const FrontierEntry e = arena.at(acc, 0);  // copy: the pushes may grow the slab
+    const std::int32_t cost = s == NodeState::Free || s == NodeState::Forced ? 1 : 0;
+    if (s == NodeState::Free) arena.push({e.count, e.flow, 0, 0});
+    if (s != NodeState::Free || e.flow > 0) arena.push({e.count + cost, 0, 0, 1});
+  }
+  const FrontierSpan out = arena.endSpan(begin);
+  conv.noteWidth(out.size);
+  return out;
+}
+
 std::int32_t FlowStep::rootEntry(const FrontierArena& arena, FrontierSpan root) {
   if (root.empty() || arena.at(root, root.size - 1).flow != 0) return -1;
   return static_cast<std::int32_t>(root.size - 1);

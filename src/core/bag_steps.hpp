@@ -13,8 +13,10 @@ namespace treeplace {
 /// One bag step per frontier policy: the recurrence a policy's DP runs at
 /// one bag, written once. Every driver calls these and writes none of its
 /// own: the one-shot arena DP (runFrontierDp, core/frontier), the
-/// incremental cache (online/incremental) and, through placeable/placed and
-/// the limits, the streaming counts (core/frontier_stream). A step gives
+/// incremental cache (FrontierCache, core/frontier_cache) behind the
+/// incremental solver, the incremental bounds and the multitree solver
+/// (exact/multitree_closest) and, through placeable/placed and the limits,
+/// the streaming counts (core/frontier_stream). A step gives
 ///  - seed(client): the client bag's single frontier point;
 ///  - chain(shape): the count cap and flow ceiling of the child-convolution
 ///    chain, from the bag shape;
@@ -75,6 +77,42 @@ struct ClosestStep : FlowStep {
   /// its place point (count + 1, flow 0).
   static bool placeable(const Entry& e) { return e.flow > 0; }
   static Entry placed(const Entry& e, std::int32_t k) { return {e.count + 1, 0, k, 1}; }
+  FrontierSpan placeSkip(Merger& conv, FrontierSpan acc, VertexId anchor,
+                         const BagShape& b) const;
+};
+
+/// Per-vertex placement constraint of ConstrainedClosestStep. Its counts are
+/// cost-weighted: a private replica costs 1, a shared multitree gateway
+/// costs 0 inside one member tree (the multitree solver counts gateways
+/// once, globally).
+enum class NodeState : std::uint8_t {
+  Free,        ///< optional replica at cost 1
+  FreeZero,    ///< optional replica at cost 0 (an undecided gateway)
+  Forced,      ///< mandatory replica, cost 1
+  ForcedZero,  ///< mandatory replica, cost 0
+  Forbidden,   ///< may not place
+};
+
+/// Closest on homogeneous servers under per-vertex NodeStates — the
+/// conditional DP of the multitree solver (exact/multitree_closest). It is
+/// read at the root only, never reconstructed: its answer is the cheapest
+/// cost-weighted count serving every client.
+struct ConstrainedClosestStep : FlowStep {
+  ConstrainedClosestStep(const ProblemInstance& inst, Requests capacity)
+      : FlowStep(inst), W(capacity), state(inst.tree.vertexCount(), NodeState::Free) {}
+
+  Requests W;
+  std::vector<NodeState> state;  ///< per vertex
+
+  /// Unlike ClosestStep, a Forced replica may serve nobody, so counts are
+  /// capped by the cone's internal nodes, the anchor included. Whatever the
+  /// bag sends up is still served by one replica: states above W are dead.
+  FrontierLimits chain(const BagShape& b) const { return {b.internals, W}; }
+  /// Every live state fits a replica on the anchor, so, as in ClosestStep,
+  /// placing on the cheapest state dominates every costlier one. Free keeps
+  /// that state plus its place point, Forced only the place point, and the
+  /// zero-cost states place without raising the count. Forbidden passes the
+  /// fold up unchanged.
   FrontierSpan placeSkip(Merger& conv, FrontierSpan acc, VertexId anchor,
                          const BagShape& b) const;
 };

@@ -375,7 +375,7 @@ using FrontierDp = BasicFrontierDp<FrontierEntry>;
 /// `guard`, when non-null, is ticked once per bag. An empty frontier (some
 /// child has no live state) is carried forward like any other: it empties
 /// every ancestor's accumulator, so the root ends with no entry and the
-/// verdict is infeasible. The incremental driver (online/incremental) does
+/// verdict is infeasible. The incremental driver (core/frontier_cache) does
 /// the same, so both drivers fold the same bags and agree on every frontier.
 /// A DP folded in raw `children` order (the bounds relaxation) records its
 /// prefixes in that order and must not reconstruct.

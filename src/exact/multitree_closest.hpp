@@ -26,7 +26,6 @@ struct MultitreeSolveStats {
   std::size_t dfsNodes = 0;      ///< branch-and-bound nodes expanded
   std::size_t dpResolves = 0;    ///< per-tree constrained-DP resolves
   std::size_t dirtyRecomputes = 0;  ///< vertex frontiers recomputed lazily
-  std::size_t fullRebuilds = 0;  ///< arena compactions (full DP rebuilds)
   std::size_t lexicoTests = 0;   ///< conditional-minimum probes in the scan
   bool exhausted = false;        ///< maxDfsNodes tripped; result not proven
 };
@@ -65,21 +64,5 @@ struct MultitreeSolveResult {
 /// bandwidth are ignored (pure Replica Counting, as in the paper's Table 1).
 MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance,
                                            const MultitreeSolveOptions& options = {});
-
-/// Result of the exponential test oracle.
-struct MultitreeBruteForceResult {
-  bool solved = false;    ///< false when the internal count exceeds the cap
-  bool feasible = false;  ///< meaningful only when solved
-  std::vector<VertexId> replicas;  ///< sorted global ids when feasible
-};
-
-/// Exponential oracle for tests: enumerate every subset of global internal
-/// ids (refusing instances with more than `maxInternals` of them), check
-/// per-member-tree Closest feasibility by direct simulation — every client
-/// is served by the nearest root-path replica of its own tree, per-server
-/// per-tree load at most W_t — and return the minimum-size,
-/// lexicographically smallest replica set.
-MultitreeBruteForceResult solveMultitreeClosestBruteForce(
-    const MultitreeInstance& instance, std::size_t maxInternals = 22);
 
 }  // namespace treeplace

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "core/frontier_stream.hpp"
-#include "online/incremental.hpp"
+#include "core/frontier_cache.hpp"
 #include "support/csv.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"

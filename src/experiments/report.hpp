@@ -53,9 +53,9 @@ std::string renderFrontierStreamStats(const FrontierStreamStats& stats);
 void writeFrontierStreamStats(JsonWriter& json, const FrontierStreamStats& stats);
 
 /// One-line human rendering of the incremental layer's frontier-cache
-/// telemetry (online/incremental.hpp): hit rate, invalidation counts, and
+/// telemetry (core/frontier_cache.hpp): hit rate, invalidation counts, and
 /// the persistent arena footprint.
-struct FrontierCacheStats;  // online/incremental.hpp
+struct FrontierCacheStats;  // core/frontier_cache.hpp
 std::string renderFrontierCacheStats(const FrontierCacheStats& stats);
 
 /// Emit the cache telemetry as a JSON object {"tracked_vertices":..,

@@ -99,73 +99,4 @@ DeltaApplication applyDelta(ProblemInstance& instance, const InstanceDelta& delt
 /// this to vet untrusted deltas before queueing them.
 void validateDelta(const ProblemInstance& instance, const InstanceDelta& delta);
 
-/// Epoch-based dirty-subtree tracker shared by the incremental caches.
-/// Every applied delta bumps the mutation epoch and stamps the touched
-/// vertices plus all their ancestors (walking up stops at an already-current
-/// stamp, so a mark costs O(depth) amortised). The dirty set is therefore
-/// closed under parents: a clean vertex implies a clean subtree, which is
-/// exactly the invariant the per-subtree frontier caches need.
-class DirtyTracker {
- public:
-  explicit DirtyTracker(std::size_t vertexCount)
-      : lastDirty_(vertexCount, 1) {}
-
-  std::uint64_t epoch() const { return epoch_; }
-
-  /// Everything computed before or at this epoch is stale everywhere.
-  std::uint64_t globalEpoch() const { return globalDirty_; }
-
-  /// A vertex's cache entry is valid iff its computed epoch >= this.
-  std::uint64_t dirtySince(VertexId v) const {
-    const std::uint64_t local = lastDirty_[static_cast<std::size_t>(v)];
-    return local > globalDirty_ ? local : globalDirty_;
-  }
-
-  /// Record one applied delta: new vertices (structural growth) start dirty,
-  /// touched vertices and their root paths are stamped with the new epoch.
-  /// Returns the number of vertices stamped (invalidation telemetry).
-  /// `stampedOut`, when given, receives every vertex this call dirtied
-  /// (structural newcomers included) — consumers that keep a pending dirty
-  /// list accumulate these so a re-solve can visit just the stamped vertices
-  /// instead of scanning the whole tree. Global invalidations append nothing;
-  /// the caller must treat them as everything-dirty.
-  std::size_t note(const Tree& tree, const DeltaApplication& app,
-                   std::vector<VertexId>* stampedOut = nullptr) {
-    ++epoch_;
-    const std::size_t oldSize = lastDirty_.size();
-    lastDirty_.resize(tree.vertexCount(), epoch_);
-    if (stampedOut)
-      for (std::size_t v = oldSize; v < lastDirty_.size(); ++v)
-        stampedOut->push_back(static_cast<VertexId>(v));
-    if (app.global) {
-      globalDirty_ = epoch_;
-      return tree.vertexCount();
-    }
-    std::size_t stamped = 0;
-    for (const VertexId t : app.touched) {
-      // The touched vertex itself may already carry the current epoch — new
-      // vertices are born dirty at this epoch by the resize above — but its
-      // ancestors still need stamping, so the already-stamped short-circuit
-      // only applies from the parent upward.
-      bool first = true;
-      for (VertexId v = t; v != kNoVertex; v = tree.parent(v), first = false) {
-        auto& mark = lastDirty_[static_cast<std::size_t>(v)];
-        if (mark == epoch_) {
-          if (!first) break;  // the rest of the path is already stamped
-          continue;
-        }
-        mark = epoch_;
-        if (stampedOut) stampedOut->push_back(v);
-        ++stamped;
-      }
-    }
-    return stamped;
-  }
-
- private:
-  std::uint64_t epoch_ = 1;        ///< bumped per applied delta
-  std::uint64_t globalDirty_ = 1;  ///< set to epoch_ on global invalidation
-  std::vector<std::uint64_t> lastDirty_;  ///< per-vertex last dirty epoch
-};
-
 }  // namespace treeplace

@@ -2,133 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <new>
 #include <utility>
 
 #include "core/bag_steps.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
-#include "support/fault_injection.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
 namespace detail {
-namespace {
-
-/// The flat combo-table layout of a schedule: each bag's first slot and its
-/// merge-child count. Returns the table size.
-std::int32_t layoutCombos(const TreeDecomposition& decomp,
-                          std::vector<std::int32_t>& offset,
-                          std::vector<std::int32_t>& count) {
-  offset.assign(decomp.bagCount(), 0);
-  count.assign(decomp.bagCount(), 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    offset[vi] = running;
-    count[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += count[vi];
-  }
-  return running;
-}
-
-}  // namespace
-
-template <typename Entry>
-void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
-                                     bool withCombos) {
-  const std::size_t n = decomp.bagCount();
-  // Reserve past the 16n compaction floor: the capacity-aware gate
-  // (compactIfBloated) then compacts before any recompute could overflow the
-  // slab, so it never doubles and steady-state pushes never pay a multi-MiB
-  // slab copy inside a timed re-solve. The combo-less bounds cache sees no
-  // latency bar and keeps the modest reserve instead.
-  arena.reset((withCombos ? 17 : 4) * n);
-  frontier.assign(n, FrontierSpan{});
-  computedEpoch.assign(n, 0);
-  comboCap.assign(n, -1);
-  comboCeiling.assign(n, 0);
-  chosenEntry.assign(n, -1);
-  chosenEpoch.assign(n, 0);
-  replicaBit.assign(n, 0);
-  liveEntries = 0;
-  nextCompactCheck = 0;
-  deadComboSlots = 0;
-  comboSpans.clear();
-  comboChild.clear();
-  comboOffset.clear();
-  comboCount.clear();
-  if (!withCombos) return;
-  const std::int32_t running = layoutCombos(decomp, comboOffset, comboCount);
-  comboSpans.assign(static_cast<std::size_t>(running), FrontierSpan{});
-  comboChild.assign(static_cast<std::size_t>(running), kNoVertex);
-}
-
-template <typename Entry>
-void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp, bool withCombos,
-                                     BagId firstNew) {
-  const std::size_t n = decomp.bagCount();
-  frontier.resize(n);
-  computedEpoch.resize(n, 0);
-  comboCap.resize(n, -1);
-  comboCeiling.resize(n, 0);
-  chosenEntry.resize(n, -1);
-  chosenEpoch.resize(n, 0);
-  replicaBit.resize(n, 0);
-  if (!withCombos) return;
-  comboOffset.resize(n, 0);
-  comboCount.resize(n, 0);
-  // Only the attach parent gained a child: its chain moves to the table's
-  // tail one slot longer, and each new bag gets its slots there. The old
-  // slots travel with the child each one folded in; the prefix-reuse scan
-  // revalidates those against the grown merge order, so a reshuffle
-  // degrades to a partial or full re-convolve instead of silently pairing
-  // spans with the wrong child.
-  const auto moveToTail = [&](BagId v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const auto count = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    const std::size_t tail = comboSpans.size();
-    const std::size_t old = static_cast<std::size_t>(comboOffset[vi]);
-    const std::int32_t keep = std::min(comboCount[vi], count);
-    comboSpans.resize(tail + static_cast<std::size_t>(count));
-    comboChild.resize(tail + static_cast<std::size_t>(count), kNoVertex);
-    for (std::int32_t ci = 0; ci < keep; ++ci) {
-      comboSpans[tail + static_cast<std::size_t>(ci)] = comboSpans[old + static_cast<std::size_t>(ci)];
-      comboChild[tail + static_cast<std::size_t>(ci)] = comboChild[old + static_cast<std::size_t>(ci)];
-    }
-    deadComboSlots += static_cast<std::size_t>(comboCount[vi]);
-    comboOffset[vi] = static_cast<std::int32_t>(tail);
-    comboCount[vi] = count;
-  };
-  moveToTail(decomp.tree().parent(decomp.anchor(firstNew)));
-  for (auto v = static_cast<std::size_t>(firstNew); v < n; ++v) {
-    comboCount[v] = 0;
-    moveToTail(static_cast<BagId>(v));
-  }
-  if (deadComboSlots <= comboSpans.size() / 2) return;
-  // Holes dominate: lay the table out afresh, every chain kept.
-  std::vector<std::int32_t> newOffset;
-  std::vector<std::int32_t> newCount;
-  const std::int32_t running = layoutCombos(decomp, newOffset, newCount);
-  std::vector<FrontierSpan> newSpans(static_cast<std::size_t>(running));
-  std::vector<VertexId> newChild(static_cast<std::size_t>(running), kNoVertex);
-  for (std::size_t vi = 0; vi < n; ++vi)
-    for (std::int32_t ci = 0; ci < newCount[vi]; ++ci) {
-      newSpans[static_cast<std::size_t>(newOffset[vi] + ci)] =
-          comboSpans[static_cast<std::size_t>(comboOffset[vi] + ci)];
-      newChild[static_cast<std::size_t>(newOffset[vi] + ci)] =
-          comboChild[static_cast<std::size_t>(comboOffset[vi] + ci)];
-    }
-  comboSpans = std::move(newSpans);
-  comboChild = std::move(newChild);
-  comboOffset = std::move(newOffset);
-  comboCount = std::move(newCount);
-  deadComboSlots = 0;
-}
-
-template struct FrontierCacheState<FrontierEntry>;
-template struct FrontierCacheState<QosFrontierEntry>;
 
 /// `held` is set while a snapshot published from the buffer is alive
 /// anywhere; the solver writes a buffer only while it is clear.
@@ -143,6 +26,18 @@ struct IncumbentBuffer {
 
 namespace {
 
+/// A delta's invalidation of a frontier cache. Every delta opens its own
+/// epoch, so the invalidation counts are per delta, and a reconstruction
+/// memo stamped before the delta is older than every stamp the delta makes.
+void invalidate(FrontierCacheBase& cache, const DeltaApplication& app) {
+  cache.advance();
+  if (app.structural) cache.grow(app.firstNewVertex);
+  if (app.global)
+    cache.invalidateAll();
+  else
+    cache.stamp(app.touched);
+}
+
 /// Hand out `buffer`'s placement as an immutable snapshot. The lease keeps
 /// the buffer alive past the solver and clears `held` once the last holder
 /// lets go.
@@ -155,153 +50,6 @@ std::shared_ptr<const Placement> lease(
         b->held.store(false, std::memory_order_release);
       });
   return {std::move(owner), &raw->placement};
-}
-
-/// Copy-compact the persistent arena once dead generations dominate, or
-/// before the next recompute could overflow the slab: stage every clean
-/// vertex's spans, reset the slab, re-push. Spans are indices and
-/// within-span backpointers are span-relative, so relocation preserves the
-/// reconstruction walk; dirty vertices are recomputed by the next resolve, so
-/// their stale spans are simply dropped.
-///
-/// The gate is capacity-aware. A slab that overflows doubles and never gives
-/// the memory back (reset only reserves), and one global W change recomputes
-/// about as many entries as are live. So the cheap early return holds only
-/// while 4n more entries still fit, and deferring a compaction only while a
-/// recompute of the live set (plus n) still fits — until the slab has taken
-/// as many entries as that margin left.
-template <typename Entry>
-void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree,
-                      const DirtyTracker& tracker, FrontierCacheStats& stats) {
-  const std::size_t n = tree.vertexCount();
-  const std::size_t total = cache.arena.entryCount();
-  const std::size_t capacity = cache.arena.capacity();
-  if (total <= 16 * n && total + 4 * n <= capacity) return;  // a few scratch generations
-  // The live-scan below is O(n); once the slab passes the floor, rerun it
-  // only after another ~n entries of churn (or once a recompute of the live
-  // set measured last time might no longer fit), not on every resolve.
-  if (total < cache.nextCompactCheck) return;
-
-  const bool withCombos = !cache.comboOffset.empty();
-  const auto isClean = [&](std::size_t vi) {
-    return cache.computedEpoch[vi] >= tracker.dirtySince(static_cast<VertexId>(vi));
-  };
-  std::size_t live = 0;
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(vi)) continue;
-    live += cache.frontier[vi].size;
-    if (withCombos) {
-      const auto base = static_cast<std::size_t>(cache.comboOffset[vi]);
-      for (std::int32_t ci = 0; ci < cache.comboCount[vi]; ++ci)
-        live += cache.comboSpans[base + static_cast<std::size_t>(ci)].size;
-    }
-  }
-  // Prefix reuse keeps per-resolve churn small, so a generous dead:live
-  // ratio trades a few MiB of slab for compaction spikes rare enough to
-  // stay out of the p99 re-solve latency.
-  if (total <= 6 * live + 8 * n && total + live + n <= capacity) {
-    cache.nextCompactCheck = std::min(total + n, capacity - live - n);
-    return;
-  }
-
-  // The staging copy is the compaction's own allocation, and an Allocation
-  // fault site like slab growth.
-  if (fault::fire(fault::Site::Allocation)) throw std::bad_alloc();
-  std::vector<Entry> stage;
-  stage.reserve(live);
-  const auto copySpan = [&](FrontierSpan& span) {
-    const auto begin = static_cast<std::uint32_t>(stage.size());
-    const auto view = cache.arena.view(span);
-    stage.insert(stage.end(), view.begin(), view.end());
-    span = FrontierSpan{begin, span.size};
-  };
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(vi)) {
-      // The dirty vertex's spans are dropped wholesale, so its combo chain
-      // must not be prefix-reused by the upcoming recompute.
-      cache.frontier[vi] = FrontierSpan{};
-      cache.comboCap[vi] = -1;
-      continue;
-    }
-    copySpan(cache.frontier[vi]);
-    if (withCombos) {
-      const auto base = static_cast<std::size_t>(cache.comboOffset[vi]);
-      for (std::int32_t ci = 0; ci < cache.comboCount[vi]; ++ci)
-        copySpan(cache.comboSpans[base + static_cast<std::size_t>(ci)]);
-    }
-  }
-  cache.arena.reset(std::max(2 * stage.size(), 4 * n));
-  for (const Entry& e : stage) cache.arena.push(e);
-  cache.liveEntries = stage.size();
-  cache.nextCompactCheck = 0;
-  ++stats.compactions;
-}
-
-/// The incremental driver of every frontier policy. Recomputes the stale
-/// bags of `visit` (in schedule order) through the policy's bag step, as
-/// runFrontierDp (core/frontier) would, so every recomputed frontier is
-/// bit-identical to a scratch solve's, empty ones included. The one
-/// difference: a cache with combo tables reuses the clean prefix of a bag's
-/// chain. The cached chain is exact up to the first slot whose recorded
-/// child diverges from the current child order, or whose child frontier was
-/// recomputed after the chain was built (children run first, so their
-/// stamps are current). The chain's limits are part of the key: the ceiling
-/// derives from W, so a capacity change re-convolves every chain.
-/// `guard` is ticked BEFORE a bag is stamped, so an interrupted refresh
-/// leaves that bag dirty and everything already recomputed exact. Returns
-/// the number of bags recomputed.
-template <class Step>
-std::size_t refreshFrontiers(detail::FrontierCacheState<typename Step::Entry>& cache,
-                             Step& step, const TreeDecomposition& decomp,
-                             const DirtyTracker& tracker,
-                             std::span<const BagId> visit, BudgetGuard* guard,
-                             ChildOrder order) {
-  typename Step::Merger merger(cache.arena);
-  const bool withCombos = !cache.comboOffset.empty();
-  std::size_t misses = 0;
-  for (const BagId v : visit) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (cache.computedEpoch[vi] >= tracker.dirtySince(v)) continue;
-    if (guard != nullptr) guard->checkpoint();
-    ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
-    cache.computedEpoch[vi] = tracker.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = cache.arena.beginSpan();
-      cache.arena.push(step.seed(decomp.anchor(v)));
-      cache.frontier[vi] = cache.arena.endSpan(begin);
-      continue;
-    }
-
-    const BagShape shape = decomp.shape(v);
-    const FrontierLimits limits = step.chain(shape);
-    const std::span<const BagId> children = (decomp.*order)(v);
-    const auto base = withCombos ? static_cast<std::size_t>(cache.comboOffset[vi]) : 0;
-    std::size_t f = 0;
-    if (withCombos && prevEpoch > 0 && cache.comboCap[vi] == limits.maxCount &&
-        cache.comboCeiling[vi] == limits.ceiling) {
-      while (f < children.size() && cache.comboChild[base + f] == children[f] &&
-             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-    }
-    FrontierSpan acc = f == 0 ? merger.unit() : cache.comboSpans[base + f - 1];
-    for (std::size_t ci = f; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      acc = step.fold(merger, acc, cache.frontier[static_cast<std::size_t>(child)],
-                      decomp.anchor(child), limits);
-      if (withCombos) {
-        cache.comboSpans[base + ci] = acc;
-        cache.comboChild[base + ci] = child;
-      }
-    }
-    if (withCombos) {
-      cache.comboCap[vi] = limits.maxCount;
-      cache.comboCeiling[vi] = limits.ceiling;
-    }
-    cache.frontier[vi] = step.placeSkip(merger, acc, decomp.anchor(v), shape);
-  }
-  return misses;
 }
 
 }  // namespace
@@ -318,16 +66,20 @@ std::optional<Placement> solveOneShot(const ProblemInstance& instance,
   return std::nullopt;
 }
 
+FrontierCacheBase& IncrementalSolver::cache() {
+  return std::visit([](auto& c) -> FrontierCacheBase& { return c; }, cache_);
+}
+
+const FrontierCacheBase& IncrementalSolver::cache() const {
+  return std::visit([](const auto& c) -> const FrontierCacheBase& { return c; }, cache_);
+}
+
 IncrementalSolver::IncrementalSolver(ProblemInstance& instance, OnlinePolicy policy)
     : instance_(&instance), policy_(policy),
-      tracker_(instance.tree.vertexCount()) {
+      cache_(policy == OnlinePolicy::ClosestQos
+                 ? Cache(std::in_place_index<1>, instance.tree, true)
+                 : Cache(std::in_place_index<0>, instance.tree, true)) {
   instance.validate();
-  stats_.trackedVertices = instance.tree.vertexCount();
-  const TreeDecomposition decomp(instance.tree);
-  if (policy_ == OnlinePolicy::ClosestQos)
-    cacheQos_.init(decomp, true);
-  else
-    cache2d_.init(decomp, true);
   growVertexTables();
 }
 
@@ -336,6 +88,9 @@ void IncrementalSolver::growVertexTables() {
   pathMark_.resize(n, 0);
   clientMark_.resize(n, 0);
   remainingScratch_.resize(n, 0);
+  chosenEntry_.resize(n, -1);
+  chosenEpoch_.resize(n, 0);
+  replicaBit_.resize(n, 0);
   if (policy_ == OnlinePolicy::Multiple)
     serverTakes_.resize(n);
   else
@@ -343,14 +98,9 @@ void IncrementalSolver::growVertexTables() {
 }
 
 void IncrementalSolver::noteDelta(const DeltaApplication& app) {
+  invalidate(cache(), app);
   if (app.structural) {
     const Tree& tree = instance_->tree;
-    const TreeDecomposition decomp(tree);
-    if (policy_ == OnlinePolicy::ClosestQos)
-      cacheQos_.grow(decomp, true, app.firstNewVertex);
-    else
-      cache2d_.grow(decomp, true, app.firstNewVertex);
-    stats_.trackedVertices = tree.vertexCount();
     growVertexTables();
     // Each new client is a 0 -> r rate change under a known vertex: the
     // assignment repair serves it like any other changed client, and the
@@ -359,16 +109,11 @@ void IncrementalSolver::noteDelta(const DeltaApplication& app) {
       if (tree.isClient(static_cast<VertexId>(v)))
         pendingChangedClients_.push_back(static_cast<VertexId>(v));
   }
-  stats_.invalidations += tracker_.note(instance_->tree, app, &pendingDirty_);
-  if (app.global) {
-    ++stats_.globalInvalidations;
-    pendingGlobal_ = true;
-    // W is every Multiple server's absorption budget: no assignment survives
-    // a homogeneous capacity shift, so repair cannot patch it. Closest
-    // assignments never read W — they follow the (possibly flipped) replica
-    // set, which the ordinary repair path handles.
-    if (policy_ == OnlinePolicy::Multiple) assignRebuildNeeded_ = true;
-  }
+  // W is every Multiple server's absorption budget: no assignment survives
+  // a homogeneous capacity shift, so repair cannot patch it. Closest
+  // assignments never read W — they follow the (possibly flipped) replica
+  // set, which the ordinary repair path handles.
+  if (app.global && policy_ == OnlinePolicy::Multiple) assignRebuildNeeded_ = true;
   switch (app.kind) {
     case DeltaKind::RateChange:
     case DeltaKind::ClientLeave:
@@ -376,8 +121,12 @@ void IncrementalSolver::noteDelta(const DeltaApplication& app) {
       pendingChangedClients_.insert(pendingChangedClients_.end(),
                                     app.touched.begin(), app.touched.end());
       break;
-    default:
-      break;  // structural kinds queued their new clients above; capacity changes touch no rate
+    case DeltaKind::CapacityChange:
+    case DeltaKind::SubtreeAttach:
+      capacityStale_ = true;
+      break;
+    case DeltaKind::ClientJoin:
+      break;  // its new client was queued above
   }
 }
 
@@ -408,7 +157,7 @@ std::shared_ptr<const Placement> IncrementalSolver::resolve(BudgetGuard* guard) 
     // invariant trip — may have left a stamped-but-garbage frontier or a
     // half-repaired back buffer behind. Self-check is by reconstruction: drop
     // everything, re-solve the same instance from scratch once.
-    ++stats_.scratchFallbacks;
+    ++cache().stats().scratchFallbacks;
     invalidateCaches();
     try {
       return resolveOnce(guard);
@@ -420,14 +169,11 @@ std::shared_ptr<const Placement> IncrementalSolver::resolve(BudgetGuard* guard) 
 }
 
 void IncrementalSolver::invalidateCaches() {
-  const TreeDecomposition decomp(instance_->tree);
-  if (policy_ == OnlinePolicy::ClosestQos)
-    cacheQos_.init(decomp, true);
-  else
-    cache2d_.init(decomp, true);
-  growVertexTables();
-  pendingDirty_.clear();
-  pendingGlobal_ = true;
+  std::visit([](auto& c) { c.reset(); }, cache_);
+  chosenEntry_.assign(chosenEntry_.size(), -1);
+  chosenEpoch_.assign(chosenEpoch_.size(), 0);
+  replicaBit_.assign(replicaBit_.size(), 0);
+  capacityStale_ = true;
   pendingChangedClients_.clear();
   flips_.clear();
   front_.reset();
@@ -439,20 +185,13 @@ void IncrementalSolver::invalidateCaches() {
   assignRebuildNeeded_ = true;
 }
 
-Requests IncrementalSolver::foldCapacity() const {
-  if (!pendingGlobal_ && pendingDirty_.empty()) return 0;  // nothing to fold
-  const Requests W = instance_->homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  return W;
-}
-
-void IncrementalSolver::orderPendingDirty() {
-  const Tree& tree = instance_->tree;
-  std::sort(pendingDirty_.begin(), pendingDirty_.end(), [&tree](VertexId a, VertexId b) {
-    return tree.postorderIndex(a) < tree.postorderIndex(b);
-  });
-  pendingDirty_.erase(std::unique(pendingDirty_.begin(), pendingDirty_.end()),
-                      pendingDirty_.end());
+Requests IncrementalSolver::foldCapacity() {
+  if (capacityStale_) {
+    capacity_ = instance_->homogeneousCapacity();
+    TREEPLACE_REQUIRE(capacity_ > 0, "capacity must be positive");
+    capacityStale_ = false;
+  }
+  return capacity_;
 }
 
 // Mirror of BasicFrontierDp::reconstruct over the cached span tables, with
@@ -464,10 +203,10 @@ void IncrementalSolver::orderPendingDirty() {
 // costs O(changed region), not O(s), per reconstruction. Replica bits that
 // flip are collected into flips_ — they drive the assignment repair.
 template <typename Entry>
-void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
+void IncrementalSolver::reconstruct(const FrontierCache<Entry>& cache,
                                     std::int32_t rootEntryIndex) {
   const TreeDecomposition decomp(instance_->tree);
-  const std::uint64_t epoch = tracker_.epoch();
+  const std::uint64_t epoch = cache.epoch();
   struct Todo {
     BagId node;
     std::int32_t entryIndex;
@@ -477,27 +216,26 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
     const Todo todo = stack.back();
     stack.pop_back();
     const auto ni = static_cast<std::size_t>(todo.node);
-    if (cache.chosenEntry[ni] == todo.entryIndex &&
-        cache.chosenEpoch[ni] >= tracker_.dirtySince(todo.node)) {
-      cache.chosenEpoch[ni] = epoch;
+    if (chosenEntry_[ni] == todo.entryIndex &&
+        chosenEpoch_[ni] >= cache.dirtySince(todo.node)) {
+      chosenEpoch_[ni] = epoch;
       continue;  // same choice, untouched subtree: bits below are exact
     }
-    cache.chosenEntry[ni] = todo.entryIndex;
-    cache.chosenEpoch[ni] = epoch;
+    chosenEntry_[ni] = todo.entryIndex;
+    chosenEpoch_[ni] = epoch;
     if (decomp.anchorIsClient(todo.node)) continue;
     const Entry& entry =
-        cache.arena.at(cache.frontier[ni], static_cast<std::size_t>(todo.entryIndex));
+        cache.arena().at(cache.frontier(todo.node), static_cast<std::size_t>(todo.entryIndex));
     const char newBit = entry.child == 1 ? 1 : 0;
-    if (cache.replicaBit[ni] != newBit) {
-      cache.replicaBit[ni] = newBit;
+    if (replicaBit_[ni] != newBit) {
+      replicaBit_[ni] = newBit;
       flips_.push_back(decomp.anchor(todo.node));
     }
     const std::span<const BagId> children = decomp.mergeChildren(todo.node);
-    const auto base = static_cast<std::size_t>(cache.comboOffset[ni]);
     std::int32_t combIdx = entry.prev;
     for (std::size_t ci = children.size(); ci-- > 0;) {
-      const Entry& comb = cache.arena.at(cache.comboSpans[base + ci],
-                                         static_cast<std::size_t>(combIdx));
+      const Entry& comb =
+          cache.arena().at(cache.combo(todo.node, ci), static_cast<std::size_t>(combIdx));
       stack.push_back({children[ci], comb.child});
       combIdx = comb.prev;
     }
@@ -508,49 +246,30 @@ std::shared_ptr<const Placement> IncrementalSolver::resolveOnce(BudgetGuard* gua
   const Requests W = foldCapacity();
   switch (policy_) {
     case OnlinePolicy::Closest:
-      return resolveWith(cache2d_, ClosestStep(*instance_, W), guard);
+      return resolveWith(std::get<0>(cache_), ClosestStep(*instance_, W), guard);
     case OnlinePolicy::Multiple:
-      return resolveWith(cache2d_, MultipleStep(*instance_, W), guard);
+      return resolveWith(std::get<0>(cache_), MultipleStep(*instance_, W), guard);
     case OnlinePolicy::ClosestQos:
-      return resolveWith(cacheQos_, ClosestQosStep(*instance_, W), guard);
+      return resolveWith(std::get<1>(cache_), ClosestQosStep(*instance_, W), guard);
   }
   TREEPLACE_REQUIRE(false, "unknown online policy");
   return nullptr;
 }
 
-// A global invalidation (or the first solve) sweeps the whole schedule;
-// otherwise exactly the stamped bags, in schedule order, are recomputed —
-// the clean rest of the tree is never even looked at.
 template <class Step>
 std::shared_ptr<const Placement> IncrementalSolver::resolveWith(
-    detail::FrontierCacheState<typename Step::Entry>& cache, Step step,
-    BudgetGuard* guard) {
-  const TreeDecomposition decomp(instance_->tree);
-  compactIfBloated(cache, instance_->tree, tracker_, stats_);
-  std::span<const BagId> visit = decomp.schedule();
-  if (!pendingGlobal_) {
-    orderPendingDirty();
-    visit = pendingDirty_;
-  }
-  const std::size_t misses = refreshFrontiers(cache, step, decomp, tracker_, visit,
-                                              guard, &TreeDecomposition::mergeChildren);
-  pendingDirty_.clear();
-  pendingGlobal_ = false;
-  stats_.misses += misses;
-  stats_.hits += decomp.bagCount() - misses;
-  stats_.arenaEntries = cache.arena.entryCount();
-  stats_.arenaBytes = cache.arena.bytes();
-
-  const std::int32_t rootEntry = step.rootEntry(
-      cache.arena, cache.frontier[static_cast<std::size_t>(decomp.rootBag())]);
+    FrontierCache<typename Step::Entry>& cache, Step step, BudgetGuard* guard) {
+  cache.refresh(step, guard, &TreeDecomposition::mergeChildren);
+  const std::int32_t rootEntry =
+      step.rootEntry(cache.arena(), cache.frontier(instance_->tree.root()));
   if (rootEntry < 0) return nullptr;
 
   flips_.clear();
   reconstruct(cache, rootEntry);
   if (policy_ == OnlinePolicy::Multiple)
-    refreshMultipleAssignment(cache.replicaBit);
+    refreshMultipleAssignment(replicaBit_);
   else
-    refreshClosestAssignment(cache.replicaBit);
+    refreshClosestAssignment(replicaBit_);
   return published_;
 }
 
@@ -560,10 +279,10 @@ Placement& IncrementalSolver::levelBackBuffer() {
   // read a former holder made of this buffer happens before the writes below.
   if (!back_ || back_->held.load(std::memory_order_acquire)) {
     back_ = std::make_shared<detail::IncumbentBuffer>(front);
-    ++stats_.snapshotCopies;
+    ++cache().stats().snapshotCopies;
   } else if (backStale_) {
     back_->placement = front;  // reuses the buffer's capacity
-    ++stats_.snapshotCopies;
+    ++cache().stats().snapshotCopies;
   } else {
     Placement& back = back_->placement;
     back.grow(front.vertexCount());
@@ -784,7 +503,7 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
     const std::vector<char>& replicaBit, Placement& placement) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
-  const Requests W = instance.homogeneousCapacity();
+  const Requests W = capacity_;
   const auto& clients = tree.clients();
 
   // 1. Affected servers: replica holders (old or new set) on the root path
@@ -875,20 +594,11 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
 }
 
 IncrementalBounds::IncrementalBounds(ProblemInstance& instance)
-    : instance_(&instance), tracker_(instance.tree.vertexCount()) {
-  stats_.trackedVertices = instance.tree.vertexCount();
-  cache_.init(TreeDecomposition(instance.tree), false);
+    : instance_(&instance), cache_(instance.tree, false) {
   refresh();
 }
 
-void IncrementalBounds::noteDelta(const DeltaApplication& app) {
-  if (app.structural) {
-    cache_.grow(TreeDecomposition(instance_->tree), false, app.firstNewVertex);
-    stats_.trackedVertices = instance_->tree.vertexCount();
-  }
-  stats_.invalidations += tracker_.note(instance_->tree, app);
-  if (app.global) ++stats_.globalInvalidations;
-}
+void IncrementalBounds::noteDelta(const DeltaApplication& app) { invalidate(cache_, app); }
 
 DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
   DeltaApplication app = applyDelta(*instance_, delta);
@@ -901,19 +611,9 @@ DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
 // the one-shot does; the derived passes are linear scans recomputed
 // wholesale.
 void IncrementalBounds::refresh() {
-  const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  compactIfBloated(cache_, tree, tracker_, stats_);
-  const TreeDecomposition decomp(tree);
-  RelaxationStep step(instance);
-  const std::size_t misses =
-      refreshFrontiers(cache_, step, decomp, tracker_, decomp.schedule(), nullptr,
-                       &TreeDecomposition::children);
-  stats_.misses += misses;
-  stats_.hits += decomp.bagCount() - misses;
-  stats_.arenaEntries = cache_.arena.entryCount();
-  stats_.arenaBytes = cache_.arena.bytes();
-  floors_ = deriveSubtreeFloors(instance, cache_.arena, cache_.frontier);
+  RelaxationStep step(*instance_);
+  cache_.refresh(step, nullptr, &TreeDecomposition::children);
+  floors_ = deriveSubtreeFloors(*instance_, cache_.arena(), cache_.frontiers());
 }
 
 }  // namespace treeplace

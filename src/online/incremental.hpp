@@ -4,10 +4,11 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/bounds.hpp"
-#include "core/frontier.hpp"
+#include "core/frontier_cache.hpp"
 #include "core/placement.hpp"
 #include "online/delta.hpp"
 #include "support/budget.hpp"
@@ -41,86 +42,7 @@ constexpr std::string_view toString(OnlinePolicy policy) {
 std::optional<Placement> solveOneShot(const ProblemInstance& instance,
                                       OnlinePolicy policy, BudgetGuard* guard = nullptr);
 
-/// Telemetry of a memoized frontier cache (see experiments/report for
-/// rendering). hits/misses count per-vertex subtree results across all
-/// resolves; invalidations count dirty stamps applied by mutations.
-struct FrontierCacheStats {
-  std::size_t trackedVertices = 0;   ///< vertices under cache management
-  std::size_t hits = 0;              ///< clean subtree frontiers reused
-  std::size_t misses = 0;            ///< subtree frontiers recomputed
-  std::size_t invalidations = 0;     ///< per-vertex dirty stamps applied
-  std::size_t globalInvalidations = 0;  ///< whole-cache flushes (capacity W)
-  std::size_t compactions = 0;       ///< arena copy-compaction passes
-  std::size_t arenaEntries = 0;      ///< slab entries after the last resolve
-  std::size_t arenaBytes = 0;        ///< slab footprint, bytes
-  /// Resolves that failed mid-flight (allocation fault, repair invariant
-  /// trip), dropped every cache, and re-solved from scratch — the resilience
-  /// fallback, not a steady-state event.
-  std::size_t scratchFallbacks = 0;
-  /// Full O(s) copies of the incumbent into the back buffer: a caller still
-  /// held the snapshot the step would have repaired, or the previous step
-  /// rebuilt the incumbent wholesale. Zero in a steady state of local
-  /// mutations whose answers are dropped before the next step.
-  std::size_t snapshotCopies = 0;
-
-  double hitRate() const {
-    const std::size_t total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
-  }
-};
-
 namespace detail {
-
-/// Per-vertex memoized frontier state of one policy: node frontiers, the
-/// per-(node, child-prefix) convolution frontiers the backpointer walk
-/// needs, and the epoch stamps that validate them. Entries live in one
-/// persistent arena; spans are indices, so they survive arena growth, and a
-/// copy-compaction pass recycles the slab once dead generations dominate.
-template <typename Entry>
-struct FrontierCacheState {
-  BasicFrontierArena<Entry> arena;
-  std::vector<FrontierSpan> frontier;      ///< per vertex
-  std::vector<FrontierSpan> comboSpans;    ///< flat, comboOffset-indexed
-  /// Child convolved into each combo slot when the chain was built. Prefix
-  /// reuse compares this against the current merge order, so a structural
-  /// delta that reshuffles a vertex's merge order (subtree sizes shifted)
-  /// silently falls back to re-convolving from the first divergence.
-  std::vector<VertexId> comboChild;
-  std::vector<std::int32_t> comboOffset;   ///< per vertex
-  std::vector<std::int32_t> comboCount;    ///< children count at layout time
-  /// Combo slots abandoned by grow() relocations; the table is laid out
-  /// afresh once they outnumber the live ones.
-  std::size_t deadComboSlots = 0;
-  std::vector<std::uint64_t> computedEpoch;  ///< 0 = never computed
-  /// Count cap and flow ceiling the vertex's combo chain was built with
-  /// (cap -1: chain invalid). A dirty vertex whose cap and ceiling are both
-  /// unchanged reuses the prefix combos of its clean children and
-  /// re-convolves only from the first changed child on — the recompute then
-  /// costs O(changed suffix), not O(degree). The ceiling derives from W, so
-  /// a capacity change rebuilds every chain.
-  std::vector<std::int32_t> comboCap;
-  std::vector<Requests> comboCeiling;
-  /// Reconstruction memo: the entry index the last backpointer walk chose at
-  /// this vertex, the mutation epoch of that walk, and the resulting replica
-  /// bit. A walk that reaches a vertex with the same entry index and no
-  /// mutation in its subtree since (chosenEpoch >= dirtySince) skips the
-  /// whole subtree — its bits are still exact.
-  std::vector<std::int32_t> chosenEntry;
-  std::vector<std::uint64_t> chosenEpoch;
-  std::vector<char> replicaBit;
-  std::size_t liveEntries = 0;  ///< live-span entries at the last compaction
-  /// Arena size below which the compaction live-scan is skipped entirely;
-  /// bumped after every scan so the O(n) walk amortizes over arena growth
-  /// instead of running on every resolve.
-  std::size_t nextCompactCheck = 0;
-
-  void init(const TreeDecomposition& decomp, bool withCombos);
-  /// Structural growth (bags firstNew.. appended under one parent): extend
-  /// the per-bag tables geometrically and give the parent and the new bags
-  /// their combo slots at the table's tail — O(added + the parent's
-  /// degree), amortized; every other bag keeps its slots.
-  void grow(const TreeDecomposition& decomp, bool withCombos, BagId firstNew);
-};
 
 /// One of IncrementalSolver's two incumbent buffers (defined with the solver).
 struct IncumbentBuffer;
@@ -130,15 +52,15 @@ struct IncumbentBuffer;
 /// Incremental re-optimization engine for the polynomial homogeneous solvers
 /// (Closest, Multiple via the frontier DP, Closest+QoS).
 ///
-/// The solver memoizes every subtree's Pareto frontier (and the prefix
-/// convolutions the reconstruction walk needs) in a persistent arena, keyed
-/// by epoch counters: a mutation stamps only the touched vertices and their
-/// root paths (DirtyTracker), so a re-solve recomputes O(depth) frontiers
-/// instead of O(s) and reuses everything else. One driver serves all three
-/// policies: it recomputes a stale bag through the policy's bag step
-/// (core/bag_steps), the very step the one-shot solver runs, so every
-/// recomputed frontier and the incremental placement are bit-identical to a
-/// from-scratch solve after every step — the equivalence tests pin this
+/// The solver owns one FrontierCache (core/frontier_cache), with combo
+/// tables: every subtree's Pareto frontier and the prefix convolutions the
+/// reconstruction walk needs, in a persistent arena. A mutation opens an
+/// epoch and stamps only the touched vertices and their root paths, so a
+/// re-solve recomputes O(depth) frontiers instead of O(s) and reuses
+/// everything else. The cache recomputes a stale bag through the policy's
+/// bag step (core/bag_steps), the very step the one-shot solver runs, so
+/// every recomputed frontier and the incremental placement are bit-identical
+/// to a from-scratch solve after every step — the equivalence tests pin this
 /// down per policy.
 ///
 /// The instance is shared with the caller (scratch comparisons and the
@@ -149,7 +71,6 @@ class IncrementalSolver {
   IncrementalSolver(ProblemInstance& instance, OnlinePolicy policy);
 
   OnlinePolicy policy() const { return policy_; }
-  std::uint64_t epoch() const { return tracker_.epoch(); }
 
   /// Apply one mutation to the shared instance and invalidate the affected
   /// subtree caches (touched vertices + root paths, O(depth) stamps).
@@ -159,7 +80,8 @@ class IncrementalSolver {
   /// deliberately breaks the dirty-closure invariant — the cache-poisoning
   /// test uses it to prove a too-small dirty set yields a stale answer.
   /// Structural deltas are invalidated normally (the grown tables need their
-  /// stamps to stay in bounds); only value deltas skip the stamps.
+  /// stamps to stay in bounds); only value deltas skip the stamps (and the
+  /// re-derivation of W a capacity change would trigger).
   DeltaApplication applyWithoutInvalidation(const InstanceDelta& delta);
 
   /// Re-solve from the caches: recompute dirty subtree frontiers bottom-up,
@@ -190,33 +112,34 @@ class IncrementalSolver {
   /// buffer, which the fallback drops; published snapshots stay intact.
   std::shared_ptr<const Placement> resolve(BudgetGuard* guard = nullptr);
 
-  const FrontierCacheStats& cacheStats() const { return stats_; }
+  const FrontierCacheStats& cacheStats() const { return cache().stats(); }
 
  private:
+  /// The policy's cache: 2-D entries for Closest/Multiple, 3-D for QoS.
+  using Cache = std::variant<FrontierCache<FrontierEntry>, FrontierCache<QosFrontierEntry>>;
+
+  FrontierCacheBase& cache();
+  const FrontierCacheBase& cache() const;
   void noteDelta(const DeltaApplication& app);
   /// One resolve attempt through the policy's bag step (resolve() adds the
   /// scratch fallback).
   std::shared_ptr<const Placement> resolveOnce(BudgetGuard* guard);
   template <class Step>
-  std::shared_ptr<const Placement> resolveWith(
-      detail::FrontierCacheState<typename Step::Entry>& cache, Step step,
-      BudgetGuard* guard);
+  std::shared_ptr<const Placement> resolveWith(FrontierCache<typename Step::Entry>& cache,
+                                               Step step, BudgetGuard* guard);
   /// Drop every cache, the pending dirty bookkeeping, and both incumbent
   /// buffers — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
-  /// W for the place folds. homogeneousCapacity() scans every internal
-  /// vertex (it also rejects a heterogeneous instance), so a resolve with
-  /// nothing dirty — a read — skips it; every capacity delta dirties.
-  Requests foldCapacity() const;
-  /// Sort the pending dirty list into postorder processing position and drop
-  /// duplicates (the same vertex stamped across several epochs).
-  void orderPendingDirty();
+  /// W for the place folds and the Multiple repair. homogeneousCapacity()
+  /// scans every internal vertex (it also rejects a heterogeneous instance),
+  /// so W is re-derived only when it may have moved: after construction, a
+  /// scratch fallback, a capacity change or a pod attach.
+  Requests foldCapacity();
   /// Size the per-vertex scratch tables to the tree (geometric growth).
   void growVertexTables();
   template <typename Entry>
-  void reconstruct(detail::FrontierCacheState<Entry>& cache,
-                   std::int32_t rootEntryIndex);
+  void reconstruct(const FrontierCache<Entry>& cache, std::int32_t rootEntryIndex);
   /// Persistent-assignment maintenance after a feasible reconstruct: either a
   /// full rebuild (first solve, Multiple after a global W change) or an
   /// O(changed region) repair driven by the replica-bit flips the walk
@@ -243,17 +166,18 @@ class IncrementalSolver {
 
   ProblemInstance* instance_;
   OnlinePolicy policy_;
-  DirtyTracker tracker_;
-  FrontierCacheStats stats_;
-  detail::FrontierCacheState<FrontierEntry> cache2d_;    ///< Closest/Multiple
-  detail::FrontierCacheState<QosFrontierEntry> cacheQos_;  ///< Closest + QoS
+  Cache cache_;
+  Requests capacity_ = 0;       ///< W, as foldCapacity() last derived it
+  bool capacityStale_ = true;  ///< W may have moved since
 
-  /// Vertices stamped dirty since the last resolve (DirtyTracker::note
-  /// out-list). A resolve visits exactly these, sorted into postorder, so the
-  /// DP sweep costs O(dirty log dirty) instead of an O(s) epoch scan; a
-  /// global invalidation (or the first solve) falls back to the full sweep.
-  std::vector<VertexId> pendingDirty_;
-  bool pendingGlobal_ = true;
+  /// Reconstruction memo: the entry index the last backpointer walk chose at
+  /// each vertex, the epoch of that walk, and the resulting replica bit. A
+  /// walk that reaches a vertex with the same entry index and no mutation in
+  /// its subtree since (chosenEpoch >= dirtySince) skips the whole subtree —
+  /// its bits are still exact.
+  std::vector<std::int32_t> chosenEntry_;
+  std::vector<std::uint64_t> chosenEpoch_;
+  std::vector<char> replicaBit_;
   /// Clients whose request rate changed since the last *successful* repair
   /// (infeasible steps leave the incumbent assignment untouched, so their
   /// changes carry forward until a feasible step consumes them).
@@ -291,8 +215,8 @@ class IncrementalSolver {
 
 /// Incremental twin of core/bounds' FrontierSubtreeRelaxation: the per-subtree
 /// relaxation frontiers (RelaxationStep: place absorbs min(flow, W_v) — valid
-/// for every policy) are memoized with the same epoch scheme and the same
-/// driver as IncrementalSolver, without combo tables, while the cheap derived
+/// for every policy) are memoized in one FrontierCache without combo tables,
+/// folded in raw child order as the one-shot does, while the cheap derived
 /// passes (deriveSubtreeFloors) are recomputed per refresh.
 /// Feeds knownLowerBound into the warm ILP re-solve path.
 class IncrementalBounds {
@@ -316,13 +240,11 @@ class IncrementalBounds {
   std::int32_t minTotalReplicas() const {
     return minReplicasIn(instance_->tree.root());
   }
-  const FrontierCacheStats& cacheStats() const { return stats_; }
+  const FrontierCacheStats& cacheStats() const { return cache_.stats(); }
 
  private:
   ProblemInstance* instance_;
-  DirtyTracker tracker_;
-  FrontierCacheStats stats_;
-  detail::FrontierCacheState<FrontierEntry> cache_;
+  FrontierCache<FrontierEntry> cache_;
   SubtreeFloors floors_;
 };
 

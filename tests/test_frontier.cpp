@@ -408,6 +408,91 @@ TEST(FrontierSolverEquivalence, BagInterfaceMatchesTreeInterfaceBitExactly) {
   }
 }
 
+/// Subset-enumeration oracle of ConstrainedClosestStep: the cheapest
+/// cost-weighted replica set that honours every vertex state and serves each
+/// client wholly from its nearest replica above it within W, or -1.
+std::int32_t constrainedClosestByEnumeration(const ProblemInstance& instance,
+                                             const std::vector<NodeState>& state) {
+  const Tree& tree = instance.tree;
+  const Requests W = instance.homogeneousCapacity();
+  const auto& internals = tree.internals();
+  std::int32_t best = -1;
+  std::vector<char> inSet(tree.vertexCount(), 0);
+  std::vector<Requests> load(tree.vertexCount(), 0);
+  for (std::uint32_t mask = 0; mask < (1u << internals.size()); ++mask) {
+    std::int32_t cost = 0;
+    bool honours = true;
+    for (std::size_t i = 0; i < internals.size(); ++i) {
+      const bool in = ((mask >> i) & 1) != 0;
+      const NodeState s = state[static_cast<std::size_t>(internals[i])];
+      inSet[static_cast<std::size_t>(internals[i])] = in ? 1 : 0;
+      if (in && s == NodeState::Forbidden) honours = false;
+      if (!in && (s == NodeState::Forced || s == NodeState::ForcedZero)) honours = false;
+      if (in && (s == NodeState::Free || s == NodeState::Forced)) ++cost;
+    }
+    if (!honours || (best >= 0 && cost >= best)) continue;
+    std::fill(load.begin(), load.end(), 0);
+    bool feasible = true;
+    for (const VertexId c : tree.clients()) {
+      const Requests r = instance.requests[static_cast<std::size_t>(c)];
+      if (r == 0) continue;
+      VertexId server = tree.parent(c);
+      while (server != kNoVertex && inSet[static_cast<std::size_t>(server)] == 0)
+        server = tree.parent(server);
+      if (server == kNoVertex || (load[static_cast<std::size_t>(server)] += r) > W) {
+        feasible = false;
+        break;
+      }
+    }
+    if (feasible) best = cost;
+  }
+  return best;
+}
+
+// The multitree solver's five node states, driven through the one-shot
+// driver on random trees with random per-vertex states: the root's
+// cost-weighted count must equal the best honouring subset.
+TEST(FrontierSolverEquivalence, ConstrainedClosestStepMatchesEnumeration) {
+  constexpr NodeState kStates[] = {NodeState::Free, NodeState::FreeZero, NodeState::Forced,
+                                   NodeState::ForcedZero, NodeState::Forbidden};
+  Prng rng(2024);
+  int feasible = 0;
+  int infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    // Client-poor trees with Forced-heavy states put more cost-1 replicas in
+    // a cone than it has clients — the case ClosestStep's count cap excludes.
+    GeneratorConfig config;
+    config.minSize = 6;
+    config.maxSize = 14;
+    config.clientFraction = seed % 2 == 0 ? 0.3 : 0.55;
+    config.maxRequests = 8;
+    config.lambda = 0.2 + 0.1 * static_cast<double>(seed % 6);
+    config.unitCosts = true;
+    Prng gen(seed * 31 + 7);
+    const ProblemInstance inst = generateInstance(config, gen);
+    ConstrainedClosestStep step(inst, inst.homogeneousCapacity());
+    for (const VertexId v : inst.tree.internals())
+      step.state[static_cast<std::size_t>(v)] =
+          seed % 3 == 0 && rng.uniformInt(0, 1) == 0 ? NodeState::Forced
+                                                     : kStates[rng.uniformInt(0, 4)];
+
+    FrontierArena arena;
+    arena.reset(4 * inst.tree.vertexCount());
+    FrontierConvolver conv(arena);
+    FrontierDp dp(inst.tree, arena);
+    runFrontierDp(dp, conv, step, nullptr);
+    const FrontierSpan root = dp.frontier(inst.tree.root());
+    const std::int32_t entry = FlowStep::rootEntry(arena, root);
+    const std::int32_t got =
+        entry < 0 ? -1 : arena.at(root, static_cast<std::size_t>(entry)).count;
+    EXPECT_EQ(got, constrainedClosestByEnumeration(inst, step.state)) << "seed " << seed;
+    ++(got < 0 ? infeasible : feasible);
+  }
+  // Both verdicts must be exercised, or one side of the comparison is idle.
+  EXPECT_GE(feasible, 30);
+  EXPECT_GE(infeasible, 10);
+}
+
 TEST(FrontierSolverEquivalence, ClosestStatsRespectWidthBound) {
   const ProblemInstance inst = testutil::smallRandomInstance(
       42, 0.5, /*hetero=*/false, /*unit=*/true, /*minSize=*/30, /*maxSize=*/60);

@@ -172,6 +172,50 @@ TEST(IncrementalSolver, CapacityLoweredAndRestoredMatchesScratch) {
   }
 }
 
+// The solver caches W and re-derives it, with its homogeneity check, only
+// when a delta may have moved it. A per-node capacity change or a pod
+// attached with another W makes the instance heterogeneous: the next resolve
+// rejects it once more from scratch and throws, and restoring W heals it.
+TEST(IncrementalSolver, HeterogeneousCapacityDeltaThrowsOnResolve) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    ProblemInstance instance = smallHomogeneous(3, qosFraction);
+    const Requests W = instance.homogeneousCapacity();
+    const VertexId host = instance.tree.internals().front();
+    InstanceDelta perNode;
+    perNode.kind = DeltaKind::CapacityChange;
+    perNode.node = host;
+    perNode.capacity = W + 1;
+    InstanceDelta pod;
+    pod.kind = DeltaKind::SubtreeAttach;
+    pod.node = host;
+    pod.capacity = W + 1;
+    pod.podRates = {1, 1};
+    for (const InstanceDelta& delta : {perNode, pod}) {
+      const std::string ctx = std::string(toString(policy)) + " kind=" +
+                              std::to_string(static_cast<int>(delta.kind));
+      ProblemInstance live = instance;
+      IncrementalSolver solver(live, policy);
+      (void)solver.resolve();
+      solver.apply(delta);
+      EXPECT_THROW((void)solver.resolve(), PreconditionError) << ctx;
+      EXPECT_EQ(solver.cacheStats().scratchFallbacks, 1u) << ctx;
+
+      InstanceDelta restore;
+      restore.kind = DeltaKind::CapacityChange;
+      restore.capacity = W;
+      solver.apply(restore);
+      const auto got = solver.resolve();
+      const auto truth = scratch(live, policy);
+      ASSERT_EQ(got != nullptr, truth.has_value()) << ctx;
+      if (truth) {
+        EXPECT_EQ(*got, *truth) << ctx;
+      }
+    }
+  }
+}
+
 // Value mutations must hit the cache on untouched subtrees: a one-client
 // change on a two-branch tree recomputes only the client's root path.
 TEST(IncrementalSolver, CacheHitsOnUntouchedSubtrees) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/validate.hpp"
 #include "support/require.hpp"
 #include "tree/builder.hpp"
@@ -10,6 +12,84 @@
 
 namespace treeplace {
 namespace {
+
+/// Result of the exponential test oracle.
+struct MultitreeBruteForceResult {
+  bool solved = false;    ///< false when the internal count exceeds the cap
+  bool feasible = false;  ///< meaningful only when solved
+  std::vector<VertexId> replicas;  ///< sorted global ids when feasible
+};
+
+/// Exponential oracle: enumerate every subset of global internal ids
+/// (refusing instances with more than `maxInternals` of them), check
+/// per-member-tree Closest feasibility by direct simulation — every client
+/// is served by the nearest root-path replica of its own tree, per-server
+/// per-tree load at most W_t — and return the minimum-size,
+/// lexicographically smallest replica set.
+MultitreeBruteForceResult solveMultitreeClosestBruteForce(
+    const MultitreeInstance& instance, std::size_t maxInternals = 22) {
+  MultitreeBruteForceResult result;
+  const std::vector<VertexId> internals = instance.globalInternals();
+  if (internals.size() > maxInternals || internals.size() >= 63) return result;
+  result.solved = true;
+
+  const std::size_t treeCount = instance.treeCount();
+  std::vector<Requests> capacity(treeCount);
+  for (std::size_t t = 0; t < treeCount; ++t)
+    capacity[t] = instance.trees[t].homogeneousCapacity();
+
+  std::vector<char> inSet(static_cast<std::size_t>(instance.globalVertexCount), 0);
+  std::vector<VertexId> candidate;
+  std::vector<Requests> load;
+  std::vector<VertexId> bestSet;
+  bool haveBest = false;
+
+  for (std::uint64_t mask = 0; mask < (1ull << internals.size()); ++mask) {
+    const auto count = static_cast<std::size_t>(std::popcount(mask));
+    if (haveBest && count > bestSet.size()) continue;
+    candidate.clear();
+    for (std::size_t i = 0; i < internals.size(); ++i)
+      if ((mask >> i) & 1) candidate.push_back(internals[i]);
+    if (haveBest && count == bestSet.size() && !(candidate < bestSet)) continue;
+
+    for (const VertexId r : candidate) inSet[static_cast<std::size_t>(r)] = 1;
+    bool feasible = true;
+    for (std::size_t t = 0; t < treeCount && feasible; ++t) {
+      const ProblemInstance& member = instance.trees[t];
+      load.assign(member.tree.vertexCount(), 0);
+      for (const VertexId c : member.tree.clients()) {
+        VertexId server = kNoVertex;
+        for (VertexId u = member.tree.parent(c); u != kNoVertex;
+             u = member.tree.parent(u)) {
+          if (inSet[static_cast<std::size_t>(instance.globalId(t, u))]) {
+            server = u;
+            break;
+          }
+        }
+        if (server == kNoVertex) {
+          feasible = false;
+          break;
+        }
+        load[static_cast<std::size_t>(server)] +=
+            member.requests[static_cast<std::size_t>(c)];
+      }
+      if (feasible)
+        for (const VertexId j : member.tree.internals())
+          if (load[static_cast<std::size_t>(j)] > capacity[t]) {
+            feasible = false;
+            break;
+          }
+    }
+    for (const VertexId r : candidate) inSet[static_cast<std::size_t>(r)] = 0;
+    if (feasible) {
+      bestSet = candidate;
+      haveBest = true;
+    }
+  }
+  result.feasible = haveBest;
+  result.replicas = std::move(bestSet);
+  return result;
+}
 
 /// Two member trees sharing gateway 0 (global ids in brackets):
 ///
