@@ -748,7 +748,7 @@ int main(int argc, char** argv) try {
         mc.steps = mutateSteps;
         mc.seed = 1234 + static_cast<std::uint64_t>(s);
         // Single-client value mutations only: no structural growth, and no
-        // global W change (that invalidates every subtree by design). Small
+        // global W change (that re-solves every bag where W binds). Small
         // rate redraws keep the Closest stream feasible (see rateCap doc).
         mc.structural = false;
         mc.capacityWeight = 0.0;
@@ -908,7 +908,7 @@ int main(int argc, char** argv) try {
       static_cast<int>(options.getIntOr("multitree-size", 10000));
   std::cout << "\n(j) Multitree lexico-min Closest — k member trees sharing "
                "a gateway pool, solved globally (member size "
-            << multitreeSize << ")\n";
+            << multitreeSize << ", solve min over " << repeats << " runs)\n";
   std::vector<MultitreeRow> multitreeRows;
   {
     // Same feasible-at-scale profile as parts (f)/(i): unit requests at
@@ -938,9 +938,16 @@ int main(int argc, char** argv) try {
       row.trees = k;
       row.globalVertices = static_cast<std::size_t>(mt.globalVertexCount);
       row.sharedCount = static_cast<std::size_t>(mt.sharedCount);
-      const auto t0 = std::chrono::steady_clock::now();
+      auto t0 = std::chrono::steady_clock::now();
       const MultitreeSolveResult result = solveMultitreeClosest(mt);
       row.solveMs = millis(t0);
+      // Min over the repeats, like the other timing rows; the search is
+      // deterministic, so the repeats only time it again.
+      for (int rep = 1; rep < repeats; ++rep) {
+        t0 = std::chrono::steady_clock::now();
+        (void)solveMultitreeClosest(mt);
+        row.solveMs = std::min(row.solveMs, millis(t0));
+      }
       row.feasible = result.feasible;
       row.replicas = result.replicaCount();
       row.stats = result.stats;

@@ -1,7 +1,10 @@
 #include "core/frontier.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <limits>
+#include <new>
 
 #include "support/require.hpp"
 
@@ -11,6 +14,19 @@ namespace {
 constexpr Requests kHugeFlow = std::numeric_limits<Requests>::max() / 4;
 
 }  // namespace
+
+namespace detail {
+
+void* mapSlab(std::size_t bytes) {
+  void* slab = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+  if (slab == MAP_FAILED) throw std::bad_alloc();
+  return slab;
+}
+
+void unmapSlab(void* slab, std::size_t bytes) noexcept { ::munmap(slab, bytes); }
+
+}  // namespace detail
 
 void FrontierStats::merge(const FrontierStats& other) {
   peakWidth = std::max(peakWidth, other.peakWidth);

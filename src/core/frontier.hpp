@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <new>
 #include <span>
 #include <utility>
@@ -90,6 +91,43 @@ struct FrontierStats {
   void merge(const FrontierStats& other);
 };
 
+namespace detail {
+
+/// The OS side of SlabAllocator (core/frontier.cpp): an anonymous private
+/// mapping of `bytes`, and its release. mapSlab throws std::bad_alloc when
+/// the mapping fails.
+void* mapSlab(std::size_t bytes);
+void unmapSlab(void* slab, std::size_t bytes) noexcept;
+
+}  // namespace detail
+
+/// Allocator of the frontier slabs. A slab of at least 1 MiB is mapped from
+/// the OS and unmapped when freed, so its untouched reserve holds no
+/// resident pages and a dropped slab (a closed session's) leaves the process
+/// at once; from the malloc heap, glibc's dynamic mmap threshold would keep
+/// such a slab across reopens. Smaller slabs come from operator new.
+template <typename T>
+struct SlabAllocator {
+  using value_type = T;
+  static constexpr std::size_t kMapBytes = std::size_t{1} << 20;
+
+  SlabAllocator() = default;
+  template <typename U>
+  SlabAllocator(const SlabAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) < kMapBytes) return std::allocator<T>().allocate(n);
+    return static_cast<T*>(detail::mapSlab(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) < kMapBytes)
+      std::allocator<T>().deallocate(p, n);
+    else
+      detail::unmapSlab(p, n * sizeof(T));
+  }
+  friend bool operator==(const SlabAllocator&, const SlabAllocator&) noexcept { return true; }
+};
+
 /// Bump allocator for frontier entries. Every frontier produced during one
 /// solve lives in a single flat slab; nodes hold FrontierSpan handles instead
 /// of per-node vectors, so the DP performs O(1) heap allocations overall and
@@ -137,7 +175,7 @@ class BasicFrontierArena {
   std::size_t capacity() const { return slab_.capacity(); }
 
  private:
-  std::vector<Entry> slab_;
+  std::vector<Entry, SlabAllocator<Entry>> slab_;
 };
 
 // FrontierArena / QosFrontierArena aliases live in core/frontier_fwd.hpp.

@@ -175,8 +175,9 @@ void FrontierCache<Entry>::reset() {
 /// follows, so their spans are simply dropped.
 ///
 /// The gate is capacity-aware. A slab that overflows doubles and never gives
-/// the memory back (reset only reserves), and one global W change recomputes
-/// about as many entries as are live. So the cheap early return holds only
+/// the memory back (reset only reserves), and one whole-cache flush (a W
+/// change the consumer cannot narrow down) recomputes about as many entries
+/// as are live. So the cheap early return holds only
 /// while 4n more entries still fit, and deferring a compaction only while a
 /// recompute of the live set (plus n) still fits — until the slab has taken
 /// as many entries as that margin left.

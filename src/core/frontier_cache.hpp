@@ -16,7 +16,9 @@ struct FrontierCacheStats {
   std::size_t hits = 0;              ///< clean subtree frontiers reused
   std::size_t misses = 0;            ///< subtree frontiers recomputed
   std::size_t invalidations = 0;     ///< per-vertex dirty stamps applied
-  std::size_t globalInvalidations = 0;  ///< whole-cache flushes (capacity W)
+  /// Homogeneous W changes: a whole-cache flush, or for a consumer that
+  /// tracks subtree demands a stamp of just the bags where W binds.
+  std::size_t globalInvalidations = 0;
   std::size_t compactions = 0;       ///< arena copy-compaction passes
   std::size_t arenaEntries = 0;      ///< slab entries after the last refresh
   std::size_t arenaBytes = 0;        ///< slab footprint, bytes
@@ -134,7 +136,9 @@ class FrontierCacheBase {
   /// unchanged reuses the prefix combos of its clean children and
   /// re-convolves only from the first changed child on — the recompute then
   /// costs O(changed suffix), not O(degree). The ceiling derives from W, so
-  /// a capacity change rebuilds every chain.
+  /// a capacity change rebuilds the chain of every bag it stamps; a bag left
+  /// clean (its demand fits both W's) keeps the old ceiling here, and its
+  /// next recompute rebuilds its chain whole.
   std::vector<std::int32_t> comboCap_;
   std::vector<Requests> comboCeiling_;
   /// Arena size below which the compaction live-scan is skipped entirely;

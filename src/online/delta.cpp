@@ -138,11 +138,20 @@ DeltaApplication applyDelta(ProblemInstance& instance, const InstanceDelta& delt
     }
     case DeltaKind::CapacityChange: {
       if (delta.node == kNoVertex) {
-        // Homogeneous capacity shift: W appears in every place step, so no
-        // subtree result survives.
-        for (const VertexId j : tree.internals())
-          instance.capacity[static_cast<std::size_t>(j)] = delta.capacity;
+        // Homogeneous capacity shift: W appears in every place step, so only
+        // a bag whose subtree demand fits both W's keeps its result. The
+        // overwrite reads each old W anyway, so it also reports the old
+        // common W.
+        const auto& internals = tree.internals();
+        Requests before = instance.capacity[static_cast<std::size_t>(internals.front())];
+        for (const VertexId j : internals) {
+          Requests& w = instance.capacity[static_cast<std::size_t>(j)];
+          if (w != before) before = 0;
+          w = delta.capacity;
+        }
         app.global = true;
+        app.capacityBefore = before;
+        app.capacityAfter = delta.capacity;
       } else {
         instance.capacity[static_cast<std::size_t>(delta.node)] = delta.capacity;
         app.touched.push_back(delta.node);

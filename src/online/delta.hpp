@@ -75,14 +75,21 @@ class DeltaError : public std::invalid_argument {
 /// invalidation. `touched` lists the vertices whose own subtree DP state
 /// changed (consumers dirty them plus their root paths); `structural` says
 /// the Tree grew (vertices appended under one parent, ids stable); `global`
-/// says every cached subtree result is stale (homogeneous capacity change —
-/// W appears in every place step).
+/// says every internal node's W changed at once (a homogeneous capacity
+/// change). W enters a bag's DP only through its place rule and flow
+/// ceiling, so a consumer that knows subtree demands may keep the bags whose
+/// demand fits both the old and the new W; the others must treat every
+/// cached subtree result as stale.
 struct DeltaApplication {
   DeltaKind kind = DeltaKind::RateChange;
   std::vector<VertexId> touched;
   bool structural = false;
   bool global = false;
   VertexId firstNewVertex = kNoVertex;  ///< structural only: old vertexCount
+  /// Global capacity change only: the W every internal node held before
+  /// (0 when they differed) and the W they all hold now.
+  Requests capacityBefore = 0;
+  Requests capacityAfter = 0;
 };
 
 /// Apply `delta` to `instance` in place. Structural deltas grow the Tree in

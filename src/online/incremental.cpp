@@ -26,9 +26,11 @@ struct IncumbentBuffer {
 
 namespace {
 
-/// A delta's invalidation of a frontier cache. Every delta opens its own
-/// epoch, so the invalidation counts are per delta, and a reconstruction
-/// memo stamped before the delta is older than every stamp the delta makes.
+/// A delta's invalidation of a frontier cache that does not track subtree
+/// demands (IncrementalBounds): a W change stamps every bag. Every delta
+/// opens its own epoch, so the invalidation counts are per delta, and a
+/// reconstruction memo stamped before the delta is older than every stamp
+/// the delta makes.
 void invalidate(FrontierCacheBase& cache, const DeltaApplication& app) {
   cache.advance();
   if (app.structural) cache.grow(app.firstNewVertex);
@@ -36,6 +38,12 @@ void invalidate(FrontierCacheBase& cache, const DeltaApplication& app) {
     cache.invalidateAll();
   else
     cache.stamp(app.touched);
+}
+
+/// The value deltas that move client rates; their touched list is clients.
+bool movesRates(DeltaKind kind) {
+  return kind == DeltaKind::RateChange || kind == DeltaKind::ClientLeave ||
+         kind == DeltaKind::SubtreeDetach;
 }
 
 /// Hand out `buffer`'s placement as an immutable snapshot. The lease keeps
@@ -81,16 +89,18 @@ IncrementalSolver::IncrementalSolver(ProblemInstance& instance, OnlinePolicy pol
                  : Cache(std::in_place_index<0>, instance.tree, true)) {
   instance.validate();
   growVertexTables();
+  recomputeDemand();
 }
 
 void IncrementalSolver::growVertexTables() {
   const std::size_t n = instance_->tree.vertexCount();
   pathMark_.resize(n, 0);
   clientMark_.resize(n, 0);
-  remainingScratch_.resize(n, 0);
+  requestScratch_.resize(n, 0);
   chosenEntry_.resize(n, -1);
   chosenEpoch_.resize(n, 0);
   replicaBit_.resize(n, 0);
+  demand_.resize(n, 0);
   if (policy_ == OnlinePolicy::Multiple)
     serverTakes_.resize(n);
   else
@@ -98,8 +108,11 @@ void IncrementalSolver::growVertexTables() {
 }
 
 void IncrementalSolver::noteDelta(const DeltaApplication& app) {
-  invalidate(cache(), app);
+  FrontierCacheBase& c = cache();
+  c.advance();
+  const std::size_t firstChanged = pendingChangedClients_.size();
   if (app.structural) {
+    c.grow(app.firstNewVertex);
     const Tree& tree = instance_->tree;
     growVertexTables();
     // Each new client is a 0 -> r rate change under a known vertex: the
@@ -108,25 +121,110 @@ void IncrementalSolver::noteDelta(const DeltaApplication& app) {
     for (auto v = static_cast<std::size_t>(app.firstNewVertex); v < tree.vertexCount(); ++v)
       if (tree.isClient(static_cast<VertexId>(v)))
         pendingChangedClients_.push_back(static_cast<VertexId>(v));
+  } else if (movesRates(app.kind)) {
+    pendingChangedClients_.insert(pendingChangedClients_.end(), app.touched.begin(),
+                                  app.touched.end());
   }
+  foldDemand(std::span<const VertexId>(pendingChangedClients_).subspan(firstChanged));
+
+  if (app.global) {
+    noteCapacityChange(app);
+  } else {
+    c.stamp(app.touched);
+    // A per-node W, or a pod with its own W, may leave the instance
+    // heterogeneous: the next resolve re-derives W with its check.
+    if (app.kind == DeltaKind::CapacityChange ||
+        (app.kind == DeltaKind::SubtreeAttach &&
+         instance_->capacity[static_cast<std::size_t>(app.firstNewVertex)] != capacity_))
+      capacityStale_ = true;
+  }
+}
+
+// W enters the Closest, Multiple and QoS bag steps only through the place
+// rule and the flow ceiling. A bag whose subtree demand D fits min(W, W')
+// sends at most D up from any state, so no ceiling cuts a state under either
+// W (every ceiling is at least W, except Multiple's root node ceiling, which
+// is 0 under both), a Closest or QoS place fits under both, and a Multiple
+// place absorbs all of it under both; client seeds never read W. Its frontier, backpointers and combo chain
+// are therefore bit-identical under W', and only the bags with D > min(W, W')
+// go stale. D never shrinks towards the root, so that set is closed under
+// parents and a walk down from the root finds it in O(stale set).
+void IncrementalSolver::noteCapacityChange(const DeltaApplication& app) {
+  FrontierCacheBase& c = cache();
+  // Every clean bag was computed under capacity_. A delta whose old W differs
+  // found the instance heterogeneous, or W moved behind the solver's back
+  // (applyWithoutInvalidation): flush everything then.
+  if (app.capacityBefore != capacity_) {
+    c.invalidateAll();
+  } else {
+    const Requests binds = std::min(capacity_, app.capacityAfter);
+    const Tree& tree = instance_->tree;
+    std::vector<VertexId>& stale = walkScratch_;
+    stale.clear();
+    if (demand_[static_cast<std::size_t>(tree.root())] > binds) stale.push_back(tree.root());
+    for (std::size_t i = 0; i < stale.size(); ++i)
+      for (const VertexId child : tree.children(stale[i]))
+        if (tree.isInternal(child) && demand_[static_cast<std::size_t>(child)] > binds)
+          stale.push_back(child);
+    c.stamp(stale);  // parents first: each stamp stops one step up
+    ++c.stats().globalInvalidations;
+  }
+  capacity_ = app.capacityAfter;
+  capacityStale_ = false;
   // W is every Multiple server's absorption budget: no assignment survives
   // a homogeneous capacity shift, so repair cannot patch it. Closest
   // assignments never read W — they follow the (possibly flipped) replica
   // set, which the ordinary repair path handles.
-  if (app.global && policy_ == OnlinePolicy::Multiple) assignRebuildNeeded_ = true;
-  switch (app.kind) {
-    case DeltaKind::RateChange:
-    case DeltaKind::ClientLeave:
-    case DeltaKind::SubtreeDetach:
-      pendingChangedClients_.insert(pendingChangedClients_.end(),
-                                    app.touched.begin(), app.touched.end());
-      break;
-    case DeltaKind::CapacityChange:
-    case DeltaKind::SubtreeAttach:
-      capacityStale_ = true;
-      break;
-    case DeltaKind::ClientJoin:
-      break;  // its new client was queued above
+  if (policy_ == OnlinePolicy::Multiple) assignRebuildNeeded_ = true;
+}
+
+void IncrementalSolver::recomputeDemand() {
+  const Tree& tree = instance_->tree;
+  demand_.assign(tree.vertexCount(), 0);
+  for (const VertexId v : tree.postorder()) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (tree.isClient(v)) demand_[vi] = instance_->requests[vi];
+    if (const VertexId p = tree.parent(v); p != kNoVertex)
+      demand_[static_cast<std::size_t>(p)] += demand_[vi];
+  }
+}
+
+// Each client's change enters as a carry into its parent, and the root paths
+// are walked once each, stopping where an earlier walk already passed: the
+// union of the paths, in segments. A later segment hangs below an earlier
+// one and runs child to parent, so settling the segments last to first
+// settles every vertex after all its children — O(union of the paths).
+void IncrementalSolver::foldDemand(std::span<const VertexId> clients) {
+  const Tree& tree = instance_->tree;
+  const std::uint64_t gen = ++markGen_;
+  std::vector<VertexId>& walk = walkScratch_;
+  std::vector<std::size_t>& segments = segmentScratch_;
+  walk.clear();
+  segments.clear();
+  for (const VertexId c : clients) {
+    const auto ci = static_cast<std::size_t>(c);
+    const Requests change = instance_->requests[ci] - demand_[ci];  // D[c]: the old rate
+    if (change == 0) continue;
+    demand_[ci] += change;
+    const VertexId p = tree.parent(c);
+    requestScratch_[static_cast<std::size_t>(p)] += change;
+    segments.push_back(walk.size());
+    for (VertexId u = p; u != kNoVertex; u = tree.parent(u)) {
+      auto& mark = pathMark_[static_cast<std::size_t>(u)];
+      if (mark == gen) break;
+      mark = gen;
+      walk.push_back(u);
+    }
+  }
+  std::size_t end = walk.size();
+  for (std::size_t s = segments.size(); s-- > 0; end = segments[s]) {
+    for (std::size_t i = segments[s]; i < end; ++i) {
+      const auto ui = static_cast<std::size_t>(walk[i]);
+      const Requests change = std::exchange(requestScratch_[ui], 0);
+      demand_[ui] += change;
+      if (const VertexId p = tree.parent(walk[i]); p != kNoVertex)
+        requestScratch_[static_cast<std::size_t>(p)] += change;
+    }
   }
 }
 
@@ -139,7 +237,10 @@ DeltaApplication IncrementalSolver::apply(const InstanceDelta& delta) {
 DeltaApplication IncrementalSolver::applyWithoutInvalidation(
     const InstanceDelta& delta) {
   DeltaApplication app = applyDelta(*instance_, delta);
-  if (app.structural) noteDelta(app);
+  if (app.structural)
+    noteDelta(app);
+  else if (movesRates(app.kind))
+    foldDemand(app.touched);  // the demands stay exact; only the stamps are skipped
   return app;
 }
 
@@ -174,6 +275,7 @@ void IncrementalSolver::invalidateCaches() {
   chosenEpoch_.assign(chosenEpoch_.size(), 0);
   replicaBit_.assign(replicaBit_.size(), 0);
   capacityStale_ = true;
+  recomputeDemand();
   pendingChangedClients_.clear();
   flips_.clear();
   front_.reset();
@@ -555,7 +657,7 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
   // 3. Residual demand of the tracked clients (untracked clients stay fully
   // served by unaffected servers).
   for (const VertexId c : tracked)
-    remainingScratch_[static_cast<std::size_t>(c)] =
+    requestScratch_[static_cast<std::size_t>(c)] =
         instance.requests[static_cast<std::size_t>(c)] - placement.assignedOf(c);
 
   // 4. Replay in the exact greedy's order: servers in postorder, clients in
@@ -578,7 +680,7 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
     auto& takes = serverTakes_[static_cast<std::size_t>(s)];
     for (; it != tracked.end() && tree.clientIndex(*it) < hi && budget > 0; ++it) {
       const VertexId c = *it;
-      auto& rest = remainingScratch_[static_cast<std::size_t>(c)];
+      auto& rest = requestScratch_[static_cast<std::size_t>(c)];
       if (rest == 0) continue;
       const Requests take = std::min(rest, budget);
       placement.assign(c, s, take);
@@ -588,7 +690,7 @@ std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
     }
   }
   for (const VertexId c : tracked)
-    TREEPLACE_REQUIRE(remainingScratch_[static_cast<std::size_t>(c)] == 0,
+    TREEPLACE_REQUIRE(requestScratch_[static_cast<std::size_t>(c)] == 0,
                       "multiple repair left unassigned demand — locality bug");
   return tracked;
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <variant>
 #include <vector>
@@ -57,8 +58,11 @@ struct IncumbentBuffer;
 /// reconstruction walk needs, in a persistent arena. A mutation opens an
 /// epoch and stamps only the touched vertices and their root paths, so a
 /// re-solve recomputes O(depth) frontiers instead of O(s) and reuses
-/// everything else. The cache recomputes a stale bag through the policy's
-/// bag step (core/bag_steps), the very step the one-shot solver runs, so
+/// everything else. A homogeneous W change stamps only the bags whose
+/// subtree demand exceeds the smaller W; the solver keeps every vertex's
+/// subtree demand current along the root paths of the rate changes. The
+/// cache recomputes a stale bag through the policy's bag step
+/// (core/bag_steps), the very step the one-shot solver runs, so
 /// every recomputed frontier and the incremental placement are bit-identical
 /// to a from-scratch solve after every step — the equivalence tests pin this
 /// down per policy.
@@ -81,7 +85,8 @@ class IncrementalSolver {
   /// test uses it to prove a too-small dirty set yields a stale answer.
   /// Structural deltas are invalidated normally (the grown tables need their
   /// stamps to stay in bounds); only value deltas skip the stamps (and the
-  /// re-derivation of W a capacity change would trigger).
+  /// update of W a capacity change would trigger). Subtree demands still
+  /// follow every rate change.
   DeltaApplication applyWithoutInvalidation(const InstanceDelta& delta);
 
   /// Re-solve from the caches: recompute dirty subtree frontiers bottom-up,
@@ -121,6 +126,15 @@ class IncrementalSolver {
   FrontierCacheBase& cache();
   const FrontierCacheBase& cache() const;
   void noteDelta(const DeltaApplication& app);
+  /// A homogeneous W change: stamp the bags where W binds (see the .cpp),
+  /// take the new W from the delta, and rebuild a Multiple assignment.
+  void noteCapacityChange(const DeltaApplication& app);
+  /// Subtree demands from scratch: one postorder pass.
+  void recomputeDemand();
+  /// Fold the rate changes of `clients` (demand_ still holds their old
+  /// rates) into the subtree demands of their root paths, O(union of the
+  /// paths).
+  void foldDemand(std::span<const VertexId> clients);
   /// One resolve attempt through the policy's bag step (resolve() adds the
   /// scratch fallback).
   std::shared_ptr<const Placement> resolveOnce(BudgetGuard* guard);
@@ -131,10 +145,11 @@ class IncrementalSolver {
   /// buffers — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
-  /// W for the place folds and the Multiple repair. homogeneousCapacity()
-  /// scans every internal vertex (it also rejects a heterogeneous instance),
-  /// so W is re-derived only when it may have moved: after construction, a
-  /// scratch fallback, a capacity change or a pod attach.
+  /// W for the place folds and the Multiple repair. A global capacity change
+  /// carries its new W. homogeneousCapacity() scans every internal vertex
+  /// (it also rejects a heterogeneous instance), so it runs only when the
+  /// instance may have gone heterogeneous: after construction, a scratch
+  /// fallback, a per-node capacity change or a pod with another W.
   Requests foldCapacity();
   /// Size the per-vertex scratch tables to the tree (geometric growth).
   void growVertexTables();
@@ -167,8 +182,15 @@ class IncrementalSolver {
   ProblemInstance* instance_;
   OnlinePolicy policy_;
   Cache cache_;
-  Requests capacity_ = 0;       ///< W, as foldCapacity() last derived it
-  bool capacityStale_ = true;  ///< W may have moved since
+  /// W, as last derived or taken from a global capacity change; every clean
+  /// cached frontier is the one this W gives.
+  Requests capacity_ = 0;
+  bool capacityStale_ = true;  ///< the instance may no longer be homogeneous at capacity_
+  /// Subtree demand D per vertex: a client's rate as last folded in, an
+  /// internal's sum over its clients. Kept exact through every delta.
+  std::vector<Requests> demand_;
+  std::vector<VertexId> walkScratch_;        ///< foldDemand's paths, the W-change walk
+  std::vector<std::size_t> segmentScratch_;  ///< foldDemand's path segment starts
 
   /// Reconstruction memo: the entry index the last backpointer walk chose at
   /// each vertex, the epoch of that walk, and the resulting replica bit. A
@@ -207,7 +229,10 @@ class IncrementalSolver {
   /// client under the flipped vertex.
   std::vector<std::vector<VertexId>> serverClients_;
 
-  std::vector<Requests> remainingScratch_;  ///< valid only for tracked clients
+  /// Per-vertex Requests scratch: the Multiple repair's residual demand of a
+  /// tracked client, and foldDemand's carry into an internal vertex (zero
+  /// between calls).
+  std::vector<Requests> requestScratch_;
   std::vector<std::uint64_t> pathMark_;    ///< root-path walk dedup stamps
   std::vector<std::uint64_t> clientMark_;  ///< tracked-client dedup stamps
   std::uint64_t markGen_ = 0;

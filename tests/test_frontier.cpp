@@ -76,6 +76,33 @@ std::vector<Point> fromArena(const FrontierArena& arena, FrontierSpan span) {
   return out;
 }
 
+// The slab crosses SlabAllocator's 1 MiB line while it grows: the heap slab
+// is copied into a mapped one, then into a larger mapping, and a reset
+// reserve lands on a mapping straight away. Every span reads back what was
+// pushed.
+TEST(FrontierArena, SlabKeepsEntriesAcrossTheMappingThreshold) {
+  const std::size_t perMiB = SlabAllocator<FrontierEntry>::kMapBytes / sizeof(FrontierEntry);
+  FrontierArena arena;
+  for (const std::size_t reserve : {std::size_t{16}, 3 * perMiB}) {
+    arena.reset(reserve);
+    std::vector<FrontierSpan> spans;
+    for (std::int32_t k = 0; k < static_cast<std::int32_t>(3 * perMiB); k += 1000) {
+      const std::uint32_t begin = arena.beginSpan();
+      for (std::int32_t i = k; i < k + 1000; ++i) arena.push({i, 2 * Requests{i}, i, -i});
+      spans.push_back(arena.endSpan(begin));
+    }
+    EXPECT_GE(arena.bytes(), 3 * SlabAllocator<FrontierEntry>::kMapBytes);
+    for (std::size_t s = 0; s < spans.size(); ++s)
+      for (std::size_t i = 0; i < spans[s].size; ++i) {
+        const FrontierEntry& e = arena.at(spans[s], i);
+        const auto want = static_cast<std::int32_t>(s * 1000 + i);
+        ASSERT_EQ(e.count, want);
+        ASSERT_EQ(e.flow, 2 * Requests{want});
+        ASSERT_EQ(e.child, -want);
+      }
+  }
+}
+
 TEST(FrontierConvolver, MatchesOracleOnRandomFrontiers) {
   Prng rng(0xf40f7153ULL);
   for (int trial = 0; trial < 200; ++trial) {

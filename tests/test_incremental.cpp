@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "exact/closest_homogeneous.hpp"
@@ -15,6 +17,7 @@
 #include "lp/branch_bound.hpp"
 #include "online/delta.hpp"
 #include "online/warm_ilp.hpp"
+#include "support/fault_injection.hpp"
 #include "support/prng.hpp"
 #include "support/require.hpp"
 #include "test_util.hpp"
@@ -213,6 +216,214 @@ TEST(IncrementalSolver, HeterogeneousCapacityDeltaThrowsOnResolve) {
         EXPECT_EQ(*got, *truth) << ctx;
       }
     }
+  }
+}
+
+// Subtree demand by brute force: one postorder pass over the instance.
+std::vector<Requests> subtreeDemands(const ProblemInstance& instance) {
+  const Tree& tree = instance.tree;
+  std::vector<Requests> demand(tree.vertexCount(), 0);
+  for (const VertexId v : tree.postorder()) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (tree.isClient(v)) demand[vi] = instance.requests[vi];
+    if (tree.parent(v) != kNoVertex)
+      demand[static_cast<std::size_t>(tree.parent(v))] += demand[vi];
+  }
+  return demand;
+}
+
+InstanceDelta capacityChange(Requests capacity) {
+  InstanceDelta delta;
+  delta.kind = DeltaKind::CapacityChange;
+  delta.capacity = capacity;
+  return delta;
+}
+
+// A W change re-solves only the bags whose subtree demand exceeds the smaller
+// W, so the kept bags must carry over bit-identical through every kind of
+// delta that moves demands. W flips (one to W = 1, which no policy can serve,
+// and back) interleave with drawMutation's mix of rate changes, leaves,
+// joins, pods and detaches; the answer must equal the one-shot solve after
+// every step, infeasible verdicts and their recovery included.
+TEST(IncrementalSolver, CapacityFlipsInterleavedWithChurnMatchScratch) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    int steps = 0;
+    int infeasibleFlips = 0;
+    int restoringFlips = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      ProblemInstance instance = smallHomogeneous(seed, qosFraction);
+      const Requests baseW = instance.homogeneousCapacity();
+      const std::vector<Requests> flips = {baseW + 3, baseW, 1, baseW,
+                                           std::max<Requests>(1, baseW - 2), baseW};
+      IncrementalSolver solver(instance, policy);
+      bool feasible = solver.resolve() != nullptr;
+      MutationWorkloadConfig mix;
+      mix.capacityWeight = 0.0;  // the flips below are the only W changes
+      mix.rateCap = 0.3;
+      Prng rng(seed * 104729);
+      for (int step = 0; step < 24; ++step) {
+        const bool flip = step % 4 == 3;
+        const InstanceDelta delta = flip ? capacityChange(flips[static_cast<std::size_t>(
+                                               (step / 4) % flips.size())])
+                                         : drawMutation(instance, mix, rng);
+        solver.apply(delta);
+        const auto got = solver.resolve();
+        const auto truth = scratch(instance, policy);
+        const std::string ctx = std::string(toString(policy)) + " seed=" +
+                                std::to_string(seed) + " step=" + std::to_string(step) +
+                                " kind=" + std::to_string(static_cast<int>(delta.kind));
+        ASSERT_EQ(got != nullptr, truth.has_value()) << ctx;
+        if (truth) {
+          EXPECT_EQ(*got, *truth) << ctx;
+        }
+        if (flip && feasible && !truth) ++infeasibleFlips;
+        if (flip && !feasible && truth) ++restoringFlips;
+        feasible = truth.has_value();
+        ++steps;
+      }
+    }
+    EXPECT_EQ(steps, 40 * 24) << toString(policy);
+    EXPECT_GT(infeasibleFlips, 0) << toString(policy);
+    EXPECT_GT(restoringFlips, 0) << toString(policy);
+  }
+}
+
+// One W flip recomputes exactly the internal bags whose subtree demand
+// exceeds min(W, W'): counted against a brute-force postorder demand pass
+// after churn (rate changes, leaves, joins, pods, multi-level detaches) has
+// moved the demands, so the solver's demand upkeep is checked too. Each new
+// W is the demand of a random internal bag, so bags sit right at the
+// threshold and a demand off by one shows.
+TEST(IncrementalSolver, CapacityFlipRecomputesOnlyWhereWBinds) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    GeneratorConfig config;
+    config.minSize = config.maxSize = 300;
+    config.clientFraction = 0.6;
+    config.maxRequests = 8;
+    config.lambda = 0.3;
+    config.unitCosts = true;
+    config.qosFraction = policy == OnlinePolicy::ClosestQos ? 0.3 : 0.0;
+    ProblemInstance instance = generateInstance(config, 7, 0);
+    IncrementalSolver solver(instance, policy);
+    (void)solver.resolve();
+    MutationWorkloadConfig mix;
+    mix.rateWeight = 0.35;
+    mix.leaveWeight = 0.1;
+    mix.capacityWeight = 0.0;
+    mix.joinWeight = 0.15;
+    mix.attachWeight = 0.15;
+    mix.detachWeight = 0.25;
+    mix.rateCap = 0.5;
+    Prng rng(99);
+    std::size_t partial = 0;
+    for (int round = 0; round < 30; ++round) {
+      for (int k = 0; k < 4; ++k) solver.apply(drawMutation(instance, mix, rng));
+      (void)solver.resolve();  // settles the churn's own stamps
+
+      const std::vector<Requests> demand = subtreeDemands(instance);
+      const auto& internals = instance.tree.internals();
+      const Requests before = instance.homogeneousCapacity();
+      Requests after = std::max<Requests>(
+          1, demand[static_cast<std::size_t>(internals[static_cast<std::size_t>(
+                 rng.uniformInt(0, static_cast<std::int64_t>(internals.size()) - 1))])]);
+      if (after == before) ++after;
+      const Requests binds = std::min(before, after);
+      std::size_t want = 0;
+      for (const VertexId v : internals)
+        if (demand[static_cast<std::size_t>(v)] > binds) ++want;
+
+      const std::size_t misses = solver.cacheStats().misses;
+      const std::size_t flips = solver.cacheStats().globalInvalidations;
+      solver.apply(capacityChange(after));
+      const auto got = solver.resolve();
+      const std::string ctx = std::string(toString(policy)) + " round=" + std::to_string(round);
+      EXPECT_EQ(solver.cacheStats().misses - misses, want) << ctx;
+      EXPECT_EQ(solver.cacheStats().globalInvalidations, flips + 1) << ctx;
+      if (want < internals.size()) ++partial;
+      const auto truth = scratch(instance, policy);
+      ASSERT_EQ(got != nullptr, truth.has_value()) << ctx;
+      if (truth) {
+        EXPECT_EQ(*got, *truth) << ctx;
+      }
+    }
+    EXPECT_GT(partial, 10u) << toString(policy);  // the flips did skip bags
+  }
+}
+
+// Subtree demands follow rate changes the cache never heard of: after value
+// deltas applied without invalidation, a W flip still stamps exactly the
+// internals whose brute-force demand exceeds min(W, W'). No resolve runs (the
+// poisoned cache would serve stale answers), so the flip's dirty stamps are
+// the count.
+TEST(IncrementalSolver, DemandsFollowDeltasAppliedWithoutInvalidation) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = 300;
+  config.clientFraction = 0.6;
+  config.maxRequests = 8;
+  config.lambda = 0.3;
+  config.unitCosts = true;
+  ProblemInstance instance = generateInstance(config, 8, 0);
+  IncrementalSolver solver(instance, OnlinePolicy::Closest);
+  (void)solver.resolve();
+  MutationWorkloadConfig mix;
+  mix.structural = false;
+  mix.capacityWeight = 0.0;
+  mix.rateWeight = 0.6;
+  mix.leaveWeight = 0.2;
+  mix.detachWeight = 0.2;
+  mix.rateCap = 0.5;
+  Prng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 3; ++k) solver.applyWithoutInvalidation(drawMutation(instance, mix, rng));
+    const std::vector<Requests> demand = subtreeDemands(instance);
+    const auto& internals = instance.tree.internals();
+    const Requests before = instance.homogeneousCapacity();
+    Requests after = std::max<Requests>(
+        1, demand[static_cast<std::size_t>(internals[static_cast<std::size_t>(
+               rng.uniformInt(0, static_cast<std::int64_t>(internals.size()) - 1))])]);
+    if (after == before) ++after;
+    std::size_t want = 0;
+    for (const VertexId v : internals)
+      if (demand[static_cast<std::size_t>(v)] > std::min(before, after)) ++want;
+    const std::size_t stamps = solver.cacheStats().invalidations;
+    solver.apply(capacityChange(after));
+    EXPECT_EQ(solver.cacheStats().invalidations - stamps, want) << "round=" << round;
+  }
+}
+
+// An allocation failure inside a W-flip resolve (slab growth or the
+// compaction's staging copy) takes the scratch fallback, and the answer still
+// equals the one-shot solve. Each resolve runs under a plan that fails the
+// first allocation probe, so every flip that grows or compacts the slab
+// falls back once.
+TEST(IncrementalSolver, AllocationFaultDuringCapacityFlipFallsBackToScratch) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    const double qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+    ProblemInstance instance = smallHomogeneous(5, qosFraction);
+    const Requests baseW = instance.homogeneousCapacity();
+    IncrementalSolver solver(instance, policy);
+    (void)solver.resolve();
+    for (int step = 0; step < 400 && solver.cacheStats().scratchFallbacks < 3; ++step) {
+      solver.apply(capacityChange(step % 2 == 0 ? baseW + 1 : baseW));
+      std::shared_ptr<const Placement> got;
+      {
+        fault::Plan plan;
+        plan.armSite(fault::Site::Allocation, 1, 1);
+        fault::ScopedPlan armed(plan);
+        got = solver.resolve();
+      }
+      const auto truth = scratch(instance, policy);
+      const std::string ctx = std::string(toString(policy)) + " step=" + std::to_string(step);
+      ASSERT_EQ(got != nullptr, truth.has_value()) << ctx;
+      if (truth) {
+        EXPECT_EQ(*got, *truth) << ctx;
+      }
+    }
+    EXPECT_GE(solver.cacheStats().scratchFallbacks, 3u) << toString(policy);
   }
 }
 
@@ -496,7 +707,7 @@ TEST(IncrementalSolver, StructuralStepMakesNoSnapshotCopy) {
   }
 }
 
-// The persistent slab must not double under churn. A global W change
+// The persistent slab must not double under churn. A whole-cache flush
 // recomputes about as many entries as are live, so the compaction gate runs
 // before such a recompute could overflow the reserve, and the slab keeps the
 // footprint of the cold solve over a seeded 500-step stream of the
