@@ -159,7 +159,20 @@ struct IncrementalRow {
   std::size_t vertices = 0;
   OnlinePolicy policy = OnlinePolicy::Multiple;
   MutationRunResult run;
+  /// Multiple rows: share assigns per step of the same stream, untimed
+  /// (assignsPerStep in experiments/mutation_driver); -1 on other rows.
+  double assignsPerStep = -1.0;
 };
+
+/// Part (h)'s Multiple rows count the assignment repair's share writes on
+/// the stream before timing it (the replay needs the unmutated instance).
+double repairAssignsOf(const ProblemInstance& instance, const MutationWorkloadConfig& config) {
+  return config.policy == OnlinePolicy::Multiple ? assignsPerStep(instance, config) : -1.0;
+}
+
+std::string formatAssigns(double assigns) {
+  return assigns >= 0.0 ? formatDouble(assigns, 1) : "-";
+}
 
 /// One row of part (i): the deadline-aware resilient pipeline granted 10% of
 /// the scratch exact solve's wall time — which rung answered, how far past
@@ -736,7 +749,8 @@ int main(int argc, char** argv) try {
 
     TextTable t;
     t.setHeader({"s", "policy", "inc p50 (ms)", "scratch p50", "x p50",
-                 "inc p99 (ms)", "scratch p99", "x p99", "match", "hit rate"});
+                 "inc p99 (ms)", "scratch p99", "x p99", "match", "hit rate",
+                 "assigns/step"});
     for (const int s : mutateSizes) {
       config.minSize = config.maxSize = s;
       for (const OnlinePolicy policy :
@@ -761,6 +775,7 @@ int main(int argc, char** argv) try {
         row.size = s;
         row.vertices = inst.tree.vertexCount();
         row.policy = policy;
+        row.assignsPerStep = repairAssignsOf(inst, mc);
         row.run = runMutationWorkload(inst, mc);
         t.addRow({std::to_string(s), std::string(toString(policy)),
                   formatDouble(row.run.p50IncrementalMs, 3),
@@ -770,7 +785,8 @@ int main(int argc, char** argv) try {
                   formatDouble(row.run.p99ScratchMs, 3),
                   formatDouble(row.run.speedupP99(), 1),
                   row.run.allMatch ? "yes" : "NO",
-                  formatDouble(row.run.cache.hitRate(), 3)});
+                  formatDouble(row.run.cache.hitRate(), 3),
+                  formatAssigns(row.assignsPerStep)});
         incrementalRows.push_back(std::move(row));
       }
     }
@@ -782,7 +798,9 @@ int main(int argc, char** argv) try {
     std::cout << "  expectation: every step matches the from-scratch optimum "
                  "bit-for-bit; a single-client mutation dirties O(depth) "
                  "subtree frontiers, so the incremental re-solve pulls ahead "
-                 "of the O(s) scratch DP as s grows (>= 5x at s=10^4)\n";
+                 "of the O(s) scratch DP as s grows (>= 5x at s=10^4); the "
+                 "Multiple repair writes only the shares that move (tens per "
+                 "step)\n";
 
     // The same check under structural churn: drawMutation's mix (joins, pod
     // attaches and detaches, global W changes) at rate cap 0.1 on the
@@ -794,7 +812,7 @@ int main(int argc, char** argv) try {
     churn.qosMaxHops = 12;
     TextTable c;
     c.setHeader({"s", "policy", "inc p50 (ms)", "scratch p50", "match", "copies",
-                 "fallbacks", "final s"});
+                 "fallbacks", "final s", "assigns/step"});
     for (const OnlinePolicy policy :
          {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
       ProblemInstance inst = generateInstance(churn, 11, static_cast<std::uint64_t>(churnSize));
@@ -808,21 +826,21 @@ int main(int argc, char** argv) try {
       row.size = churnSize;
       row.vertices = inst.tree.vertexCount();
       row.policy = policy;
+      row.assignsPerStep = repairAssignsOf(inst, mc);
       row.run = runMutationWorkload(inst, mc);
       c.addRow({std::to_string(churnSize), std::string(toString(policy)),
                 formatDouble(row.run.p50IncrementalMs, 3),
                 formatDouble(row.run.p50ScratchMs, 3), row.run.allMatch ? "yes" : "NO",
                 std::to_string(row.run.cache.snapshotCopies),
                 std::to_string(row.run.cache.scratchFallbacks),
-                std::to_string(inst.tree.vertexCount())});
+                std::to_string(inst.tree.vertexCount()), formatAssigns(row.assignsPerStep)});
       churnRows.push_back(std::move(row));
     }
     std::cout << "  structural churn (joins, pods, detaches, W changes; rate cap 0.1):\n"
               << c.render();
     std::cout << "  expectation: every step matches the from-scratch optimum and "
-                 "no resolve falls back to scratch; joins and pods repair the "
-                 "assignment in place, so snapshot copies follow the W changes "
-                 "only\n";
+                 "no resolve falls back to scratch; joins, pods and W changes "
+                 "repair the assignment in place\n";
   }
   const std::size_t rssIncremental = bench::peakRssBytes();
 
@@ -1345,6 +1363,7 @@ int main(int argc, char** argv) try {
       json.key("p99_scratch_ms").value(row.run.p99ScratchMs);
       json.key("speedup_p50").value(row.run.speedupP50());
       json.key("speedup_p99").value(row.run.speedupP99());
+      if (row.assignsPerStep >= 0.0) json.key("assigns_per_step").value(row.assignsPerStep);
       json.key("cache");
       writeFrontierCacheStats(json, row.run.cache);
       json.endObject();
@@ -1360,6 +1379,7 @@ int main(int argc, char** argv) try {
       json.key("all_match").value(row.run.allMatch);
       json.key("p50_incremental_ms").value(row.run.p50IncrementalMs);
       json.key("p50_scratch_ms").value(row.run.p50ScratchMs);
+      if (row.assignsPerStep >= 0.0) json.key("assigns_per_step").value(row.assignsPerStep);
       json.key("cache");
       writeFrontierCacheStats(json, row.run.cache);
       json.endObject();

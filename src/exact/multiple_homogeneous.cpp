@@ -15,7 +15,7 @@ namespace treeplace {
 /// pointers, so the total scan work stays near-linear in clients + replicas
 /// instead of replicas x clients.
 Placement assignMultipleRequests(const ProblemInstance& instance,
-                                 const std::vector<char>& isReplica) {
+                                 const std::vector<char>& isReplica, Requests W) {
   const Tree& tree = instance.tree;
   Placement placement(tree.vertexCount());
   // Every client ends with one share plus at most one extra per replica (only
@@ -26,7 +26,6 @@ Placement assignMultipleRequests(const ProblemInstance& instance,
   for (const char r : isReplica) replicas += static_cast<std::size_t>(r);
   placement.reserveShares(tree.clients().size() + 2 * replicas);
   std::vector<Requests> remaining = instance.requests;
-  const Requests W = instance.homogeneousCapacity();
 
   const auto& clients = tree.clients();
   // skip[i]: smallest j >= i whose client still has unassigned requests.
@@ -178,7 +177,7 @@ std::optional<Placement> solveMultipleHomogeneous(const ProblemInstance& instanc
       flow[static_cast<std::size_t>(v)] -= absorbed;
   }
 
-  return assignMultipleRequests(instance, isReplica);
+  return assignMultipleRequests(instance, isReplica, W);
 }
 
 std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& instance,
@@ -191,7 +190,7 @@ std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& insta
                          isReplica[static_cast<std::size_t>(node)] = 1;
                        }))
     return std::nullopt;
-  return assignMultipleRequests(instance, isReplica);
+  return assignMultipleRequests(instance, isReplica, W);
 }
 
 std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& instance) {

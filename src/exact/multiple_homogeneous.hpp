@@ -53,10 +53,11 @@ std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& in
 /// replica set elsewhere (the incremental re-solve engine reconstructs it
 /// from cached frontiers): greedy bottom-up assignment of concrete requests
 /// to a feasible replica set — every replica, in postorder, absorbs as much
-/// of its subtree's unassigned requests as fits. Throws when the set cannot
-/// serve all requests.
+/// of its subtree's unassigned requests as fits its capacity `W` (the
+/// instance's homogeneous W, which the caller already holds). Throws when the
+/// set cannot serve all requests.
 Placement assignMultipleRequests(const ProblemInstance& instance,
-                                 const std::vector<char>& isReplica);
+                                 const std::vector<char>& isReplica, Requests W);
 
 /// Width-capped streaming variant of the Multiple frontier DP (count only,
 /// no placement): the same recurrence as solveMultipleHomogeneousDP run

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "support/fault_injection.hpp"
 #include "support/require.hpp"
@@ -183,6 +184,25 @@ MutationRunResult runMutationWorkload(ProblemInstance& instance,
   }
   result.cache = solver.cacheStats();
   return result;
+}
+
+double assignsPerStep(ProblemInstance instance, const MutationWorkloadConfig& config) {
+  IncrementalSolver solver(instance, config.policy);
+  Prng rng(config.seed);
+  std::shared_ptr<const Placement> older;  // held: the back buffer is never levelled in place
+  std::shared_ptr<const Placement> last = solver.resolve();
+  std::size_t assigns = 0;
+  for (int step = 0; step < config.steps; ++step) {
+    solver.apply(drawMutation(instance, config, rng));
+    const std::size_t fallbacks = solver.cacheStats().scratchFallbacks;
+    std::shared_ptr<const Placement> next = solver.resolve();
+    if (!next || next == last) continue;  // infeasible, or nothing to change
+    const std::size_t count = next->stats().assignCalls;
+    const bool rebuilt = !last || solver.cacheStats().scratchFallbacks != fallbacks;
+    assigns += rebuilt ? count : count - last->stats().assignCalls;
+    older = std::exchange(last, std::move(next));
+  }
+  return config.steps > 0 ? static_cast<double>(assigns) / config.steps : 0.0;
 }
 
 }  // namespace treeplace

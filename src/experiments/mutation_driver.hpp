@@ -87,4 +87,13 @@ InstanceDelta drawMutation(const ProblemInstance& instance,
 MutationRunResult runMutationWorkload(ProblemInstance& instance,
                                       const MutationWorkloadConfig& config);
 
+/// Share assigns per step of the same stream runMutationWorkload replays on
+/// `instance` (a copy; the draws match when no fault plan is armed), read
+/// off the published snapshots' Placement::stats().assignCalls. The replay
+/// keeps the last two answers, so each step copies the published snapshot
+/// into its back buffer and the count grows by that step's assignment
+/// repair alone; a scratch fallback's rebuild counts whole. Untimed and
+/// deterministic: the work bound the tests and the CI gate check.
+double assignsPerStep(ProblemInstance instance, const MutationWorkloadConfig& config);
+
 }  // namespace treeplace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <utility>
 
 #include "core/bag_steps.hpp"
@@ -157,25 +158,28 @@ void IncrementalSolver::noteCapacityChange(const DeltaApplication& app) {
   if (app.capacityBefore != capacity_) {
     c.invalidateAll();
   } else {
-    const Requests binds = std::min(capacity_, app.capacityAfter);
-    const Tree& tree = instance_->tree;
-    std::vector<VertexId>& stale = walkScratch_;
-    stale.clear();
-    if (demand_[static_cast<std::size_t>(tree.root())] > binds) stale.push_back(tree.root());
-    for (std::size_t i = 0; i < stale.size(); ++i)
-      for (const VertexId child : tree.children(stale[i]))
-        if (tree.isInternal(child) && demand_[static_cast<std::size_t>(child)] > binds)
-          stale.push_back(child);
-    c.stamp(stale);  // parents first: each stamp stops one step up
+    // Parents first: each stamp stops one step up.
+    c.stamp(demandAbove(std::min(capacity_, app.capacityAfter)));
     ++c.stats().globalInvalidations;
   }
   capacity_ = app.capacityAfter;
   capacityStale_ = false;
-  // W is every Multiple server's absorption budget: no assignment survives
-  // a homogeneous capacity shift, so repair cannot patch it. Closest
-  // assignments never read W — they follow the (possibly flipped) replica
-  // set, which the ordinary repair path handles.
-  if (policy_ == OnlinePolicy::Multiple) assignRebuildNeeded_ = true;
+  // Closest assignments never read W: they follow the (possibly flipped)
+  // replica set. A Multiple incumbent keeps the W it was built under
+  // (assignedCapacity_), and its repair moves the boundaries of the replicas
+  // where the budget binds.
+}
+
+const std::vector<VertexId>& IncrementalSolver::demandAbove(Requests binds) {
+  const Tree& tree = instance_->tree;
+  std::vector<VertexId>& above = walkScratch_;
+  above.clear();
+  if (demand_[static_cast<std::size_t>(tree.root())] > binds) above.push_back(tree.root());
+  for (std::size_t i = 0; i < above.size(); ++i)
+    for (const VertexId child : tree.children(above[i]))
+      if (tree.isInternal(child) && demand_[static_cast<std::size_t>(child)] > binds)
+        above.push_back(child);
+  return above;
 }
 
 void IncrementalSolver::recomputeDemand() {
@@ -276,6 +280,7 @@ void IncrementalSolver::invalidateCaches() {
   replicaBit_.assign(replicaBit_.size(), 0);
   capacityStale_ = true;
   recomputeDemand();
+  requestScratch_.assign(requestScratch_.size(), 0);  // a failed repair's carries
   pendingChangedClients_.clear();
   flips_.clear();
   front_.reset();
@@ -573,126 +578,312 @@ void IncrementalSolver::refreshMultipleAssignment(
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
   if (assignRebuildNeeded_ || !front_) {
-    publishRebuilt(assignMultipleRequests(instance, replicaBit));
+    publishRebuilt(assignMultipleRequests(instance, replicaBit, capacity_));
     for (auto& takes : serverTakes_) takes.clear();
     serverTakes_.resize(tree.vertexCount());
+    assignedTotal_ = 0;
     for (const VertexId c : tree.clients())
-      for (const ServedShare& share : published_->shares(c))
-        serverTakes_[static_cast<std::size_t>(share.server)].push_back(
-            {c, share.amount});
+      for (const ServedShare& share : published_->shares(c)) {
+        serverTakes_[static_cast<std::size_t>(share.server)].push_back({c, share.amount});
+        assignedTotal_ += share.amount;
+      }
+    assignedCapacity_ = capacity_;
     assignRebuildNeeded_ = false;
     pendingChangedClients_.clear();
     return;
   }
-  if (flips_.empty() && pendingChangedClients_.empty()) return;  // still the answer
+  if (flips_.empty() && pendingChangedClients_.empty() && assignedCapacity_ == capacity_)
+    return;  // still the answer
   Placement& placement = levelBackBuffer();
-  publishRepaired(repairMultipleAssignment(replicaBit, placement));
+  std::vector<VertexId> journal = repairMultipleAssignment(replicaBit, placement);
+  // Splits and runs that shrink leave holes in the share pool. Past one hole
+  // per live share, pack it again: O(s), amortized over the writes that made
+  // the holes.
+  if (const PlacementStats stats = placement.stats(); stats.holeSlots > stats.shareCount)
+    placement.compact(tree.clients());
+  publishRepaired(std::move(journal));
 }
 
-// Multiple assignment repair by undo/replay. The greedy pass 3 absorbs, per
-// replica in postorder, the still-unsatisfied clients of its subtree in
-// client-scan order. Locality argument: a server with no changed vertex
-// (rate mutation or replica flip) in its subtree sees an identical subtree
-// state at its turn and absorbs identically — by induction bottom-up, only
-// servers that are ancestors-or-self of a changed vertex can differ. Undoing
-// *all* of those servers' takes closes the tracked-client set: any client a
-// replayed server could need to absorb either had its rate changed or was
-// served by an affected server (every server later in postorder that serves
-// a client of subtree(s) is an ancestor of s, hence affected too) — so the
-// replay only ever touches tracked clients, and the result is bit-identical
-// to rerunning the full greedy.
+std::span<const std::pair<VertexId, Requests>> IncrementalSolver::serverTakes(
+    VertexId server) const {
+  const auto si = static_cast<std::size_t>(server);
+  if (si >= serverTakes_.size()) return {};
+  return serverTakes_[si];
+}
+
+Requests IncrementalSolver::residualAt(const Placement& placement, VertexId client,
+                                       VertexId server) const {
+  // Every server of a client lies on its root path, so "strictly below
+  // `server`" is "later in preorder".
+  const Tree& tree = instance_->tree;
+  const std::int32_t at = tree.preorderIndex(server);
+  Requests rest = instance_->requests[static_cast<std::size_t>(client)];
+  for (const ServedShare& share : placement.shares(client))
+    if (tree.preorderIndex(share.server) > at) rest -= share.amount;
+  TREEPLACE_REQUIRE(rest >= 0, "multiple repair: client served past its rate");
+  return rest;
+}
+
+// Multiple assignment repair by moving absorption boundaries. The greedy pass
+// 3 visits the replicas in postorder; each absorbs, in client scan order, the
+// residuals of its subtree's clients (the rate minus the shares of servers
+// strictly below it) until its budget W is spent. So its takes are a prefix
+// of the positive residuals, all whole but the last, which may be cut: the
+// boundary. Locality: a replica whose subtree holds no changed vertex (rate
+// change, replica flip) sees the same residuals at its turn, and unless W
+// moved to W' and its subtree demand exceeds min(W, W'), absorbs the same —
+// by induction bottom-up, only the replica holders on a changed root path or
+// with subtree demand above min(W, W') can differ. Each of those, in postorder, sees changed
+// residuals only at the clients of one small scan-sorted list: the clients
+// whose carry (rate minus served, so far) is not zero — the rate changes not
+// yet absorbed and the clients whose shares moved lower down. Before its
+// boundary a changed residual is a whole take, edited in place, and the net
+// change moves the boundary back (trim the tail) or forward. Past the
+// boundary the next positive residuals are the changed clients plus those
+// the replica's own replica ancestors serve — their take lists, not yet
+// repaired, sliced by the subtree's scan interval — so a boundary moves in
+// O(takes that change), not O(subtree). Only pairs whose amount changes are
+// written, and the result is bit-identical to the full greedy.
 std::vector<VertexId> IncrementalSolver::repairMultipleAssignment(
     const std::vector<char>& replicaBit, Placement& placement) {
   const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
   const Requests W = capacity_;
-  const auto& clients = tree.clients();
 
-  // 1. Affected servers: replica holders (old or new set) on the root path
-  // of any changed vertex. Path walks stop at a vertex already visited this
-  // repair, so shared path suffixes are walked once.
+  // 1. Affected servers: replica holders (old or new set) on the root path of
+  // any changed vertex, plus, when W moved, those whose subtree demand
+  // exceeds min(W, W'). Path walks stop at a vertex already visited.
   const std::uint64_t pathGen = ++markGen_;
   std::vector<VertexId> affected;
-  const auto walkUp = [&](VertexId start) {
-    for (VertexId u = start; u != kNoVertex; u = tree.parent(u)) {
-      auto& mark = pathMark_[static_cast<std::size_t>(u)];
-      if (mark == pathGen) break;
-      mark = pathGen;
-      if (tree.isInternal(u) &&
-          (placement.hasReplica(u) || replicaBit[static_cast<std::size_t>(u)] != 0))
-        affected.push_back(u);
-    }
+  const auto visit = [&](VertexId u) {
+    auto& mark = pathMark_[static_cast<std::size_t>(u)];
+    if (mark == pathGen) return false;
+    mark = pathGen;
+    if (tree.isInternal(u) &&
+        (placement.hasReplica(u) || replicaBit[static_cast<std::size_t>(u)] != 0))
+      affected.push_back(u);
+    return true;
   };
-  for (const VertexId v : flips_) walkUp(v);
-  for (const VertexId c : pendingChangedClients_) walkUp(c);
-
-  // 2. Undo every affected server completely and track its clients; apply
-  // the replica flips along the way (flipped vertices are on their own root
-  // path, so every flip is in `affected`).
-  const std::uint64_t clientGen = ++markGen_;
-  std::vector<VertexId> tracked;
-  const auto track = [&](VertexId c) {
-    auto& mark = clientMark_[static_cast<std::size_t>(c)];
-    if (mark == clientGen) return;
-    mark = clientGen;
-    tracked.push_back(c);
-  };
-  for (const VertexId u : affected) {
-    auto& takes = serverTakes_[static_cast<std::size_t>(u)];
-    for (const auto& [c, amount] : takes) {
-      const Requests undone = placement.unassign(c, u);
-      TREEPLACE_REQUIRE(undone == amount,
-                        "multiple repair: take list out of sync with placement");
-      track(c);
-    }
-    takes.clear();
-    if (replicaBit[static_cast<std::size_t>(u)] != 0)
-      placement.addReplica(u);
-    else
-      placement.removeReplica(u);
-  }
-  for (const VertexId c : pendingChangedClients_) track(c);
-  pendingChangedClients_.clear();
-
-  // 3. Residual demand of the tracked clients (untracked clients stay fully
-  // served by unaffected servers).
-  for (const VertexId c : tracked)
-    requestScratch_[static_cast<std::size_t>(c)] =
-        instance.requests[static_cast<std::size_t>(c)] - placement.assignedOf(c);
-
-  // 4. Replay in the exact greedy's order: servers in postorder, clients in
-  // scan order within the server's subtree, absorb min(rest, budget).
+  for (const VertexId v : flips_)
+    for (VertexId u = v; u != kNoVertex && visit(u); u = tree.parent(u)) {}
+  for (const VertexId c : pendingChangedClients_)
+    for (VertexId u = c; u != kNoVertex && visit(u); u = tree.parent(u)) {}
+  if (assignedCapacity_ != W)
+    for (const VertexId u : demandAbove(std::min(assignedCapacity_, W))) visit(u);
   std::sort(affected.begin(), affected.end(), [&tree](VertexId a, VertexId b) {
     return tree.postorderIndex(a) < tree.postorderIndex(b);
   });
-  std::sort(tracked.begin(), tracked.end(), [&tree](VertexId a, VertexId b) {
-    return tree.clientIndex(a) < tree.clientIndex(b);
-  });
-  for (const VertexId s : affected) {
-    if (replicaBit[static_cast<std::size_t>(s)] == 0) continue;  // lost its replica
-    const auto span = tree.clientsInSubtree(s);
-    const auto lo = static_cast<std::int32_t>(span.data() - clients.data());
-    const auto hi = lo + static_cast<std::int32_t>(span.size());
-    Requests budget = W;
-    auto it = std::lower_bound(
-        tracked.begin(), tracked.end(), lo,
-        [&tree](VertexId c, std::int32_t pos) { return tree.clientIndex(c) < pos; });
-    auto& takes = serverTakes_[static_cast<std::size_t>(s)];
-    for (; it != tracked.end() && tree.clientIndex(*it) < hi && budget > 0; ++it) {
-      const VertexId c = *it;
-      auto& rest = requestScratch_[static_cast<std::size_t>(c)];
-      if (rest == 0) continue;
-      const Requests take = std::min(rest, budget);
-      placement.assign(c, s, take);
-      takes.push_back({c, take});
-      rest -= take;
-      budget -= take;
-    }
+
+  // 2. The changed clients in scan order, as (preorder position, client),
+  // their carries in requestScratch_. Carry is how far the residual the next
+  // replica up sees differs from before; a client whose carry is zero leaves
+  // the list, as every replica still to come sees its old residual.
+  ScanList delta;
+  for (const VertexId c : pendingChangedClients_) {
+    const auto ci = static_cast<std::size_t>(c);
+    if (requestScratch_[ci] != 0) continue;  // listed already
+    requestScratch_[ci] = instance.requests[ci] - placement.assignedOf(c);
+    if (requestScratch_[ci] != 0) delta.push_back({tree.preorderIndex(c), c});
   }
-  for (const VertexId c : tracked)
-    TREEPLACE_REQUIRE(requestScratch_[static_cast<std::size_t>(c)] == 0,
-                      "multiple repair left unassigned demand — locality bug");
-  return tracked;
+  pendingChangedClients_.clear();
+  std::sort(delta.begin(), delta.end());
+
+  // 3. Each server's turn, in the greedy's order. The clients whose shares
+  // change form the journal; those left with a carry join the list.
+  const std::uint64_t journalGen = ++markGen_;
+  std::vector<VertexId> journal;
+  std::vector<VertexId> changed;
+  ScanList fresh;
+  ScanList merged;
+  for (const VertexId s : affected) {
+    const auto si = static_cast<std::size_t>(s);
+    const bool had = placement.hasReplica(s);
+    changed.clear();
+    if (replicaBit[si] == 0) {
+      // A removed replica releases every take.
+      for (const auto& [c, amount] : serverTakes_[si]) {
+        const Requests undone = placement.unassign(c, s);
+        TREEPLACE_REQUIRE(undone == amount,
+                          "multiple repair: take list out of sync with placement");
+        assignedTotal_ -= amount;
+        requestScratch_[static_cast<std::size_t>(c)] += amount;
+        changed.push_back(c);
+      }
+      serverTakes_[si].clear();
+      placement.removeReplica(s);
+    } else {
+      if (!had) placement.addReplica(s);
+      repairServer(s, W, !had, delta, placement, changed);
+    }
+    if (changed.empty()) continue;
+    fresh.clear();
+    for (const VertexId c : changed) {
+      if (auto& mark = clientMark_[static_cast<std::size_t>(c)]; mark != journalGen) {
+        mark = journalGen;
+        journal.push_back(c);
+      }
+      if (requestScratch_[static_cast<std::size_t>(c)] != 0)
+        fresh.push_back({tree.preorderIndex(c), c});
+    }
+    std::sort(fresh.begin(), fresh.end());
+    merged.clear();
+    std::merge(delta.begin(), delta.end(), fresh.begin(), fresh.end(),
+               std::back_inserter(merged));
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    std::erase_if(merged, [this](const auto& entry) {
+      return requestScratch_[static_cast<std::size_t>(entry.second)] == 0;
+    });
+    delta.swap(merged);
+  }
+  assignedCapacity_ = W;
+
+  // 4. No carry is left, and the incumbent serves the whole demand — a rate
+  // that moved behind the cache's back shows here.
+  TREEPLACE_REQUIRE(delta.empty(), "multiple repair left unassigned demand — locality bug");
+  TREEPLACE_REQUIRE(assignedTotal_ == demand_[static_cast<std::size_t>(tree.root())],
+                    "multiple repair: served total differs from the demand");
+  return journal;
+}
+
+void IncrementalSolver::repairServer(VertexId s, Requests W, bool added, const ScanList& delta,
+                                     Placement& placement, std::vector<VertexId>& changed) {
+  const Tree& tree = instance_->tree;
+  auto& takes = serverTakes_[static_cast<std::size_t>(s)];
+  // Scan order is preorder: the subtree's clients hold the positions
+  // [lo, hi), and the take lists and `delta` are sorted by position.
+  const std::int32_t lo = tree.preorderIndex(s);
+  const std::int32_t hi = tree.preorderEnd(s);
+  const auto before = [](const std::pair<std::int32_t, VertexId>& entry, std::int32_t pos) {
+    return entry.first < pos;
+  };
+  const auto takeBefore = [&tree](const std::pair<VertexId, Requests>& t, std::int32_t pos) {
+    return tree.preorderIndex(t.first) < pos;
+  };
+  auto dIt = std::lower_bound(delta.begin(), delta.end(), lo, before);
+  const auto dEnd = std::lower_bound(dIt, delta.end(), hi, before);
+  const Requests load = placement.serverLoad(s);
+  if (dIt == dEnd && !added &&
+      (W == assignedCapacity_ || (load < assignedCapacity_ && load <= W)))
+    return;  // same residuals and a budget that does not bind: same takes
+
+  // Set the pair (c, s) from `from` to `to` requests in the placement, and
+  // move the client's carry and the served total with it.
+  const auto write = [&](VertexId c, Requests from, Requests to) {
+    if (to == from) return;
+    if (to > from) {
+      placement.assign(c, s, to - from);
+    } else {
+      const Requests undone = placement.unassign(c, s);
+      TREEPLACE_REQUIRE(undone == from, "multiple repair: take list out of sync with placement");
+      if (to > 0) placement.assign(c, s, to);
+    }
+    assignedTotal_ += to - from;
+    requestScratch_[static_cast<std::size_t>(c)] -= to - from;
+    changed.push_back(c);
+  };
+
+  // The changed clients come in scan order, so each search for one in the
+  // takes gallops on from where the last one landed: O(log gap), not
+  // O(log takes).
+  const auto seek = [&](std::size_t from, std::int32_t pos) {
+    std::size_t step = 1;
+    for (; from + step <= takes.size() && takeBefore(takes[from + step - 1], pos); step *= 2)
+      from += step;
+    const auto first = takes.begin() + static_cast<std::ptrdiff_t>(from);
+    return std::lower_bound(
+        first, first + static_cast<std::ptrdiff_t>(std::min(step, takes.size() - from)), pos,
+        takeBefore);
+  };
+  // Before the boundary (the last take) every residual was a whole take, or
+  // zero where the client has none, and the carry is its change. `whole`
+  // sums the takes before the boundary.
+  const std::int32_t boundary = takes.empty() ? lo : tree.preorderIndex(takes.back().first);
+  Requests whole = takes.empty() ? 0 : load - takes.back().second;
+  std::size_t hint = 0;
+  for (; dIt != dEnd && dIt->first < boundary; ++dIt) {
+    const VertexId c = dIt->second;
+    const auto at = seek(hint, dIt->first);
+    hint = static_cast<std::size_t>(at - takes.begin());
+    const bool held = at != takes.end() && at->first == c;
+    const Requests old = held ? at->second : 0;
+    const Requests rest = old + requestScratch_[static_cast<std::size_t>(c)];
+    TREEPLACE_REQUIRE(rest >= 0, "multiple repair: client served past its rate");
+    write(c, old, rest);
+    whole += rest - old;
+    if (!held)
+      takes.insert(at, {c, rest});  // a listed carry is never zero: rest > 0
+    else if (rest == 0)
+      takes.erase(at);
+    else
+      at->second = rest;
+  }
+
+  Requests budget = W;
+  if (whole >= W) {
+    // The whole takes before the boundary now fill W: trim the tail back to
+    // the first take that reaches it, and cut that one.
+    write(takes.back().first, takes.back().second, 0);
+    takes.pop_back();
+    while (whole - takes.back().second >= W) {
+      whole -= takes.back().second;
+      write(takes.back().first, takes.back().second, 0);
+      takes.pop_back();
+    }
+    auto& cut = takes.back();
+    write(cut.first, cut.second, cut.second - (whole - W));
+    cut.second -= whole - W;
+    budget = 0;
+  } else if (!takes.empty()) {
+    // The boundary client takes what its residual and the budget allow.
+    budget -= whole;
+    auto& last = takes.back();
+    const Requests take = std::min(residualAt(placement, last.first, s), budget);
+    budget -= take;
+    write(last.first, last.second, take);
+    if (take == 0)
+      takes.pop_back();
+    else
+      last.second = take;
+  }
+  if (budget == 0) return;
+
+  // Forward: the next positive residuals past the boundary are the changed
+  // clients and the clients the replica ancestors serve, merged in scan order.
+  const std::int32_t from = boundary + 1;  // position lo is the server itself
+  struct Cursor {
+    const std::pair<VertexId, Requests>* at;
+    const std::pair<VertexId, Requests>* end;
+  };
+  std::vector<Cursor> cursors;
+  for (VertexId u = tree.parent(s); u != kNoVertex; u = tree.parent(u)) {
+    const auto& list = serverTakes_[static_cast<std::size_t>(u)];
+    if (list.empty()) continue;
+    const auto first = std::lower_bound(list.begin(), list.end(), from, takeBefore);
+    if (first != list.end() && tree.preorderIndex(first->first) < hi)
+      cursors.push_back({&*first, list.data() + list.size()});
+  }
+  dIt = std::lower_bound(dIt, dEnd, from, before);
+  while (budget > 0) {
+    VertexId c = dIt != dEnd ? dIt->second : kNoVertex;
+    std::int32_t next = dIt != dEnd ? dIt->first : hi;
+    for (const Cursor& cur : cursors)
+      if (cur.at != cur.end) {
+        const std::int32_t p = tree.preorderIndex(cur.at->first);
+        if (p < next) {
+          next = p;
+          c = cur.at->first;
+        }
+      }
+    if (next >= hi) break;
+    if (dIt != dEnd && dIt->second == c) ++dIt;
+    for (Cursor& cur : cursors)
+      if (cur.at != cur.end && cur.at->first == c) ++cur.at;
+    const Requests take = std::min(residualAt(placement, c, s), budget);
+    if (take == 0) continue;
+    write(c, 0, take);
+    takes.push_back({c, take});
+    budget -= take;
+  }
 }
 
 IncrementalBounds::IncrementalBounds(ProblemInstance& instance)

@@ -119,6 +119,11 @@ class IncrementalSolver {
 
   const FrontierCacheStats& cacheStats() const { return cache().stats(); }
 
+  /// Multiple only: the incumbent's (client, amount) takes of `server`, in
+  /// client scan order — the per-replica state the assignment repair edits.
+  /// Empty for a vertex without a replica, and for the other policies.
+  std::span<const std::pair<VertexId, Requests>> serverTakes(VertexId server) const;
+
  private:
   /// The policy's cache: 2-D entries for Closest/Multiple, 3-D for QoS.
   using Cache = std::variant<FrontierCache<FrontierEntry>, FrontierCache<QosFrontierEntry>>;
@@ -126,9 +131,13 @@ class IncrementalSolver {
   FrontierCacheBase& cache();
   const FrontierCacheBase& cache() const;
   void noteDelta(const DeltaApplication& app);
-  /// A homogeneous W change: stamp the bags where W binds (see the .cpp),
-  /// take the new W from the delta, and rebuild a Multiple assignment.
+  /// A homogeneous W change: stamp the bags where W binds (see the .cpp) and
+  /// take the new W from the delta.
   void noteCapacityChange(const DeltaApplication& app);
+  /// The internals whose subtree demand exceeds `binds`, parents first, into
+  /// walkScratch_: the set is closed under parents, so a walk down from the
+  /// root finds it in O(set).
+  const std::vector<VertexId>& demandAbove(Requests binds);
   /// Subtree demands from scratch: one postorder pass.
   void recomputeDemand();
   /// Fold the rate changes of `clients` (demand_ still holds their old
@@ -156,10 +165,10 @@ class IncrementalSolver {
   template <typename Entry>
   void reconstruct(const FrontierCache<Entry>& cache, std::int32_t rootEntryIndex);
   /// Persistent-assignment maintenance after a feasible reconstruct: either a
-  /// full rebuild (first solve, Multiple after a global W change) or an
-  /// O(changed region) repair driven by the replica-bit flips the walk
-  /// collected plus the clients whose rates mutated — appended clients
-  /// included, as 0 -> r changes.
+  /// full rebuild (first solve, scratch fallback) or an O(changed) repair
+  /// driven by the replica-bit flips the walk collected, the clients whose
+  /// rates mutated — appended clients included, as 0 -> r changes — and, for
+  /// Multiple, a W that moved since the incumbent was built.
   void refreshClosestAssignment(const std::vector<char>& replicaBit);
   void refreshMultipleAssignment(const std::vector<char>& replicaBit);
   /// The repairs write `placement` (the levelled back buffer) and return the
@@ -168,6 +177,17 @@ class IncrementalSolver {
                                                 Placement& placement);
   std::vector<VertexId> repairMultipleAssignment(const std::vector<char>& replicaBit,
                                                  Placement& placement);
+  /// Clients as (preorder position, client), sorted: scan order.
+  using ScanList = std::vector<std::pair<std::int32_t, VertexId>>;
+  /// One replica's turn in the Multiple repair (see the .cpp): edit its
+  /// takes for the changed clients `delta` holds in its subtree, move its
+  /// absorption boundary under budget W, and write the changed pairs, each
+  /// client appended to `changed`. `added`: the replica is new.
+  void repairServer(VertexId server, Requests W, bool added, const ScanList& delta,
+                    Placement& placement, std::vector<VertexId>& changed);
+  /// Requests of `client` not served strictly below `server` (an ancestor of
+  /// the client): its residual at the server's greedy turn. O(shares).
+  Requests residualAt(const Placement& placement, VertexId client, VertexId server) const;
   /// The back buffer, made equal to the published snapshot: by replaying the
   /// journal in place, or by one full copy when a caller still holds it or
   /// the journal does not cover the difference. Grown to the tree's current
@@ -218,10 +238,15 @@ class IncrementalSolver {
   std::vector<VertexId> journalClients_;
   bool backStale_ = true;  ///< back_ differs from front_ beyond the journal
   bool assignRebuildNeeded_ = true;
-  /// Per-server absorption lists of the incumbent Multiple assignment
-  /// ((client, amount) per share, unordered): the undo side of the
-  /// undo/replay repair. Maintained only for OnlinePolicy::Multiple.
+  /// Per-server absorption lists of the incumbent Multiple assignment:
+  /// (client, amount) per share, in client scan order. Every take but the
+  /// last is the client's whole residual at the server's turn. Maintained
+  /// only for OnlinePolicy::Multiple.
   std::vector<std::vector<std::pair<VertexId, Requests>>> serverTakes_;
+  /// The W the Multiple incumbent was built or last repaired under, and the
+  /// sum of its shares (checked against the root demand after each repair).
+  Requests assignedCapacity_ = 0;
+  Requests assignedTotal_ = 0;
   /// Closest/Qos: clients currently served by each replica, sorted by their
   /// position in tree.clients(). A replica flip then touches exactly the
   /// clients whose nearest replica moved — the removed server's own list, or
@@ -229,12 +254,12 @@ class IncrementalSolver {
   /// client under the flipped vertex.
   std::vector<std::vector<VertexId>> serverClients_;
 
-  /// Per-vertex Requests scratch: the Multiple repair's residual demand of a
-  /// tracked client, and foldDemand's carry into an internal vertex (zero
-  /// between calls).
+  /// Per-vertex Requests scratch, zero between calls: foldDemand's carry into
+  /// an internal vertex, and the Multiple repair's carry of a client (rate
+  /// minus served while the repair runs).
   std::vector<Requests> requestScratch_;
   std::vector<std::uint64_t> pathMark_;    ///< root-path walk dedup stamps
-  std::vector<std::uint64_t> clientMark_;  ///< tracked-client dedup stamps
+  std::vector<std::uint64_t> clientMark_;  ///< repair candidate / journal dedup stamps
   std::uint64_t markGen_ = 0;
 };
 

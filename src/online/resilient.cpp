@@ -483,7 +483,7 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
       for (const VertexId v : lastGood_->replicaList())
         bit[static_cast<std::size_t>(v)] = 1;
       if (policy_ == OnlinePolicy::Multiple) {
-        refit = assignMultipleRequests(*instance_, bit);
+        refit = assignMultipleRequests(*instance_, bit, instance_->homogeneousCapacity());
       } else {
         Placement p(instance_->tree.vertexCount());
         for (const VertexId v : lastGood_->replicaList()) p.addReplica(v);
