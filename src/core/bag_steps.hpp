@@ -5,18 +5,19 @@
 #include <limits>
 #include <vector>
 
+#include "core/decomposition.hpp"
 #include "core/frontier.hpp"
 #include "tree/problem.hpp"
 
 namespace treeplace {
 
 /// One bag step per frontier policy: the recurrence a policy's DP runs at
-/// one bag, written once. Every driver calls these and writes none of its
-/// own: the one-shot arena DP (runFrontierDp, core/frontier), the
-/// incremental cache (FrontierCache, core/frontier_cache) behind the
-/// incremental solver, the incremental bounds and the multitree solver
-/// (exact/multitree_closest) and, through placeable/placed and the limits,
-/// the streaming counts (core/frontier_stream). A step gives
+/// one bag, written once. Two drivers call these and write none of their
+/// own: the frontier cache (FrontierCache::refresh, core/frontier_cache)
+/// behind every one-shot solve, the subtree relaxation, the incremental
+/// solver and bounds and the multitree solver (exact/multitree_closest),
+/// and, through placeable/placed and the limits, the streaming counts
+/// (core/frontier_stream). A step gives
 ///  - seed(client): the client bag's single frontier point;
 ///  - chain(shape): the count cap and flow ceiling of the child-convolution
 ///    chain, from the bag shape;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/bag_steps.hpp"
@@ -59,40 +60,27 @@ bool integralStorageCosts(const ProblemInstance& instance) {
 }
 
 FrontierSubtreeRelaxation::FrontierSubtreeRelaxation(const ProblemInstance& instance)
-    : tree_(&instance.tree) {
-  FrontierArena arena;
-  build(instance, arena);
+    : instance_(&instance), cache_(instance.tree, false) {
+  refresh();
 }
 
 FrontierSubtreeRelaxation::FrontierSubtreeRelaxation(const ProblemInstance& instance,
                                                      FrontierArena& arena)
-    : tree_(&instance.tree) {
-  build(instance, arena);
+    : instance_(&instance), cache_(instance.tree, false, std::move(arena)) {
+  refresh();
+  arena = cache_.releaseArena();
 }
 
-void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
-                                      FrontierArena& arena) {
-  const Tree& tree = instance.tree;
-  arena.reset(4 * tree.vertexCount());
-  FrontierConvolver conv(arena);
-  FrontierDp dp(tree, arena);
-  // The fold runs over the *raw* child order: the relaxation never
-  // reconstructs or replays, so canonical merge order buys nothing here, and
-  // raw order is the historical layout the equivalence suites pin down.
-  RelaxationStep step(instance);
-  runFrontierDp(dp, conv, step, nullptr, &TreeDecomposition::children);
-  conv.noteArenaUsage();
-  stats_ = conv.stats();
-  floors_ = deriveSubtreeFloors(instance, arena, dp.frontiers());
-}
+void FrontierSubtreeRelaxation::refresh() {
+  RelaxationStep step(*instance_);
+  cache_.refresh(step, nullptr);
 
-SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
-                                  const FrontierArena& arena,
-                                  std::span<const FrontierSpan> frontier) {
+  const ProblemInstance& instance = *instance_;
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
-  SubtreeFloors floors;
-  floors.minReplicas.assign(n, 0);
+  const FrontierArena& arena = cache_.arena();
+  minReplicas_.assign(n, 0);
+  feasible_ = true;
 
   // Strict-ancestor capacity (the outflow cap of each subtree), top-down.
   std::vector<Requests> ancestorCapacity(n, 0);
@@ -108,7 +96,7 @@ SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
   for (const VertexId v : tree.internals()) {
     const auto vi = static_cast<std::size_t>(v);
     std::int32_t r = -1;
-    for (const FrontierEntry& e : arena.view(frontier[vi])) {
+    for (const FrontierEntry& e : arena.view(cache_.frontier(v))) {
       if (e.flow <= ancestorCapacity[vi]) {  // flow decreases: first hit is cheapest
         r = e.count;
         break;
@@ -117,11 +105,11 @@ SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
     if (r < 0) {
       // Even every internal node of the subtree cannot push the outflow under
       // the ancestor capacity: no policy has a feasible placement.
-      floors.feasible = false;
+      feasible_ = false;
       r = static_cast<std::int32_t>(tree.subtreeSize(v) -
                                     tree.clientsInSubtree(v).size());
     }
-    floors.minReplicas[vi] = r;
+    minReplicas_[vi] = r;
   }
 
   // Additive decomposition: best(v) = max(own subtree floor, sum over
@@ -160,7 +148,7 @@ SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
       }
     }
     double own = 0.0;
-    if (floors.minReplicas[vi] > 0) {
+    if (minReplicas_[vi] > 0) {
       // Sum of the R_v cheapest internal storage costs inside subtree(v).
       const std::size_t k = intIndex[vi];
       const auto endIdx = static_cast<std::size_t>(
@@ -168,7 +156,7 @@ SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
                            intPos.end(), tree.preorderEnd(v)) -
           intPos.begin());
       const std::size_t r =
-          std::min(static_cast<std::size_t>(floors.minReplicas[vi]), endIdx - k);
+          std::min(static_cast<std::size_t>(minReplicas_[vi]), endIdx - k);
       if (minCostBelow[vi] == maxCostBelow[vi]) {
         own = static_cast<double>(r) * minCostBelow[vi];
       } else {
@@ -182,8 +170,7 @@ SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
     }
     best[vi] = std::max(own, childSum);
   }
-  floors.decompositionBound = best[static_cast<std::size_t>(tree.root())];
-  return floors;
+  decompositionBound_ = best[static_cast<std::size_t>(tree.root())];
 }
 
 }  // namespace treeplace

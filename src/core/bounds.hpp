@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "core/frontier.hpp"
+#include "core/frontier_cache.hpp"
 #include "tree/problem.hpp"
 
 namespace treeplace {
@@ -25,73 +24,62 @@ double fractionalCoverLowerBound(const ProblemInstance& instance);
 /// objective-granularity bucketing).
 bool integralStorageCosts(const ProblemInstance& instance);
 
-/// What the per-subtree relaxation frontiers say, derived in linear passes
-/// (see FrontierSubtreeRelaxation for the meaning of each field).
-struct SubtreeFloors {
-  std::vector<std::int32_t> minReplicas;  ///< per vertex; 0 for clients
-  double decompositionBound = 0.0;
-  bool feasible = true;
-};
-
-/// The derived passes of the relaxation, shared by FrontierSubtreeRelaxation
-/// and its incremental twin (online/IncrementalBounds): ancestor capacities,
-/// the per-subtree replica floors and the additive decomposition bound, read
-/// off each vertex's relaxation frontier `frontier[v]` in `arena`.
-SubtreeFloors deriveSubtreeFloors(const ProblemInstance& instance,
-                                  const FrontierArena& arena,
-                                  std::span<const FrontierSpan> frontier);
-
 /// Per-subtree frontier relaxation of the Multiple policy (valid for every
-/// policy, heterogeneous or not): one bottom-up pass of the core/frontier DP
-/// with RelaxationStep (core/bag_steps), whose place step absorbs
-/// min(flow, W_v), computes for every vertex the Pareto frontier of
-/// (replicas inside subtree(v), requests flowing out unserved). Because a server outside subtree(v) serving one of its clients
-/// must be a strict ancestor of v, the outflow of subtree(v) is capped by the
-/// total capacity of v's strict ancestors — so the frontier yields a hard
-/// floor on the replicas *inside* each subtree, information the structure-free
-/// cover bound cannot see (cf. the treewidth DP relaxations of
-/// arXiv:1705.00145).
+/// policy, heterogeneous or not): RelaxationStep (core/bag_steps), whose
+/// place step absorbs min(flow, W_v), folded bottom-up through a combo-less
+/// FrontierCache, computes for every vertex the Pareto frontier of
+/// (replicas inside subtree(v), requests flowing out unserved). Because a
+/// server outside subtree(v) serving one of its clients must be a strict
+/// ancestor of v, the outflow of subtree(v) is capped by the total capacity
+/// of v's strict ancestors — so the frontier yields a hard floor on the
+/// replicas *inside* each subtree, information the structure-free cover
+/// bound cannot see (cf. the treewidth DP relaxations of arXiv:1705.00145).
+/// IncrementalBounds (online/incremental) keeps the cache across deltas.
 class FrontierSubtreeRelaxation {
  public:
   explicit FrontierSubtreeRelaxation(const ProblemInstance& instance);
 
-  /// Same relaxation, but the frontier slab lives in the caller's `arena`
-  /// (reset on entry, capacity kept): callers that bound many related
-  /// instances — benches, batched drivers — reuse one allocation instead of
-  /// paying a fresh slab per instance. The arena is pure scratch; the
-  /// relaxation keeps no reference to it after construction.
+  /// Same relaxation, but the frontier slab is the caller's `arena`, lent to
+  /// the fold and handed back (reset, capacity kept): callers that bound many
+  /// related instances — benches, batched drivers — reuse one allocation
+  /// instead of paying a fresh slab per instance.
   FrontierSubtreeRelaxation(const ProblemInstance& instance, FrontierArena& arena);
 
   /// False when even a replica on every internal node leaves requests
   /// unserved at the root — the instance is infeasible for every policy.
-  bool feasible() const { return floors_.feasible; }
+  bool feasible() const { return feasible_; }
 
   /// Minimum total replica count of any feasible solution (any policy).
   /// Meaningful only when feasible().
-  std::int32_t minTotalReplicas() const { return minReplicasIn(tree_->root()); }
+  std::int32_t minTotalReplicas() const { return minReplicasIn(instance_->tree.root()); }
 
   /// Minimum replicas inside subtree(v) in any feasible solution, given that
   /// at most the strict-ancestor capacity of v can flow out. When the subtree
   /// cannot meet that outflow at all, every internal node of the subtree is
   /// required (and the instance is infeasible).
   std::int32_t minReplicasIn(VertexId v) const {
-    return floors_.minReplicas[static_cast<std::size_t>(v)];
+    return minReplicas_[static_cast<std::size_t>(v)];
   }
 
   /// Additive Replica Cost floor: over the best decomposition into disjoint
   /// subtrees, each subtree v contributes the sum of its minReplicasIn(v)
   /// cheapest internal storage costs. Always a valid lower bound on the
   /// optimal cost of every policy; 0 when the relaxation has nothing to say.
-  double decompositionBound() const { return floors_.decompositionBound; }
+  double decompositionBound() const { return decompositionBound_; }
 
-  const FrontierStats& stats() const { return stats_; }
+ protected:
+  /// Refold the cache's stale bags and derive the floors afresh: ancestor
+  /// capacities, the per-subtree replica floors and the additive
+  /// decomposition bound, in linear passes over the frontiers.
+  void refresh();
+
+  const ProblemInstance* instance_;
+  FrontierCache<FrontierEntry> cache_;
 
  private:
-  void build(const ProblemInstance& instance, FrontierArena& arena);
-
-  const Tree* tree_;
-  SubtreeFloors floors_;
-  FrontierStats stats_;
+  std::vector<std::int32_t> minReplicas_;  ///< per vertex; 0 for clients
+  double decompositionBound_ = 0.0;
+  bool feasible_ = true;
 };
 
 }  // namespace treeplace

@@ -96,8 +96,4 @@ class TreeDecomposition {
   const Tree* tree_;
 };
 
-/// A child list of a decomposition: the canonical merge order every
-/// reconstructing DP folds in, or the raw order (TreeDecomposition::children).
-using ChildOrder = std::span<const BagId> (TreeDecomposition::*)(BagId) const;
-
 }  // namespace treeplace

@@ -28,13 +28,6 @@ void unmapSlab(void* slab, std::size_t bytes) noexcept { ::munmap(slab, bytes); 
 
 }  // namespace detail
 
-void FrontierStats::merge(const FrontierStats& other) {
-  peakWidth = std::max(peakWidth, other.peakWidth);
-  arenaBytes = std::max(arenaBytes, other.arenaBytes);
-  entriesMerged += other.entriesMerged;
-  convolutions += other.convolutions;
-}
-
 FrontierSpan FrontierConvolver::unit() {
   const std::uint32_t begin = arena_->beginSpan();
   arena_->push({0, 0, -1, -1});

@@ -1,17 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/frontier_fwd.hpp"
-#include "support/budget.hpp"
 #include "support/fault_injection.hpp"
 #include "tree/problem.hpp"
 
@@ -87,8 +83,6 @@ struct FrontierStats {
   std::size_t arenaBytes = 0;     ///< arena high-water mark, in bytes
   std::size_t entriesMerged = 0;  ///< candidate (a,b) pairs examined
   std::size_t convolutions = 0;   ///< monotone merges performed
-
-  void merge(const FrontierStats& other);
 };
 
 namespace detail {
@@ -312,156 +306,5 @@ class QosFrontierSweep {
   Requests ceiling_ = kNoFlowCeiling;
   std::vector<Step> skyline_;  ///< emit()'s running lower-count staircase
 };
-
-/// Shared scaffolding of the merge-bag DPs: one frontier span per bag, one
-/// span per (bag, child-prefix) convolution for the backpointer walk, and
-/// the top-down reconstruction itself. runFrontierDp below fills it through
-/// a policy's bag step (core/bag_steps). Templated on the entry type
-/// (FrontierEntry / QosFrontierEntry): reconstruction only needs the two
-/// backpointer fields both provide. Runs over any
-/// TreeDecomposition-shaped schedule; the rooted-tree case is the width-1
-/// adapter, where bags coincide with vertices.
-template <typename Entry>
-class BasicFrontierDp {
- public:
-  BasicFrontierDp(const TreeDecomposition& decomp,
-                  BasicFrontierArena<Entry>& arena)
-      : decomp_(decomp), arena_(arena), frontier_(decomp.bagCount()),
-        comboOffset_(decomp.bagCount(), 0) {
-    std::int32_t running = 0;
-    for (const BagId b : decomp_.schedule()) {
-      comboOffset_[static_cast<std::size_t>(b)] = running;
-      running += static_cast<std::int32_t>(decomp_.mergeChildren(b).size());
-    }
-    comboSpans_.resize(static_cast<std::size_t>(running));
-  }
-
-  BasicFrontierDp(const Tree& tree, BasicFrontierArena<Entry>& arena)
-      : BasicFrontierDp(TreeDecomposition(tree), arena) {}
-
-  FrontierSpan frontier(BagId b) const {
-    return frontier_[static_cast<std::size_t>(b)];
-  }
-  /// Every bag's frontier, indexed by bag id.
-  std::span<const FrontierSpan> frontiers() const { return frontier_; }
-  void setFrontier(BagId b, FrontierSpan span) {
-    frontier_[static_cast<std::size_t>(b)] = span;
-  }
-
-  /// Record the prefix frontier covering mergeChildren[0..childIndex] of b.
-  void setCombo(BagId b, std::size_t childIndex, FrontierSpan span) {
-    comboSpans_[comboBase(b) + childIndex] = span;
-  }
-
-  /// Seed a client bag with a single frontier point.
-  void seedClient(BagId b, const Entry& entry) {
-    const std::uint32_t begin = arena_.beginSpan();
-    arena_.push(entry);
-    setFrontier(b, arena_.endSpan(begin));
-  }
-
-  /// Walk the backpointers top-down from the root-bag frontier entry at
-  /// `rootEntryIndex`, invoking onReplica(anchor) for every bag whose chosen
-  /// entry places a replica (entry.child == 1).
-  void reconstruct(std::int32_t rootEntryIndex,
-                   const std::function<void(VertexId)>& onReplica) const {
-    struct Todo {
-      BagId node;
-      std::int32_t entryIndex;
-    };
-    std::vector<Todo> stack{{decomp_.rootBag(), rootEntryIndex}};
-    while (!stack.empty()) {
-      const Todo todo = stack.back();
-      stack.pop_back();
-      if (decomp_.anchorIsClient(todo.node)) continue;
-      const Entry& entry = arena_.at(
-          frontier(todo.node), static_cast<std::size_t>(todo.entryIndex));
-      if (entry.child == 1) onReplica(decomp_.anchor(todo.node));
-      const std::span<const BagId> children = decomp_.mergeChildren(todo.node);
-      std::int32_t combIdx = entry.prev;
-      for (std::size_t ci = children.size(); ci-- > 0;) {
-        const Entry& comb = arena_.at(
-            comboSpans_[comboBase(todo.node) + ci], static_cast<std::size_t>(combIdx));
-        stack.push_back({children[ci], comb.child});
-        combIdx = comb.prev;
-      }
-    }
-  }
-
-  const TreeDecomposition& decomposition() const { return decomp_; }
-
- private:
-  std::size_t comboBase(BagId b) const {
-    return static_cast<std::size_t>(comboOffset_[static_cast<std::size_t>(b)]);
-  }
-
-  TreeDecomposition decomp_;
-  BasicFrontierArena<Entry>& arena_;
-  std::vector<FrontierSpan> frontier_;
-  std::vector<FrontierSpan> comboSpans_;
-  std::vector<std::int32_t> comboOffset_;
-};
-
-using FrontierDp = BasicFrontierDp<FrontierEntry>;
-
-/// The one-shot driver of every frontier policy. Folds the bags of `dp`'s
-/// schedule through `step`, one of the bag steps of core/bag_steps:
-///  - a client bag takes step.seed;
-///  - any other bag convolves its child frontiers, in `order`, into the
-///    chain accumulator under step.chain's limits, recording each prefix for
-///    the backpointer walk, then runs step.placeSkip.
-/// `guard`, when non-null, is ticked once per bag. An empty frontier (some
-/// child has no live state) is carried forward like any other: it empties
-/// every ancestor's accumulator, so the root ends with no entry and the
-/// verdict is infeasible. The incremental driver (core/frontier_cache) does
-/// the same, so both drivers fold the same bags and agree on every frontier.
-/// A DP folded in raw `children` order (the bounds relaxation) records its
-/// prefixes in that order and must not reconstruct.
-template <class Step>
-void runFrontierDp(BasicFrontierDp<typename Step::Entry>& dp,
-                   typename Step::Merger& merger, Step& step, BudgetGuard* guard,
-                   ChildOrder order = &TreeDecomposition::mergeChildren) {
-  const TreeDecomposition& decomp = dp.decomposition();
-  for (const BagId v : decomp.schedule()) {
-    if (guard != nullptr) guard->checkpoint();
-    if (decomp.anchorIsClient(v)) {
-      dp.seedClient(v, step.seed(decomp.anchor(v)));
-      continue;
-    }
-    const BagShape shape = decomp.shape(v);
-    const FrontierLimits limits = step.chain(shape);
-    FrontierSpan acc = merger.unit();
-    const std::span<const BagId> children = (decomp.*order)(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = step.fold(merger, acc, dp.frontier(children[ci]),
-                      decomp.anchor(children[ci]), limits);
-      dp.setCombo(v, ci, acc);
-    }
-    dp.setFrontier(v, step.placeSkip(merger, acc, decomp.anchor(v), shape));
-  }
-}
-
-/// A one-shot solve through runFrontierDp on a fresh per-solve arena. Writes
-/// the frontier telemetry into `stats` when non-null. When the instance is
-/// feasible, walks the backpointers from step.rootEntry and calls
-/// onReplica(v) for every replica; returns false when it is infeasible.
-template <class Step, class OnReplica>
-bool solveFrontierDp(const Tree& tree, Step step, FrontierStats* stats,
-                     BudgetGuard* guard, OnReplica&& onReplica) {
-  BasicFrontierArena<typename Step::Entry> arena;
-  arena.reset(4 * tree.vertexCount());
-  typename Step::Merger merger(arena);
-  BasicFrontierDp<typename Step::Entry> dp(TreeDecomposition(tree), arena);
-  runFrontierDp(dp, merger, step, guard);
-  if (stats != nullptr) {
-    merger.noteArenaUsage();
-    *stats = merger.stats();
-  }
-  const std::int32_t rootEntry =
-      step.rootEntry(arena, dp.frontier(dp.decomposition().rootBag()));
-  if (rootEntry < 0) return false;
-  dp.reconstruct(rootEntry, std::forward<OnReplica>(onReplica));
-  return true;
-}
 
 }  // namespace treeplace

@@ -7,57 +7,41 @@
 #include "support/fault_injection.hpp"
 
 namespace treeplace {
-namespace {
-
-/// The flat combo-table layout of a schedule: each bag's first slot and its
-/// merge-child count. Returns the table size.
-std::int32_t layoutCombos(const TreeDecomposition& decomp,
-                          std::vector<std::int32_t>& offset,
-                          std::vector<std::int32_t>& count) {
-  offset.assign(decomp.bagCount(), 0);
-  count.assign(decomp.bagCount(), 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    offset[vi] = running;
-    count[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += count[vi];
-  }
-  return running;
-}
-
-}  // namespace
 
 FrontierCacheBase::FrontierCacheBase(const Tree& tree, bool withCombos)
-    : decomp_(tree), withCombos_(withCombos), lastDirty_(tree.vertexCount(), 1) {
+    : decomp_(tree), withCombos_(withCombos) {
   stats_.trackedVertices = tree.vertexCount();
 }
 
 void FrontierCacheBase::resetTables() {
+  // Fresh records are never computed, and the global stamp keeps every bag
+  // dirty since now, so a consumer's memo of an older walk cannot match.
   const std::size_t n = decomp_.bagCount();
   frontier_.assign(n, FrontierSpan{});
-  computedEpoch_.assign(n, 0);
-  comboCap_.assign(n, -1);
-  comboCeiling_.assign(n, 0);
+  epochs_.clear();
+  combos_.clear();
+  if (withCombos_) {
+    chains_.assign(n, Chain{});
+    combos_.reserve(n);  // one slot per non-root bag
+  }
+  globalDirty_ = epoch_;
+  cold_ = true;
+  sweptAt_ = 0;
   nextCompactCheck_ = 0;
-  deadComboSlots_ = 0;
   pending_.clear();
   sweep_ = true;
-  if (!withCombos_) return;
-  const std::int32_t running = layoutCombos(decomp_, comboOffset_, comboCount_);
-  comboSpans_.assign(static_cast<std::size_t>(running), FrontierSpan{});
-  comboChild_.assign(static_cast<std::size_t>(running), kNoVertex);
 }
 
 void FrontierCacheBase::stamp(std::span<const VertexId> vertices) {
   const Tree& tree = decomp_.tree();
+  ensureEpochs();
   for (const VertexId t : vertices) {
     // The vertex itself may already carry the current epoch — new vertices
     // are born dirty at it (grow) — but its ancestors still need stamping,
     // so the already-stamped short-circuit only applies from the parent up.
     bool first = true;
     for (VertexId v = t; v != kNoVertex; v = tree.parent(v), first = false) {
-      auto& mark = lastDirty_[static_cast<std::size_t>(v)];
+      auto& mark = epochs_[static_cast<std::size_t>(v)].lastDirty;
       if (mark == epoch_) {
         if (!first) break;  // the rest of the path is already stamped
         continue;
@@ -81,6 +65,7 @@ void FrontierCacheBase::queue(VertexId v) {
 
 void FrontierCacheBase::invalidateAll() {
   globalDirty_ = epoch_;
+  cold_ = true;
   sweep_ = true;
   stats_.invalidations += decomp_.bagCount();
   ++stats_.globalInvalidations;
@@ -88,62 +73,16 @@ void FrontierCacheBase::invalidateAll() {
 
 void FrontierCacheBase::grow(BagId firstNew) {
   const std::size_t n = decomp_.bagCount();
-  for (std::size_t v = lastDirty_.size(); v < n; ++v) queue(static_cast<VertexId>(v));
-  lastDirty_.resize(n, epoch_);
-  stats_.trackedVertices = n;
+  for (auto v = static_cast<std::size_t>(firstNew); v < n; ++v) queue(static_cast<VertexId>(v));
+  ensureEpochs();
+  epochs_.resize(n, BagEpochs{.lastDirty = epoch_});
   frontier_.resize(n);
-  computedEpoch_.resize(n, 0);
-  comboCap_.resize(n, -1);
-  comboCeiling_.resize(n, 0);
+  stats_.trackedVertices = n;
   if (!withCombos_) return;
-  comboOffset_.resize(n, 0);
-  comboCount_.resize(n, 0);
-  // Only the attach parent gained a child: its chain moves to the table's
-  // tail one slot longer, and each new bag gets its slots there. The old
-  // slots travel with the child each one folded in; the prefix-reuse scan
-  // revalidates those against the grown merge order, so a reshuffle
-  // degrades to a partial or full re-convolve instead of silently pairing
-  // spans with the wrong child.
-  const auto moveToTail = [&](BagId v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const auto count = static_cast<std::int32_t>(decomp_.mergeChildren(v).size());
-    const std::size_t tail = comboSpans_.size();
-    const std::size_t old = static_cast<std::size_t>(comboOffset_[vi]);
-    const std::int32_t keep = std::min(comboCount_[vi], count);
-    comboSpans_.resize(tail + static_cast<std::size_t>(count));
-    comboChild_.resize(tail + static_cast<std::size_t>(count), kNoVertex);
-    for (std::int32_t ci = 0; ci < keep; ++ci) {
-      comboSpans_[tail + static_cast<std::size_t>(ci)] = comboSpans_[old + static_cast<std::size_t>(ci)];
-      comboChild_[tail + static_cast<std::size_t>(ci)] = comboChild_[old + static_cast<std::size_t>(ci)];
-    }
-    deadComboSlots_ += static_cast<std::size_t>(comboCount_[vi]);
-    comboOffset_[vi] = static_cast<std::int32_t>(tail);
-    comboCount_[vi] = count;
-  };
-  moveToTail(decomp_.tree().parent(decomp_.anchor(firstNew)));
-  for (auto v = static_cast<std::size_t>(firstNew); v < n; ++v) {
-    comboCount_[v] = 0;
-    moveToTail(static_cast<BagId>(v));
-  }
-  if (deadComboSlots_ <= comboSpans_.size() / 2) return;
-  // Holes dominate: lay the table out afresh, every chain kept.
-  std::vector<std::int32_t> newOffset;
-  std::vector<std::int32_t> newCount;
-  const std::int32_t running = layoutCombos(decomp_, newOffset, newCount);
-  std::vector<FrontierSpan> newSpans(static_cast<std::size_t>(running));
-  std::vector<VertexId> newChild(static_cast<std::size_t>(running), kNoVertex);
-  for (std::size_t vi = 0; vi < n; ++vi)
-    for (std::int32_t ci = 0; ci < newCount[vi]; ++ci) {
-      newSpans[static_cast<std::size_t>(newOffset[vi] + ci)] =
-          comboSpans_[static_cast<std::size_t>(comboOffset_[vi] + ci)];
-      newChild[static_cast<std::size_t>(newOffset[vi] + ci)] =
-          comboChild_[static_cast<std::size_t>(comboOffset_[vi] + ci)];
-    }
-  comboSpans_ = std::move(newSpans);
-  comboChild_ = std::move(newChild);
-  comboOffset_ = std::move(newOffset);
-  comboCount_ = std::move(newCount);
-  deadComboSlots_ = 0;
+  chains_.resize(n);
+  // The parent's chain lacks a slot for its new child: it is laid out anew
+  // at its next recompute, and compaction drops the old slots.
+  chains_[static_cast<std::size_t>(decomp_.tree().parent(firstNew))] = Chain{};
 }
 
 std::span<const BagId> FrontierCacheBase::staleBags() {
@@ -161,8 +100,8 @@ void FrontierCache<Entry>::reset() {
   // Reserve past the 16n compaction floor: the capacity-aware gate
   // (compactIfBloated) then compacts before any recompute could overflow the
   // slab, so it never doubles and steady-state pushes never pay a multi-MiB
-  // slab copy inside a timed re-solve. The combo-less bounds cache sees no
-  // latency bar and keeps the modest reserve instead.
+  // slab copy inside a timed re-solve. The combo-less relaxation cache sees
+  // no latency bar and keeps the modest reserve instead.
   arena_.reset((withCombos_ ? 17 : 4) * decomp_.bagCount());
   resetTables();
 }
@@ -192,16 +131,19 @@ void FrontierCache<Entry>::compactIfBloated() {
   // set measured last time might no longer fit), not on every refresh.
   if (total < nextCompactCheck_) return;
 
-  const auto comboSlots = [&](std::size_t vi) {
-    return std::span<FrontierSpan>(comboSpans_).subspan(
-        static_cast<std::size_t>(comboOffset_[vi]), static_cast<std::size_t>(comboCount_[vi]));
+  // A laid-out chain of a clean bag has one slot per child.
+  const auto chainSlots = [&](std::size_t vi) {
+    const std::int32_t begin = withCombos_ ? chains_[vi].begin : -1;
+    if (begin < 0) return std::pair<std::size_t, std::size_t>{0, 0};
+    return std::pair{static_cast<std::size_t>(begin),
+                     decomp_.children(static_cast<BagId>(vi)).size()};
   };
   std::size_t live = 0;
   for (std::size_t vi = 0; vi < n; ++vi) {
     if (!isClean(static_cast<BagId>(vi))) continue;
+    const auto [begin, size] = chainSlots(vi);
     live += frontier_[vi].size;
-    if (withCombos_)
-      for (const FrontierSpan& span : comboSlots(vi)) live += span.size;
+    for (std::size_t k = begin; k < begin + size; ++k) live += combos_[k].span.size;
   }
   // Prefix reuse keeps per-refresh churn small, so a generous dead:live
   // ratio trades a few MiB of slab for compaction spikes rare enough to
@@ -222,18 +164,28 @@ void FrontierCache<Entry>::compactIfBloated() {
     stage.insert(stage.end(), view.begin(), view.end());
     span = FrontierSpan{begin, span.size};
   };
+  // The chains of clean bags move into a table without the holes that
+  // relocated chains left behind: one slot per non-root bag at most.
+  std::vector<ComboSlot> combos;
+  combos.reserve(n);
   for (std::size_t vi = 0; vi < n; ++vi) {
     if (!isClean(static_cast<BagId>(vi))) {
       // The stale bag's spans are dropped wholesale, so its combo chain
       // must not be prefix-reused by the upcoming recompute.
       frontier_[vi] = FrontierSpan{};
-      comboCap_[vi] = -1;
+      if (withCombos_) chains_[vi] = Chain{};
       continue;
     }
     copySpan(frontier_[vi]);
-    if (withCombos_)
-      for (FrontierSpan& span : comboSlots(vi)) copySpan(span);
+    const auto [begin, size] = chainSlots(vi);
+    if (withCombos_ && chains_[vi].begin >= 0)
+      chains_[vi].begin = static_cast<std::int32_t>(combos.size());
+    for (std::size_t k = begin; k < begin + size; ++k) {
+      copySpan(combos_[k].span);
+      combos.push_back(combos_[k]);
+    }
   }
+  combos_ = std::move(combos);
   arena_.reset(std::max(2 * stage.size(), 4 * n));
   for (const Entry& e : stage) arena_.push(e);
   nextCompactCheck_ = 0;

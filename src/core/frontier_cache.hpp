@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/decomposition.hpp"
 #include "core/frontier.hpp"
+#include "support/budget.hpp"
 
 namespace treeplace {
 
@@ -39,7 +42,7 @@ struct FrontierCacheStats {
 };
 
 /// The entry-independent half of FrontierCache: dirty tracking, the pending
-/// dirty list and the per-bag span tables.
+/// dirty list and the per-bag records.
 ///
 /// Dirty tracking is by epoch. advance() opens a new epoch; stamp() marks
 /// vertices and their root paths dirty at the current one and queues them
@@ -54,7 +57,8 @@ class FrontierCacheBase {
 
   /// A bag's cached frontier is valid iff it was computed at or after this.
   std::uint64_t dirtySince(BagId v) const {
-    const std::uint64_t local = lastDirty_[static_cast<std::size_t>(v)];
+    const std::uint64_t local =
+        epochs_.empty() ? 0 : epochs_[static_cast<std::size_t>(v)].lastDirty;
     return local > globalDirty_ ? local : globalDirty_;
   }
 
@@ -66,22 +70,16 @@ class FrontierCacheBase {
   /// Every bag is stale; the next refresh sweeps the whole schedule.
   void invalidateAll();
 
-  /// Structural growth: bags firstNew.. were appended under one parent. They
-  /// are born dirty at the current epoch (their ancestors still need a
-  /// stamp()). The per-bag tables grow geometrically, and the parent and the
-  /// new bags get their combo slots at the table's tail — O(added + the
-  /// parent's degree), amortized; every other bag keeps its slots.
+  /// Structural growth: bags firstNew.. were appended under one parent, with
+  /// firstNew its one new child. They are born dirty at the current epoch
+  /// (their ancestors still need a stamp()), and the parent's chain is
+  /// rebuilt whole at its next recompute. O(added), amortized.
   void grow(BagId firstNew);
 
   /// True while some bag awaits a refresh.
   bool stale() const { return sweep_ || !pending_.empty(); }
 
   FrontierSpan frontier(BagId v) const { return frontier_[static_cast<std::size_t>(v)]; }
-  std::span<const FrontierSpan> frontiers() const { return frontier_; }
-  /// The prefix frontier covering mergeChildren(v)[0..ci] (combo tables only).
-  FrontierSpan combo(BagId v, std::size_t ci) const {
-    return comboSpans_[static_cast<std::size_t>(comboOffset_[static_cast<std::size_t>(v)]) + ci];
-  }
 
   FrontierCacheStats& stats() { return stats_; }
   const FrontierCacheStats& stats() const { return stats_; }
@@ -89,11 +87,50 @@ class FrontierCacheBase {
  protected:
   FrontierCacheBase(const Tree& tree, bool withCombos);
 
+  struct BagEpochs {
+    std::uint64_t computed = 0;   ///< epoch of the last recompute; 0 = never
+    std::uint64_t lastDirty = 0;  ///< last epoch the bag was stamped dirty
+  };
+  /// A bag's combo chain: its first slot in combos_ (-1 until laid out), and
+  /// the count cap and flow ceiling it was built with (cap -1: chain
+  /// invalid). A stale bag whose cap and ceiling are both unchanged reuses
+  /// the prefix combos of its clean children and re-convolves only from the
+  /// first changed child on — the recompute then costs O(changed suffix),
+  /// not O(degree). The ceiling derives from W, so a capacity change
+  /// rebuilds the chain of every bag it stamps; a bag left clean (its demand
+  /// fits both W's) keeps the old ceiling here, and its next recompute
+  /// rebuilds its chain whole.
+  struct Chain {
+    Requests ceiling = 0;
+    std::int32_t begin = -1;
+    std::int32_t cap = -1;
+  };
+  /// One link of a combo chain: the prefix frontier over the bag's children
+  /// up to and including `child`. Prefix reuse compares `child` against the
+  /// current merge order, so a structural delta that reshuffled a bag's
+  /// merge order (subtree sizes shifted) re-convolves from the first
+  /// divergence.
+  struct ComboSlot {
+    FrontierSpan span;
+    VertexId child = kNoVertex;
+  };
+
   /// Drop every cached frontier and chain: all bags stale, nothing pending
-  /// but the full sweep. Epochs and stats carry on.
+  /// but the full (cold) sweep. The epoch counter and stats carry on.
   void resetTables();
+  /// The epoch bag v was last recomputed at: its own, or the last cold
+  /// refresh's, whichever is later.
+  std::uint64_t computedAt(std::size_t v) const {
+    const std::uint64_t local = epochs_.empty() ? 0 : epochs_[v].computed;
+    return local > sweptAt_ ? local : sweptAt_;
+  }
   bool isClean(BagId v) const {
-    return computedEpoch_[static_cast<std::size_t>(v)] >= dirtySince(v);
+    return computedAt(static_cast<std::size_t>(v)) >= dirtySince(v);
+  }
+  /// The per-bag epochs, allocated at the first stamp, growth or interrupted
+  /// cold refresh: a cold refresh neither reads nor writes them.
+  void ensureEpochs() {
+    if (epochs_.empty()) epochs_.resize(frontier_.size());
   }
   /// The bags the next refresh must consider, in schedule order: the whole
   /// schedule while sweep_, else the pending list sorted into postorder
@@ -109,7 +146,12 @@ class FrontierCacheBase {
 
   std::uint64_t epoch_ = 1;        ///< bumped by advance()
   std::uint64_t globalDirty_ = 1;  ///< set to epoch_ on invalidateAll()
-  std::vector<std::uint64_t> lastDirty_;  ///< per-vertex last dirty epoch
+  /// Every bag is stale (after a reset or invalidateAll): the next refresh
+  /// is cold. It recomputes the whole schedule without touching the per-bag
+  /// epochs and, once it completes, records its epoch in sweptAt_ for all
+  /// of them.
+  bool cold_ = true;
+  std::uint64_t sweptAt_ = 0;
   /// Vertices stamped since the last refresh; meaningless while sweep_.
   std::vector<VertexId> pending_;
   /// The next refresh visits the whole schedule: after a reset, a global
@@ -118,29 +160,14 @@ class FrontierCacheBase {
   /// cache would grow it without bound).
   bool sweep_ = true;
 
-  std::vector<FrontierSpan> frontier_;          ///< per bag
-  std::vector<std::uint64_t> computedEpoch_;    ///< per bag; 0 = never computed
-  std::vector<FrontierSpan> comboSpans_;        ///< flat, comboOffset-indexed
-  /// Child convolved into each combo slot when the chain was built. Prefix
-  /// reuse compares this against the current merge order, so a structural
-  /// delta that reshuffles a bag's merge order (subtree sizes shifted)
-  /// silently falls back to re-convolving from the first divergence.
-  std::vector<VertexId> comboChild_;
-  std::vector<std::int32_t> comboOffset_;  ///< per bag
-  std::vector<std::int32_t> comboCount_;   ///< children count at layout time
-  /// Combo slots abandoned by grow() relocations; the table is laid out
-  /// afresh once they outnumber the live ones.
-  std::size_t deadComboSlots_ = 0;
-  /// Count cap and flow ceiling the bag's combo chain was built with (cap
-  /// -1: chain invalid). A stale bag whose cap and ceiling are both
-  /// unchanged reuses the prefix combos of its clean children and
-  /// re-convolves only from the first changed child on — the recompute then
-  /// costs O(changed suffix), not O(degree). The ceiling derives from W, so
-  /// a capacity change rebuilds the chain of every bag it stamps; a bag left
-  /// clean (its demand fits both W's) keeps the old ceiling here, and its
-  /// next recompute rebuilds its chain whole.
-  std::vector<std::int32_t> comboCap_;
-  std::vector<Requests> comboCeiling_;
+  std::vector<FrontierSpan> frontier_;  ///< per bag
+  std::vector<BagEpochs> epochs_;       ///< per bag, or empty (see ensureEpochs)
+  std::vector<Chain> chains_;           ///< per bag (combo tables only)
+  /// The combo chains, each contiguous, one slot per child: a chain is laid
+  /// out at its bag's first recompute, so a cold refresh lays them out in
+  /// schedule order. A chain that grow() drops leaves a hole, which
+  /// compaction removes.
+  std::vector<ComboSlot> combos_;
   /// Arena size below which the compaction live-scan is skipped entirely;
   /// bumped after every scan so the O(n) walk amortizes over arena growth
   /// instead of running on every refresh.
@@ -148,9 +175,11 @@ class FrontierCacheBase {
 };
 
 /// Memoized per-bag frontiers of one bag step over a growing tree — the one
-/// incremental frontier engine. IncrementalSolver and IncrementalBounds
-/// (online/incremental) and the multitree solver (exact/multitree_closest)
-/// each own one. Entries live in one persistent arena; spans are indices, so
+/// frontier engine. A one-shot exact solve (solveCold below) is a cold cache
+/// refreshed once; IncrementalSolver (online/incremental), the subtree
+/// relaxation (core/bounds) with its incremental form IncrementalBounds, and
+/// the multitree solver (exact/multitree_closest) each keep one across
+/// refreshes. Entries live in one persistent arena; spans are indices, so
 /// they survive arena growth, and a copy-compaction pass recycles the slab
 /// once dead generations dominate. A cache built with combo tables also keeps
 /// every bag's child-prefix convolutions: the reconstruction walk needs them,
@@ -158,7 +187,11 @@ class FrontierCacheBase {
 template <typename Entry>
 class FrontierCache : public FrontierCacheBase {
  public:
-  FrontierCache(const Tree& tree, bool withCombos) : FrontierCacheBase(tree, withCombos) {
+  /// `slab` is the arena to fill: a caller that solves many instances hands
+  /// its slab in and takes it back with releaseArena(), so the capacity is
+  /// reused instead of reallocated per instance.
+  FrontierCache(const Tree& tree, bool withCombos, BasicFrontierArena<Entry> slab = {})
+      : FrontierCacheBase(tree, withCombos), arena_(std::move(slab)) {
     reset();
   }
 
@@ -167,21 +200,40 @@ class FrontierCache : public FrontierCacheBase {
   void reset();
 
   /// Recompute the stale bags, in schedule order, through `step` (a bag step
-  /// of core/bag_steps), folding children in `order`; clean bags are reused.
-  /// Every recomputed frontier is bit-identical to runFrontierDp's
-  /// (core/frontier), empty ones included. With combo tables a bag's chain
-  /// is reused up to the first slot whose recorded child diverges from the
-  /// current child order or was recomputed after the chain was built.
+  /// of core/bag_steps), folding children in merge order; clean bags are
+  /// reused.
+  /// A client bag takes step.seed. Any other bag convolves its child
+  /// frontiers into the chain accumulator under step.chain's limits, then
+  /// runs step.placeSkip. An empty frontier (some child has no live state)
+  /// is carried forward like any other: it empties every ancestor's
+  /// accumulator, so the root ends with no entry and the verdict is
+  /// infeasible. With combo tables a bag's chain is reused up to the first
+  /// slot whose child moved in the current merge order or was recomputed
+  /// after the chain was built.
   ///
   /// `guard` is ticked BEFORE a bag is stamped, so an interrupted refresh
   /// leaves that bag and the pending list intact and everything already
   /// recomputed exact. A refresh closes the current epoch on entry, so no
   /// stamp after it, not even after an interrupted one, is mistaken for work
-  /// it covered. Returns the number of bags recomputed.
+  /// it covered. Returns the telemetry of the refresh's merges (a cold
+  /// refresh's is the whole solve's); stats().misses counts the bags it
+  /// recomputed.
   template <class Step>
-  std::size_t refresh(Step& step, BudgetGuard* guard, ChildOrder order);
+  FrontierStats refresh(Step& step, BudgetGuard* guard);
+
+  /// The backpointer walk of the optimum (combo tables only), top-down from
+  /// the root-bag entry at `rootEntry`. Client bags hold no choice and are
+  /// not visited. At every other bag it reaches it calls
+  /// enter(bag, entryIndex); false skips the bag and its cone. Every bag
+  /// entered is then reported as chosen(anchor, placed), placed when its
+  /// entry holds a replica on the anchor.
+  template <class Enter, class Chosen>
+  void walk(std::int32_t rootEntry, Enter&& enter, Chosen&& chosen) const;
 
   const BasicFrontierArena<Entry>& arena() const { return arena_; }
+  /// Hand the slab back to the caller that lent it; the cache's spans are
+  /// void from then on.
+  BasicFrontierArena<Entry> releaseArena() { return std::exchange(arena_, {}); }
 
  private:
   void compactIfBloated();
@@ -191,61 +243,123 @@ class FrontierCache : public FrontierCacheBase {
 
 template <typename Entry>
 template <class Step>
-std::size_t FrontierCache<Entry>::refresh(Step& step, BudgetGuard* guard,
-                                          ChildOrder order) {
+FrontierStats FrontierCache<Entry>::refresh(Step& step, BudgetGuard* guard) {
   compactIfBloated();
   const std::uint64_t at = epoch_++;
+  const bool cold = std::exchange(cold_, false);
   typename Step::Merger merger(arena_);
+  const std::span<const BagId> bags = staleBags();
   std::size_t misses = 0;
-  for (const BagId v : staleBags()) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (isClean(v)) continue;
-    if (guard != nullptr) guard->checkpoint();
-    ++misses;
-    const std::uint64_t prevEpoch = computedEpoch_[vi];
-    computedEpoch_[vi] = at;
-
-    if (decomp_.anchorIsClient(v)) {
-      const std::uint32_t begin = arena_.beginSpan();
-      arena_.push(step.seed(decomp_.anchor(v)));
-      frontier_[vi] = arena_.endSpan(begin);
-      continue;
-    }
-
-    const BagShape shape = decomp_.shape(v);
-    const FrontierLimits limits = step.chain(shape);
-    const std::span<const BagId> children = (decomp_.*order)(v);
-    const auto base = withCombos_ ? static_cast<std::size_t>(comboOffset_[vi]) : 0;
-    std::size_t f = 0;
-    if (withCombos_ && prevEpoch > 0 && comboCap_[vi] == limits.maxCount &&
-        comboCeiling_[vi] == limits.ceiling) {
-      while (f < children.size() && comboChild_[base + f] == children[f] &&
-             computedEpoch_[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-    }
-    FrontierSpan acc = f == 0 ? merger.unit() : comboSpans_[base + f - 1];
-    for (std::size_t ci = f; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      acc = step.fold(merger, acc, frontier_[static_cast<std::size_t>(child)],
-                      decomp_.anchor(child), limits);
-      if (withCombos_) {
-        comboSpans_[base + ci] = acc;
-        comboChild_[base + ci] = child;
+  try {
+    for (const BagId v : bags) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (!cold && isClean(v)) continue;
+      if (guard != nullptr) guard->checkpoint();
+      const std::uint64_t prevEpoch = cold ? 0 : computedAt(vi);
+      if (!cold) epochs_[vi].computed = at;
+      if (decomp_.anchorIsClient(v)) {
+        const std::uint32_t begin = arena_.beginSpan();
+        arena_.push(step.seed(decomp_.anchor(v)));
+        frontier_[vi] = arena_.endSpan(begin);
+        ++misses;
+        continue;
       }
+      const BagShape shape = decomp_.shape(v);
+      const FrontierLimits limits = step.chain(shape);
+      const std::span<const BagId> children = decomp_.mergeChildren(v);
+      ComboSlot* slots = nullptr;
+      std::size_t f = 0;
+      if (withCombos_) {
+        Chain& chain = chains_[vi];
+        if (chain.begin < 0) {  // laid out at the tail of the combo table on first use
+          chain.begin = static_cast<std::int32_t>(combos_.size());
+          combos_.resize(combos_.size() + children.size());
+        }
+        slots = combos_.data() + chain.begin;
+        if (prevEpoch > 0 && chain.cap == limits.maxCount && chain.ceiling == limits.ceiling)
+          while (f < children.size() && slots[f].child == children[f] &&
+                 computedAt(static_cast<std::size_t>(children[f])) <= prevEpoch)
+            ++f;
+        chain.cap = limits.maxCount;
+        chain.ceiling = limits.ceiling;
+      }
+      FrontierSpan acc = f == 0 ? merger.unit() : slots[f - 1].span;
+      for (std::size_t ci = f; ci < children.size(); ++ci) {
+        const BagId child = children[ci];
+        acc = step.fold(merger, acc, frontier_[static_cast<std::size_t>(child)],
+                        decomp_.anchor(child), limits);
+        if (slots != nullptr) slots[ci] = {acc, child};
+      }
+      frontier_[vi] = step.placeSkip(merger, acc, decomp_.anchor(v), shape);
+      ++misses;
     }
-    if (withCombos_) {
-      comboCap_[vi] = limits.maxCount;
-      comboCeiling_[vi] = limits.ceiling;
+  } catch (...) {
+    // An interrupted cold refresh keeps what it finished: the bags before
+    // the one it stopped at, in schedule order.
+    if (cold) {
+      ensureEpochs();
+      for (std::size_t k = 0; k < misses; ++k)
+        epochs_[static_cast<std::size_t>(bags[k])].computed = at;
     }
-    frontier_[vi] = step.placeSkip(merger, acc, decomp_.anchor(v), shape);
+    throw;
   }
+  if (cold) sweptAt_ = at;
   pending_.clear();
   sweep_ = false;
   stats_.misses += misses;
   stats_.hits += decomp_.bagCount() - misses;
   stats_.arenaEntries = arena_.entryCount();
   stats_.arenaBytes = arena_.bytes();
-  return misses;
+  merger.noteArenaUsage();
+  return merger.stats();
+}
+
+template <typename Entry>
+template <class Enter, class Chosen>
+void FrontierCache<Entry>::walk(std::int32_t rootEntry, Enter&& enter,
+                                Chosen&& chosen) const {
+  struct Todo {
+    BagId bag;
+    std::int32_t entryIndex;
+  };
+  std::vector<Todo> stack{{decomp_.rootBag(), rootEntry}};  // the root is internal
+  while (!stack.empty()) {
+    const Todo todo = stack.back();
+    stack.pop_back();
+    if (!enter(todo.bag, todo.entryIndex)) continue;
+    const auto bi = static_cast<std::size_t>(todo.bag);
+    const Entry& entry = arena_.at(frontier_[bi], static_cast<std::size_t>(todo.entryIndex));
+    chosen(decomp_.anchor(todo.bag), entry.child == 1);
+    const std::span<const BagId> children = decomp_.mergeChildren(todo.bag);
+    const ComboSlot* chain = combos_.data() + chains_[bi].begin;
+    std::int32_t combIdx = entry.prev;
+    for (std::size_t ci = children.size(); ci-- > 0;) {
+      const Entry& comb = arena_.at(chain[ci].span, static_cast<std::size_t>(combIdx));
+      if (!decomp_.anchorIsClient(children[ci])) stack.push_back({children[ci], comb.child});
+      combIdx = comb.prev;
+    }
+  }
+}
+
+/// A one-shot exact solve: a cold combo-table cache refreshed once through
+/// `step`, every bag stale, so the guard is ticked once per bag. Writes the
+/// refresh's frontier telemetry into `stats` when non-null. When the
+/// instance is feasible, walks the optimum from step.rootEntry and calls
+/// onReplica(v) for every replica; returns false when it is infeasible.
+template <class Step, class OnReplica>
+bool solveCold(const Tree& tree, Step step, FrontierStats* stats, BudgetGuard* guard,
+               OnReplica&& onReplica) {
+  FrontierCache<typename Step::Entry> cache(tree, true);
+  const FrontierStats folded = cache.refresh(step, guard);
+  if (stats != nullptr) *stats = folded;
+  const std::int32_t rootEntry = step.rootEntry(cache.arena(), cache.frontier(tree.root()));
+  if (rootEntry < 0) return false;
+  cache.walk(
+      rootEntry, [](BagId, std::int32_t) { return true; },
+      [&onReplica](VertexId anchor, bool placed) {
+        if (placed) onReplica(anchor);
+      });
+  return true;
 }
 
 }  // namespace treeplace

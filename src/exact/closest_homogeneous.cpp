@@ -1,6 +1,7 @@
 #include "exact/closest_homogeneous.hpp"
 
 #include "core/bag_steps.hpp"
+#include "core/frontier_cache.hpp"
 
 namespace treeplace {
 
@@ -9,8 +10,8 @@ std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance
                                                  BudgetGuard* guard) {
   const Requests W = homogeneousStepCapacity(instance);
   Placement placement(instance.tree.vertexCount());
-  if (!solveFrontierDp(instance.tree, ClosestStep(instance, W), stats, guard,
-                       [&placement](VertexId node) { placement.addReplica(node); }))
+  if (!solveCold(instance.tree, ClosestStep(instance, W), stats, guard,
+                 [&placement](VertexId node) { placement.addReplica(node); }))
     return std::nullopt;
   assignClientsToClosest(instance, placement);
   return placement;

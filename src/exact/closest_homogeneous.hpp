@@ -20,11 +20,11 @@ namespace treeplace {
 /// a subtree and the rest of the tree, and frontier sizes are bounded by the
 /// subtree's client/internal counts, giving an O(n^2) algorithm.
 ///
-/// The recurrence is ClosestStep (core/bag_steps), run by the one-shot
-/// driver runFrontierDp: frontiers live in a per-solve FrontierArena and
-/// children are merged with the sort-free monotone convolution (see
-/// core/frontier.hpp). Pass `stats` to collect the per-solve frontier
-/// telemetry.
+/// The recurrence is ClosestStep (core/bag_steps), folded by one cold
+/// refresh of a FrontierCache (core/frontier_cache) and reconstructed by its
+/// backpointer walk: frontiers live in the cache's arena and children are
+/// merged with the sort-free monotone convolution (see core/frontier.hpp).
+/// Pass `stats` to collect the per-solve frontier telemetry.
 ///
 /// Returns the optimal placement (with each client assigned to the first
 /// replica on its root path), or std::nullopt when no Closest solution

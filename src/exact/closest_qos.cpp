@@ -1,6 +1,7 @@
 #include "exact/closest_qos.hpp"
 
 #include "core/bag_steps.hpp"
+#include "core/frontier_cache.hpp"
 
 namespace treeplace {
 
@@ -9,8 +10,8 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
                                                     BudgetGuard* guard) {
   const Requests W = homogeneousStepCapacity(instance);
   Placement placement(instance.tree.vertexCount());
-  if (!solveFrontierDp(instance.tree, ClosestQosStep(instance, W), stats, guard,
-                       [&placement](VertexId node) { placement.addReplica(node); }))
+  if (!solveCold(instance.tree, ClosestQosStep(instance, W), stats, guard,
+                 [&placement](VertexId node) { placement.addReplica(node); }))
     return std::nullopt;
   assignClientsToClosest(instance, placement);
   return placement;

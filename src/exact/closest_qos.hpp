@@ -27,9 +27,9 @@ namespace treeplace {
 /// for the hop-count QoS of the paper's experiments (slacks take O(depth)
 /// distinct values).
 ///
-/// The recurrence is ClosestQosStep (core/bag_steps), run by the one-shot
-/// driver runFrontierDp: all frontiers live in one QosFrontierArena slab
-/// and candidates are pruned by the count-bucketed
+/// The recurrence is ClosestQosStep (core/bag_steps), folded by one cold
+/// refresh of a FrontierCache (core/frontier_cache): all frontiers live in
+/// one QosFrontierArena slab and candidates are pruned by the count-bucketed
 /// QosFrontierSweep (slack-monotone staircase per count bucket) instead of
 /// the retired sort + pairwise O(k^2) prune. When `stats` is non-null the
 /// per-solve frontier telemetry is written there.

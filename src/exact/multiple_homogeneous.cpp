@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/bag_steps.hpp"
+#include "core/frontier_cache.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -185,10 +186,10 @@ std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& insta
                                                     BudgetGuard* guard) {
   const Requests W = homogeneousStepCapacity(instance);
   std::vector<char> isReplica(instance.tree.vertexCount(), 0);
-  if (!solveFrontierDp(instance.tree, MultipleStep(instance, W), stats, guard,
-                       [&isReplica](VertexId node) {
-                         isReplica[static_cast<std::size_t>(node)] = 1;
-                       }))
+  if (!solveCold(instance.tree, MultipleStep(instance, W), stats, guard,
+                 [&isReplica](VertexId node) {
+                   isReplica[static_cast<std::size_t>(node)] = 1;
+                 }))
     return std::nullopt;
   return assignMultipleRequests(instance, isReplica, W);
 }

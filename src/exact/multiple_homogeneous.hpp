@@ -38,9 +38,9 @@ std::optional<Placement> solveMultipleHomogeneous(
 /// replica at a node absorbs min(flow, W). Same optimal replica count as the
 /// 3-pass algorithm — kept as a cross-check of both the greedy and the
 /// frontier machinery, and as the template for frontier-based extensions.
-/// The recurrence is MultipleStep (core/bag_steps), run by the one-shot
-/// driver runFrontierDp. Pass `stats` to collect per-solve frontier
-/// telemetry. `guard`, when non-null, is ticked once per bag (vertex) and
+/// The recurrence is MultipleStep (core/bag_steps), folded by one cold
+/// refresh of a FrontierCache (core/frontier_cache). Pass `stats` to collect
+/// per-solve frontier telemetry. `guard`, when non-null, is ticked once per bag (vertex) and
 /// throws SolveInterrupted on a trip (see solveClosestHomogeneous).
 std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& instance,
                                                     FrontierStats* stats = nullptr,

@@ -38,8 +38,9 @@ class MemberDp {
   std::int32_t resolve() {
     if (cache_.stale()) {
       ++stats_->dpResolves;
-      stats_->dirtyRecomputes +=
-          cache_.refresh(step_, nullptr, &TreeDecomposition::mergeChildren);
+      const std::size_t misses = cache_.stats().misses;
+      cache_.refresh(step_, nullptr);
+      stats_->dirtyRecomputes += cache_.stats().misses - misses;
       const FrontierSpan root = cache_.frontier(step_.instance->tree.root());
       const std::int32_t entry = FlowStep::rootEntry(cache_.arena(), root);
       cached_ = entry < 0 ? kInfeasibleCost

@@ -12,14 +12,12 @@
 namespace treeplace {
 
 /// One arena set owned by one batch worker and recycled across every
-/// instance that worker evaluates: the frontier DP slabs, the subtree-bound
-/// pre-pass slab, and the placement buffer pool. Solvers reset their slab at
-/// the start of each solve, so after the first instance a worker's steady
-/// state is allocation-free — the property tests/test_batch_driver.cpp pins
-/// down via PlacementStats/FrontierStats.
+/// instance that worker evaluates: the subtree-bound pre-pass slab and the
+/// placement buffer pool. The relaxation borrows the bounds slab for each
+/// instance and hands it back reset, capacity kept, so after the first
+/// instances a worker's steady state allocates neither slab nor placement
+/// buffers (tests/test_bounds.cpp and tests/test_batch_driver.cpp).
 struct BatchArenas {
-  FrontierArena frontier;      ///< 2-D (count, flow) DP slabs
-  QosFrontierArena qos;        ///< 3-D QoS sweep slab
   FrontierArena bounds;        ///< FrontierSubtreeRelaxation pre-pass slab
   PlacementArena placements;   ///< recycled Placement buffers
 };

@@ -27,20 +27,6 @@ struct IncumbentBuffer {
 
 namespace {
 
-/// A delta's invalidation of a frontier cache that does not track subtree
-/// demands (IncrementalBounds): a W change stamps every bag. Every delta
-/// opens its own epoch, so the invalidation counts are per delta, and a
-/// reconstruction memo stamped before the delta is older than every stamp
-/// the delta makes.
-void invalidate(FrontierCacheBase& cache, const DeltaApplication& app) {
-  cache.advance();
-  if (app.structural) cache.grow(app.firstNewVertex);
-  if (app.global)
-    cache.invalidateAll();
-  else
-    cache.stamp(app.touched);
-}
-
 /// The value deltas that move client rates; their touched list is clients.
 bool movesRates(DeltaKind kind) {
   return kind == DeltaKind::RateChange || kind == DeltaKind::ClientLeave ||
@@ -301,54 +287,6 @@ Requests IncrementalSolver::foldCapacity() {
   return capacity_;
 }
 
-// Mirror of BasicFrontierDp::reconstruct over the cached span tables, with
-// subtree pruning: a vertex reached with the same entry index as the last
-// walk and no mutation anywhere in its subtree since (chosenEpoch >=
-// dirtySince — the dirty set is closed under parents, so the single stamp
-// check covers the whole subtree) still has exact replicaBit state below it,
-// and the walk skips the entire subtree. A localized mutation therefore
-// costs O(changed region), not O(s), per reconstruction. Replica bits that
-// flip are collected into flips_ — they drive the assignment repair.
-template <typename Entry>
-void IncrementalSolver::reconstruct(const FrontierCache<Entry>& cache,
-                                    std::int32_t rootEntryIndex) {
-  const TreeDecomposition decomp(instance_->tree);
-  const std::uint64_t epoch = cache.epoch();
-  struct Todo {
-    BagId node;
-    std::int32_t entryIndex;
-  };
-  std::vector<Todo> stack{{decomp.rootBag(), rootEntryIndex}};
-  while (!stack.empty()) {
-    const Todo todo = stack.back();
-    stack.pop_back();
-    const auto ni = static_cast<std::size_t>(todo.node);
-    if (chosenEntry_[ni] == todo.entryIndex &&
-        chosenEpoch_[ni] >= cache.dirtySince(todo.node)) {
-      chosenEpoch_[ni] = epoch;
-      continue;  // same choice, untouched subtree: bits below are exact
-    }
-    chosenEntry_[ni] = todo.entryIndex;
-    chosenEpoch_[ni] = epoch;
-    if (decomp.anchorIsClient(todo.node)) continue;
-    const Entry& entry =
-        cache.arena().at(cache.frontier(todo.node), static_cast<std::size_t>(todo.entryIndex));
-    const char newBit = entry.child == 1 ? 1 : 0;
-    if (replicaBit_[ni] != newBit) {
-      replicaBit_[ni] = newBit;
-      flips_.push_back(decomp.anchor(todo.node));
-    }
-    const std::span<const BagId> children = decomp.mergeChildren(todo.node);
-    std::int32_t combIdx = entry.prev;
-    for (std::size_t ci = children.size(); ci-- > 0;) {
-      const Entry& comb =
-          cache.arena().at(cache.combo(todo.node, ci), static_cast<std::size_t>(combIdx));
-      stack.push_back({children[ci], comb.child});
-      combIdx = comb.prev;
-    }
-  }
-}
-
 std::shared_ptr<const Placement> IncrementalSolver::resolveOnce(BudgetGuard* guard) {
   const Requests W = foldCapacity();
   switch (policy_) {
@@ -366,13 +304,35 @@ std::shared_ptr<const Placement> IncrementalSolver::resolveOnce(BudgetGuard* gua
 template <class Step>
 std::shared_ptr<const Placement> IncrementalSolver::resolveWith(
     FrontierCache<typename Step::Entry>& cache, Step step, BudgetGuard* guard) {
-  cache.refresh(step, guard, &TreeDecomposition::mergeChildren);
+  cache.refresh(step, guard);
   const std::int32_t rootEntry =
       step.rootEntry(cache.arena(), cache.frontier(instance_->tree.root()));
   if (rootEntry < 0) return nullptr;
 
+  // The cache's backpointer walk with subtree pruning: a vertex reached with
+  // the same entry index as the last walk and no mutation anywhere in its
+  // subtree since (chosenEpoch >= dirtySince — the dirty set is closed under
+  // parents, so the single stamp check covers the whole subtree) still has
+  // exact replicaBit state below it, and the walk skips the entire subtree.
+  // A localized mutation therefore costs O(changed region), not O(s), per
+  // reconstruction. Replica bits that flip are collected into flips_ — they
+  // drive the assignment repair.
   flips_.clear();
-  reconstruct(cache, rootEntry);
+  const std::uint64_t epoch = cache.epoch();
+  cache.walk(
+      rootEntry,
+      [&](BagId bag, std::int32_t entryIndex) {
+        const auto bi = static_cast<std::size_t>(bag);
+        const bool same =
+            chosenEntry_[bi] == entryIndex && chosenEpoch_[bi] >= cache.dirtySince(bag);
+        chosenEntry_[bi] = entryIndex;
+        chosenEpoch_[bi] = epoch;
+        return !same;
+      },
+      [&](VertexId anchor, bool placed) {
+        if (std::exchange(replicaBit_[static_cast<std::size_t>(anchor)], placed) != placed)
+          flips_.push_back(anchor);
+      });
   if (policy_ == OnlinePolicy::Multiple)
     refreshMultipleAssignment(replicaBit_);
   else
@@ -886,27 +846,21 @@ void IncrementalSolver::repairServer(VertexId s, Requests W, bool added, const S
   }
 }
 
-IncrementalBounds::IncrementalBounds(ProblemInstance& instance)
-    : instance_(&instance), cache_(instance.tree, false) {
-  refresh();
+// The relaxation tracks no subtree demands, so a W change stamps every bag.
+// Every delta opens its own epoch, so the invalidation counts are per delta.
+void IncrementalBounds::noteDelta(const DeltaApplication& app) {
+  cache_.advance();
+  if (app.structural) cache_.grow(app.firstNewVertex);
+  if (app.global)
+    cache_.invalidateAll();
+  else
+    cache_.stamp(app.touched);
 }
-
-void IncrementalBounds::noteDelta(const DeltaApplication& app) { invalidate(cache_, app); }
 
 DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
-  DeltaApplication app = applyDelta(*instance_, delta);
+  DeltaApplication app = applyDelta(*editable_, delta);
   noteDelta(app);
   return app;
-}
-
-// Incremental twin of FrontierSubtreeRelaxation::build: the frontier pass is
-// memoized per subtree (the expensive part) and folds in raw child order, as
-// the one-shot does; the derived passes are linear scans recomputed
-// wholesale.
-void IncrementalBounds::refresh() {
-  RelaxationStep step(*instance_);
-  cache_.refresh(step, nullptr, &TreeDecomposition::children);
-  floors_ = deriveSubtreeFloors(*instance_, cache_.arena(), cache_.frontiers());
 }
 
 }  // namespace treeplace

@@ -60,11 +60,12 @@ struct IncumbentBuffer;
 /// re-solve recomputes O(depth) frontiers instead of O(s) and reuses
 /// everything else. A homogeneous W change stamps only the bags whose
 /// subtree demand exceeds the smaller W; the solver keeps every vertex's
-/// subtree demand current along the root paths of the rate changes. The
-/// cache recomputes a stale bag through the policy's bag step
-/// (core/bag_steps), the very step the one-shot solver runs, so
+/// subtree demand current along the root paths of the rate changes. A
+/// one-shot solve is the same cache cold — every bag stale, refreshed once
+/// through the same bag step (core/bag_steps) and reconstructed by the same
+/// backpointer walk, to which this solver only adds its memo prune — so
 /// every recomputed frontier and the incremental placement are bit-identical
-/// to a from-scratch solve after every step — the equivalence tests pin this
+/// to a from-scratch solve after every step; the equivalence tests pin this
 /// down per policy.
 ///
 /// The instance is shared with the caller (scratch comparisons and the
@@ -162,8 +163,6 @@ class IncrementalSolver {
   Requests foldCapacity();
   /// Size the per-vertex scratch tables to the tree (geometric growth).
   void growVertexTables();
-  template <typename Entry>
-  void reconstruct(const FrontierCache<Entry>& cache, std::int32_t rootEntryIndex);
   /// Persistent-assignment maintenance after a feasible reconstruct: either a
   /// full rebuild (first solve, scratch fallback) or an O(changed) repair
   /// driven by the replica-bit flips the walk collected, the clients whose
@@ -263,15 +262,16 @@ class IncrementalSolver {
   std::uint64_t markGen_ = 0;
 };
 
-/// Incremental twin of core/bounds' FrontierSubtreeRelaxation: the per-subtree
-/// relaxation frontiers (RelaxationStep: place absorbs min(flow, W_v) — valid
-/// for every policy) are memoized in one FrontierCache without combo tables,
-/// folded in raw child order as the one-shot does, while the cheap derived
-/// passes (deriveSubtreeFloors) are recomputed per refresh.
-/// Feeds knownLowerBound into the warm ILP re-solve path.
-class IncrementalBounds {
+/// The subtree relaxation of core/bounds (FrontierSubtreeRelaxation: valid
+/// for every policy) kept across deltas: each delta stamps its relaxation
+/// cache the way IncrementalSolver's is stamped, minus the demand tracking
+/// (a W change stamps every bag), and refresh() refolds only the stale bags
+/// before re-deriving the linear floor passes. Feeds knownLowerBound into the
+/// warm ILP re-solve path.
+class IncrementalBounds : public FrontierSubtreeRelaxation {
  public:
-  explicit IncrementalBounds(ProblemInstance& instance);
+  explicit IncrementalBounds(ProblemInstance& instance)
+      : FrontierSubtreeRelaxation(instance), editable_(&instance) {}
 
   /// Invalidate after a delta someone else already applied to the instance.
   void noteDelta(const DeltaApplication& app);
@@ -280,22 +280,10 @@ class IncrementalBounds {
   DeltaApplication apply(const InstanceDelta& delta);
 
   /// Recompute dirty relaxation frontiers and the derived floors/bound.
-  void refresh();
-
-  bool feasible() const { return floors_.feasible; }
-  double decompositionBound() const { return floors_.decompositionBound; }
-  std::int32_t minReplicasIn(VertexId v) const {
-    return floors_.minReplicas[static_cast<std::size_t>(v)];
-  }
-  std::int32_t minTotalReplicas() const {
-    return minReplicasIn(instance_->tree.root());
-  }
-  const FrontierCacheStats& cacheStats() const { return cache_.stats(); }
+  using FrontierSubtreeRelaxation::refresh;
 
  private:
-  ProblemInstance* instance_;
-  FrontierCache<FrontierEntry> cache_;
-  SubtreeFloors floors_;
+  ProblemInstance* editable_;  ///< instance_, which apply() edits
 };
 
 }  // namespace treeplace

@@ -94,6 +94,24 @@ TEST(FrontierRelaxation, SharedArenaMatchesFreshAcrossInstances) {
   }
 }
 
+TEST(FrontierRelaxation, LentSlabComesBackWithItsCapacity) {
+  // The relaxation folds in the caller's slab and hands it back: a batch
+  // worker that bounds instance after instance reallocates nothing once the
+  // slab has grown to its largest instance.
+  const ProblemInstance big = testutil::smallRandomInstance(77, 0.5, false, true, 40, 60);
+  const ProblemInstance small = testutil::smallRandomInstance(78, 0.5, false, true, 6, 12);
+  FrontierArena arena;
+  const FrontierSubtreeRelaxation first(big, arena);
+  const std::size_t capacity = arena.capacity();
+  ASSERT_GE(capacity, 4 * big.tree.vertexCount());
+  for (int round = 0; round < 3; ++round) {
+    const FrontierSubtreeRelaxation again(round % 2 == 0 ? small : big, arena);
+    EXPECT_EQ(arena.capacity(), capacity) << "round " << round;
+  }
+  const FrontierSubtreeRelaxation last(big, arena);
+  EXPECT_EQ(last.decompositionBound(), first.decompositionBound());
+}
+
 TEST(Bounds, IntegralStorageCosts) {
   EXPECT_TRUE(integralStorageCosts(testutil::chainInstance(5, 5, {4, 2})));
   ProblemInstance inst = testutil::chainInstance(5, 5, {4, 2});

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/bag_steps.hpp"
+#include "core/frontier_cache.hpp"
 #include "core/validate.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/multiple_homogeneous.hpp"
@@ -386,23 +387,23 @@ TEST(FrontierSolverEquivalence, MultipleDPMatchesGreedyOn100RandomInstances) {
   }
 }
 
-// Drive the shared Closest bag step through a caller-constructed FrontierDp
-// and the one-shot driver, and return the replica list. Used to pin the
-// merge-bag interface: a DP built from the Tree delegating constructor and
-// one built from an explicit TreeDecomposition value must walk the same
-// schedule, fold the same merge order and reconstruct the same placement,
-// entry for entry.
-std::optional<std::vector<VertexId>> driveClosestDp(const ProblemInstance& instance,
-                                                    FrontierDp& dp,
-                                                    FrontierArena& arena) {
-  FrontierConvolver conv(arena);
+// Drive the shared Closest bag step through a caller-constructed frontier
+// cache, refreshed cold and walked, and return the sorted replica list: the
+// merge-bag interface (schedule, merge order, backpointer walk) must
+// reconstruct the production solver's placement, entry for entry.
+std::optional<std::vector<VertexId>> driveClosestDp(const ProblemInstance& instance) {
+  FrontierCache<FrontierEntry> cache(instance.tree, true);
   ClosestStep step(instance, instance.homogeneousCapacity());
-  runFrontierDp(dp, conv, step, nullptr);
+  cache.refresh(step, nullptr);
   const std::int32_t rootEntry =
-      ClosestStep::rootEntry(arena, dp.frontier(dp.decomposition().rootBag()));
+      ClosestStep::rootEntry(cache.arena(), cache.frontier(instance.tree.root()));
   if (rootEntry < 0) return std::nullopt;
   std::vector<VertexId> replicas;
-  dp.reconstruct(rootEntry, [&replicas](VertexId node) { replicas.push_back(node); });
+  cache.walk(
+      rootEntry, [](BagId, std::int32_t) { return true; },
+      [&replicas](VertexId node, bool placed) {
+        if (placed) replicas.push_back(node);
+      });
   std::sort(replicas.begin(), replicas.end());
   return replicas;
 }
@@ -413,22 +414,10 @@ TEST(FrontierSolverEquivalence, BagInterfaceMatchesTreeInterfaceBitExactly) {
         seed * 733 + 5, 0.2 + 0.07 * static_cast<double>(seed % 10),
         /*hetero=*/false, /*unit=*/true, /*minSize=*/6, /*maxSize=*/40);
 
-    FrontierArena treeArena;
-    treeArena.reset(4 * inst.tree.vertexCount());
-    FrontierDp viaTree(inst.tree, treeArena);
-    const auto treeReplicas = driveClosestDp(inst, viaTree, treeArena);
-
-    FrontierArena bagArena;
-    bagArena.reset(4 * inst.tree.vertexCount());
-    const TreeDecomposition decomp(inst.tree);
-    FrontierDp viaBags(decomp, bagArena);
-    const auto bagReplicas = driveClosestDp(inst, viaBags, bagArena);
-
-    ASSERT_EQ(treeReplicas.has_value(), bagReplicas.has_value()) << "seed " << seed;
+    const auto treeReplicas = driveClosestDp(inst);
     if (!treeReplicas) continue;
-    EXPECT_EQ(*treeReplicas, *bagReplicas) << "seed " << seed;
 
-    // Both must also agree with the production solver's replica set.
+    // The walk must agree with the production solver's replica set.
     const auto solver = solveClosestHomogeneous(inst);
     ASSERT_TRUE(solver.has_value()) << "seed " << seed;
     EXPECT_EQ(solver->replicaList(), *treeReplicas) << "seed " << seed;
@@ -476,8 +465,8 @@ std::int32_t constrainedClosestByEnumeration(const ProblemInstance& instance,
   return best;
 }
 
-// The multitree solver's five node states, driven through the one-shot
-// driver on random trees with random per-vertex states: the root's
+// The multitree solver's five node states, driven through a cold frontier
+// cache on random trees with random per-vertex states: the root's
 // cost-weighted count must equal the best honouring subset.
 TEST(FrontierSolverEquivalence, ConstrainedClosestStepMatchesEnumeration) {
   constexpr NodeState kStates[] = {NodeState::Free, NodeState::FreeZero, NodeState::Forced,
@@ -503,15 +492,12 @@ TEST(FrontierSolverEquivalence, ConstrainedClosestStepMatchesEnumeration) {
           seed % 3 == 0 && rng.uniformInt(0, 1) == 0 ? NodeState::Forced
                                                      : kStates[rng.uniformInt(0, 4)];
 
-    FrontierArena arena;
-    arena.reset(4 * inst.tree.vertexCount());
-    FrontierConvolver conv(arena);
-    FrontierDp dp(inst.tree, arena);
-    runFrontierDp(dp, conv, step, nullptr);
-    const FrontierSpan root = dp.frontier(inst.tree.root());
-    const std::int32_t entry = FlowStep::rootEntry(arena, root);
+    FrontierCache<FrontierEntry> cache(inst.tree, true);
+    cache.refresh(step, nullptr);
+    const FrontierSpan root = cache.frontier(inst.tree.root());
+    const std::int32_t entry = FlowStep::rootEntry(cache.arena(), root);
     const std::int32_t got =
-        entry < 0 ? -1 : arena.at(root, static_cast<std::size_t>(entry)).count;
+        entry < 0 ? -1 : cache.arena().at(root, static_cast<std::size_t>(entry)).count;
     EXPECT_EQ(got, constrainedClosestByEnumeration(inst, step.state)) << "seed " << seed;
     ++(got < 0 ? infeasible : feasible);
   }

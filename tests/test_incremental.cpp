@@ -85,6 +85,56 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, IncrementalEquivalence,
                            return std::string(toString(info.param));
                          });
 
+// solveOneShot ticks its guard once per bag, infeasible instances included
+// (an empty frontier is folded on to the root): a counting guard reads the
+// vertex count, a step budget of exactly that many completes with the same
+// placement, and one step fewer trips. solveResilient's truncation sweep
+// relies on this count.
+TEST(IncrementalSolver, OneShotChargesOneStepPerBag) {
+  for (const OnlinePolicy policy :
+       {OnlinePolicy::Closest, OnlinePolicy::Multiple, OnlinePolicy::ClosestQos}) {
+    int feasible = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      GeneratorConfig config;
+      config.minSize = 8;
+      config.maxSize = 40;
+      config.maxRequests = 8;
+      config.lambda = 0.15 + 0.1 * static_cast<double>(seed % 5);  // both verdicts
+      config.unitCosts = true;
+      config.qosFraction = policy == OnlinePolicy::ClosestQos ? 0.6 : 0.0;
+      Prng rng(seed * 131 + 7);
+      const ProblemInstance instance = generateInstance(config, rng);
+      const long bags = static_cast<long>(instance.tree.vertexCount());
+      const std::string ctx = std::string(toString(policy)) + " seed=" + std::to_string(seed);
+      SolveBudget budget;
+      budget.maxSteps = 1L << 40;
+      BudgetGuard counter(budget);
+      const std::optional<Placement> counted = solveOneShot(instance, policy, &counter);
+      EXPECT_EQ(counter.stepsUsed(), bags) << ctx;
+      if (counted) ++feasible;
+
+      budget.maxSteps = bags;
+      BudgetGuard exact(budget);
+      std::optional<Placement> again;
+      ASSERT_NO_THROW(again = solveOneShot(instance, policy, &exact)) << ctx;
+      ASSERT_EQ(again.has_value(), counted.has_value()) << ctx;
+      if (counted) {
+        EXPECT_TRUE(*again == *counted) << ctx;
+      }
+
+      budget.maxSteps = bags - 1;
+      BudgetGuard shortOne(budget);
+      try {
+        (void)solveOneShot(instance, policy, &shortOne);
+        ADD_FAILURE() << ctx << ": a budget of n - 1 steps did not trip";
+      } catch (const SolveInterrupted& e) {
+        EXPECT_EQ(e.verdict(), BudgetVerdict::StepLimit) << ctx;
+      }
+    }
+    EXPECT_GE(feasible, 10) << toString(policy);  // the placement check ran
+  }
+}
+
 // The cache layout is keyed by the TreeDecomposition bag schedule, a pure
 // function of tree shape. Two solvers over the same shape — one on the
 // original tree, one on a rebuild from its parent array — must resolve to
