@@ -1,6 +1,9 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "support/require.hpp"
 
@@ -334,16 +337,26 @@ VertexId firstReplicaAbove(const Tree& tree, const Placement& placement,
 }
 
 void assignClientsToClosest(const ProblemInstance& instance, Placement& placement) {
+  // One preorder pass carries the nearest replica down: `open` holds the
+  // replicas on the current root path with the preorder end of their
+  // subtrees, so a vertex's first replica above is the top entry still open
+  // at its position. Preorder meets the clients in clients() order, so the
+  // runs are appended in the order a per-client walk appends them.
   const Tree& tree = instance.tree;
   placement.reserveShares(tree.clients().size());
-  for (const VertexId client : tree.clients()) {
-    const auto ci = static_cast<std::size_t>(client);
-    if (instance.requests[ci] == 0) continue;
-    const VertexId server = firstReplicaAbove(tree, placement, client);
-    TREEPLACE_REQUIRE(server != kNoVertex,
-                      "closest assignment: client has no replica on its root path");
-    const ServedShare share{server, instance.requests[ci]};
-    placement.assignRun(client, {&share, 1});
+  std::vector<std::pair<VertexId, std::int32_t>> open;
+  const std::vector<VertexId>& preorder = tree.preorder();
+  for (std::size_t pos = 0; pos < preorder.size(); ++pos) {
+    const VertexId v = preorder[pos];
+    while (!open.empty() && static_cast<std::size_t>(open.back().second) <= pos)
+      open.pop_back();
+    if (tree.isClient(v) && instance.requests[static_cast<std::size_t>(v)] != 0) {
+      TREEPLACE_REQUIRE(!open.empty(),
+                        "closest assignment: client has no replica on its root path");
+      const ServedShare share{open.back().first, instance.requests[static_cast<std::size_t>(v)]};
+      placement.assignRun(v, {&share, 1});
+    }
+    if (placement.hasReplica(v)) open.emplace_back(v, tree.preorderEnd(v));
   }
 }
 

@@ -183,11 +183,14 @@ class PlacementArena {
 
 /// The Closest policy's server: the first replica on v's root path, walking
 /// strict ancestors bottom-up. kNoVertex when no ancestor holds a replica.
+/// For single-client lookups; assignClientsToClosest does every client in
+/// one pass.
 VertexId firstReplicaAbove(const Tree& tree, const Placement& placement,
                            VertexId v);
 
 /// Apply the Closest assignment rule: every client with positive demand is
-/// served wholly by its first replica above. Throws PreconditionError when a
+/// served wholly by its first replica above, found for all clients in one
+/// preorder pass (O(s)). Throws PreconditionError when a
 /// client has no replica on its root path (the replica set does not admit a
 /// Closest assignment).
 void assignClientsToClosest(const ProblemInstance& instance, Placement& placement);

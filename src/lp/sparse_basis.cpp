@@ -65,6 +65,8 @@ bool SparseLu::factorize(int m, std::span<const int> colStart,
   etaVal_.clear();
   etaPivotPos_.clear();
   etaPivotVal_.clear();
+  etaReaders_.assign(mz, 0);
+  etaPivotReaders_.clear();
   sparseZ_.assign(mz, 0.0);
   reach_.resize(mz);
   reachBits_.assign((mz + 63) / 64, 0);
@@ -320,16 +322,43 @@ void SparseLu::ftranSparse(std::span<double> x, std::span<const int> rows) const
   }
 }
 
+void SparseLu::btranEta(std::size_t e, std::span<double> y) const {
+  const auto p = static_cast<std::size_t>(etaPivotPos_[e]);
+  double s = y[p];
+  for (int q = etaStart_[e]; q < etaStart_[e + 1]; ++q)
+    s -= etaVal_[static_cast<std::size_t>(q)] *
+         y[static_cast<std::size_t>(etaRow_[static_cast<std::size_t>(q)])];
+  y[p] = s / etaPivotVal_[e];
+}
+
 void SparseLu::btran(std::span<double> y) const {
-  // Eta file transposed, newest first: c_p <- (c_p - sum w_i c_i) / w_p.
-  for (std::size_t e = etaPivotPos_.size(); e-- > 0;) {
-    const auto p = static_cast<std::size_t>(etaPivotPos_[e]);
-    double s = y[p];
-    for (int q = etaStart_[e]; q < etaStart_[e + 1]; ++q)
-      s -= etaVal_[static_cast<std::size_t>(q)] *
-           y[static_cast<std::size_t>(etaRow_[static_cast<std::size_t>(q)])];
-    y[p] = s / etaPivotVal_[e];
+  // Eta file transposed, newest first.
+  for (std::size_t e = etaPivotPos_.size(); e-- > 0;) btranEta(e, y);
+  btranFactors(y);
+}
+
+void SparseLu::btranUnit(int pos, std::span<double> y) const {
+  std::fill(y.begin(), y.end(), 0.0);
+  y[static_cast<std::size_t>(pos)] = 1.0;
+  if (etaPivotPos_.size() > kIndexedEtas) {
+    btran(y);
+    return;
   }
+  // Eta file transposed, newest first, over the etas that may read a nonzero
+  // entry: every other eta reads only zeros and would write a signed zero.
+  // Each eta that runs queues the older etas reading its pivot position
+  // (also when it wrote a zero there, which runs an eta the full sweep runs
+  // too).
+  for (std::uint64_t pending = etaReaders_[static_cast<std::size_t>(pos)]; pending != 0;) {
+    const int e = 63 - std::countl_zero(pending);
+    btranEta(static_cast<std::size_t>(e), y);
+    pending = (pending & ((std::uint64_t{1} << e) - 1)) |
+              etaPivotReaders_[static_cast<std::size_t>(e)];
+  }
+  btranFactors(y);
+}
+
+void SparseLu::btranFactors(std::span<double> y) const {
   // U^T z = c' with c'_k = y[colOrder_[k]] (forward in elimination order).
   solveZ_.resize(static_cast<std::size_t>(m_));
   for (int k = 0; k < m_; ++k) {
@@ -358,12 +387,21 @@ bool SparseLu::appendEta(int p, std::span<const double> w, std::span<const int> 
                          double pivotTol) {
   const double pivot = w[static_cast<std::size_t>(p)];
   if (std::abs(pivot) <= pivotTol) return false;
+  // Index the eta while it is among the first kIndexedEtas (a later one
+  // sets no bit, and btranUnit then runs the full sweep).
+  const auto e = static_cast<std::size_t>(etaCount());
+  const std::uint64_t bit = e < kIndexedEtas ? std::uint64_t{1} << e : 0;
+  if (bit != 0) {
+    etaPivotReaders_.push_back(etaReaders_[static_cast<std::size_t>(p)]);
+    etaReaders_[static_cast<std::size_t>(p)] |= bit;
+  }
   for (const int i : nonzeros) {
     if (i == p) continue;
     const double v = w[static_cast<std::size_t>(i)];
     if (v != 0.0) {
       etaRow_.push_back(i);
       etaVal_.push_back(v);
+      etaReaders_[static_cast<std::size_t>(i)] |= bit;
     }
   }
   etaStart_.push_back(static_cast<int>(etaRow_.size()));
@@ -397,7 +435,8 @@ void SparseSimplex::build(int m, int nStruct, int artificialStart,
   artScale_.assign(static_cast<std::size_t>(m_), 1.0);
   basis_.assign(static_cast<std::size_t>(m_), -1);
   basisPos_.assign(nc, -1);
-  atUpper_.assign(nc, 0);
+  basicUpper_.assign(static_cast<std::size_t>(m_), kInfinity);
+  atUpper_.assign((static_cast<std::size_t>(artificialStart_) + 63) / 64, 0);
   xB_.assign(static_cast<std::size_t>(m_), 0.0);
   d_.assign(nc, 0.0);
   alpha_.assign(static_cast<std::size_t>(artificialStart_), 0.0);
@@ -425,14 +464,31 @@ void SparseSimplex::build(int m, int nStruct, int artificialStart,
   ready_ = false;
 }
 
-void SparseSimplex::setWidths(std::span<const double> upper) {
-  std::copy(upper.begin(), upper.begin() + nStruct_, colUpper_.begin());
+double SparseSimplex::columnDot(std::span<const double> y, int col) const {
+  double dot = 0.0;
+  for (int k = colStart_[static_cast<std::size_t>(col)];
+       k < colStart_[static_cast<std::size_t>(col) + 1]; ++k)
+    dot += y[static_cast<std::size_t>(rowIdx_[static_cast<std::size_t>(k)])] *
+           colVal_[static_cast<std::size_t>(k)];
+  return dot;
+}
+
+void SparseSimplex::refreshBasicUpper() {
+  for (int i = 0; i < m_; ++i)
+    basicUpper_[static_cast<std::size_t>(i)] =
+        colUpper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
 }
 
 std::span<const int> SparseSimplex::priceRow(std::span<const double> rho) {
-  rhoRows_.clear();
-  for (int i = 0; i < m_; ++i)
-    if (rho[static_cast<std::size_t>(i)] != 0.0) rhoRows_.push_back(i);
+  // Branch-free compaction: a branch per row mispredicts on rho's scattered
+  // nonzeros (about one row in ten after a unit btran).
+  rhoRows_.resize(static_cast<std::size_t>(m_));
+  std::size_t nonzeroRows = 0;
+  for (int i = 0; i < m_; ++i) {
+    rhoRows_[nonzeroRows] = i;
+    nonzeroRows += static_cast<std::size_t>(rho[static_cast<std::size_t>(i)] != 0.0);
+  }
+  rhoRows_.resize(nonzeroRows);
 
   // Raw pointers: the stores into alpha would otherwise make the compiler
   // reload every vector's data pointer per entry.
@@ -531,9 +587,10 @@ double SparseSimplex::objectiveOf(std::span<const double> phaseCost) const {
   for (int i = 0; i < m_; ++i)
     obj += phaseCost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] *
            xB_[static_cast<std::size_t>(i)];
-  for (int j = 0; j < artificialStart_; ++j)
-    if (atUpper_[static_cast<std::size_t>(j)])
-      obj += phaseCost[static_cast<std::size_t>(j)] * colUpper_[static_cast<std::size_t>(j)];
+  forAtUpper([&](int j) {
+    obj += phaseCost[static_cast<std::size_t>(j)] * colUpper_[static_cast<std::size_t>(j)];
+    return true;
+  });
   return obj;
 }
 
@@ -544,22 +601,21 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
   double lastObjective = objectiveOf(phaseCost);
   for (long iter = 0; iter < options_.maxIterations; ++iter) {
     if (budgetTripped(options_.guard)) return SolveStatus::IterationLimit;
-    // Price every nonbasic column: y = B^-T c_B, d_j = c_j - y a_j. An
-    // at-lower column may only rise (profitable when d < 0), an at-upper one
-    // only fall (profitable when d > 0). Artificials never re-enter.
+    // Price every nonbasic column: y = B^-T c_B, d_j = c_j - y a_j (a
+    // column dot). An at-lower column may only rise (profitable when d < 0),
+    // an at-upper one only fall (profitable when d > 0). Artificials never
+    // re-enter.
     yScratch_.assign(static_cast<std::size_t>(m_), 0.0);
     for (int i = 0; i < m_; ++i)
       yScratch_[static_cast<std::size_t>(i)] =
           phaseCost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
     lu_.btran(yScratch_);
-    priceRow(yScratch_);
     int entering = -1;
     double best = options_.pivotTol;
     for (int j = 0; j < artificialStart_; ++j) {
       if (basisPos_[static_cast<std::size_t>(j)] >= 0) continue;
-      const double dj =
-          phaseCost[static_cast<std::size_t>(j)] - alpha_[static_cast<std::size_t>(j)];
-      const double gain = atUpper_[static_cast<std::size_t>(j)] ? dj : -dj;
+      const double dj = phaseCost[static_cast<std::size_t>(j)] - columnDot(yScratch_, j);
+      const double gain = atUpper(j) ? dj : -dj;
       if (gain > best) {
         best = gain;
         entering = j;
@@ -567,7 +623,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       }
     }
     if (entering < 0) return SolveStatus::Optimal;
-    const bool fromUpper = atUpper_[static_cast<std::size_t>(entering)] != 0;
+    const bool fromUpper = atUpper(entering);
     const double sigma = fromUpper ? -1.0 : 1.0;
 
     ftranColumn(entering);
@@ -586,8 +642,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
         ratio = std::max(0.0, xB_[static_cast<std::size_t>(i)] / step);
         toUpper = false;
       } else if (step < -options_.pivotTol) {
-        const double ub =
-            colUpper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        const double ub = basicUpper_[static_cast<std::size_t>(i)];
         if (ub == kInfinity) continue;
         ratio = std::max(0.0, (ub - xB_[static_cast<std::size_t>(i)]) / -step);
         toUpper = true;
@@ -612,7 +667,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
         for (int i = 0; i < m_; ++i)
           xB_[static_cast<std::size_t>(i)] -=
               delta * wScratch_[static_cast<std::size_t>(i)];
-      atUpper_[static_cast<std::size_t>(entering)] ^= 1;
+      setAtUpper(entering, !fromUpper);
       ++stats.boundFlips;
     } else {
       const double delta = sigma * rowRatio;
@@ -625,10 +680,11 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       }
       xB_[static_cast<std::size_t>(leaving)] = enterValue;
       basis_[static_cast<std::size_t>(leaving)] = entering;
+      basicUpper_[static_cast<std::size_t>(leaving)] = flipLimit;
       basisPos_[static_cast<std::size_t>(entering)] = leaving;
       basisPos_[static_cast<std::size_t>(leavingCol)] = -1;
-      atUpper_[static_cast<std::size_t>(entering)] = 0;
-      atUpper_[static_cast<std::size_t>(leavingCol)] = leavingToUpper ? 1 : 0;
+      setAtUpper(entering, false);
+      setAtUpper(leavingCol, leavingToUpper);
       ++stats.primalIterations;
       if (!recordPivot(leaving, stats)) return SolveStatus::IterationLimit;
     }
@@ -674,6 +730,7 @@ SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
     }
     basisPos_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])] = r;
   }
+  refreshBasicUpper();
   if (!factorizeBasis(stats, false)) return SolveStatus::IterationLimit;
 
   // Phase 1: minimise the sum of the issued artificials.
@@ -692,6 +749,7 @@ SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
   // check.
   for (int j = artificialStart_; j < columnCount(); ++j)
     colUpper_[static_cast<std::size_t>(j)] = 0.0;
+  refreshBasicUpper();
 
   // Phase 2: original costs.
   phaseCost_.assign(nc, 0.0);
@@ -707,37 +765,33 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
                                      WarmStartStats& stats) {
   TREEPLACE_REQUIRE(ready_, "sparse solveDual requires a prior optimal basis");
 
-  // A column parked at its upper bound whose box just became unbounded has no
-  // value to rest at; hand this solve back to the cold path.
-  for (int j = 0; j < artificialStart_; ++j)
-    if (atUpper_[static_cast<std::size_t>(j)] &&
-        colUpper_[static_cast<std::size_t>(j)] == kInfinity)
-      return SolveStatus::IterationLimit;
-
-  // x_B = B^-1 (b - sum over at-upper nonbasics of width * a_j).
+  // x_B = B^-1 (b - sum over at-upper nonbasics of width * a_j). A column
+  // parked at its upper bound whose box just became unbounded has no value
+  // to rest at; hand this solve back to the cold path.
   bScratch_.assign(rhs.begin(), rhs.end());
-  for (int j = 0; j < artificialStart_; ++j) {
-    if (!atUpper_[static_cast<std::size_t>(j)]) continue;
+  const bool boxed = forAtUpper([&](int j) {
     const double u = colUpper_[static_cast<std::size_t>(j)];
-    if (u == 0.0) continue;
-    forColumn(j, [&](int r, double v) { bScratch_[static_cast<std::size_t>(r)] -= u * v; });
-  }
+    if (u == kInfinity) return false;
+    if (u != 0.0)
+      forColumn(j, [&](int r, double v) { bScratch_[static_cast<std::size_t>(r)] -= u * v; });
+    return true;
+  });
+  if (!boxed) return SolveStatus::IterationLimit;
   xB_.assign(bScratch_.begin(), bScratch_.end());
   lu_.ftran(xB_);
 
   // Fresh reduced costs (costs never change, but rebuilding them per warm
-  // solve keeps drift from compounding across a branch-and-bound dive).
+  // solve keeps drift from compounding across a branch-and-bound dive):
+  // d_j = c_j - y a_j with y = B^-T c_B.
   yScratch_.assign(static_cast<std::size_t>(m_), 0.0);
   for (int i = 0; i < m_; ++i)
     yScratch_[static_cast<std::size_t>(i)] =
         columnCost(basis_[static_cast<std::size_t>(i)]);
   lu_.btran(yScratch_);
-  priceRow(yScratch_);
   for (int j = 0; j < artificialStart_; ++j)
-    d_[static_cast<std::size_t>(j)] =
-        basisPos_[static_cast<std::size_t>(j)] >= 0
-            ? 0.0
-            : columnCost(j) - alpha_[static_cast<std::size_t>(j)];
+    d_[static_cast<std::size_t>(j)] = basisPos_[static_cast<std::size_t>(j)] >= 0
+                                          ? 0.0
+                                          : columnCost(j) - columnDot(yScratch_, j);
 
   long pivots = 0;
   bool useBland = false;
@@ -751,8 +805,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     double bestViol = options_.feasTol;
     for (int i = 0; i < m_; ++i) {
       const double v = xB_[static_cast<std::size_t>(i)];
-      const double ub =
-          colUpper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+      const double ub = basicUpper_[static_cast<std::size_t>(i)];
       double viol;
       bool above;
       if (v < -bestViol) {
@@ -774,20 +827,17 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
       return SolveStatus::Optimal;
     }
     const int leavingCol = basis_[static_cast<std::size_t>(leaving)];
-    const double target =
-        aboveUpper ? colUpper_[static_cast<std::size_t>(leavingCol)] : 0.0;
+    const double target = aboveUpper ? basicUpper_[static_cast<std::size_t>(leaving)] : 0.0;
 
     // Tableau row `leaving`: alpha_j = rho a_j with rho = B^-T e_leaving,
     // priced through the rows where rho is nonzero. Columns it misses have
     // alpha_j = 0 and can neither enter nor move a reduced cost.
-    yScratch_.assign(static_cast<std::size_t>(m_), 0.0);
-    yScratch_[static_cast<std::size_t>(leaving)] = 1.0;
-    lu_.btran(yScratch_);
+    lu_.btranUnit(leaving, yScratch_);
     const std::span<const int> priced = priceRow(yScratch_);
     dualCandidates_.clear();
     for (const int j : priced) {
       const double arj = alpha_[static_cast<std::size_t>(j)];
-      const bool up = atUpper_[static_cast<std::size_t>(j)] != 0;
+      const bool up = atUpper(j);
       const bool eligible = aboveUpper ? (up ? arj < -options_.pivotTol
                                              : arj > options_.pivotTol)
                                        : (up ? arj > options_.pivotTol
@@ -833,7 +883,8 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
           const double residual = std::abs(leavingVal - target);
           if (std::abs(alpha_[static_cast<std::size_t>(j)]) * u <
               residual - options_.feasTol) {
-            const double delta = atUpper_[static_cast<std::size_t>(j)] ? -u : u;
+            const bool up = atUpper(j);
+            const double delta = up ? -u : u;
             if (!flipped) {
               flipScratch_.assign(static_cast<std::size_t>(m_), 0.0);
               flipRows_.clear();
@@ -844,7 +895,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
               flipRows_.push_back(r);
             });
             leavingVal -= delta * alpha_[static_cast<std::size_t>(j)];
-            atUpper_[static_cast<std::size_t>(j)] ^= 1;
+            setAtUpper(j, !up);
             ++stats.boundFlips;
             continue;
           }
@@ -869,10 +920,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     }
     const double t = (xB_[static_cast<std::size_t>(leaving)] - target) / pivotVal;
     const double enterValue =
-        (atUpper_[static_cast<std::size_t>(entering)]
-             ? colUpper_[static_cast<std::size_t>(entering)]
-             : 0.0) +
-        t;
+        (atUpper(entering) ? colUpper_[static_cast<std::size_t>(entering)] : 0.0) + t;
     for (const int i : wRows_)
       xB_[static_cast<std::size_t>(i)] -= t * wScratch_[static_cast<std::size_t>(i)];
     xB_[static_cast<std::size_t>(leaving)] = enterValue;
@@ -887,10 +935,11 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
       d_[static_cast<std::size_t>(leavingCol)] = -thetaD;
 
     basis_[static_cast<std::size_t>(leaving)] = entering;
+    basicUpper_[static_cast<std::size_t>(leaving)] = colUpper_[static_cast<std::size_t>(entering)];
     basisPos_[static_cast<std::size_t>(entering)] = leaving;
     basisPos_[static_cast<std::size_t>(leavingCol)] = -1;
-    atUpper_[static_cast<std::size_t>(entering)] = 0;
-    atUpper_[static_cast<std::size_t>(leavingCol)] = aboveUpper ? 1 : 0;
+    setAtUpper(entering, false);
+    setAtUpper(leavingCol, aboveUpper);
     ++pivots;
     ++stats.dualIterations;
     if (!recordPivot(leaving, stats)) {
@@ -911,9 +960,11 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
 
 void SparseSimplex::structuralValues(std::vector<double>& out) const {
   out.assign(static_cast<std::size_t>(nStruct_), 0.0);
-  for (int j = 0; j < nStruct_; ++j)
-    if (atUpper_[static_cast<std::size_t>(j)])
-      out[static_cast<std::size_t>(j)] = colUpper_[static_cast<std::size_t>(j)];
+  forAtUpper([&](int j) {
+    if (j >= nStruct_) return false;  // slacks follow the structurals
+    out[static_cast<std::size_t>(j)] = colUpper_[static_cast<std::size_t>(j)];
+    return true;
+  });
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[static_cast<std::size_t>(i)];
     if (b < nStruct_) out[static_cast<std::size_t>(b)] = xB_[static_cast<std::size_t>(i)];

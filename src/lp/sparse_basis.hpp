@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,6 +27,14 @@ struct WarmStartStats;  // defined in lp/workspace.hpp
 /// the transposed LU solve. The eta file grows by one sparse column per
 /// pivot; the owning engine refactorizes when it gets long or dense (see
 /// SimplexOptions::refactorEtaLimit / refactorGrowthLimit).
+///
+/// A row-wise index of the eta file lists, per basis position, the etas that
+/// read it (an off-pivot entry or the pivot itself): one bit per eta, one
+/// word per position, covering the first 64 etas (the default
+/// refactorEtaLimit). A unit btran (btranUnit) runs only the etas that read
+/// a nonzero entry of y; a skipped eta would have written a signed zero, so
+/// every nonzero of y is the full sweep's bit for bit. Past 64 etas (a larger
+/// refactorEtaLimit) it runs the full sweep.
 class SparseLu {
  public:
   /// Factor the m x m matrix given in CSC (colStart has m+1 entries; column k
@@ -45,6 +54,10 @@ class SparseLu {
 
   /// Solve B^T y = c in place (c indexed by basis position, y by row).
   void btran(std::span<double> y) const;
+
+  /// Solve B^T y = e_pos into y (size m, overwritten). Every nonzero entry
+  /// equals btran's bit for bit; an entry that is zero may differ in sign.
+  void btranUnit(int pos, std::span<double> y) const;
 
   /// Record a pivot: basis position `p` received a column whose ftran image
   /// is `w`, nonzero only at the ascending positions `nonzeros` (the caller
@@ -66,6 +79,10 @@ class SparseLu {
   // (see markListed).
   void ftranDense(std::span<double> x) const;
   void ftranSparse(std::span<double> x, std::span<const int> rows) const;
+  /// Eta e transposed: y_p <- (y_p - sum w_i y_i) / w_p.
+  void btranEta(std::size_t e, std::span<double> y) const;
+  /// The U^T and L^T stages of btran, after the eta file.
+  void btranFactors(std::span<double> y) const;
   /// Schedule elimination step k. The sparse solve only ever schedules steps
   /// after the one it is at (before it, when sweeping down), so a bitset
   /// scanned by a moving word cursor hands them out in the dense order.
@@ -94,6 +111,12 @@ class SparseLu {
   // Eta file: one sparse column per pivot, entries indexed by basis position.
   std::vector<int> etaStart_, etaRow_, etaPivotPos_;
   std::vector<double> etaVal_, etaPivotVal_;
+  // Row-wise eta index over the first kIndexedEtas etas: bit e of
+  // etaReaders_[i] is set when eta e reads position i, and
+  // etaPivotReaders_[e] holds the older etas that read eta e's pivot
+  // position. Cleared by factorize(), extended by appendEta().
+  static constexpr std::size_t kIndexedEtas = 64;
+  std::vector<std::uint64_t> etaReaders_, etaPivotReaders_;
   // Dense scratch for factorize/ftran/btran (by original row / by elim pos).
   mutable std::vector<double> work_, solveZ_;
   // Sparse ftran scratch: sparseZ_ and the bitsets are all zero between
@@ -118,6 +141,15 @@ class SparseLu {
 /// update and the eta append. Every pivot equals the one a dense
 /// column-wise evaluation would take, bit for bit.
 ///
+/// The per-solve state is laid out so that a warm re-solve reads only what
+/// it needs: the nonbasic columns at their upper bound form a bitset scanned
+/// word by word (ascending, so every sum over them keeps its order), the
+/// boxes of the basic columns sit in a row-indexed array (`basicUpper_`)
+/// beside x_B for the leaving-row scan and the ratio tests, and the caller
+/// updates only the boxes it changed (setWidth). Reduced costs (primal
+/// pricing and each warm solve's rebuild) are column dots; the row-wise
+/// PRICE kernel serves the dual pivot row.
+///
 /// Pivot rules: Dantzig pricing, bounded ratio tests, a bound-flipping dual
 /// ratio test, and stall detection falling back to Bland. The independent
 /// reference it is checked against is the textbook dense tableau in
@@ -138,9 +170,13 @@ class SparseSimplex {
   bool ready() const { return ready_; }
   void invalidate() { ready_ = false; }
 
-  /// Per-solve column boxes, indexed like the workspace's columns (only the
-  /// structural prefix is read; slack and artificial widths are internal).
-  void setWidths(std::span<const double> upper);
+  /// Box width of structural column `col` for the next solve (kInfinity =
+  /// open). Slack and artificial widths are internal.
+  void setWidth(int col, double upper) {
+    colUpper_[static_cast<std::size_t>(col)] = upper;
+    const int pos = basisPos_[static_cast<std::size_t>(col)];
+    if (pos >= 0) basicUpper_[static_cast<std::size_t>(pos)] = upper;
+  }
 
   /// Two-phase primal from an all-logical basis. `rhs` is the model-space
   /// right-hand side under the current bound offsets.
@@ -172,12 +208,41 @@ class SparseSimplex {
          k < colStart_[static_cast<std::size_t>(col) + 1]; ++k)
       fn(rowIdx_[static_cast<std::size_t>(k)], colVal_[static_cast<std::size_t>(k)]);
   }
+  /// y a_col for a structural or slack column, summed in the order of the
+  /// column's entries (ascending rows, as LpWorkspace builds them). It is
+  /// the sum priceRow forms for the column: priceRow adds the same products
+  /// in the same order and skips only the rows where y is zero, whose terms
+  /// change no sum.
+  double columnDot(std::span<const double> y, int col) const;
   /// PRICE: alpha_j = rho a_j for every nonbasic structural/slack column,
   /// scattered from the nonzero rows of rho through the row-wise copy of A.
   /// Returns the nonbasic columns it touched; every other nonbasic column
   /// has alpha_j = 0 (basic columns' alpha_j mean nothing). Resets the
   /// previous call's entries first.
   std::span<const int> priceRow(std::span<const double> rho);
+  /// The at-upper set. It holds structural and slack columns only: an
+  /// artificial leaving at its upper bound rests at zero width either way.
+  bool atUpper(int col) const {
+    return (atUpper_[static_cast<std::size_t>(col) >> 6] >> (col & 63)) & 1;
+  }
+  void setAtUpper(int col, bool up) {
+    if (col >= artificialStart_) return;
+    const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+    std::uint64_t& word = atUpper_[static_cast<std::size_t>(col) >> 6];
+    word = up ? word | bit : word & ~bit;
+  }
+  /// fn(col) for every at-upper column, ascending; stops when fn returns
+  /// false (and then returns false itself).
+  template <typename Fn>
+  bool forAtUpper(Fn&& fn) const {
+    for (std::size_t w = 0; w < atUpper_.size(); ++w)
+      for (std::uint64_t bits = atUpper_[w]; bits != 0; bits &= bits - 1)
+        if (!fn(static_cast<int>(w * 64) + std::countr_zero(bits))) return false;
+    return true;
+  }
+  /// basicUpper_ from scratch, after the basis or the artificial boxes moved
+  /// wholesale.
+  void refreshBasicUpper();
   /// wScratch_ = B^-1 a_col, nonzero only at the ascending positions wRows_.
   void ftranColumn(int col);
   bool factorizeBasis(WarmStartStats& stats, bool isRefactor);
@@ -206,7 +271,8 @@ class SparseSimplex {
   std::vector<double> artScale_;   ///< +-1 artificial coefficient per row
   std::vector<int> basis_;         ///< column id per basis position
   std::vector<int> basisPos_;      ///< basis position per column, -1 nonbasic
-  std::vector<char> atUpper_;
+  std::vector<double> basicUpper_; ///< colUpper_[basis_[i]] per position i
+  std::vector<std::uint64_t> atUpper_;  ///< bitset: nonbasic at its upper bound
   std::vector<double> xB_;         ///< basic-variable values per position
   std::vector<double> d_;          ///< reduced costs (rebuilt per dual solve)
   SparseLu lu_;

@@ -1,5 +1,8 @@
 #include "lp/workspace.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "support/fault_injection.hpp"
@@ -43,7 +46,6 @@ LpWorkspace::LpWorkspace(const Model& model, const SimplexOptions& options) {
       cost0.push_back(-c);
     }
   }
-  colUpper_.assign(static_cast<std::size_t>(nStruct_), kInfinity);
 
   // Model rows, rewritten over structural columns (CSR). The current-bound
   // offset contributions are kept symbolically (per-term variable ids) so
@@ -128,6 +130,26 @@ LpWorkspace::LpWorkspace(const Model& model, const SimplexOptions& options) {
   sparse_.build(modelRows_, nStruct_, artificialStart, std::move(colStart),
                 std::move(rowIdx), std::move(colVal), std::move(cost0),
                 std::move(slackCol), std::move(slackSign), options);
+
+  varRowStart_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const int v : offsetVar_) ++varRowStart_[static_cast<std::size_t>(v) + 1];
+  for (std::size_t v = 1; v < varRowStart_.size(); ++v) varRowStart_[v] += varRowStart_[v - 1];
+  std::vector<int> varCursor(varRowStart_.begin(), varRowStart_.end() - 1);
+  varRow_.resize(offsetVar_.size());
+  for (int r = 0; r < modelRows_; ++r)
+    for (int k = offsetStart_[static_cast<std::size_t>(r)];
+         k < offsetStart_[static_cast<std::size_t>(r) + 1]; ++k)
+      varRow_[static_cast<std::size_t>(
+          varCursor[static_cast<std::size_t>(offsetVar_[static_cast<std::size_t>(k)])]++)] = r;
+
+  // Everything is patched before the first solve.
+  flushedLower_.assign(static_cast<std::size_t>(n), std::numeric_limits<double>::quiet_NaN());
+  flushedUpper_.assign(static_cast<std::size_t>(n), std::numeric_limits<double>::quiet_NaN());
+  dirtyVars_.resize(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) dirtyVars_[static_cast<std::size_t>(j)] = j;
+  rowDirty_.assign(static_cast<std::size_t>(modelRows_), 0);
+  rhs_.assign(static_cast<std::size_t>(modelRows_), 0.0);
+  for (int r = 0; r < modelRows_; ++r) markRow(r);
 }
 
 void LpWorkspace::setBounds(int variable, double lower, double upper) {
@@ -151,6 +173,7 @@ void LpWorkspace::setBounds(int variable, double lower, double upper) {
   }
   curLower_[static_cast<std::size_t>(variable)] = lower;
   curUpper_[static_cast<std::size_t>(variable)] = upper;
+  dirtyVars_.push_back(variable);
 }
 
 void LpWorkspace::syncFromModel(const Model& model) {
@@ -163,41 +186,52 @@ void LpWorkspace::syncFromModel(const Model& model) {
     setBounds(j, model.lower(j), model.upper(j));
 }
 
-void LpWorkspace::computeRhs(std::vector<double>& b) const {
-  b.resize(static_cast<std::size_t>(modelRows_));
-  for (int r = 0; r < modelRows_; ++r) {
-    double rhs = baseRhs_[static_cast<std::size_t>(r)];
-    for (int k = offsetStart_[static_cast<std::size_t>(r)];
-         k < offsetStart_[static_cast<std::size_t>(r) + 1]; ++k) {
-      const int v = offsetVar_[static_cast<std::size_t>(k)];
-      const VarMap& vm = varMap_[static_cast<std::size_t>(v)];
-      const double offset = vm.mode == VarMap::Mode::Shift
-                                ? curLower_[static_cast<std::size_t>(v)]
-                                : curUpper_[static_cast<std::size_t>(v)];
-      rhs -= offsetCoef_[static_cast<std::size_t>(k)] * offset;
-    }
-    b[static_cast<std::size_t>(r)] = rhs;
+double LpWorkspace::rowRhs(int row) const {
+  double rhs = baseRhs_[static_cast<std::size_t>(row)];
+  for (int k = offsetStart_[static_cast<std::size_t>(row)];
+       k < offsetStart_[static_cast<std::size_t>(row) + 1]; ++k) {
+    const int v = offsetVar_[static_cast<std::size_t>(k)];
+    const VarMap& vm = varMap_[static_cast<std::size_t>(v)];
+    const double offset = vm.mode == VarMap::Mode::Shift
+                              ? curLower_[static_cast<std::size_t>(v)]
+                              : curUpper_[static_cast<std::size_t>(v)];
+    rhs -= offsetCoef_[static_cast<std::size_t>(k)] * offset;
   }
+  return rhs;
 }
 
-void LpWorkspace::refreshColumnWidths() {
-  for (int j = 0; j < variableCount(); ++j) {
-    const VarMap& vm = varMap_[static_cast<std::size_t>(j)];
+void LpWorkspace::flushPatches() {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (const int v : dirtyVars_) {
+    const auto vi = static_cast<std::size_t>(v);
+    const double lo = curLower_[vi];
+    const double hi = curUpper_[vi];
+    if (same(lo, flushedLower_[vi]) && same(hi, flushedUpper_[vi])) continue;
+    flushedLower_[vi] = lo;
+    flushedUpper_[vi] = hi;
+    const VarMap& vm = varMap_[vi];
     if (vm.mode == VarMap::Mode::Split) continue;  // both columns unbounded
     // Shift and Mirror alike span [0, hi - lo] in column space (infinity-safe:
     // an open end keeps the column a classic non-negative one).
-    colUpper_[static_cast<std::size_t>(vm.column)] =
-        curUpper_[static_cast<std::size_t>(j)] - curLower_[static_cast<std::size_t>(j)];
+    sparse_.setWidth(vm.column, hi - lo);
+    for (int k = varRowStart_[vi]; k < varRowStart_[vi + 1]; ++k)
+      markRow(varRow_[static_cast<std::size_t>(k)]);
   }
+  dirtyVars_.clear();
+  for (const int r : dirtyRows_) {
+    rowDirty_[static_cast<std::size_t>(r)] = 0;
+    rhs_[static_cast<std::size_t>(r)] = rowRhs(r);
+  }
+  dirtyRows_.clear();
 }
 
 SolveStatus LpWorkspace::solveCold() {
   ++stats_.coldSolves;
   basisValid_ = false;
-  refreshColumnWidths();
-  computeRhs(bScratch_);
-  sparse_.setWidths({colUpper_.data(), static_cast<std::size_t>(nStruct_)});
-  const SolveStatus st = sparse_.solveCold(bScratch_, stats_);
+  flushPatches();
+  const SolveStatus st = sparse_.solveCold(rhs_, stats_);
   if (st != SolveStatus::Optimal) return st;
   extract();
   basisValid_ = true;
@@ -207,10 +241,8 @@ SolveStatus LpWorkspace::solveCold() {
 SolveStatus LpWorkspace::solveDual() {
   TREEPLACE_REQUIRE(basisValid_, "solveDual requires a prior optimal basis");
   ++stats_.warmSolves;
-  refreshColumnWidths();
-  computeRhs(bScratch_);
-  sparse_.setWidths({colUpper_.data(), static_cast<std::size_t>(nStruct_)});
-  const SolveStatus st = sparse_.solveDual(bScratch_, stats_);
+  flushPatches();
+  const SolveStatus st = sparse_.solveDual(rhs_, stats_);
   basisValid_ = sparse_.ready();
   if (st == SolveStatus::Optimal) extract();
   return st;

@@ -83,6 +83,14 @@ struct WarmStartStats {
 /// O(nnz) or O(rows^2). The independent reference it is tested against is
 /// the textbook dense tableau in tests/lp_oracle.
 ///
+/// Patches are tracked, so a re-solve's setup costs what changed: setBounds
+/// and setRhs list the variables and rows they touch, and the next solve
+/// pushes only those variables' box widths into the engine and recomputes
+/// only the rhs rows they reach (each row in full, so the value is the one a
+/// full recompute would give). A variable whose bounds came back to the
+/// values of the last solve, as a branch-and-bound undo and redo leaves
+/// them, moves nothing.
+///
 /// Restrictions: a variable mapped by its finite lower bound (Shift) must
 /// keep a finite lower bound in every box, one mapped by its upper (Mirror)
 /// a finite upper, and a free variable cannot be tightened at all.
@@ -128,6 +136,7 @@ class LpWorkspace {
   /// into a live workspace instead of rebuilding the standard form.
   void setRhs(int row, double rhs) {
     baseRhs_.at(static_cast<std::size_t>(row)) = rhs;
+    markRow(row);
   }
 
   /// Re-align every box and rhs with `model`, which must be the model this
@@ -174,8 +183,16 @@ class LpWorkspace {
     int negColumn = -1;  ///< second column for Split
   };
 
-  void computeRhs(std::vector<double>& b) const;
-  void refreshColumnWidths();
+  void markRow(int row) {
+    if (rowDirty_[static_cast<std::size_t>(row)]) return;
+    rowDirty_[static_cast<std::size_t>(row)] = 1;
+    dirtyRows_.push_back(row);
+  }
+  /// Model-space rhs of `row` under the current bound offsets.
+  double rowRhs(int row) const;
+  /// Push the patches since the last solve: box widths of the changed
+  /// variables into the engine, and the rhs of the rows they reach.
+  void flushPatches();
   void extract();
 
   // ---- fixed standard form (built once from the root model) ----
@@ -188,12 +205,18 @@ class LpWorkspace {
   std::vector<int> offsetVar_;
   std::vector<double> offsetCoef_;
   std::vector<double> baseRhs_;         ///< model rhs per model row
+  // The same offset terms per variable (CSC): the rows whose rhs reads it.
+  std::vector<int> varRowStart_, varRow_;
 
   // ---- per-solve state ----
   std::vector<double> curLower_, curUpper_;
-  std::vector<double> colUpper_;        ///< box width per structural column
-                                        ///< (kInfinity = classic non-negative)
-  std::vector<double> bScratch_;
+  /// Bounds as of the last flush; NaN until the first.
+  std::vector<double> flushedLower_, flushedUpper_;
+  // Patched since the last flush: every setBounds call (a repeat finds its
+  // bounds already flushed) and each row once.
+  std::vector<int> dirtyVars_, dirtyRows_;
+  std::vector<char> rowDirty_;
+  std::vector<double> rhs_;             ///< transformed rhs per model row
   std::vector<double> structValues_;
   SparseSimplex sparse_;  ///< the engine (vectors only, so clone() copies)
   bool basisValid_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exact/multiple_homogeneous.hpp"
+#include "support/prng.hpp"
 #include "support/require.hpp"
 #include "test_util.hpp"
 
@@ -244,6 +245,40 @@ TEST(Placement, MultiplePassThreeLeavesNoHoles) {
     }
     cursor = run.data() + run.size();
   }
+}
+
+TEST(Placement, ClosestAssignmentMatchesPerClientWalk) {
+  // The one-pass assignment gives every client the server a walk up its root
+  // path finds, and appends the runs in client order (a sequential pool).
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const ProblemInstance inst = testutil::smallRandomInstance(
+        seed * 97, 0.5, /*hetero=*/seed % 2 == 1, /*unit=*/false, 30, 90);
+    Prng rng(seed);
+    Placement p(inst.tree.vertexCount());
+    p.addReplica(inst.tree.root());
+    for (const VertexId v : inst.tree.internals())
+      if (rng.uniformInt(0, 2) == 0) p.addReplica(v);
+    assignClientsToClosest(inst, p);
+    const ServedShare* cursor = nullptr;
+    for (const VertexId client : inst.tree.clients()) {
+      const auto run = p.shares(client);
+      if (inst.requests[static_cast<std::size_t>(client)] == 0) {
+        EXPECT_TRUE(run.empty());
+        continue;
+      }
+      ASSERT_EQ(run.size(), 1u) << "seed " << seed;
+      EXPECT_EQ(run[0].server, firstReplicaAbove(inst.tree, p, client)) << "seed " << seed;
+      EXPECT_EQ(run[0].amount, inst.requests[static_cast<std::size_t>(client)]);
+      if (cursor != nullptr) {
+        EXPECT_EQ(run.data(), cursor);
+      }
+      cursor = run.data() + run.size();
+    }
+  }
+  // A client with demand and no replica above is rejected.
+  const ProblemInstance inst = testutil::chainInstance(10, 10, {1, 2});
+  Placement bare(inst.tree.vertexCount());
+  EXPECT_THROW(assignClientsToClosest(inst, bare), PreconditionError);
 }
 
 TEST(Placement, StatsTrackSharesAndAllocations) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "exact/exact_ilp.hpp"
@@ -283,6 +286,203 @@ TEST(SparseSimplex, ExactIlpMatchesDenseOracleOnRandomInstances) {
         << "seed " << seed;
   }
   EXPECT_GE(compared, 20);
+}
+
+/// A column parked at its upper bound whose box reopens to +infinity has no
+/// value to rest at: the warm re-solve hands back IterationLimit, solve()
+/// counts one dual fallback, and the cold re-run equals a fresh cold solve.
+TEST(SparseSimplex, ReopenedUpperBoxFallsBackToColdSolve) {
+  Model m;
+  const int x = m.addVariable(0.0, 5.0, -1.0);
+  const int y = m.addVariable(0.0, 10.0, 0.0);
+  m.addConstraint(Sense::LessEqual, 10.0, std::vector<Term>{t(x, 1.0), t(y, 1.0)});
+
+  LpWorkspace workspace(m, {});
+  ASSERT_EQ(workspace.solveCold(), SolveStatus::Optimal);
+  ASSERT_EQ(workspace.values()[static_cast<std::size_t>(x)], 5.0);  // parked at upper
+  workspace.setBounds(x, 0.0, 4.0);
+  ASSERT_EQ(workspace.solveDual(), SolveStatus::Optimal);  // a warm solve in between
+  ASSERT_EQ(workspace.values()[static_cast<std::size_t>(x)], 4.0);
+
+  workspace.setBounds(x, 0.0, kInfinity);
+  EXPECT_EQ(workspace.solveDual(), SolveStatus::IterationLimit);
+  ASSERT_TRUE(workspace.warmReady());
+  const long fallbacks = workspace.stats().dualFallbacks;
+  ASSERT_EQ(workspace.solve(), SolveStatus::Optimal);
+  EXPECT_EQ(workspace.stats().dualFallbacks, fallbacks + 1);
+
+  Model reopened = m;
+  reopened.setBounds(x, 0.0, kInfinity);
+  LpWorkspace fresh(reopened, {});
+  ASSERT_EQ(fresh.solveCold(), SolveStatus::Optimal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(workspace.objective()),
+            std::bit_cast<std::uint64_t>(fresh.objective()));
+  for (int j = 0; j < m.variableCount(); ++j)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(workspace.values()[static_cast<std::size_t>(j)]),
+              std::bit_cast<std::uint64_t>(fresh.values()[static_cast<std::size_t>(j)]));
+  EXPECT_EQ(workspace.objective(), -10.0);
+}
+
+/// The unit btran through the row-wise eta index against the full eta
+/// sweep (btran of e_pos): every nonzero entry bit for bit, the same zero
+/// pattern. Random sparse bases carry 0 to 70 etas with repeated pivot
+/// positions, past the 64 the index covers.
+TEST(SparseSimplex, UnitBtranThroughEtaIndexMatchesFullSweep) {
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Prng rng(seed * 7919);
+    const int m = static_cast<int>(rng.uniformInt(3, 40));
+    // Diagonal-dominant sparse basis, so it factors.
+    std::vector<int> colStart{0}, rowIdx;
+    std::vector<double> values;
+    for (int j = 0; j < m; ++j) {
+      for (int i = 0; i < m; ++i) {
+        if (i != j && rng.uniformInt(0, 5) != 0) continue;
+        rowIdx.push_back(i);
+        values.push_back(i == j ? rng.uniformReal(4.0, 8.0) : rng.uniformReal(-1.0, 1.0));
+      }
+      colStart.push_back(static_cast<int>(rowIdx.size()));
+    }
+    SparseLu lu;
+    ASSERT_TRUE(lu.factorize(m, colStart, rowIdx, values, 1e-9));
+    const int etas = static_cast<int>(rng.uniformInt(0, 70));
+    const int hotPos = static_cast<int>(rng.uniformInt(0, m - 1));
+    for (int e = 0; e < etas; ++e) {
+      // Every third eta pivots on the same position.
+      const int p = e % 3 == 0 ? hotPos : static_cast<int>(rng.uniformInt(0, m - 1));
+      std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+      std::vector<int> nonzeros;
+      for (int i = 0; i < m; ++i) {
+        if (i == p) {
+          w[static_cast<std::size_t>(i)] = rng.uniformReal(1.0, 3.0);
+        } else if (rng.uniformInt(0, 4) == 0) {
+          w[static_cast<std::size_t>(i)] = rng.uniformReal(-1.0, 1.0);
+        } else {
+          continue;
+        }
+        nonzeros.push_back(i);
+      }
+      ASSERT_TRUE(lu.appendEta(p, w, nonzeros, 1e-9));
+    }
+    ASSERT_EQ(lu.etaCount(), etas);
+    std::vector<double> viaIndex(static_cast<std::size_t>(m));
+    for (int pos = 0; pos < m; ++pos) {
+      std::vector<double> full(static_cast<std::size_t>(m), 0.0);
+      full[static_cast<std::size_t>(pos)] = 1.0;
+      lu.btran(full);
+      std::fill(viaIndex.begin(), viaIndex.end(), 42.0);  // btranUnit overwrites
+      lu.btranUnit(pos, viaIndex);
+      for (int i = 0; i < m; ++i) {
+        const double a = full[static_cast<std::size_t>(i)];
+        const double b = viaIndex[static_cast<std::size_t>(i)];
+        ASSERT_EQ(a == 0.0, b == 0.0) << "seed " << seed << " pos " << pos << " row " << i;
+        if (a != 0.0) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+              << "seed " << seed << " pos " << pos << " row " << i;
+        }
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 400);
+}
+
+/// Dirty tracking: a workspace patched through a random sequence of
+/// setBounds/setRhs calls, with solves in between that push only what
+/// changed, must reach the same standard form as a workspace built from the
+/// root model and given every final bound and rhs at once — checked through
+/// cold solves, which depend on nothing else, bit for bit. Shift, Mirror and
+/// Split variables all occur, and boxes reopen to +-infinity.
+TEST(SparseSimplex, DirtyPatchesMatchAFullRefresh) {
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Prng rng(seed * 104729);
+    Model root;
+    const int vars = 7;
+    for (int j = 0; j < vars; ++j) {
+      const int shape = j % 4;  // 0, 1 Shift; 2 Mirror; 3 Split
+      const double c = rng.uniformReal(0.5, 5.0);
+      if (shape == 2)
+        root.addVariable(-kInfinity, rng.uniformReal(2.0, 8.0), -c);
+      else if (shape == 3)
+        root.addVariable(-kInfinity, kInfinity, 0.0);
+      else
+        root.addVariable(0.0, rng.uniformReal(2.0, 8.0), c);
+    }
+    for (int r = 0; r < 5; ++r) {
+      std::vector<Term> terms;
+      for (int j = 0; j < vars; ++j)
+        if (rng.uniformInt(0, 2) != 0) terms.push_back(t(j, rng.uniformReal(-2.0, 3.0)));
+      if (terms.empty()) terms.push_back(t(r, 1.0));
+      root.addConstraint(r % 2 == 0 ? Sense::LessEqual : Sense::GreaterEqual,
+                         rng.uniformReal(-5.0, 20.0), terms);
+    }
+    // Split variables get a pinning row each so the LP stays bounded.
+    for (int j = 3; j < vars; j += 4) {
+      root.addConstraint(Sense::LessEqual, 6.0, std::vector<Term>{t(j, 1.0)});
+      root.addConstraint(Sense::GreaterEqual, -6.0, std::vector<Term>{t(j, 1.0)});
+    }
+
+    LpWorkspace patched(root, {});
+    std::vector<double> lo(vars), hi(vars), rhs(static_cast<std::size_t>(root.constraintCount()));
+    for (int j = 0; j < vars; ++j) {
+      lo[static_cast<std::size_t>(j)] = root.lower(j);
+      hi[static_cast<std::size_t>(j)] = root.upper(j);
+    }
+    for (int r = 0; r < root.constraintCount(); ++r)
+      rhs[static_cast<std::size_t>(r)] = root.rowRhs(r);
+
+    for (int step = 0; step < 25; ++step) {
+      const int patches = static_cast<int>(rng.uniformInt(1, 3));
+      for (int k = 0; k < patches; ++k) {
+        if (rng.uniformInt(0, 3) == 0) {
+          const int r = static_cast<int>(rng.uniformInt(0, 4));
+          rhs[static_cast<std::size_t>(r)] = rng.uniformReal(-5.0, 20.0);
+          patched.setRhs(r, rhs[static_cast<std::size_t>(r)]);
+          continue;
+        }
+        const int j = static_cast<int>(rng.uniformInt(0, vars - 1));
+        const auto jz = static_cast<std::size_t>(j);
+        const bool reopen = rng.uniformInt(0, 3) == 0;
+        const double a = rng.uniformReal(-3.0, 6.0);
+        const double b = a + rng.uniformReal(0.0, 5.0);
+        switch (j % 4) {
+          case 2:  // Mirror: the upper end stays finite
+            lo[jz] = reopen ? -kInfinity : a;
+            hi[jz] = b;
+            break;
+          case 3:  // Split: the only legal box is the free one
+            break;
+          default:  // Shift: the lower end stays finite
+            lo[jz] = a;
+            hi[jz] = reopen ? kInfinity : b;
+            break;
+        }
+        patched.setBounds(j, lo[jz], hi[jz]);
+      }
+      if (step % 3 != 2) {
+        (void)patched.solve();  // flushes the patches, usually warm
+        continue;
+      }
+      LpWorkspace fresh(root, {});
+      for (int j = 0; j < vars; ++j)
+        fresh.setBounds(j, lo[static_cast<std::size_t>(j)], hi[static_cast<std::size_t>(j)]);
+      for (int r = 0; r < root.constraintCount(); ++r)
+        fresh.setRhs(r, rhs[static_cast<std::size_t>(r)]);
+      const SolveStatus want = fresh.solveCold();
+      ASSERT_EQ(patched.solveCold(), want) << "seed " << seed << " step " << step;
+      if (want != SolveStatus::Optimal) continue;
+      ++compared;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(patched.objective()),
+                std::bit_cast<std::uint64_t>(fresh.objective()))
+          << "seed " << seed << " step " << step;
+      for (int j = 0; j < vars; ++j)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(patched.values()[static_cast<std::size_t>(j)]),
+                  std::bit_cast<std::uint64_t>(fresh.values()[static_cast<std::size_t>(j)]))
+            << "seed " << seed << " step " << step << " var " << j;
+    }
+  }
+  EXPECT_GT(compared, 40) << "patch family degenerated";
 }
 
 /// WarmStartStats::merge must fold the new sparse counters like the parallel
