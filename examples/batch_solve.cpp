@@ -20,8 +20,9 @@
 //   --stream     replace the heuristic/LP pipeline with the width-capped
 //                streaming frontier counts (Closest / Multiple / QoS) — the
 //                only solvers that scale to millions of vertices
-//   --width-cap  per-frontier width cap of --stream (default 512); capped
-//                runs print the certified [floor, answer] bracket
+//   --width-cap  per-frontier width cap of --stream, in [2, 2^31-1]
+//                (default 512); capped runs print the certified
+//                [floor, answer] bracket
 //   --mutate=K   replay K random single-client mutations per instance through
 //                the incremental re-optimizer (Closest and Multiple), one
 //                line per step with the incremental vs from-scratch re-solve
@@ -39,6 +40,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -112,7 +114,9 @@ std::string_view kindName(DeltaKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Malformed options (--width-cap=1, --threads=abc) end the run with the
+// OptionError's message and exit code 2 instead of an uncaught throw.
+int main(int argc, char** argv) try {
   const Options options(argc, argv);
   const auto& files = options.positionals();
   const long genNodes = options.getIntOr("nodes", 0);
@@ -133,9 +137,12 @@ int main(int argc, char** argv) {
   const auto genCount =
       static_cast<std::size_t>(options.getIntOr("count", 1));
   const bool stream = options.hasFlag("stream");
-  const long widthCap = options.getIntOr("width-cap", 0);
   FrontierStreamOptions streamOptions;
-  if (widthCap > 0) streamOptions.widthCap = static_cast<std::int32_t>(widthCap);
+  const std::int64_t widthCap = options.getIntOr("width-cap", streamOptions.widthCap);
+  if (widthCap < 2 || widthCap > std::numeric_limits<std::int32_t>::max())
+    throw OptionError("option --width-cap: " + std::to_string(widthCap) +
+                      " out of range [2, 2^31-1]");
+  streamOptions.widthCap = static_cast<std::int32_t>(widthCap);
   const long mutateSteps = options.getIntOr("mutate", 0);
   const long multitreeK = options.getIntOr("multitree", 0);
 
@@ -356,4 +363,7 @@ int main(int argc, char** argv) {
             << " ms across " << stats.arenaSets << " worker arena set"
             << (stats.arenaSets == 1 ? "" : "s") << '\n';
   return failures == 0 ? 0 : 1;
+} catch (const OptionError& e) {
+  std::cerr << e.what() << '\n';
+  return 2;
 }

@@ -12,12 +12,13 @@
 namespace treeplace {
 
 /// One bag step per frontier policy: the recurrence a policy's DP runs at
-/// one bag, written once. Two drivers call these and write none of their
-/// own: the frontier cache (FrontierCache::refresh, core/frontier_cache)
-/// behind every one-shot solve, the subtree relaxation, the incremental
-/// solver and bounds and the multitree solver (exact/multitree_closest),
-/// and, through placeable/placed and the limits, the streaming counts
-/// (core/frontier_stream). A step gives
+/// one bag, written once. Two drivers run whole steps, each on the step's
+/// Merger, and write no recurrence of their own: the frontier cache
+/// (FrontierCache::refresh, core/frontier_cache) behind every one-shot
+/// solve, the subtree relaxation, the incremental solver and bounds and the
+/// multitree solver (exact/multitree_closest); and the width-capped
+/// streaming counts (sweepStreamingCount, core/frontier_stream). A step
+/// gives
 ///  - seed(client): the client bag's single frontier point;
 ///  - chain(shape): the count cap and flow ceiling of the child-convolution
 ///    chain, from the bag shape;
@@ -26,7 +27,10 @@ namespace treeplace {
 ///    the final accumulator. Backpointers: prev = index into acc, child = 1
 ///    when a replica sits on the anchor. Empty when acc is;
 ///  - rootEntry(arena, root): the root entry the optimum reconstructs from,
-///    or -1 when no state is feasible.
+///    or -1 when no state is feasible;
+///  - prefetch(v): issue the reads by vertex id that fold (v as the child
+///    anchor) and placeSkip (v as the anchor) will make, so the streaming
+///    sweep can run them ahead of the merges; a no-op by default.
 
 /// Validates a homogeneous instance and returns its capacity W, the one every
 /// homogeneous step folds with. Throws unless W is positive.
@@ -50,6 +54,7 @@ struct FlowStep {
                            const FrontierLimits& limits) {
     return conv.convolve(acc, child, limits.maxCount, limits.ceiling);
   }
+  static void prefetch(VertexId) {}
   /// Flows decrease strictly and never go negative, so a zero-flow entry is
   /// unique and last; it is also the cheapest zero-flow state.
   static std::int32_t rootEntry(const FrontierArena& arena, FrontierSpan root);
@@ -224,6 +229,11 @@ struct ClosestQosStep {
   }
   FrontierSpan placeSkip(Merger& sweep, FrontierSpan acc, VertexId anchor,
                          const BagShape& b) const;
+  void prefetch(VertexId v) const {
+    const auto vi = static_cast<std::size_t>(v);
+    __builtin_prefetch(instance->commTime.data() + vi);
+    __builtin_prefetch(instance->compTime.data() + vi);
+  }
   /// The pruned frontier holds at most one zero-flow entry (two would
   /// dominate one another through their infinite slack): the cheapest one.
   static std::int32_t rootEntry(const QosFrontierArena& arena, FrontierSpan root);

@@ -144,6 +144,7 @@ class BasicFrontierArena {
   const Entry& at(FrontierSpan span, std::size_t index) const {
     return slab_[span.begin + index];
   }
+  Entry& at(FrontierSpan span, std::size_t index) { return slab_[span.begin + index]; }
 
   /// Append one entry to the span currently being built (see beginSpan).
   /// Slab growth is an Allocation fault site: when armed, a growing push may
@@ -162,6 +163,10 @@ class BasicFrontierArena {
   FrontierSpan endSpan(std::uint32_t begin) const {
     return {begin, static_cast<std::uint32_t>(slab_.size()) - begin};
   }
+
+  /// Drop every entry from `top` on, keeping the capacity: the slab used as
+  /// a stack (the streaming counts, core/frontier_stream).
+  void truncate(std::size_t top) { slab_.resize(top); }
 
   std::size_t bytes() const { return slab_.capacity() * sizeof(Entry); }
   std::size_t entryCount() const { return slab_.size(); }

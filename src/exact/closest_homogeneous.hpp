@@ -38,8 +38,9 @@ std::optional<Placement> solveClosestHomogeneous(const ProblemInstance& instance
                                                  BudgetGuard* guard = nullptr);
 
 /// Width-capped streaming variant of the Closest DP (count only, no
-/// placement): the same recurrence runs through a FrontierStreamer stack
-/// machine, so memory is O(widthCap * depth) instead of the full backpointer
+/// placement): ClosestStep runs on its own merger through
+/// sweepStreamingCount (core/frontier_stream), whose arena is kept as a
+/// stack, so memory is O(widthCap * depth) instead of the full backpointer
 /// arena and s = 10^6 trees fit comfortably. When `result.stats.exact` the
 /// count equals the exact DP's optimum; otherwise some merge hit widthCap and
 /// the count is an achievable upper bound (capping keeps only reachable

@@ -43,8 +43,8 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
                                                     BudgetGuard* guard = nullptr);
 
 /// Width-capped streaming variant of the QoS DP (count only, no placement):
-/// the same recurrence through a QosFrontierStreamer stack machine, memory
-/// O(widthCap * depth). Exact when `result.stats.exact`, otherwise an
+/// ClosestQosStep run through sweepStreamingCount (core/frontier_stream),
+/// memory O(widthCap * depth). Exact when `result.stats.exact`, otherwise an
 /// achievable upper bound (see countClosestHomogeneousStreaming).
 StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
                                            const FrontierStreamOptions& options = {});

@@ -202,41 +202,8 @@ std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& in
 
 StreamCountResult countMultipleHomogeneousStreaming(
     const ProblemInstance& instance, const FrontierStreamOptions& options) {
-  const Requests W = homogeneousStepCapacity(instance);
-
-  // The Multiple bag step on the preorder sweep: a fold that keeps nothing
-  // under the chain's ceiling stops the sweep, infeasible.
-  struct Stream {
-    FrontierStreamer& streamer;
-    MultipleStep policy;
-
-    FrontierEntry gather(VertexId v, bool client) const {
-      return client ? policy.seed(v) : FrontierEntry{};
-    }
-    void seed(const FrontierEntry& e) { streamer.pushEntry(e.count, e.flow); }
-    void fold(const SweepFrame<FrontierEntry>& parent, std::size_t childBegin,
-              const FrontierEntry&) {
-      const FrontierLimits limits = policy.chain(parent.shape);
-      streamer.foldChild(parent.accBegin, childBegin, limits.maxCount, limits.ceiling);
-    }
-    // The general candidate prune, not Closest's two-point step.
-    void placeSkip(const SweepFrame<FrontierEntry>& node) {
-      streamer.clearCandidates();
-      for (std::size_t k = node.accBegin; k < streamer.top(); ++k) {
-        const FrontierEntry e{streamer.countAt(k), streamer.flowAt(k)};
-        streamer.addCandidate(e.count, e.flow);
-        if (MultipleStep::placeable(e, policy.W)) {
-          const FrontierEntry p = MultipleStep::placed(e, 0, policy.W);
-          streamer.addCandidate(p.count, p.flow);
-        }
-      }
-      const FrontierLimits limits = policy.node(node.shape);
-      streamer.commitPruned(node.accBegin, limits.maxCount, limits.ceiling);
-    }
-  };
-  FrontierStreamer streamer(options);
-  Stream stream{streamer, MultipleStep(instance, W)};
-  return sweepStreamingCount(instance.tree, streamer, stream, options.guard);
+  MultipleStep step(instance, homogeneousStepCapacity(instance));
+  return sweepStreamingCount(instance.tree, step, options);
 }
 
 }  // namespace treeplace

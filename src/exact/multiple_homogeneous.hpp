@@ -60,8 +60,8 @@ Placement assignMultipleRequests(const ProblemInstance& instance,
                                  const std::vector<char>& isReplica, Requests W);
 
 /// Width-capped streaming variant of the Multiple frontier DP (count only,
-/// no placement): the same recurrence as solveMultipleHomogeneousDP run
-/// through a FrontierStreamer stack machine — memory O(widthCap * depth)
+/// no placement): the MultipleStep of solveMultipleHomogeneousDP run through
+/// sweepStreamingCount (core/frontier_stream) — memory O(widthCap * depth)
 /// instead of the full backpointer arena. Exact when `result.stats.exact`,
 /// otherwise an achievable upper bound (see countClosestHomogeneousStreaming).
 StreamCountResult countMultipleHomogeneousStreaming(

@@ -32,25 +32,24 @@ ValidationOptions valOpts(OnlinePolicy policy) {
   return {policy == OnlinePolicy::ClosestQos, false};
 }
 
-SolveBudget scaledBudget(const SolveBudget& whole, double fraction) {
+/// The exact rung's share of the caller's budget.
+SolveBudget exactBudget(const SolveBudget& whole) {
   SolveBudget b = whole;
-  if (b.wallMs > 0.0) b.wallMs = std::max(1.0, b.wallMs * fraction);
+  if (b.wallMs > 0.0) b.wallMs = std::max(1.0, b.wallMs * kExactFraction);
   if (b.maxSteps > 0)
     b.maxSteps = std::max<long>(
-        1, static_cast<long>(static_cast<double>(b.maxSteps) * fraction));
+        1, static_cast<long>(static_cast<double>(b.maxSteps) * kExactFraction));
   return b;
 }
 
 /// What is left for the degraded rungs once the exact rung returned:
 /// remaining wall time plus the reserved share of the step budget.
-SolveBudget remainingBudget(const SolveBudget& whole, double elapsedMs,
-                            double exactFraction) {
+SolveBudget remainingBudget(const SolveBudget& whole, double elapsedMs) {
   SolveBudget b = whole;
   if (b.wallMs > 0.0) b.wallMs = std::max(1.0, b.wallMs - elapsedMs);
   if (b.maxSteps > 0)
     b.maxSteps = std::max<long>(
-        1, static_cast<long>(static_cast<double>(b.maxSteps) *
-                             (1.0 - exactFraction)));
+        1, static_cast<long>(static_cast<double>(b.maxSteps) * (1.0 - kExactFraction)));
   return b;
 }
 
@@ -253,13 +252,11 @@ void fillOptimal(SolveOutcome& out, std::shared_ptr<const Placement> placement) 
 }  // namespace
 
 SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy,
-                            const SolveBudget& budget,
-                            const ResilientOptions& options) {
+                            const SolveBudget& budget) {
   const auto t0 = std::chrono::steady_clock::now();
-  const double fraction = std::clamp(options.exactFraction, 0.01, 1.0);
   SolveOutcome out;
 
-  BudgetGuard exactGuard(scaledBudget(budget, fraction));
+  BudgetGuard exactGuard(exactBudget(budget));
   try {
     fillOptimal(out, toSnapshot(solveOneShot(instance, policy, &exactGuard)));
     out.steps = exactGuard.stepsUsed();
@@ -281,9 +278,9 @@ SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy
     return out;
   }
 
-  BudgetGuard degradedGuard(remainingBudget(budget, msSince(t0), fraction));
+  BudgetGuard degradedGuard(remainingBudget(budget, msSince(t0)));
   FrontierStreamOptions streamOpts;
-  streamOpts.widthCap = options.degradedWidthCap;
+  streamOpts.widthCap = kDegradedWidthCap;
   streamOpts.guard = &degradedGuard;
 
   const DegradedFloor relax = coverFloorOf(instance);
@@ -398,10 +395,8 @@ SolveOutcome solveResilientIlp(WarmIlpSession& session, const SolveBudget& budge
                         [&](BudgetGuard& guard) { return session.resolve(&guard); });
 }
 
-ResilientSession::ResilientSession(ProblemInstance& instance, OnlinePolicy policy,
-                                   ResilientOptions options)
-    : instance_(&instance), policy_(policy), options_(options),
-      solver_(instance, policy) {}
+ResilientSession::ResilientSession(ProblemInstance& instance, OnlinePolicy policy)
+    : instance_(&instance), policy_(policy), solver_(instance, policy) {}
 
 DeltaApplication ResilientSession::apply(const InstanceDelta& delta) {
   DeltaApplication app = solver_.apply(delta);
@@ -431,12 +426,11 @@ std::int32_t ResilientSession::relaxationFloor() {
 
 SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
   const auto t0 = std::chrono::steady_clock::now();
-  const double fraction = std::clamp(options_.exactFraction, 0.01, 1.0);
   SolveOutcome out;
 
   // Rung A: incremental exact. A budget trip leaves the caches exact, so the
   // work done here is not lost — the next request's rung A resumes from it.
-  BudgetGuard exactGuard(scaledBudget(budget, fraction));
+  BudgetGuard exactGuard(exactBudget(budget));
   try {
     std::shared_ptr<const Placement> p = solver_.resolve(&exactGuard);
     if (p) lastGood_ = p;
@@ -462,7 +456,7 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
     return out;
   }
 
-  BudgetGuard degradedGuard(remainingBudget(budget, msSince(t0), fraction));
+  BudgetGuard degradedGuard(remainingBudget(budget, msSince(t0)));
   const auto relaxFloor = static_cast<double>(relaxationFloor());
   const Policy policy = corePolicy(policy_);
   const ValidationOptions vo = valOpts(policy_);
@@ -506,7 +500,7 @@ SolveOutcome ResilientSession::solve(const SolveBudget& budget) {
 
   // Rung C: greedy placement + streaming floor.
   FrontierStreamOptions streamOpts;
-  streamOpts.widthCap = options_.degradedWidthCap;
+  streamOpts.widthCap = kDegradedWidthCap;
   streamOpts.guard = &degradedGuard;
   std::optional<Placement> p;
   try {

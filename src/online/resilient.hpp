@@ -12,20 +12,19 @@
 
 namespace treeplace {
 
-/// Tuning of the degradation ladder behind solveResilient/ResilientSession.
-/// All costs/bounds on the homogeneous DP paths are in REPLICA COUNT units
-/// (the counting objective those solvers minimise); the ILP entry point
-/// reports storage-cost units instead.
-struct ResilientOptions {
-  /// Share of the wall/step budget granted to the exact rung; the remainder
-  /// is reserved so the degraded rungs still run *inside* the caller's
-  /// deadline instead of after it. Clamped to (0, 1].
-  double exactFraction = 0.6;
-  /// Width cap of the degraded streaming DP that certifies the bracket floor.
-  /// Small on purpose: the rung exists to be fast, and every capped result
-  /// stays a valid bracket (see StreamCountResult::replicasFloor).
-  std::int32_t degradedWidthCap = 32;
-};
+// The degradation ladder behind solveResilient/ResilientSession. All
+// costs/bounds on the homogeneous DP paths are in REPLICA COUNT units (the
+// counting objective those solvers minimise); the ILP entry point reports
+// storage-cost units instead.
+
+/// Share of the wall/step budget granted to the exact rung; the remainder is
+/// reserved so the degraded rungs still run *inside* the caller's deadline
+/// instead of after it.
+inline constexpr double kExactFraction = 0.6;
+/// Width cap of the degraded streaming DP that certifies the bracket floor.
+/// Small on purpose: the rung exists to be fast, and every capped result
+/// stays a valid bracket (see StreamCountResult::replicasFloor).
+inline constexpr std::int32_t kDegradedWidthCap = 32;
 
 /// One-shot budgeted solve of a homogeneous instance through the degradation
 /// ladder:
@@ -41,8 +40,7 @@ struct ResilientOptions {
 /// validates under the requested policy; a budget trip or an injected fault
 /// costs optimality or latency, never correctness.
 SolveOutcome solveResilient(const ProblemInstance& instance, OnlinePolicy policy,
-                            const SolveBudget& budget,
-                            const ResilientOptions& options = {});
+                            const SolveBudget& budget);
 
 /// Budgeted Section-5 ILP solve for ANY policy (storage-cost units): runs the
 /// warm-started branch-and-bound under the budget and turns MipResult's
@@ -89,8 +87,7 @@ SolveOutcome solveResilientIlp(WarmIlpSession& session, const SolveBudget& budge
 /// mutate only through apply().
 class ResilientSession {
  public:
-  ResilientSession(ProblemInstance& instance, OnlinePolicy policy,
-                   ResilientOptions options = {});
+  ResilientSession(ProblemInstance& instance, OnlinePolicy policy);
 
   /// Vet and apply one mutation (throws DeltaError on malformed input with
   /// the instance untouched), invalidating both cache layers.
@@ -117,7 +114,6 @@ class ResilientSession {
 
   ProblemInstance* instance_;
   OnlinePolicy policy_;
-  ResilientOptions options_;
   IncrementalSolver solver_;
   std::optional<IncrementalBounds> bounds_;
   std::shared_ptr<const Placement> lastGood_;

@@ -59,15 +59,13 @@ PlacementService::~PlacementService() {
   // ownedPool_ (if any) drains and joins in its destructor.
 }
 
-PlacementService::SessionId PlacementService::openSession(
-    const ProblemInstance& instance, OnlinePolicy policy,
-    ResilientOptions options) {
+PlacementService::SessionId PlacementService::openSession(const ProblemInstance& instance,
+                                                          OnlinePolicy policy) {
   auto session = std::make_unique<Session>();
   session->kind = SessionKind::Polynomial;
   session->instance = std::make_unique<ProblemInstance>(instance);
   session->policy = policy;
-  session->ropts = options;
-  session->resilient.emplace(*session->instance, policy, options);
+  session->resilient.emplace(*session->instance, policy);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   const SessionId id = nextSession_++;
@@ -200,8 +198,7 @@ void PlacementService::serveOne(Session& session, Pending pending) {
         response.deltaStatus = DeltaStatus::Failed;
         response.deltaMessage = e.what();
         if (session.kind == SessionKind::Polynomial)
-          session.resilient.emplace(*session.instance, session.policy,
-                                    session.ropts);
+          session.resilient.emplace(*session.instance, session.policy);
         else
           session.warm.emplace(*session.instance, session.mip);
       }

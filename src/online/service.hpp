@@ -133,8 +133,7 @@ class PlacementService {
   PlacementService& operator=(const PlacementService&) = delete;
 
   /// Open a polynomial-policy session over a private copy of `instance`.
-  SessionId openSession(const ProblemInstance& instance, OnlinePolicy policy,
-                        ResilientOptions options = {});
+  SessionId openSession(const ProblemInstance& instance, OnlinePolicy policy);
 
   /// Open a warm-ILP session (Multiple policy, exact Section-5 ILP).
   SessionId openIlpSession(const ProblemInstance& instance,
@@ -179,7 +178,6 @@ class PlacementService {
     // Construction parameters, kept so a fault that poisons the solver caches
     // can rebuild them from the instance's current state mid-stream.
     OnlinePolicy policy = OnlinePolicy::Closest;
-    ResilientOptions ropts;
     lp::MipOptions mip;
     std::deque<Pending> queue;
     bool running = false;  ///< a strand runner is draining the queue

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <string>
 
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
+#include "support/fault_injection.hpp"
+#include "support/require.hpp"
 #include "test_util.hpp"
 #include "tree/generator.hpp"
 
@@ -32,6 +36,22 @@ ProblemInstance randomHomogeneous(std::uint64_t seed, double lambda,
   config.qosMaxHops = 8;
   Prng rng(seed);
   return generateInstance(config, rng);
+}
+
+// The feasible-at-scale profile of the benchmarks: leaf clients of unit
+// rate, hop-count QoS on 30% of them.
+GeneratorConfig atScaleProfile(int size, double lambda) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = size;
+  config.clientFraction = 0.8;
+  config.leafClientBias = 1.0;
+  config.minRequests = config.maxRequests = 1;
+  config.lambda = lambda;
+  config.unitCosts = true;
+  config.qosFraction = 0.3;
+  config.qosMinHops = 6;
+  config.qosMaxHops = 12;
+  return config;
 }
 
 // With a generous width cap no merge is ever downsampled, so the streaming
@@ -218,17 +238,7 @@ TEST(FrontierStream, OverloadedClientIsInfeasibleWithoutTrip) {
 // frontiers stay far below the default width cap: every streaming DP must
 // run uncapped (stats.exact) and count exactly the arena DP's optimum.
 TEST(FrontierStream, DefaultCapIsExactAtScale) {
-  GeneratorConfig config;
-  config.minSize = config.maxSize = 20000;
-  config.clientFraction = 0.8;
-  config.leafClientBias = 1.0;
-  config.minRequests = config.maxRequests = 1;
-  config.lambda = 0.2;
-  config.unitCosts = true;
-  config.qosFraction = 0.3;
-  config.qosMinHops = 6;
-  config.qosMaxHops = 12;
-  const ProblemInstance inst = generateInstance(config, 7, 0);
+  const ProblemInstance inst = generateInstance(atScaleProfile(20000, 0.2), 7, 0);
 
   const StreamCountResult closest = countClosestHomogeneousStreaming(inst);
   const StreamCountResult multiple = countMultipleHomogeneousStreaming(inst);
@@ -396,6 +406,244 @@ TEST(FrontierStream, WalkChargesOneStepPerVisit) {
       EXPECT_EQ(short1.stepsUsed(), visits) << where;
     }
     EXPECT_GE(full, 20) << policy.name;  // the formula was actually exercised
+  }
+}
+
+// One recorded streaming run: policy (an index into kStreamPolicies),
+// width cap, and the result fields a change of merge kernel could move.
+struct RecordedRun {
+  int policy;
+  std::int32_t widthCap;
+  bool feasible;
+  std::int32_t replicas;
+  bool exact;
+  std::size_t cappedMerges;
+  std::size_t droppedPoints;
+  std::int64_t capGapBound;
+  long stepsUsed;
+};
+
+// Per tree: caps 512, 8, 3, 2, each for the three policies. A mismatch is a
+// changed answer or cap decision, not noise: every run is deterministic.
+const RecordedRun kRecordedRuns[] = {
+    // lambda 0.2, seed 1
+    {0, 512, true, 185, true, 0, 0, 0, 3599},
+    {1, 512, true, 129, true, 0, 0, 0, 3599},
+    {2, 512, true, 185, true, 0, 0, 0, 3599},
+    {0, 8, true, 185, true, 0, 0, 0, 3599},
+    {1, 8, true, 129, false, 7, 10, 7, 3599},
+    {2, 8, true, 185, true, 0, 0, 0, 3599},
+    {0, 3, true, 185, false, 8, 8, 8, 3599},
+    {1, 3, true, 196, false, 248, 451, 650, 3599},
+    {2, 3, true, 185, false, 89, 97, 25, 3599},
+    {0, 2, true, 185, false, 196, 201, 204, 3599},
+    {1, 2, true, 255, false, 381, 512, 1408, 3599},
+    {2, 2, true, 185, false, 218, 256, 210, 3599},
+    // lambda 0.2, seed 2
+    {0, 512, true, 181, true, 0, 0, 0, 3599},
+    {1, 512, true, 133, true, 0, 0, 0, 3599},
+    {2, 512, true, 181, true, 0, 0, 0, 3599},
+    {0, 8, true, 181, true, 0, 0, 0, 3599},
+    {1, 8, true, 137, false, 58, 146, 113, 3599},
+    {2, 8, true, 181, true, 0, 0, 0, 3599},
+    {0, 3, true, 181, true, 0, 0, 0, 3599},
+    {1, 3, true, 203, false, 268, 505, 1035, 3599},
+    {2, 3, true, 181, false, 55, 59, 6, 3599},
+    {0, 2, true, 181, false, 192, 192, 192, 3599},
+    {1, 2, true, 246, false, 378, 511, 1822, 3599},
+    {2, 2, true, 181, false, 207, 233, 194, 3599},
+    // lambda 0.2, seed 3
+    {0, 512, true, 186, true, 0, 0, 0, 3599},
+    {1, 512, true, 136, true, 0, 0, 0, 3599},
+    {2, 512, true, 186, true, 0, 0, 0, 3599},
+    {0, 8, true, 186, true, 0, 0, 0, 3599},
+    {1, 8, true, 136, false, 15, 16, 19, 3599},
+    {2, 8, true, 186, true, 0, 0, 0, 3599},
+    {0, 3, true, 186, false, 3, 3, 3, 3599},
+    {1, 3, true, 202, false, 253, 460, 641, 3599},
+    {2, 3, true, 186, false, 70, 80, 15, 3599},
+    {0, 2, true, 187, false, 199, 201, 201, 3599},
+    {1, 2, true, 250, false, 363, 493, 1397, 3599},
+    {2, 2, true, 187, false, 211, 234, 201, 3599},
+    // lambda 0.2, seed 4
+    {0, 512, true, 178, true, 0, 0, 0, 3599},
+    {1, 512, true, 132, true, 0, 0, 0, 3599},
+    {2, 512, true, 178, true, 0, 0, 0, 3599},
+    {0, 8, true, 178, true, 0, 0, 0, 3599},
+    {1, 8, true, 132, false, 18, 21, 20, 3599},
+    {2, 8, true, 178, true, 0, 0, 0, 3599},
+    {0, 3, true, 178, false, 1, 1, 1, 3599},
+    {1, 3, true, 194, false, 250, 445, 669, 3599},
+    {2, 3, true, 178, false, 73, 81, 15, 3599},
+    {0, 2, true, 179, false, 183, 183, 183, 3599},
+    {1, 2, true, 243, false, 374, 501, 1490, 3599},
+    {2, 2, true, 179, false, 213, 243, 184, 3599},
+    // lambda 0.5, seed 1
+    {0, 512, false, 0, true, 0, 0, 0, 82},
+    {1, 512, true, 303, true, 0, 0, 0, 3599},
+    {2, 512, false, 0, true, 0, 0, 0, 82},
+    {0, 8, false, 0, true, 0, 0, 0, 82},
+    {1, 8, true, 303, false, 7, 9, 7, 3599},
+    {2, 8, false, 0, true, 0, 0, 0, 82},
+    {0, 3, false, 0, true, 0, 0, 0, 82},
+    {1, 3, true, 345, false, 329, 526, 643, 3599},
+    {2, 3, false, 0, true, 0, 0, 0, 82},
+    {0, 2, false, 0, true, 0, 0, 0, 82},
+    {1, 2, true, 361, false, 421, 545, 1154, 3599},
+    {2, 2, false, 0, false, 1, 1, 0, 82},
+    // lambda 0.5, seed 2
+    {0, 512, false, 0, true, 0, 0, 0, 32},
+    {1, 512, true, 301, true, 0, 0, 0, 3599},
+    {2, 512, false, 0, true, 0, 0, 0, 32},
+    {0, 8, false, 0, true, 0, 0, 0, 32},
+    {1, 8, true, 303, false, 58, 127, 103, 3599},
+    {2, 8, false, 0, true, 0, 0, 0, 32},
+    {0, 3, false, 0, true, 0, 0, 0, 32},
+    {1, 3, true, 354, false, 343, 655, 1056, 3599},
+    {2, 3, false, 0, true, 0, 0, 0, 32},
+    {0, 2, false, 0, true, 0, 0, 0, 32},
+    {1, 2, true, 366, false, 432, 580, 1677, 3599},
+    {2, 2, false, 0, true, 0, 0, 0, 32},
+    // lambda 0.5, seed 3
+    {0, 512, false, 0, true, 0, 0, 0, 39},
+    {1, 512, true, 303, true, 0, 0, 0, 3599},
+    {2, 512, false, 0, true, 0, 0, 0, 39},
+    {0, 8, false, 0, true, 0, 0, 0, 39},
+    {1, 8, true, 303, false, 8, 11, 10, 3599},
+    {2, 8, false, 0, true, 0, 0, 0, 39},
+    {0, 3, false, 0, true, 0, 0, 0, 39},
+    {1, 3, true, 359, false, 331, 560, 747, 3599},
+    {2, 3, false, 0, true, 0, 0, 0, 39},
+    {0, 2, false, 0, true, 0, 0, 0, 39},
+    {1, 2, true, 369, false, 414, 541, 1213, 3599},
+    {2, 2, false, 0, true, 0, 0, 0, 39},
+    // lambda 0.5, seed 4
+    {0, 512, false, 0, true, 0, 0, 0, 18},
+    {1, 512, true, 303, true, 0, 0, 0, 3599},
+    {2, 512, false, 0, true, 0, 0, 0, 18},
+    {0, 8, false, 0, true, 0, 0, 0, 18},
+    {1, 8, true, 303, false, 19, 22, 25, 3599},
+    {2, 8, false, 0, true, 0, 0, 0, 18},
+    {0, 3, false, 0, true, 0, 0, 0, 18},
+    {1, 3, true, 376, false, 348, 660, 1024, 3599},
+    {2, 3, false, 0, true, 0, 0, 0, 18},
+    {0, 2, false, 0, true, 0, 0, 0, 18},
+    {1, 2, true, 387, false, 456, 593, 1535, 3599},
+    {2, 2, false, 0, true, 0, 0, 0, 18},
+    // lambda 0.8, seed 1
+    {0, 512, false, 0, true, 0, 0, 0, 9},
+    {1, 512, false, 0, true, 0, 0, 0, 3008},
+    {2, 512, false, 0, true, 0, 0, 0, 9},
+    {0, 8, false, 0, true, 0, 0, 0, 9},
+    {1, 8, false, 0, false, 11, 17, 22, 3008},
+    {2, 8, false, 0, true, 0, 0, 0, 9},
+    {0, 3, false, 0, true, 0, 0, 0, 9},
+    {1, 3, false, 0, false, 294, 521, 543, 3008},
+    {2, 3, false, 0, true, 0, 0, 0, 9},
+    {0, 2, false, 0, true, 0, 0, 0, 9},
+    {1, 2, false, 0, false, 394, 537, 956, 3008},
+    {2, 2, false, 0, true, 0, 0, 0, 9},
+    // lambda 0.8, seed 2
+    {0, 512, false, 0, true, 0, 0, 0, 16},
+    {1, 512, false, 0, true, 0, 0, 0, 1894},
+    {2, 512, false, 0, true, 0, 0, 0, 16},
+    {0, 8, false, 0, true, 0, 0, 0, 16},
+    {1, 8, false, 0, false, 64, 165, 113, 1894},
+    {2, 8, false, 0, true, 0, 0, 0, 16},
+    {0, 3, false, 0, true, 0, 0, 0, 16},
+    {1, 3, false, 0, false, 209, 443, 619, 1894},
+    {2, 3, false, 0, true, 0, 0, 0, 16},
+    {0, 2, false, 0, true, 0, 0, 0, 16},
+    {1, 2, false, 0, false, 280, 400, 925, 1894},
+    {2, 2, false, 0, true, 0, 0, 0, 16},
+    // lambda 0.8, seed 3
+    {0, 512, false, 0, true, 0, 0, 0, 13},
+    {1, 512, false, 0, true, 0, 0, 0, 919},
+    {2, 512, false, 0, true, 0, 0, 0, 13},
+    {0, 8, false, 0, true, 0, 0, 0, 13},
+    {1, 8, false, 0, false, 14, 29, 21, 919},
+    {2, 8, false, 0, true, 0, 0, 0, 13},
+    {0, 3, false, 0, true, 0, 0, 0, 13},
+    {1, 3, false, 0, false, 90, 187, 216, 919},
+    {2, 3, false, 0, true, 0, 0, 0, 13},
+    {0, 2, false, 0, true, 0, 0, 0, 13},
+    {1, 2, false, 0, false, 125, 166, 380, 919},
+    {2, 2, false, 0, true, 0, 0, 0, 13},
+    // lambda 0.8, seed 4
+    {0, 512, false, 0, true, 0, 0, 0, 15},
+    {1, 512, false, 0, true, 0, 0, 0, 1925},
+    {2, 512, false, 0, true, 0, 0, 0, 15},
+    {0, 8, false, 0, true, 0, 0, 0, 15},
+    {1, 8, false, 0, false, 29, 49, 38, 1925},
+    {2, 8, false, 0, true, 0, 0, 0, 15},
+    {0, 3, false, 0, true, 0, 0, 0, 15},
+    {1, 3, false, 0, false, 199, 401, 487, 1925},
+    {2, 3, false, 0, true, 0, 0, 0, 15},
+    {0, 2, false, 0, true, 0, 0, 0, 15},
+    {1, 2, false, 0, false, 282, 378, 811, 1925},
+    {2, 2, false, 0, true, 0, 0, 0, 15},
+};
+
+// Capped runs are otherwise checked for their bracket properties only. This
+// pins every count and cap counter, capped runs included, on 12 at-scale
+// trees (s=3000, lambda 0.2 / 0.5 / 0.8, four seeds each), so a merge kernel
+// that keeps or drops different points shows up here.
+TEST(FrontierStream, ResultsMatchRecordedValues) {
+  constexpr std::size_t kRunsPerTree = 12;
+  ASSERT_EQ(std::size(kRecordedRuns), 12 * kRunsPerTree);
+  std::size_t row = 0;
+  for (const double lambda : {0.2, 0.5, 0.8}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const ProblemInstance inst = generateInstance(atScaleProfile(3000, lambda), seed, 0);
+      for (std::size_t k = 0; k < kRunsPerTree; ++k, ++row) {
+        const RecordedRun& want = kRecordedRuns[row];
+        SolveBudget budget;
+        budget.maxSteps = std::numeric_limits<long>::max() / 2;
+        BudgetGuard guard(budget);
+        FrontierStreamOptions options;
+        options.widthCap = want.widthCap;
+        options.guard = &guard;
+        const StreamCountResult got = kStreamPolicies[want.policy].count(inst, options);
+        const std::string where = "row " + std::to_string(row);
+        EXPECT_EQ(got.feasible, want.feasible) << where;
+        EXPECT_EQ(got.replicas, want.replicas) << where;
+        EXPECT_EQ(got.stats.exact, want.exact) << where;
+        EXPECT_EQ(got.stats.cappedMerges, want.cappedMerges) << where;
+        EXPECT_EQ(got.stats.droppedPoints, want.droppedPoints) << where;
+        EXPECT_EQ(got.stats.capGapBound, want.capGapBound) << where;
+        EXPECT_EQ(guard.stepsUsed(), want.stepsUsed) << where;
+      }
+    }
+  }
+}
+
+// A cap below two cannot keep both ends of a frontier; it is a caller error,
+// not a silently uncapped run.
+TEST(FrontierStream, WidthCapBelowTwoIsRejected) {
+  const ProblemInstance inst = parityInstance(3, 0.4);
+  for (const StreamPolicy& policy : kStreamPolicies) {
+    for (const std::int32_t cap : {0, 1, -5}) {
+      FrontierStreamOptions options;
+      options.widthCap = cap;
+      EXPECT_THROW(policy.count(inst, options), PreconditionError)
+          << policy.name << " cap " << cap;
+    }
+    FrontierStreamOptions two;
+    two.widthCap = 2;
+    EXPECT_NO_THROW(policy.count(inst, two)) << policy.name;
+  }
+}
+
+// The streaming counts grow the same arena as the frontier cache, so armed
+// Allocation faults reach them too and surface as std::bad_alloc.
+TEST(FrontierStream, ArenaGrowthIsAnAllocationFaultSite) {
+  const ProblemInstance inst = parityInstance(5, 0.4);
+  for (const StreamPolicy& policy : kStreamPolicies) {
+    fault::Plan plan;
+    plan.armSite(fault::Site::Allocation, /*period=*/1);
+    const fault::ScopedPlan armed(plan);
+    EXPECT_THROW(policy.count(inst, {}), std::bad_alloc) << policy.name;
+    EXPECT_GE(fault::fireCount(fault::Site::Allocation), 1) << policy.name;
   }
 }
 

@@ -305,7 +305,7 @@ TEST(Resilience, DegradedMultipleRungHonorsStepBudget) {
   // Budgets whose exact share (60%) trips long before the DP's one step per
   // vertex runs out.
   ASSERT_LT(3 * rescans, static_cast<long>(instance.tree.vertexCount()));
-  const double rungShare = 1.0 - ResilientOptions{}.exactFraction;
+  const double rungShare = 1.0 - kExactFraction;
 
   SolveBudget tight;
   tight.maxSteps = rescans;
