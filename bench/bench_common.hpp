@@ -3,12 +3,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "experiments/report.hpp"
 #include "experiments/runner.hpp"
 #include "support/cli.hpp"
 #include "support/rss.hpp"
+#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace treeplace::bench {
@@ -17,6 +19,32 @@ namespace treeplace::bench {
 /// tests can link it; benches sample this after each section so
 /// BENCH_table1.json tracks where the footprint grows.
 inline std::size_t peakRssBytes() { return ::treeplace::peakRssBytes(); }
+
+/// One line "key value, key value, ..." of a telemetry struct's fields, as
+/// its forEachField lists them (the same keys its JSON object carries).
+template <class Stats>
+std::string renderFields(const Stats& stats) {
+  std::ostringstream os;
+  os << std::boolalpha;
+  const char* separator = "";
+  stats.forEachField([&](const char* key, auto value) {
+    os << separator << key << ' ' << value;
+    separator = ", ";
+  });
+  return os.str();
+}
+
+/// Human rendering of a byte count with a binary suffix ("37.2 MiB").
+inline std::string renderByteSize(std::size_t bytes) {
+  static const char* const suffixes[] = {"B", "KiB", "MiB", "GiB", "TiB"};
+  double value = static_cast<double>(bytes);
+  std::size_t s = 0;
+  while (value >= 1024.0 && s + 1 < sizeof(suffixes) / sizeof(suffixes[0])) {
+    value /= 1024.0;
+    ++s;
+  }
+  return formatDouble(value, s == 0 ? 0 : 1) + ' ' + suffixes[s];
+}
 
 /// Experiment scale. Defaults are sized for a single-core CI box; set
 /// TREEPLACE_FULL=1 (or --full) to run the paper's full plan

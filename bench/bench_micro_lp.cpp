@@ -68,10 +68,10 @@ BENCHMARK(BM_SimplexUpwardsRelaxation)
     ->Complexity();
 
 /// Warm dual re-solve throughput under branching-style box updates: the
-/// branch-and-bound node loop in miniature. Counters report the tableau
-/// height and the pivot/flip mix, so the bounded-variable layout (tableau_rows
-/// == structural rows, no rows for ranges) is visible in the benchmark
-/// output, not just in end-to-end timings.
+/// branch-and-bound node loop in miniature. Counters report the basis
+/// height and the pivot/flip mix, so the bounded-variable layout (one row per
+/// model constraint, no rows for ranges) is visible in the benchmark output,
+/// not just in end-to-end timings.
 void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
   const ProblemInstance inst = instanceOfSize(static_cast<int>(state.range(0)));
   FormulationOptions fo;
@@ -98,7 +98,6 @@ void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
     benchmark::DoNotOptimize(status);
   }
   const lp::WarmStartStats& stats = workspace.stats();
-  state.counters["tableau_rows"] = static_cast<double>(stats.tableauRows);
   state.counters["structural_rows"] = static_cast<double>(stats.structuralRows);
   state.counters["dual_pivots_per_resolve"] =
       stats.warmSolves > 0 ? static_cast<double>(stats.dualIterations) /

@@ -45,7 +45,6 @@
 #include "exact/upwards_exact.hpp"
 #include "experiments/batch_driver.hpp"
 #include "experiments/mutation_driver.hpp"
-#include "experiments/report.hpp"
 #include "formulation/ilp.hpp"
 #include "heuristics/heuristic.hpp"
 #include "lp/workspace.hpp"
@@ -318,9 +317,9 @@ int main(int argc, char** argv) try {
     std::cout << t.render();
     for (const PolyRow& row : polyRows) {
       std::cout << "  s=" << row.size << " Closest DP: "
-                << renderFrontierStats(row.closestStats) << '\n';
+                << bench::renderFields(row.closestStats) << '\n';
       std::cout << "  s=" << row.size << " Multiple placement: "
-                << renderPlacementStats(row.multiplePlacement) << '\n';
+                << bench::renderFields(row.multiplePlacement) << '\n';
     }
     std::cout << "  expectation: time grows polynomially (~quadratic), no "
                  "blow-up\n\n";
@@ -465,8 +464,7 @@ int main(int argc, char** argv) try {
                 exact.feasible() ? formatDouble(exact.cost, 0) : "-",
                 formatDouble(row.warm.basisReuseRate(), 3),
                 formatDouble(row.resolveMsPerNode * 1000.0, 2),
-                std::to_string(row.warm.tableauRows) + "/" +
-                    std::to_string(row.warm.structuralRows),
+                std::to_string(row.warm.structuralRows),
                 std::to_string(row.warm.boundFlips)});
       if (!exact.proven || ms > 30000.0) break;
     }
@@ -528,7 +526,7 @@ int main(int argc, char** argv) try {
       std::cout << "  "
                 << (row.workers == 0 ? std::string("serial")
                                      : std::to_string(row.workers) + " workers")
-                << ": " << renderWarmStartStats(row.warm) << '\n';
+                << ": " << bench::renderFields(row.warm) << '\n';
     }
     std::cout << "  expectation: near-linear speedup on multi-core hosts ("
               << std::thread::hardware_concurrency()
@@ -638,16 +636,16 @@ int main(int argc, char** argv) try {
                 formatDouble(row.closestMs, 1), formatDouble(row.multipleMs, 1),
                 formatDouble(row.qosMs, 1), replicas(row.closest),
                 replicas(row.multiple), replicas(row.qos),
-                renderByteSize(row.peakRssBytes)});
+                bench::renderByteSize(row.peakRssBytes)});
       largeRows.push_back(row);
     }
     std::cout << t.render();
     if (!largeRows.empty()) {
       const LargeRow& last = largeRows.back();
       std::cout << "  s=" << last.size << " Closest stream: "
-                << renderFrontierStreamStats(last.closest.stats) << '\n'
+                << bench::renderFields(last.closest.stats) << '\n'
                 << "  s=" << last.size << " QoS stream: "
-                << renderFrontierStreamStats(last.qos.stats) << '\n';
+                << bench::renderFields(last.qos.stats) << '\n';
     }
     std::cout << "  * = width cap fired: the count is an achievable upper "
                  "bound, not the proven optimum\n"
@@ -793,7 +791,7 @@ int main(int argc, char** argv) try {
     std::cout << t.render();
     if (!incrementalRows.empty())
       std::cout << "  last cache: "
-                << renderFrontierCacheStats(incrementalRows.back().run.cache)
+                << bench::renderFields(incrementalRows.back().run.cache)
                 << '\n';
     std::cout << "  expectation: every step matches the from-scratch optimum "
                  "bit-for-bit; a single-client mutation dirties O(depth) "
@@ -1232,10 +1230,12 @@ int main(int argc, char** argv) try {
       json.key("closest_ms").value(row.closestMs);
       json.key("replicas_multiple").value(static_cast<std::int64_t>(row.replicasMultiple));
       json.key("replicas_closest").value(static_cast<std::int64_t>(row.replicasClosest));
-      json.key("closest_frontier");
-      writeFrontierStats(json, row.closestStats);
-      json.key("multiple_placement");
-      writePlacementStats(json, row.multiplePlacement);
+      json.key("closest_frontier").beginObject();
+      writeFields(json, row.closestStats);
+      json.endObject();
+      json.key("multiple_placement").beginObject();
+      writeFields(json, row.multiplePlacement);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1269,8 +1269,9 @@ int main(int argc, char** argv) try {
       json.key("proven").value(row.proven);
       json.key("cost").value(row.cost);
       json.key("resolve_ms_per_node").value(row.resolveMsPerNode);
-      json.key("bb_warm");
-      writeWarmStartStats(json, row.warm);
+      json.key("bb_warm").beginObject();
+      writeFields(json, row.warm);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1287,8 +1288,9 @@ int main(int argc, char** argv) try {
       json.key("bb_nodes").value(static_cast<std::int64_t>(row.nodes));
       json.key("cost").value(row.cost);
       json.key("proven").value(row.proven);
-      json.key("bb_warm");
-      writeWarmStartStats(json, row.warm);
+      json.key("bb_warm").beginObject();
+      writeFields(json, row.warm);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1320,8 +1322,9 @@ int main(int argc, char** argv) try {
         json.key("ms").value(ms);
         json.key("feasible").value(r.feasible);
         json.key("replicas").value(r.replicas);
-        json.key("stream");
-        writeFrontierStreamStats(json, r.stats);
+        json.key("stream").beginObject();
+        writeFields(json, r.stats);
+        json.endObject();
         json.endObject();
       };
       policy("closest", row.closestMs, row.closest);
@@ -1341,8 +1344,9 @@ int main(int argc, char** argv) try {
       json.key("cols").value(row.cols);
       json.key("resolves").value(row.resolves);
       json.key("ms").value(row.ms);
-      json.key("warm");
-      writeWarmStartStats(json, row.warm);
+      json.key("warm").beginObject();
+      writeFields(json, row.warm);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1364,8 +1368,9 @@ int main(int argc, char** argv) try {
       json.key("speedup_p50").value(row.run.speedupP50());
       json.key("speedup_p99").value(row.run.speedupP99());
       if (row.assignsPerStep >= 0.0) json.key("assigns_per_step").value(row.assignsPerStep);
-      json.key("cache");
-      writeFrontierCacheStats(json, row.run.cache);
+      json.key("cache").beginObject();
+      writeFields(json, row.run.cache);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1380,8 +1385,9 @@ int main(int argc, char** argv) try {
       json.key("p50_incremental_ms").value(row.run.p50IncrementalMs);
       json.key("p50_scratch_ms").value(row.run.p50ScratchMs);
       if (row.assignsPerStep >= 0.0) json.key("assigns_per_step").value(row.assignsPerStep);
-      json.key("cache");
-      writeFrontierCacheStats(json, row.run.cache);
+      json.key("cache").beginObject();
+      writeFields(json, row.run.cache);
+      json.endObject();
       json.endObject();
     }
     json.endArray();
@@ -1427,14 +1433,7 @@ int main(int argc, char** argv) try {
       json.key("solve_ms").value(row.solveMs);
       json.key("feasible").value(row.feasible);
       json.key("replicas").value(static_cast<std::int64_t>(row.replicas));
-      json.key("dfs_nodes").value(static_cast<std::int64_t>(row.stats.dfsNodes));
-      json.key("dp_resolves")
-          .value(static_cast<std::int64_t>(row.stats.dpResolves));
-      json.key("dirty_recomputes")
-          .value(static_cast<std::int64_t>(row.stats.dirtyRecomputes));
-      json.key("lexico_tests")
-          .value(static_cast<std::int64_t>(row.stats.lexicoTests));
-      json.key("exhausted").value(row.stats.exhausted);
+      writeFields(json, row.stats);
       json.key("valid").value(row.valid);
       json.endObject();
     }

@@ -83,6 +83,16 @@ struct FrontierStats {
   std::size_t arenaBytes = 0;     ///< arena high-water mark, in bytes
   std::size_t entriesMerged = 0;  ///< candidate (a,b) pairs examined
   std::size_t convolutions = 0;   ///< monotone merges performed
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("peak_width", peakWidth);
+    f("arena_bytes", arenaBytes);
+    f("entries_merged", entriesMerged);
+    f("convolutions", convolutions);
+  }
 };
 
 namespace detail {

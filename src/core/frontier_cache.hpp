@@ -11,7 +11,7 @@
 
 namespace treeplace {
 
-/// Telemetry of a FrontierCache (see experiments/report for rendering).
+/// Telemetry of a FrontierCache; forEachField names its JSON keys.
 /// hits/misses count per-bag subtree results across all refreshes;
 /// invalidations count dirty stamps.
 struct FrontierCacheStats {
@@ -38,6 +38,23 @@ struct FrontierCacheStats {
   double hitRate() const {
     const std::size_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
+  }
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("tracked_vertices", trackedVertices);
+    f("hits", hits);
+    f("misses", misses);
+    f("hit_rate", hitRate());
+    f("invalidations", invalidations);
+    f("global_invalidations", globalInvalidations);
+    f("compactions", compactions);
+    f("arena_entries", arenaEntries);
+    f("arena_bytes", arenaBytes);
+    f("snapshot_copies", snapshotCopies);
+    f("scratch_fallbacks", scratchFallbacks);
   }
 };
 

@@ -61,6 +61,21 @@ struct FrontierStreamStats {
   /// No merge was ever capped: the run explored the full Pareto frontier and
   /// its answer matches the exact DP.
   bool exact = true;
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("peak_width", peakWidth);
+    f("peak_stack_entries", peakStackEntries);
+    f("peak_bytes", peakBytes);
+    f("convolutions", convolutions);
+    f("pairs_merged", pairsMerged);
+    f("capped_merges", cappedMerges);
+    f("dropped_points", droppedPoints);
+    f("cap_gap_bound", capGapBound);
+    f("exact", exact);
+  }
 };
 
 /// Result of a streaming (count-only) policy solve. The streaming DPs drop

@@ -19,7 +19,7 @@ struct ServedShare {
   friend bool operator==(const ServedShare&, const ServedShare&) = default;
 };
 
-/// Per-placement storage telemetry (see experiments/report for rendering).
+/// Per-placement storage telemetry; forEachField names its JSON keys.
 struct PlacementStats {
   std::size_t poolBytes = 0;    ///< share-pool footprint (capacity), bytes
   std::size_t shareCount = 0;   ///< live (client, server) shares
@@ -28,6 +28,17 @@ struct PlacementStats {
   /// Pool slots not backing a live share (relocation holes + spare run
   /// capacity); 0 after compact().
   std::size_t holeSlots = 0;
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("pool_bytes", poolBytes);
+    f("shares", shareCount);
+    f("assign_calls", assignCalls);
+    f("heap_allocs", heapAllocs);
+    f("hole_slots", holeSlots);
+  }
 };
 
 /// A replica placement plus the explicit request assignment. Heuristics and

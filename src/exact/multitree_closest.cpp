@@ -11,6 +11,10 @@ namespace treeplace {
 namespace {
 
 constexpr std::int32_t kInfeasibleCost = std::numeric_limits<std::int32_t>::max();
+/// Safety valve on the gateway branch-and-bound: stop (stats.exhausted) once
+/// this many DFS nodes were expanded. It covers every practical gateway
+/// count (2^g leaves for g gateways).
+constexpr std::size_t kMaxDfsNodes = std::size_t{1} << 22;
 
 /// The constrained Closest DP of one member tree: ConstrainedClosestStep
 /// (core/bag_steps) driven by a FrontierCache with combo tables. A state
@@ -58,8 +62,7 @@ class MemberDp {
 
 }  // namespace
 
-MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance,
-                                           const MultitreeSolveOptions& options) {
+MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance) {
   instance.validate();
   MultitreeSolveResult result;
   MultitreeSolveStats& stats = result.stats;
@@ -96,7 +99,7 @@ MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance,
   std::vector<std::uint8_t> currentIn(static_cast<std::size_t>(g), 0);
   const std::function<void(int, std::int32_t)> dfsOptimum =
       [&](int i, std::int32_t inCount) {
-        if (stats.dfsNodes >= options.maxDfsNodes) {
+        if (stats.dfsNodes >= kMaxDfsNodes) {
           stats.exhausted = true;
           return;
         }
@@ -135,12 +138,12 @@ MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance,
       acceptedShared += bestIn[static_cast<std::size_t>(gw)];
     }
   };
-  if (!options.lexico || stats.exhausted) {
+  if (stats.exhausted) {
     adoptBestLeaf();
   } else {
     const std::function<bool(int, std::int32_t)> achievesTarget =
         [&](int i, std::int32_t inCount) -> bool {
-      if (stats.dfsNodes >= options.maxDfsNodes) {
+      if (stats.dfsNodes >= kMaxDfsNodes) {
         stats.exhausted = true;
         return false;
       }

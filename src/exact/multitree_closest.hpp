@@ -12,22 +12,23 @@ namespace treeplace {
 // MultitreePlacement lives in core/placement.hpp (pulled in above) so the
 // validator can depend on it without reaching into exact/.
 
-struct MultitreeSolveOptions {
-  /// Safety valve on the gateway branch-and-bound: abort (exhausted = true in
-  /// the stats) once this many DFS nodes have been expanded. The default
-  /// covers every practical gateway count (2^g leaves for g gateways).
-  std::size_t maxDfsNodes = 1u << 22;
-  /// Skip the lexicographic refinement and return only the optimum size
-  /// (placement still produced, from the first optimal DFS leaf).
-  bool lexico = true;
-};
-
 struct MultitreeSolveStats {
   std::size_t dfsNodes = 0;      ///< branch-and-bound nodes expanded
   std::size_t dpResolves = 0;    ///< per-tree constrained-DP resolves
   std::size_t dirtyRecomputes = 0;  ///< vertex frontiers recomputed lazily
   std::size_t lexicoTests = 0;   ///< conditional-minimum probes in the scan
-  bool exhausted = false;        ///< maxDfsNodes tripped; result not proven
+  bool exhausted = false;        ///< DFS node valve tripped; result not proven
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("dfs_nodes", dfsNodes);
+    f("dp_resolves", dpResolves);
+    f("dirty_recomputes", dirtyRecomputes);
+    f("lexico_tests", lexicoTests);
+    f("exhausted", exhausted);
+  }
 };
 
 struct MultitreeSolveResult {
@@ -62,7 +63,6 @@ struct MultitreeSolveResult {
 ///
 /// Requires per-tree homogeneous capacities. Storage costs, QoS and
 /// bandwidth are ignored (pure Replica Counting, as in the paper's Table 1).
-MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance,
-                                           const MultitreeSolveOptions& options = {});
+MultitreeSolveResult solveMultitreeClosest(const MultitreeInstance& instance);
 
 }  // namespace treeplace

@@ -53,7 +53,6 @@ LpWorkspace::LpWorkspace(const Model& model, const SimplexOptions& options) {
   // Finite ranges live as column boxes, so the basis height stays at the
   // model row count.
   modelRows_ = model.constraintCount();
-  stats_.tableauRows = modelRows_;
   stats_.structuralRows = modelRows_;
   std::vector<int> rowStart{0};
   std::vector<int> termCol;

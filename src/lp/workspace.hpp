@@ -24,8 +24,7 @@ struct WarmStartStats {
   long refactorizations = 0;  ///< basis refactorizations forced by eta growth
   long etaCount = 0;          ///< product-form eta columns appended per pivot
   long basisNnz = 0;          ///< peak L+U fill of the factorized basis
-  int tableauRows = 0;        ///< tableau height m
-  int structuralRows = 0;     ///< model constraint rows inside m
+  int structuralRows = 0;     ///< basis height: one row per model constraint
   // Worker-pool telemetry (filled by the branch-and-bound engine).
   int workers = 0;            ///< B&B workers that ran (1 = inline search)
   long stealCount = 0;        ///< nodes claimed from a foreign shard
@@ -39,7 +38,7 @@ struct WarmStartStats {
                      : 0.0;
   }
   /// Fold another worker's counters into this one (solve counters and pivot
-  /// counts add up; tableau geometry is shared, so it is kept, not summed).
+  /// counts add up; the row count is shared, so it is kept, not summed).
   void merge(const WarmStartStats& other) {
     coldSolves += other.coldSolves;
     warmSolves += other.warmSolves;
@@ -51,10 +50,30 @@ struct WarmStartStats {
     refactorizations += other.refactorizations;
     etaCount += other.etaCount;
     basisNnz = std::max(basisNnz, other.basisNnz);
-    tableauRows = std::max(tableauRows, other.tableauRows);
     structuralRows = std::max(structuralRows, other.structuralRows);
     stealCount += other.stealCount;
     idleMs += other.idleMs;
+  }
+
+  /// Names each field once, as f(json_key, value) in JSON key order; the
+  /// bench writers (writeFields, bench::renderFields) read this list.
+  template <class F>
+  void forEachField(F&& f) const {
+    f("warm_solves", warmSolves);
+    f("cold_solves", coldSolves);
+    f("basis_reuse_rate", basisReuseRate());
+    f("warm_already_optimal", warmAlreadyOptimal);
+    f("primal_iterations", primalIterations);
+    f("dual_iterations", dualIterations);
+    f("dual_fallbacks", dualFallbacks);
+    f("bound_flips", boundFlips);
+    f("refactorizations", refactorizations);
+    f("eta_count", etaCount);
+    f("basis_nnz", basisNnz);
+    f("structural_rows", structuralRows);
+    f("workers", workers);
+    f("steal_count", stealCount);
+    f("idle_ms", idleMs);
   }
 };
 
@@ -108,11 +127,10 @@ class LpWorkspace {
     return copy;
   }
 
-  /// Zero the solve counters while keeping the tableau geometry fields, so a
-  /// recycled workspace reports only its next run.
+  /// Zero the solve counters while keeping the row count, so a recycled
+  /// workspace reports only its next run.
   void resetStats() {
     stats_ = {};
-    stats_.tableauRows = modelRows_;
     stats_.structuralRows = modelRows_;
   }
 
@@ -120,9 +138,6 @@ class LpWorkspace {
 
   /// Basis height: one row per model constraint — finite ranges live as
   /// column boxes, never as rows.
-  int tableauRows() const { return modelRows_; }
-  /// Model constraint rows inside tableauRows(); the bounded-variable layout
-  /// guarantees tableauRows() == structuralRows().
   int structuralRows() const { return modelRows_; }
 
   /// Set the box of `variable` for the next solve (model space).

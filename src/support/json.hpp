@@ -50,4 +50,12 @@ class JsonWriter {
   bool pendingKey_ = false;
 };
 
+/// Write a telemetry struct's fields, as its forEachField lists them, as
+/// members of the object open in `json`; the caller opens and closes it.
+template <class Stats>
+void writeFields(JsonWriter& json, const Stats& stats) {
+  stats.forEachField(
+      [&json](const char* key, auto value) { json.key(key).value(value); });
+}
+
 }  // namespace treeplace

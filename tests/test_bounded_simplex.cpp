@@ -96,7 +96,7 @@ TEST(BoundedSimplex, WarmBoxResolveMatchesExplicitRowColdSolve) {
     }
 
     LpWorkspace workspace(m, {});
-    EXPECT_EQ(workspace.tableauRows(), m.constraintCount());
+    EXPECT_EQ(workspace.structuralRows(), m.constraintCount());
     if (workspace.solveCold() != SolveStatus::Optimal) continue;
 
     std::vector<double> lo(vars, 0.0), hi(vars, 10.0);
@@ -236,7 +236,6 @@ TEST(BoundedSimplex, MipMatchesExplicitRowOracle) {
     ASSERT_EQ(boxes.hasIncumbent(), rows.hasIncumbent()) << "seed " << seed;
     if (!boxes.hasIncumbent()) continue;
     EXPECT_NEAR(boxes.objective, rows.objective, 1e-9) << "seed " << seed;
-    EXPECT_EQ(boxes.warm.tableauRows, boxes.warm.structuralRows) << "seed " << seed;
   }
 }
 
@@ -294,11 +293,10 @@ TEST(BoundedSimplex, CutRowsNoLongerAmplifiedByRanges) {
 
   const LpWorkspace bareWs(bare.model());
   const LpWorkspace cutWs(strengthened.model());
-  // Box layout: every tableau row is a model row, before and after cuts.
-  EXPECT_EQ(bareWs.tableauRows(), bare.model().constraintCount());
-  EXPECT_EQ(cutWs.tableauRows(), strengthened.model().constraintCount());
-  EXPECT_EQ(cutWs.tableauRows(), cutWs.structuralRows());
-  EXPECT_EQ(cutWs.tableauRows() - bareWs.tableauRows(), cutRows + orderRows);
+  // Box layout: every basis row is a model row, before and after cuts.
+  EXPECT_EQ(bareWs.structuralRows(), bare.model().constraintCount());
+  EXPECT_EQ(cutWs.structuralRows(), strengthened.model().constraintCount());
+  EXPECT_EQ(cutWs.structuralRows() - bareWs.structuralRows(), cutRows + orderRows);
 }
 
 }  // namespace

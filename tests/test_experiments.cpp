@@ -4,7 +4,14 @@
 
 #include <sstream>
 
+#include "core/frontier.hpp"
+#include "core/frontier_cache.hpp"
+#include "core/frontier_stream.hpp"
+#include "core/placement.hpp"
+#include "exact/multitree_closest.hpp"
 #include "experiments/report.hpp"
+#include "lp/workspace.hpp"
+#include "support/json.hpp"
 #include "test_util.hpp"
 
 namespace treeplace {
@@ -117,6 +124,51 @@ TEST(Experiments, CsvSchema) {
   EXPECT_NE(csv.find("rcost,"), std::string::npos);
   // Header + 2 kinds x 2 lambdas = 5 lines.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
+}
+
+template <class Stats>
+std::string fieldsJson(const Stats& stats) {
+  std::ostringstream os;
+  JsonWriter json(os);
+  json.beginObject();
+  writeFields(json, stats);
+  json.endObject();
+  return os.str();
+}
+
+// The telemetry keys BENCH_table1.json and the CI gates read. Every field
+// holds a distinct nonzero value; the literals are the output of the
+// hand-written per-struct JSON writers that forEachField replaced. Two
+// deliberate differences, both in the WarmStartStats object: tableau_rows
+// is gone (it always equalled structural_rows), and primal_iterations, which
+// the struct counted but never wrote, is new.
+TEST(Experiments, TelemetryFieldsKeepTheirJsonKeys) {
+  EXPECT_EQ(fieldsJson(FrontierStats{11, 12, 13, 14}),
+            R"({"peak_width":11,"arena_bytes":12,"entries_merged":13,)"
+            R"("convolutions":14})");
+  EXPECT_EQ(fieldsJson(FrontierStreamStats{21, 22, 23, 24, 25, 26, 27, 28, false}),
+            R"({"peak_width":21,"peak_stack_entries":22,"peak_bytes":23,)"
+            R"("convolutions":24,"pairs_merged":25,"capped_merges":26,)"
+            R"("dropped_points":27,"cap_gap_bound":28,"exact":false})");
+  EXPECT_EQ(fieldsJson(FrontierCacheStats{31, 30, 10, 33, 34, 35, 36, 37, 38, 39}),
+            R"({"tracked_vertices":31,"hits":30,"misses":10,"hit_rate":0.75,)"
+            R"("invalidations":33,"global_invalidations":34,"compactions":35,)"
+            R"("arena_entries":36,"arena_bytes":37,"snapshot_copies":39,)"
+            R"("scratch_fallbacks":38})");
+  EXPECT_EQ(fieldsJson(PlacementStats{41, 42, 43, 44, 45}),
+            R"({"pool_bytes":41,"shares":42,"assign_calls":43,)"
+            R"("heap_allocs":44,"hole_slots":45})");
+  EXPECT_EQ(fieldsJson(lp::WarmStartStats{1, 3, 53, 54, 55, 56, 57, 58, 59, 60, 61,
+                                          62, 63, 6.5}),
+            R"({"warm_solves":3,"cold_solves":1,"basis_reuse_rate":0.75,)"
+            R"("warm_already_optimal":53,"primal_iterations":55,)"
+            R"("dual_iterations":56,"dual_fallbacks":54,"bound_flips":57,)"
+            R"("refactorizations":58,"eta_count":59,"basis_nnz":60,)"
+            R"("structural_rows":61,"workers":62,"steal_count":63,)"
+            R"("idle_ms":6.5})");
+  EXPECT_EQ(fieldsJson(MultitreeSolveStats{71, 72, 73, 74, true}),
+            R"({"dfs_nodes":71,"dp_resolves":72,"dirty_recomputes":73,)"
+            R"("lexico_tests":74,"exhausted":true})");
 }
 
 TEST(Experiments, SeriesNamesStable) {
