@@ -91,6 +91,10 @@ struct PolyRow {
   long replicasMultiple = -1;  ///< -1: infeasible
   long replicasClosest = -1;
   FrontierStats closestStats;
+  /// Fold telemetry of the Multiple frontier DP and the ClosestQos DP on the
+  /// same instance: the two other policies' paths through the shared fold.
+  FrontierStats multipleDpStats;
+  FrontierStats qosStats;
   PlacementStats multiplePlacement;  ///< storage telemetry of the Multiple solve
 };
 
@@ -286,6 +290,8 @@ int main(int argc, char** argv) try {
       row.replicasClosest =
           closest ? static_cast<long>(closest->replicaCount()) : -1;
       row.closestStats = stats;
+      (void)solveMultipleHomogeneousDP(instances[si], &row.multipleDpStats);
+      (void)solveClosestHomogeneousQos(instances[si], &row.qosStats);
       if (multiple) row.multiplePlacement = multiple->stats();
     }, batchOptions);
 
@@ -318,6 +324,10 @@ int main(int argc, char** argv) try {
     for (const PolyRow& row : polyRows) {
       std::cout << "  s=" << row.size << " Closest DP: "
                 << bench::renderFields(row.closestStats) << '\n';
+      std::cout << "  s=" << row.size << " Multiple DP: "
+                << bench::renderFields(row.multipleDpStats) << '\n';
+      std::cout << "  s=" << row.size << " ClosestQos DP: "
+                << bench::renderFields(row.qosStats) << '\n';
       std::cout << "  s=" << row.size << " Multiple placement: "
                 << bench::renderFields(row.multiplePlacement) << '\n';
     }
@@ -1232,6 +1242,12 @@ int main(int argc, char** argv) try {
       json.key("replicas_closest").value(static_cast<std::int64_t>(row.replicasClosest));
       json.key("closest_frontier").beginObject();
       writeFields(json, row.closestStats);
+      json.endObject();
+      json.key("multiple_frontier").beginObject();
+      writeFields(json, row.multipleDpStats);
+      json.endObject();
+      json.key("qos_frontier").beginObject();
+      writeFields(json, row.qosStats);
       json.endObject();
       json.key("multiple_placement").beginObject();
       writeFields(json, row.multiplePlacement);

@@ -5,20 +5,22 @@
 #include <limits>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/frontier.hpp"
 #include "tree/problem.hpp"
 
 namespace treeplace {
 
 /// One bag step per frontier policy: the recurrence a policy's DP runs at
-/// one bag, written once. Two drivers run whole steps, each on the step's
-/// Merger, and write no recurrence of their own: the frontier cache
-/// (FrontierCache::refresh, core/frontier_cache) behind every one-shot
-/// solve, the subtree relaxation, the incremental solver and bounds and the
-/// multitree solver (exact/multitree_closest); and the width-capped
-/// streaming counts (sweepStreamingCount, core/frontier_stream). A step
-/// gives
+/// one bag (a vertex, the *anchor*, and its subtree, the *cone*), written
+/// once. Two drivers run whole steps, each on the step's Merger, and write
+/// no recurrence of their own: the frontier cache (FrontierCache::refresh,
+/// core/frontier_cache) behind every one-shot solve, the subtree relaxation,
+/// the incremental solver and bounds and the multitree solver
+/// (exact/multitree_closest); and the width-capped streaming counts
+/// (sweepStreamingCount, core/frontier_stream). Steps see the tree only
+/// through vertex ids and a BagShape (core/frontier), so a driver over
+/// another decomposition with the same merge shape could run them
+/// unchanged. A step gives
 ///  - seed(client): the client bag's single frontier point;
 ///  - chain(shape): the count cap and flow ceiling of the child-convolution
 ///    chain, from the bag shape;

@@ -26,6 +26,19 @@ struct FrontierLimits {
   Requests ceiling;
 };
 
+/// The facts of a bag (a vertex and its subtree, the unit a frontier DP
+/// folds) that every policy's limits derive from (core/bag_steps).
+struct BagShape {
+  std::int32_t clients;    ///< clients in the subtree
+  std::int32_t internals;  ///< internal vertices in the subtree, v included
+  std::int32_t depth;      ///< hop depth of v (root 0)
+};
+
+inline BagShape shape(const Tree& tree, VertexId v) {
+  const auto clients = static_cast<std::int32_t>(tree.clientsInSubtree(v).size());
+  return {clients, static_cast<std::int32_t>(tree.subtreeSize(v)) - clients, tree.depth(v)};
+}
+
 /// One Pareto point of a subtree DP: with `count` replicas inside the
 /// covered forest, `flow` requests leave it unserved. Frontiers are kept
 /// sorted by count ascending with strictly decreasing flow, so `count` is

@@ -9,14 +9,14 @@
 namespace treeplace {
 
 FrontierCacheBase::FrontierCacheBase(const Tree& tree, bool withCombos)
-    : decomp_(tree), withCombos_(withCombos) {
+    : tree_(&tree), withCombos_(withCombos) {
   stats_.trackedVertices = tree.vertexCount();
 }
 
 void FrontierCacheBase::resetTables() {
   // Fresh records are never computed, and the global stamp keeps every bag
   // dirty since now, so a consumer's memo of an older walk cannot match.
-  const std::size_t n = decomp_.bagCount();
+  const std::size_t n = tree_->vertexCount();
   frontier_.assign(n, FrontierSpan{});
   epochs_.clear();
   combos_.clear();
@@ -33,7 +33,7 @@ void FrontierCacheBase::resetTables() {
 }
 
 void FrontierCacheBase::stamp(std::span<const VertexId> vertices) {
-  const Tree& tree = decomp_.tree();
+  const Tree& tree = *tree_;
   ensureEpochs();
   for (const VertexId t : vertices) {
     // The vertex itself may already carry the current epoch — new vertices
@@ -55,7 +55,7 @@ void FrontierCacheBase::stamp(std::span<const VertexId> vertices) {
 
 void FrontierCacheBase::queue(VertexId v) {
   if (sweep_) return;
-  if (pending_.size() >= decomp_.bagCount() / 8) {
+  if (pending_.size() >= tree_->vertexCount() / 8) {
     pending_.clear();
     sweep_ = true;
     return;
@@ -67,12 +67,12 @@ void FrontierCacheBase::invalidateAll() {
   globalDirty_ = epoch_;
   cold_ = true;
   sweep_ = true;
-  stats_.invalidations += decomp_.bagCount();
+  stats_.invalidations += tree_->vertexCount();
   ++stats_.globalInvalidations;
 }
 
-void FrontierCacheBase::grow(BagId firstNew) {
-  const std::size_t n = decomp_.bagCount();
+void FrontierCacheBase::grow(VertexId firstNew) {
+  const std::size_t n = tree_->vertexCount();
   for (auto v = static_cast<std::size_t>(firstNew); v < n; ++v) queue(static_cast<VertexId>(v));
   ensureEpochs();
   epochs_.resize(n, BagEpochs{.lastDirty = epoch_});
@@ -82,12 +82,12 @@ void FrontierCacheBase::grow(BagId firstNew) {
   chains_.resize(n);
   // The parent's chain lacks a slot for its new child: it is laid out anew
   // at its next recompute, and compaction drops the old slots.
-  chains_[static_cast<std::size_t>(decomp_.tree().parent(firstNew))] = Chain{};
+  chains_[static_cast<std::size_t>(tree_->parent(firstNew))] = Chain{};
 }
 
-std::span<const BagId> FrontierCacheBase::staleBags() {
-  if (sweep_) return decomp_.schedule();
-  const Tree& tree = decomp_.tree();
+std::span<const VertexId> FrontierCacheBase::staleBags() {
+  if (sweep_) return tree_->postorder();
+  const Tree& tree = *tree_;
   std::sort(pending_.begin(), pending_.end(), [&tree](VertexId a, VertexId b) {
     return tree.postorderIndex(a) < tree.postorderIndex(b);
   });
@@ -102,7 +102,7 @@ void FrontierCache<Entry>::reset() {
   // slab, so it never doubles and steady-state pushes never pay a multi-MiB
   // slab copy inside a timed re-solve. The combo-less relaxation cache sees
   // no latency bar and keeps the modest reserve instead.
-  arena_.reset((withCombos_ ? 17 : 4) * decomp_.bagCount());
+  arena_.reset((withCombos_ ? 17 : 4) * tree_->vertexCount());
   resetTables();
 }
 
@@ -122,7 +122,7 @@ void FrontierCache<Entry>::reset() {
 /// as many entries as that margin left.
 template <typename Entry>
 void FrontierCache<Entry>::compactIfBloated() {
-  const std::size_t n = decomp_.bagCount();
+  const std::size_t n = tree_->vertexCount();
   const std::size_t total = arena_.entryCount();
   const std::size_t capacity = arena_.capacity();
   if (total <= 16 * n && total + 4 * n <= capacity) return;  // a few scratch generations
@@ -136,11 +136,11 @@ void FrontierCache<Entry>::compactIfBloated() {
     const std::int32_t begin = withCombos_ ? chains_[vi].begin : -1;
     if (begin < 0) return std::pair<std::size_t, std::size_t>{0, 0};
     return std::pair{static_cast<std::size_t>(begin),
-                     decomp_.children(static_cast<BagId>(vi)).size()};
+                     tree_->children(static_cast<VertexId>(vi)).size()};
   };
   std::size_t live = 0;
   for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(static_cast<BagId>(vi))) continue;
+    if (!isClean(static_cast<VertexId>(vi))) continue;
     const auto [begin, size] = chainSlots(vi);
     live += frontier_[vi].size;
     for (std::size_t k = begin; k < begin + size; ++k) live += combos_[k].span.size;
@@ -169,7 +169,7 @@ void FrontierCache<Entry>::compactIfBloated() {
   std::vector<ComboSlot> combos;
   combos.reserve(n);
   for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(static_cast<BagId>(vi))) {
+    if (!isClean(static_cast<VertexId>(vi))) {
       // The stale bag's spans are dropped wholesale, so its combo chain
       // must not be prefix-reused by the upcoming recompute.
       frontier_[vi] = FrontierSpan{};

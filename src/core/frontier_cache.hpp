@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/frontier.hpp"
 #include "support/budget.hpp"
 
@@ -59,7 +58,10 @@ struct FrontierCacheStats {
 };
 
 /// The entry-independent half of FrontierCache: dirty tracking, the pending
-/// dirty list and the per-bag records.
+/// dirty list and the per-bag records. A *bag* is one vertex of the tree and
+/// its subtree (its cone): the unit a frontier DP folds. Bags are indexed by
+/// vertex id, refreshed in postorder (the schedule), and fold their children
+/// in Tree::mergeChildren order.
 ///
 /// Dirty tracking is by epoch. advance() opens a new epoch; stamp() marks
 /// vertices and their root paths dirty at the current one and queues them
@@ -73,7 +75,7 @@ class FrontierCacheBase {
   std::uint64_t epoch() const { return epoch_; }
 
   /// A bag's cached frontier is valid iff it was computed at or after this.
-  std::uint64_t dirtySince(BagId v) const {
+  std::uint64_t dirtySince(VertexId v) const {
     const std::uint64_t local =
         epochs_.empty() ? 0 : epochs_[static_cast<std::size_t>(v)].lastDirty;
     return local > globalDirty_ ? local : globalDirty_;
@@ -84,19 +86,19 @@ class FrontierCacheBase {
   /// Stamp `vertices` and their root paths dirty at the current epoch.
   void stamp(std::span<const VertexId> vertices);
 
-  /// Every bag is stale; the next refresh sweeps the whole schedule.
+  /// Every bag is stale; the next refresh sweeps the whole postorder.
   void invalidateAll();
 
   /// Structural growth: bags firstNew.. were appended under one parent, with
   /// firstNew its one new child. They are born dirty at the current epoch
   /// (their ancestors still need a stamp()), and the parent's chain is
   /// rebuilt whole at its next recompute. O(added), amortized.
-  void grow(BagId firstNew);
+  void grow(VertexId firstNew);
 
   /// True while some bag awaits a refresh.
   bool stale() const { return sweep_ || !pending_.empty(); }
 
-  FrontierSpan frontier(BagId v) const { return frontier_[static_cast<std::size_t>(v)]; }
+  FrontierSpan frontier(VertexId v) const { return frontier_[static_cast<std::size_t>(v)]; }
 
   FrontierCacheStats& stats() { return stats_; }
   const FrontierCacheStats& stats() const { return stats_; }
@@ -141,7 +143,7 @@ class FrontierCacheBase {
     const std::uint64_t local = epochs_.empty() ? 0 : epochs_[v].computed;
     return local > sweptAt_ ? local : sweptAt_;
   }
-  bool isClean(BagId v) const {
+  bool isClean(VertexId v) const {
     return computedAt(static_cast<std::size_t>(v)) >= dirtySince(v);
   }
   /// The per-bag epochs, allocated at the first stamp, growth or interrupted
@@ -149,29 +151,29 @@ class FrontierCacheBase {
   void ensureEpochs() {
     if (epochs_.empty()) epochs_.resize(frontier_.size());
   }
-  /// The bags the next refresh must consider, in schedule order: the whole
-  /// schedule while sweep_, else the pending list sorted into postorder
-  /// position and deduplicated (the same vertex stamped in several epochs),
+  /// The bags the next refresh must consider, in postorder: all of them
+  /// while sweep_, else the pending list sorted into postorder position and
+  /// deduplicated (the same vertex stamped in several epochs),
   /// so a local refresh never looks at the clean rest of the tree.
-  std::span<const BagId> staleBags();
+  std::span<const VertexId> staleBags();
   /// Add a stamped vertex to the pending list (see sweep_).
   void queue(VertexId v);
 
-  TreeDecomposition decomp_;
+  const Tree* tree_;
   bool withCombos_;
   FrontierCacheStats stats_;
 
   std::uint64_t epoch_ = 1;        ///< bumped by advance()
   std::uint64_t globalDirty_ = 1;  ///< set to epoch_ on invalidateAll()
   /// Every bag is stale (after a reset or invalidateAll): the next refresh
-  /// is cold. It recomputes the whole schedule without touching the per-bag
+  /// is cold. It recomputes every bag without touching the per-bag
   /// epochs and, once it completes, records its epoch in sweptAt_ for all
   /// of them.
   bool cold_ = true;
   std::uint64_t sweptAt_ = 0;
   /// Vertices stamped since the last refresh; meaningless while sweep_.
   std::vector<VertexId> pending_;
-  /// The next refresh visits the whole schedule: after a reset, a global
+  /// The next refresh visits every bag: after a reset, a global
   /// invalidation, or once the pending list outgrew an eighth of the tree
   /// (sorting it would cost more than the sweep, and a rarely refreshed
   /// cache would grow it without bound).
@@ -182,7 +184,7 @@ class FrontierCacheBase {
   std::vector<Chain> chains_;           ///< per bag (combo tables only)
   /// The combo chains, each contiguous, one slot per child: a chain is laid
   /// out at its bag's first recompute, so a cold refresh lays them out in
-  /// schedule order. A chain that grow() drops leaves a hole, which
+  /// postorder. A chain that grow() drops leaves a hole, which
   /// compaction removes.
   std::vector<ComboSlot> combos_;
   /// Arena size below which the compaction live-scan is skipped entirely;
@@ -216,12 +218,12 @@ class FrontierCache : public FrontierCacheBase {
   /// the next refresh recomputes all bags.
   void reset();
 
-  /// Recompute the stale bags, in schedule order, through `step` (a bag step
-  /// of core/bag_steps), folding children in merge order; clean bags are
+  /// Recompute the stale bags, in postorder, through `step` (a bag step of
+  /// core/bag_steps), folding children in merge order; clean bags are
   /// reused.
   /// A client bag takes step.seed. Any other bag convolves its child
-  /// frontiers into the chain accumulator under step.chain's limits, then
-  /// runs step.placeSkip. An empty frontier (some child has no live state)
+  /// frontiers into the chain accumulator under step.chain(shape(tree, v)),
+  /// then runs step.placeSkip. An empty frontier (some child has no live state)
   /// is carried forward like any other: it empties every ancestor's
   /// accumulator, so the root ends with no entry and the verdict is
   /// infeasible. With combo tables a bag's chain is reused up to the first
@@ -239,11 +241,10 @@ class FrontierCache : public FrontierCacheBase {
   FrontierStats refresh(Step& step, BudgetGuard* guard);
 
   /// The backpointer walk of the optimum (combo tables only), top-down from
-  /// the root-bag entry at `rootEntry`. Client bags hold no choice and are
-  /// not visited. At every other bag it reaches it calls
-  /// enter(bag, entryIndex); false skips the bag and its cone. Every bag
-  /// entered is then reported as chosen(anchor, placed), placed when its
-  /// entry holds a replica on the anchor.
+  /// the root's entry at `rootEntry`. Clients hold no choice and are not
+  /// visited. At every other vertex it reaches it calls enter(v, entryIndex);
+  /// false skips v and its subtree. Every vertex entered is then reported as
+  /// chosen(v, placed), placed when its entry holds a replica on v.
   template <class Enter, class Chosen>
   void walk(std::int32_t rootEntry, Enter&& enter, Chosen&& chosen) const;
 
@@ -265,25 +266,25 @@ FrontierStats FrontierCache<Entry>::refresh(Step& step, BudgetGuard* guard) {
   const std::uint64_t at = epoch_++;
   const bool cold = std::exchange(cold_, false);
   typename Step::Merger merger(arena_);
-  const std::span<const BagId> bags = staleBags();
+  const std::span<const VertexId> bags = staleBags();
   std::size_t misses = 0;
   try {
-    for (const BagId v : bags) {
+    for (const VertexId v : bags) {
       const auto vi = static_cast<std::size_t>(v);
       if (!cold && isClean(v)) continue;
       if (guard != nullptr) guard->checkpoint();
       const std::uint64_t prevEpoch = cold ? 0 : computedAt(vi);
       if (!cold) epochs_[vi].computed = at;
-      if (decomp_.anchorIsClient(v)) {
+      if (tree_->isClient(v)) {
         const std::uint32_t begin = arena_.beginSpan();
-        arena_.push(step.seed(decomp_.anchor(v)));
+        arena_.push(step.seed(v));
         frontier_[vi] = arena_.endSpan(begin);
         ++misses;
         continue;
       }
-      const BagShape shape = decomp_.shape(v);
-      const FrontierLimits limits = step.chain(shape);
-      const std::span<const BagId> children = decomp_.mergeChildren(v);
+      const BagShape bag = shape(*tree_, v);
+      const FrontierLimits limits = step.chain(bag);
+      const std::span<const VertexId> children = tree_->mergeChildren(v);
       ComboSlot* slots = nullptr;
       std::size_t f = 0;
       if (withCombos_) {
@@ -302,17 +303,17 @@ FrontierStats FrontierCache<Entry>::refresh(Step& step, BudgetGuard* guard) {
       }
       FrontierSpan acc = f == 0 ? merger.unit() : slots[f - 1].span;
       for (std::size_t ci = f; ci < children.size(); ++ci) {
-        const BagId child = children[ci];
-        acc = step.fold(merger, acc, frontier_[static_cast<std::size_t>(child)],
-                        decomp_.anchor(child), limits);
+        const VertexId child = children[ci];
+        acc = step.fold(merger, acc, frontier_[static_cast<std::size_t>(child)], child,
+                        limits);
         if (slots != nullptr) slots[ci] = {acc, child};
       }
-      frontier_[vi] = step.placeSkip(merger, acc, decomp_.anchor(v), shape);
+      frontier_[vi] = step.placeSkip(merger, acc, v, bag);
       ++misses;
     }
   } catch (...) {
     // An interrupted cold refresh keeps what it finished: the bags before
-    // the one it stopped at, in schedule order.
+    // the one it stopped at, in postorder.
     if (cold) {
       ensureEpochs();
       for (std::size_t k = 0; k < misses; ++k)
@@ -324,7 +325,7 @@ FrontierStats FrontierCache<Entry>::refresh(Step& step, BudgetGuard* guard) {
   pending_.clear();
   sweep_ = false;
   stats_.misses += misses;
-  stats_.hits += decomp_.bagCount() - misses;
+  stats_.hits += tree_->vertexCount() - misses;
   stats_.arenaEntries = arena_.entryCount();
   stats_.arenaBytes = arena_.bytes();
   merger.noteArenaUsage();
@@ -336,23 +337,23 @@ template <class Enter, class Chosen>
 void FrontierCache<Entry>::walk(std::int32_t rootEntry, Enter&& enter,
                                 Chosen&& chosen) const {
   struct Todo {
-    BagId bag;
+    VertexId bag;
     std::int32_t entryIndex;
   };
-  std::vector<Todo> stack{{decomp_.rootBag(), rootEntry}};  // the root is internal
+  std::vector<Todo> stack{{tree_->root(), rootEntry}};  // the root is internal
   while (!stack.empty()) {
     const Todo todo = stack.back();
     stack.pop_back();
     if (!enter(todo.bag, todo.entryIndex)) continue;
     const auto bi = static_cast<std::size_t>(todo.bag);
     const Entry& entry = arena_.at(frontier_[bi], static_cast<std::size_t>(todo.entryIndex));
-    chosen(decomp_.anchor(todo.bag), entry.child == 1);
-    const std::span<const BagId> children = decomp_.mergeChildren(todo.bag);
+    chosen(todo.bag, entry.child == 1);
+    const std::span<const VertexId> children = tree_->mergeChildren(todo.bag);
     const ComboSlot* chain = combos_.data() + chains_[bi].begin;
     std::int32_t combIdx = entry.prev;
     for (std::size_t ci = children.size(); ci-- > 0;) {
       const Entry& comb = arena_.at(chain[ci].span, static_cast<std::size_t>(combIdx));
-      if (!decomp_.anchorIsClient(children[ci])) stack.push_back({children[ci], comb.child});
+      if (!tree_->isClient(children[ci])) stack.push_back({children[ci], comb.child});
       combIdx = comb.prev;
     }
   }
@@ -372,7 +373,7 @@ bool solveCold(const Tree& tree, Step step, FrontierStats* stats, BudgetGuard* g
   const std::int32_t rootEntry = step.rootEntry(cache.arena(), cache.frontier(tree.root()));
   if (rootEntry < 0) return false;
   cache.walk(
-      rootEntry, [](BagId, std::int32_t) { return true; },
+      rootEntry, [](VertexId, std::int32_t) { return true; },
       [&onReplica](VertexId anchor, bool placed) {
         if (placed) onReplica(anchor);
       });

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/frontier.hpp"
 #include "support/budget.hpp"
 #include "support/require.hpp"

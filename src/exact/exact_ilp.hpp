@@ -51,6 +51,19 @@ struct ExactIlpResult {
   }
 };
 
+class IlpFormulation;
+
+/// The search every exact ILP solve of a placement formulation shares
+/// (solveExactViaIlp and online/warm_ilp's WarmIlpSession): the placement
+/// indicators branch before the assignment variables unless
+/// `mo.branchPriority` is set, node bounds round up to whole costs when
+/// `roundCosts` holds and every storage cost is integral (unless
+/// `mo.objectiveGranularity` is set), and the MipResult comes back with its
+/// incumbent decoded and costed.
+ExactIlpResult solveFormulation(const ProblemInstance& instance,
+                                const IlpFormulation& formulation, lp::MipOptions mo,
+                                bool roundCosts);
+
 /// Solve Replica Placement to optimality for any policy through the
 /// Section 5 ILP and the warm-started branch-and-bound solver. Intended for
 /// small instances: all three policies are NP-hard in general (Table 1), and

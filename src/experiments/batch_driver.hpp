@@ -6,20 +6,17 @@
 #include <vector>
 
 #include "core/frontier.hpp"
-#include "core/placement.hpp"
 #include "support/thread_pool.hpp"
 
 namespace treeplace {
 
 /// One arena set owned by one batch worker and recycled across every
-/// instance that worker evaluates: the subtree-bound pre-pass slab and the
-/// placement buffer pool. The relaxation borrows the bounds slab for each
-/// instance and hands it back reset, capacity kept, so after the first
-/// instances a worker's steady state allocates neither slab nor placement
-/// buffers (tests/test_bounds.cpp and tests/test_batch_driver.cpp).
+/// instance that worker evaluates: the subtree-bound pre-pass slab. The
+/// relaxation borrows it for each instance and hands it back reset,
+/// capacity kept, so after the first instances a worker's steady state
+/// allocates no slab (tests/test_bounds.cpp and tests/test_batch_driver.cpp).
 struct BatchArenas {
-  FrontierArena bounds;        ///< FrontierSubtreeRelaxation pre-pass slab
-  PlacementArena placements;   ///< recycled Placement buffers
+  FrontierArena bounds;  ///< FrontierSubtreeRelaxation pre-pass slab
 };
 
 struct BatchOptions {

@@ -7,6 +7,9 @@
 namespace treeplace {
 namespace {
 
+/// Improving rounds improvePlacement applies at most.
+constexpr int kMaxRounds = 100;
+
 /// One planned reassignment of retargetToServer.
 struct Move {
   VertexId client;
@@ -132,33 +135,30 @@ void pruneUnused(const ProblemInstance& instance, Placement& placement,
 }  // namespace
 
 LocalSearchResult improvePlacement(const ProblemInstance& instance, Placement start,
-                                   const CostModel& model,
-                                   const LocalSearchOptions& options) {
+                                   const CostModel& model) {
   PlacementArena arena;
   MoveScratch scratch;
   pruneUnused(instance, start, arena);
   LocalSearchResult result{std::move(start), 0.0, 0};
   result.objective = compositeObjective(instance, result.placement, model);
 
-  for (int round = 0; round < options.maxRounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool improved = false;
 
-    if (options.allowDrop) {
-      for (const VertexId victim : result.placement.replicaList()) {
-        auto next = dropServer(instance, result.placement, victim, arena, scratch);
-        if (!next) continue;
-        const double objective = compositeObjective(instance, *next, model);
-        if (objective < result.objective - 1e-9) {
-          arena.recycle(std::move(result.placement));
-          result.placement = std::move(*next);
-          result.objective = objective;
-          improved = true;
-          break;  // first improvement; re-enumerate moves
-        }
-        arena.recycle(std::move(*next));
+    for (const VertexId victim : result.placement.replicaList()) {
+      auto next = dropServer(instance, result.placement, victim, arena, scratch);
+      if (!next) continue;
+      const double objective = compositeObjective(instance, *next, model);
+      if (objective < result.objective - 1e-9) {
+        arena.recycle(std::move(result.placement));
+        result.placement = std::move(*next);
+        result.objective = objective;
+        improved = true;
+        break;  // first improvement; re-enumerate moves
       }
+      arena.recycle(std::move(*next));
     }
-    if (!improved && options.allowOpen) {
+    if (!improved) {
       // Both directions: pull from above (read savings) and from below
       // (consolidation — the drained servers are pruned, saving storage and
       // shrinking the update subtree).

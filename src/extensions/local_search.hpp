@@ -9,12 +9,6 @@
 
 namespace treeplace {
 
-struct LocalSearchOptions {
-  int maxRounds = 100;   ///< improving rounds before giving up
-  bool allowOpen = true; ///< enable the open-server move (read-cost driven)
-  bool allowDrop = true; ///< enable the drop-server move (storage driven)
-};
-
 struct LocalSearchResult {
   Placement placement;
   double objective = 0.0;
@@ -28,10 +22,9 @@ struct LocalSearchResult {
 ///    client's root path (storage/write savings vs read increase);
 ///  - open(j): open a server and pull subtree requests currently served
 ///    above it (read savings vs storage/write increase).
-/// The returned placement is always valid (capacities, coverage); the
-/// starting placement must be valid for the Multiple policy.
+/// It stops at a local optimum or after 100 improving rounds. The returned placement is always valid (capacities, coverage);
+/// the starting placement must be valid for the Multiple policy.
 LocalSearchResult improvePlacement(const ProblemInstance& instance,
-                                   Placement start, const CostModel& model,
-                                   const LocalSearchOptions& options = {});
+                                   Placement start, const CostModel& model);
 
 }  // namespace treeplace

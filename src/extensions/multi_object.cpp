@@ -181,8 +181,7 @@ MultiObjectExactResult solveMultiObjectIlp(const MultiObjectInstance& instance,
     for (const VertexId j : tree.internals()) {
       xVar[k][static_cast<std::size_t>(j)] = model.addVariable(
           0.0, 1.0, instance.objects[k].storageCost[static_cast<std::size_t>(j)],
-          lp::VarType::Integer,
-          "x_" + std::to_string(j) + "_" + std::to_string(k));
+          lp::VarType::Integer);
     }
   }
   // y^k_{i,j}: requests of client i for object k served at ancestor j
@@ -208,15 +207,13 @@ MultiObjectExactResult solveMultiObjectIlp(const MultiObjectInstance& instance,
         if (qos != kNoQos && instance.shared.qosLatency(i, j) > qos + 1e-9) continue;
         const double upper = singleServer ? 1.0 : static_cast<double>(r);
         const int var = model.addVariable(
-            0.0, upper, 0.0, lp::VarType::Integer,
-            "y_" + std::to_string(i) + "_" + std::to_string(j) + "_" + std::to_string(k));
+            0.0, upper, 0.0, lp::VarType::Integer);
         yIndex[k][ii].push_back(yVars.size());
         yVars.push_back({k, i, j, var});
         assignTerms.push_back({var, 1.0});
       }
       model.addConstraint(lp::Sense::Equal,
-                          singleServer ? 1.0 : static_cast<double>(r), assignTerms,
-                          "assign_" + std::to_string(i) + "_" + std::to_string(k));
+                          singleServer ? 1.0 : static_cast<double>(r), assignTerms);
     }
   }
   // Capacity: per-object linking rows and one joint row per node.
@@ -238,10 +235,9 @@ MultiObjectExactResult solveMultiObjectIlp(const MultiObjectInstance& instance,
         }
       }
       link.push_back({xVar[k][ji], -W});
-      model.addConstraint(lp::Sense::LessEqual, 0.0, link,
-                          "link_" + std::to_string(j) + "_" + std::to_string(k));
+      model.addConstraint(lp::Sense::LessEqual, 0.0, link);
     }
-    model.addConstraint(lp::Sense::LessEqual, W, joint, "joint_" + std::to_string(j));
+    model.addConstraint(lp::Sense::LessEqual, W, joint);
   }
   // Closest, per object: a client of object k served at j forces every other
   // client of object k below j to be served at or below j.

@@ -74,8 +74,7 @@ int IlpFormulation::addFrontierCuts(const FrontierSubtreeRelaxation& relaxation)
     terms.clear();
     for (std::size_t k = begin; k < end; ++k)
       terms.push_back({xVar_[static_cast<std::size_t>(internals[k])], 1.0});
-    model_.addConstraint(Sense::GreaterEqual, static_cast<double>(floor), terms,
-                         "frontier_" + std::to_string(v));
+    model_.addConstraint(Sense::GreaterEqual, static_cast<double>(floor), terms);
     ++rows;
   }
   return rows;
@@ -127,9 +126,7 @@ int IlpFormulation::addSymmetryCuts() {
       if (group[k].first != group[k - 1].first) continue;
       const Term terms[2] = {{xVar_[static_cast<std::size_t>(group[k - 1].second)], 1.0},
                              {xVar_[static_cast<std::size_t>(group[k].second)], -1.0}};
-      model_.addConstraint(Sense::GreaterEqual, 0.0, terms,
-                           "sym_" + std::to_string(group[k - 1].second) + "_" +
-                               std::to_string(group[k].second));
+      model_.addConstraint(Sense::GreaterEqual, 0.0, terms);
       ++rows;
     }
   }
@@ -159,8 +156,7 @@ void IlpFormulation::build(const FormulationOptions& options) {
   for (const VertexId j : tree.internals()) {
     xVar_[static_cast<std::size_t>(j)] = model_.addVariable(
         0.0, 1.0, instance_.storageCost[static_cast<std::size_t>(j)],
-        integerX ? VarType::Integer : VarType::Continuous,
-        "x_" + std::to_string(j));
+        integerX ? VarType::Integer : VarType::Continuous);
   }
 
   // y_{i,j}: per client, one variable per QoS-admissible ancestor.
@@ -175,8 +171,7 @@ void IlpFormulation::build(const FormulationOptions& options) {
           singleServer ? 1.0 : static_cast<double>(instance_.requests[ii]);
       yServer_[ii].push_back(j);
       yVar_[ii].push_back(model_.addVariable(
-          0.0, upper, 0.0, integerY ? VarType::Integer : VarType::Continuous,
-          "y_" + std::to_string(i) + "_" + std::to_string(j)));
+          0.0, upper, 0.0, integerY ? VarType::Integer : VarType::Continuous));
     }
   }
 
@@ -189,8 +184,7 @@ void IlpFormulation::build(const FormulationOptions& options) {
     for (const int var : yVar_[ii]) terms.push_back({var, 1.0});
     const double rhs =
         singleServer ? 1.0 : static_cast<double>(instance_.requests[ii]);
-    assignRow_[ii] = model_.addConstraint(Sense::Equal, rhs, terms,
-                                          "assign_" + std::to_string(i));
+    assignRow_[ii] = model_.addConstraint(Sense::Equal, rhs, terms);
   }
 
   // Capacity: sum_i (r_i) y_{i,j} <= W_j x_j.
@@ -211,15 +205,14 @@ void IlpFormulation::build(const FormulationOptions& options) {
       if (options.elasticCapacity) {
         // Elastic form: sum y <= u_j <= W_j and u_j <= M_j x_j, with M_j the
         // build-time capacity. Later capacity changes are box updates on u_j.
-        uVar_[ji] = model_.addVariable(0.0, cap, 0.0, VarType::Continuous,
-                                       "u_" + std::to_string(j));
+        uVar_[ji] = model_.addVariable(0.0, cap, 0.0, VarType::Continuous);
         terms.push_back({uVar_[ji], -1.0});
-        model_.addConstraint(Sense::LessEqual, 0.0, terms, "cap_" + std::to_string(j));
+        model_.addConstraint(Sense::LessEqual, 0.0, terms);
         const Term link[2] = {{uVar_[ji], 1.0}, {xVar_[ji], -cap}};
-        model_.addConstraint(Sense::LessEqual, 0.0, link, "capx_" + std::to_string(j));
+        model_.addConstraint(Sense::LessEqual, 0.0, link);
       } else {
         terms.push_back({xVar_[ji], -cap});
-        model_.addConstraint(Sense::LessEqual, 0.0, terms, "cap_" + std::to_string(j));
+        model_.addConstraint(Sense::LessEqual, 0.0, terms);
       }
     }
   }
@@ -247,7 +240,7 @@ void IlpFormulation::build(const FormulationOptions& options) {
       }
       const double rhs = static_cast<double>(demand - instance_.bandwidth[ki]);
       if (rhs <= 0.0 && terms.empty()) continue;  // trivially satisfied
-      model_.addConstraint(Sense::GreaterEqual, rhs, terms, "bw_" + std::to_string(k));
+      model_.addConstraint(Sense::GreaterEqual, rhs, terms);
     }
   }
 
@@ -269,9 +262,7 @@ void IlpFormulation::build(const FormulationOptions& options) {
             if (tree.inSubtree(yServer_[oi][d], j))
               terms.push_back({yVar_[oi][d], 1.0});
           }
-          model_.addConstraint(Sense::GreaterEqual, 0.0, terms,
-                               "closest_" + std::to_string(i) + "_" + std::to_string(j) +
-                                   "_" + std::to_string(other));
+          model_.addConstraint(Sense::GreaterEqual, 0.0, terms);
         }
       }
     }

@@ -28,7 +28,6 @@ LowerBoundResult refinedLowerBound(const ProblemInstance& instance,
   const IlpFormulation formulation(instance, Policy::Multiple, fo);
 
   lp::MipOptions mo;
-  mo.lp = options.lp;
   mo.maxNodes = options.maxNodes;
   mo.initialUpperBound = options.knownUpperBound;
   if (integralStorageCosts(instance)) mo.objectiveGranularity = 1.0;
@@ -68,7 +67,7 @@ LowerBoundResult rationalLowerBound(const ProblemInstance& instance,
   fo.enforceQos = options.enforceQos;
   fo.enforceBandwidth = options.enforceBandwidth;
   const IlpFormulation formulation(instance, Policy::Multiple, fo);
-  const lp::LpSolution lps = lp::solveLp(formulation.model(), options.lp);
+  const lp::LpSolution lps = lp::solveLp(formulation.model());
 
   LowerBoundResult result;
   result.nodesExplored = 0;

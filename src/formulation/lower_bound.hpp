@@ -15,7 +15,6 @@ struct LowerBoundOptions {
   /// bounding the plain Replica Cost problem on a constrained instance.
   bool enforceQos = true;
   bool enforceBandwidth = true;
-  lp::SimplexOptions lp;
   /// Optional shared arena for the frontier floor pre-pass; the batch driver
   /// hands every worker its own so fleet sweeps stop reallocating the slab
   /// once per instance.

@@ -34,14 +34,13 @@ inline double roundBound(double bound, double granularity) {
 /// most-fractional within the class. -1 when the point is integral.
 inline int pickBranchVariable(std::span<const double> values,
                               const std::vector<int>& integers,
-                              const std::vector<int>& priority,
-                              double integralityTol) {
+                              const std::vector<int>& priority) {
   int branchVar = -1;
   int bestPriority = 0;
-  double worst = integralityTol;
+  double worst = kIntegralityTol;
   for (const int j : integers) {
     const double f = fractionality(values[static_cast<std::size_t>(j)]);
-    if (f <= integralityTol) continue;
+    if (f <= kIntegralityTol) continue;
     const int p = priority.empty() ? 0 : priority[static_cast<std::size_t>(j)];
     if (branchVar < 0 || p > bestPriority || (p == bestPriority && f > worst)) {
       branchVar = j;

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "lp/bb_detail.hpp"
+#include "lp/tolerances.hpp"
 #include "support/require.hpp"
 
 namespace treeplace::lp {
@@ -220,7 +221,6 @@ bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
 
 void workerLoop(SharedState& shared, WorkerState& worker, int self) {
   const MipOptions& options = shared.options;
-  const double cutoffGap = options.absoluteGap;
   const Model& model = shared.model;
   Shard& ownShard = *shared.shards[static_cast<std::size_t>(self)];
 
@@ -282,7 +282,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
     const double inheritedBound = claim.bound;
 
     if (std::max(inheritedBound, options.knownLowerBound) >=
-        shared.incumbentObj.load() - cutoffGap) {
+        shared.incumbentObj.load() - kAbsoluteGap) {
       worker.minClosedBound = std::min(worker.minClosedBound, inheritedBound);
       if (claim.shard == self) {
         // Own shard: only this worker pushes here, and shard pops are
@@ -306,7 +306,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
 
     applyNodeBounds(claim.id);
     const auto t0 = std::chrono::steady_clock::now();
-    const SolveStatus status = worker.workspace.solve();
+    const SolveStatus status = worker.workspace.solve(options.guard);
     worker.lpMillis += millisSince(t0);
 
     if (status == SolveStatus::Infeasible) {
@@ -330,16 +330,15 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
         roundBound(worker.workspace.objective(), options.objectiveGranularity);
     const double nodeBound = std::max(inheritedBound, lpBound);
     if (std::max(nodeBound, options.knownLowerBound) >=
-        shared.incumbentObj.load() - cutoffGap) {
+        shared.incumbentObj.load() - kAbsoluteGap) {
       worker.minClosedBound = std::min(worker.minClosedBound, nodeBound);
       shared.outstanding.fetch_sub(1);
       continue;
     }
 
     const std::span<const double> values = worker.workspace.values();
-    const int branchVar = pickBranchVariable(values, shared.integers,
-                                             options.branchPriority,
-                                             options.integralityTol);
+    const int branchVar =
+        pickBranchVariable(values, shared.integers, options.branchPriority);
 
     if (branchVar < 0) {
       // Integral: candidate incumbent. The atomic objective is the cheap
@@ -347,9 +346,9 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       // the stored objective stays monotone. Integer entries are rounded
       // exactly for downstream decoding.
       const double objective = worker.workspace.objective();
-      if (objective < shared.incumbentObj.load() - cutoffGap) {
+      if (objective < shared.incumbentObj.load() - kAbsoluteGap) {
         const std::lock_guard<std::mutex> lock(shared.incumbentMutex);
-        if (objective < shared.incumbentObj.load() - cutoffGap) {
+        if (objective < shared.incumbentObj.load() - kAbsoluteGap) {
           shared.incumbentValues.assign(values.begin(), values.end());
           for (const int j : shared.integers)
             shared.incumbentValues[static_cast<std::size_t>(j)] =
@@ -411,13 +410,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
 
 }  // namespace
 
-MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
-  // Thread a caller-supplied budget down into the node LPs too, so pivots
-  // and node pops charge the same shared guard.
-  MipOptions options = optionsIn;
-  if (options.guard != nullptr && options.lp.guard == nullptr)
-    options.lp.guard = options.guard;
-
+MipResult solveMip(const Model& model, const MipOptions& options) {
   const std::vector<int> integers = model.integerVariables();
   for (const int j : integers) {
     // The workspace's column mapping is fixed by the root bounds; branching
@@ -458,7 +451,7 @@ MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
     first->syncFromModel(model);
     first->resetStats();
   } else {
-    first = &owned.emplace(model, options.lp);
+    first = &owned.emplace(model);
   }
   std::vector<LpWorkspace> clones;
   clones.reserve(static_cast<std::size_t>(workerCount - 1));
@@ -536,7 +529,7 @@ MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
   bound = std::max(bound, options.knownLowerBound);
   result.lowerBound = std::min(bound, result.objective);
   result.proven = !hitNodeLimit && !sawIterationLimit &&
-                  result.lowerBound >= result.objective - options.absoluteGap * 2;
+                  result.lowerBound >= result.objective - kAbsoluteGap * 2;
   result.status = SolveStatus::Optimal;
   return result;
 }

@@ -9,11 +9,8 @@
 namespace treeplace::lp {
 
 struct MipOptions {
-  SimplexOptions lp;
-  double integralityTol = 1e-6;
   long maxNodes = 100000;         ///< branch-and-bound node budget
   double initialUpperBound = kInfinity;  ///< objective of a known feasible point
-  double absoluteGap = 1e-6;      ///< prune/stop tolerance on the objective
   /// When every feasible objective is known to be a multiple of this value
   /// (e.g. 1 for integral costs), node bounds are rounded up to the next
   /// multiple, which closes gaps dramatically faster. 0 disables rounding.
@@ -42,7 +39,7 @@ struct MipOptions {
   /// simplex from the previous run's final basis — the cross-solve analogue
   /// of the per-node warm start. Any further workers clone it after the
   /// sync. The workspace must have been built from this model (or one
-  /// sharing its standard form) with the same SimplexOptions.
+  /// sharing its standard form).
   LpWorkspace* workspace = nullptr;
   /// Branch-and-bound worker threads. 0 and 1 both run one worker inline on
   /// the calling thread: a deterministic best-bound search. N >= 2 runs N
@@ -53,8 +50,8 @@ struct MipOptions {
   /// objective, and detect termination with an epoch-counted
   /// outstanding-node protocol. Capped at 64.
   int workers = 0;
-  /// Optional shared budget: every node pop ticks it (and, unless
-  /// options.lp.guard is already set, node LP pivots tick the same guard).
+  /// Optional shared budget: every node pop and every node LP pivot, in
+  /// every worker's workspace (the caller's one included), ticks it.
   /// On a trip the search stops exactly like the node budget — the incumbent
   /// and the global dual bound stay valid, proven turns false, and
   /// MipResult::stopReason records why. Non-owning; must outlive the solve.

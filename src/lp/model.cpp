@@ -4,24 +4,20 @@
 
 namespace treeplace::lp {
 
-int Model::addVariable(double lower, double upper, double objective, VarType type,
-                       std::string name) {
+int Model::addVariable(double lower, double upper, double objective, VarType type) {
   TREEPLACE_REQUIRE(lower <= upper, "variable bounds crossed");
   TREEPLACE_REQUIRE(lower != kInfinity && upper != -kInfinity, "bounds reversed at infinity");
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
   types_.push_back(type);
-  names_.push_back(std::move(name));
   return static_cast<int>(objective_.size()) - 1;
 }
 
-int Model::addConstraint(Sense sense, double rhs, std::span<const Term> terms,
-                         std::string name) {
+int Model::addConstraint(Sense sense, double rhs, std::span<const Term> terms) {
   Row row;
   row.sense = sense;
   row.rhs = rhs;
-  row.name = std::move(name);
   row.terms.reserve(terms.size());
   for (const Term& t : terms) {
     TREEPLACE_REQUIRE(t.variable >= 0 && t.variable < variableCount(),

@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,11 +27,10 @@ class Model {
  public:
   /// Returns the variable index.
   int addVariable(double lower, double upper, double objective,
-                  VarType type = VarType::Continuous, std::string name = {});
+                  VarType type = VarType::Continuous);
 
   /// Returns the row index.
-  int addConstraint(Sense sense, double rhs, std::span<const Term> terms,
-                    std::string name = {});
+  int addConstraint(Sense sense, double rhs, std::span<const Term> terms);
 
   void setBounds(int variable, double lower, double upper);
   void setObjectiveCoefficient(int variable, double objective);
@@ -51,18 +49,12 @@ class Model {
     return objective_.at(static_cast<std::size_t>(variable));
   }
   VarType type(int variable) const { return types_.at(static_cast<std::size_t>(variable)); }
-  const std::string& variableName(int variable) const {
-    return names_.at(static_cast<std::size_t>(variable));
-  }
 
   const std::vector<Term>& rowTerms(int row) const {
     return rows_.at(static_cast<std::size_t>(row)).terms;
   }
   Sense rowSense(int row) const { return rows_.at(static_cast<std::size_t>(row)).sense; }
   double rowRhs(int row) const { return rows_.at(static_cast<std::size_t>(row)).rhs; }
-  const std::string& rowName(int row) const {
-    return rows_.at(static_cast<std::size_t>(row)).name;
-  }
 
   /// Indices of integer-typed variables.
   std::vector<int> integerVariables() const;
@@ -75,14 +67,12 @@ class Model {
     Sense sense;
     double rhs;
     std::vector<Term> terms;
-    std::string name;
   };
 
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> objective_;
   std::vector<VarType> types_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

@@ -5,10 +5,6 @@
 
 #include "lp/model.hpp"
 
-namespace treeplace {
-class BudgetGuard;
-}
-
 namespace treeplace::lp {
 
 enum class SolveStatus {
@@ -21,22 +17,9 @@ enum class SolveStatus {
 std::string_view toString(SolveStatus status);
 
 struct SimplexOptions {
-  double pivotTol = 1e-9;    ///< entries below this are treated as zero
-  double feasTol = 1e-7;     ///< phase-1 objective above this means infeasible
-  long maxIterations = 200000;
-  long stallLimit = 256;     ///< degenerate pivots before switching to Bland's rule
   /// Refactorize the basis once the eta file holds this many product-form
-  /// updates.
+  /// updates. The other pivot-loop limits are constants (lp/tolerances).
   int refactorEtaLimit = 64;
-  /// Refactorize once the eta-file entry count exceeds this multiple of the
-  /// current LU fill (guards against dense spike columns bloating every
-  /// subsequent ftran/btran).
-  double refactorGrowthLimit = 3.0;
-  /// Optional shared budget: every pivot loop ticks it and bails out with
-  /// SolveStatus::IterationLimit when it trips, which callers already treat
-  /// as a sound "stop without a proof" signal (B&B keeps the inherited bound
-  /// and marks the node unproven). Non-owning; must outlive the solve.
-  BudgetGuard* guard = nullptr;
 };
 
 struct LpSolution {

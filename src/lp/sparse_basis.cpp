@@ -47,7 +47,7 @@ inline double keepIf(double v, bool keep) {
 
 bool SparseLu::factorize(int m, std::span<const int> colStart,
                          std::span<const int> rowIdx,
-                         std::span<const double> values, double pivotTol) {
+                         std::span<const double> values) {
   m_ = m;
   const auto mz = static_cast<std::size_t>(m);
   rowElim_.assign(mz, -1);
@@ -138,7 +138,7 @@ bool SparseLu::factorize(int m, std::span<const int> colStart,
     for (const int r : touched_)
       if (rowElim_[static_cast<std::size_t>(r)] < 0)
         maxAbs = std::max(maxAbs, std::abs(work_[static_cast<std::size_t>(r)]));
-    if (maxAbs <= pivotTol) {
+    if (maxAbs <= kPivotTol) {
       for (const int r : touched_) {
         work_[static_cast<std::size_t>(r)] = 0.0;
         touchedMark_[static_cast<std::size_t>(r)] = 0;
@@ -383,10 +383,9 @@ void SparseLu::btranFactors(std::span<double> y) const {
   std::copy(work_.begin(), work_.end(), y.begin());
 }
 
-bool SparseLu::appendEta(int p, std::span<const double> w, std::span<const int> nonzeros,
-                         double pivotTol) {
+bool SparseLu::appendEta(int p, std::span<const double> w, std::span<const int> nonzeros) {
   const double pivot = w[static_cast<std::size_t>(p)];
-  if (std::abs(pivot) <= pivotTol) return false;
+  if (std::abs(pivot) <= kPivotTol) return false;
   // Index the eta while it is among the first kIndexedEtas (a later one
   // sets no bit, and btranUnit then runs the full sweep).
   const auto e = static_cast<std::size_t>(etaCount());
@@ -419,7 +418,7 @@ void SparseSimplex::build(int m, int nStruct, int artificialStart,
                           std::vector<double> values, std::vector<double> cost0,
                           std::vector<int> slackCol, std::vector<double> slackSign,
                           const SimplexOptions& options) {
-  options_ = options;
+  refactorEtaLimit_ = options.refactorEtaLimit;
   m_ = m;
   nStruct_ = nStruct;
   artificialStart_ = artificialStart;
@@ -565,19 +564,19 @@ bool SparseSimplex::factorizeBasis(WarmStartStats& stats, bool isRefactor) {
     scratchStart_.push_back(static_cast<int>(scratchRow_.size()));
   }
   if (isRefactor) ++stats.refactorizations;
-  if (!lu_.factorize(m_, scratchStart_, scratchRow_, scratchVal_, options_.pivotTol))
+  if (!lu_.factorize(m_, scratchStart_, scratchRow_, scratchVal_))
     return false;
   stats.basisNnz = std::max(stats.basisNnz, lu_.factorEntries());
   return true;
 }
 
 bool SparseSimplex::recordPivot(int leavingPos, WarmStartStats& stats) {
-  if (!lu_.appendEta(leavingPos, wScratch_, wRows_, options_.pivotTol))
+  if (!lu_.appendEta(leavingPos, wScratch_, wRows_))
     return factorizeBasis(stats, true);
   ++stats.etaCount;
-  if (lu_.etaCount() >= options_.refactorEtaLimit ||
+  if (lu_.etaCount() >= refactorEtaLimit_ ||
       static_cast<double>(lu_.etaEntries()) >
-          options_.refactorGrowthLimit * static_cast<double>(lu_.factorEntries()))
+          kRefactorGrowthLimit * static_cast<double>(lu_.factorEntries()))
     return factorizeBasis(stats, true);
   return true;
 }
@@ -595,12 +594,12 @@ double SparseSimplex::objectiveOf(std::span<const double> phaseCost) const {
 }
 
 SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
-                                         WarmStartStats& stats) {
+                                         WarmStartStats& stats, BudgetGuard* guard) {
   bool useBland = false;
   long sinceImprovement = 0;
   double lastObjective = objectiveOf(phaseCost);
-  for (long iter = 0; iter < options_.maxIterations; ++iter) {
-    if (budgetTripped(options_.guard)) return SolveStatus::IterationLimit;
+  for (long iter = 0; iter < kMaxIterations; ++iter) {
+    if (budgetTripped(guard)) return SolveStatus::IterationLimit;
     // Price every nonbasic column: y = B^-T c_B, d_j = c_j - y a_j (a
     // column dot). An at-lower column may only rise (profitable when d < 0),
     // an at-upper one only fall (profitable when d > 0). Artificials never
@@ -611,7 +610,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
           phaseCost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
     lu_.btran(yScratch_);
     int entering = -1;
-    double best = options_.pivotTol;
+    double best = kPivotTol;
     for (int j = 0; j < artificialStart_; ++j) {
       if (basisPos_[static_cast<std::size_t>(j)] >= 0) continue;
       const double dj = phaseCost[static_cast<std::size_t>(j)] - columnDot(yScratch_, j);
@@ -638,10 +637,10 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       const double step = sigma * wScratch_[static_cast<std::size_t>(i)];
       double ratio;
       bool toUpper;
-      if (step > options_.pivotTol) {
+      if (step > kPivotTol) {
         ratio = std::max(0.0, xB_[static_cast<std::size_t>(i)] / step);
         toUpper = false;
-      } else if (step < -options_.pivotTol) {
+      } else if (step < -kPivotTol) {
         const double ub = basicUpper_[static_cast<std::size_t>(i)];
         if (ub == kInfinity) continue;
         ratio = std::max(0.0, (ub - xB_[static_cast<std::size_t>(i)]) / -step);
@@ -694,7 +693,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
       lastObjective = obj;
       sinceImprovement = 0;
       useBland = false;
-    } else if (++sinceImprovement > options_.stallLimit) {
+    } else if (++sinceImprovement > kStallLimit) {
       useBland = true;  // degeneracy suspected; Bland guarantees termination
     }
   }
@@ -702,7 +701,7 @@ SolveStatus SparseSimplex::primalIterate(std::span<const double> phaseCost,
 }
 
 SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
-                                     WarmStartStats& stats) {
+                                     WarmStartStats& stats, BudgetGuard* guard) {
   ready_ = false;
   const auto nc = static_cast<std::size_t>(columnCount());
   std::fill(atUpper_.begin(), atUpper_.end(), 0);
@@ -735,11 +734,11 @@ SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
 
   // Phase 1: minimise the sum of the issued artificials.
   {
-    const SolveStatus st = primalIterate(phaseCost_, stats);
+    const SolveStatus st = primalIterate(phaseCost_, stats, guard);
     if (st == SolveStatus::IterationLimit) return st;
     // Bounded below by zero, so Unbounded is a numerical failure.
     if (st == SolveStatus::Unbounded) return SolveStatus::IterationLimit;
-    if (objectiveOf(phaseCost_) > options_.feasTol) return SolveStatus::Infeasible;
+    if (objectiveOf(phaseCost_) > kFeasTol) return SolveStatus::Infeasible;
   }
 
   // Pin every artificial into the box [0, 0] instead of pivoting leftover
@@ -755,14 +754,14 @@ SolveStatus SparseSimplex::solveCold(std::span<const double> rhs,
   phaseCost_.assign(nc, 0.0);
   for (int j = 0; j < nStruct_; ++j)
     phaseCost_[static_cast<std::size_t>(j)] = cost0_[static_cast<std::size_t>(j)];
-  const SolveStatus st = primalIterate(phaseCost_, stats);
+  const SolveStatus st = primalIterate(phaseCost_, stats, guard);
   if (st != SolveStatus::Optimal) return st;
   ready_ = true;
   return SolveStatus::Optimal;
 }
 
 SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
-                                     WarmStartStats& stats) {
+                                     WarmStartStats& stats, BudgetGuard* guard) {
   TREEPLACE_REQUIRE(ready_, "sparse solveDual requires a prior optimal basis");
 
   // x_B = B^-1 (b - sum over at-upper nonbasics of width * a_j). A column
@@ -797,12 +796,12 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
   bool useBland = false;
   long sinceImprovement = 0;
   double lastViolation = kInfinity;
-  for (long iter = 0; iter < options_.maxIterations; ++iter) {
-    if (budgetTripped(options_.guard)) return SolveStatus::IterationLimit;
+  for (long iter = 0; iter < kMaxIterations; ++iter) {
+    if (budgetTripped(guard)) return SolveStatus::IterationLimit;
     // Leaving position: largest box violation (Bland: first violating).
     int leaving = -1;
     bool aboveUpper = false;
-    double bestViol = options_.feasTol;
+    double bestViol = kFeasTol;
     for (int i = 0; i < m_; ++i) {
       const double v = xB_[static_cast<std::size_t>(i)];
       const double ub = basicUpper_[static_cast<std::size_t>(i)];
@@ -838,10 +837,10 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     for (const int j : priced) {
       const double arj = alpha_[static_cast<std::size_t>(j)];
       const bool up = atUpper(j);
-      const bool eligible = aboveUpper ? (up ? arj < -options_.pivotTol
-                                             : arj > options_.pivotTol)
-                                       : (up ? arj > options_.pivotTol
-                                             : arj < -options_.pivotTol);
+      const bool eligible = aboveUpper ? (up ? arj < -kPivotTol
+                                             : arj > kPivotTol)
+                                       : (up ? arj > kPivotTol
+                                             : arj < -kPivotTol);
       if (!eligible) continue;
       const double dj = up ? std::min(0.0, d_[static_cast<std::size_t>(j)])
                            : std::max(0.0, d_[static_cast<std::size_t>(j)]);
@@ -882,7 +881,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
         if (u != kInfinity && !dualCandidates_.empty()) {
           const double residual = std::abs(leavingVal - target);
           if (std::abs(alpha_[static_cast<std::size_t>(j)]) * u <
-              residual - options_.feasTol) {
+              residual - kFeasTol) {
             const bool up = atUpper(j);
             const double delta = up ? -u : u;
             if (!flipped) {
@@ -912,7 +911,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
 
     ftranColumn(entering);
     const double pivotVal = wScratch_[static_cast<std::size_t>(leaving)];
-    if (std::abs(pivotVal) <= options_.pivotTol) {
+    if (std::abs(pivotVal) <= kPivotTol) {
       // The recomputed column disagrees with the priced row — numerical
       // trouble; let the caller rebuild from scratch.
       ready_ = false;
@@ -950,7 +949,7 @@ SolveStatus SparseSimplex::solveDual(std::span<const double> rhs,
     if (bestViol < lastViolation - kProgressTol) {
       lastViolation = bestViol;
       sinceImprovement = 0;
-    } else if (++sinceImprovement > options_.stallLimit) {
+    } else if (++sinceImprovement > kStallLimit) {
       useBland = true;  // degeneracy suspected
     }
   }

@@ -7,6 +7,10 @@
 
 #include "lp/simplex.hpp"
 
+namespace treeplace {
+class BudgetGuard;
+}
+
 namespace treeplace::lp {
 
 struct WarmStartStats;  // defined in lp/workspace.hpp
@@ -26,7 +30,7 @@ struct WarmStartStats;  // defined in lp/workspace.hpp
 /// solve then the eta file in order, and btran the eta file in reverse then
 /// the transposed LU solve. The eta file grows by one sparse column per
 /// pivot; the owning engine refactorizes when it gets long or dense (see
-/// SimplexOptions::refactorEtaLimit / refactorGrowthLimit).
+/// SimplexOptions::refactorEtaLimit and kRefactorGrowthLimit).
 ///
 /// A row-wise index of the eta file lists, per basis position, the etas that
 /// read it (an off-pivot entry or the pivot itself): one bit per eta, one
@@ -39,9 +43,9 @@ class SparseLu {
  public:
   /// Factor the m x m matrix given in CSC (colStart has m+1 entries; column k
   /// is the basis column at position k). Returns false when numerically
-  /// singular. Clears the eta file.
+  /// singular (no pivot above kPivotTol). Clears the eta file.
   bool factorize(int m, std::span<const int> colStart, std::span<const int> rowIdx,
-                 std::span<const double> values, double pivotTol);
+                 std::span<const double> values);
 
   /// Solve B x = b in place (b indexed by row, x by basis position).
   ///
@@ -62,10 +66,9 @@ class SparseLu {
   /// Record a pivot: basis position `p` received a column whose ftran image
   /// is `w`, nonzero only at the ascending positions `nonzeros` (the caller
   /// already has both from the ratio test). Returns false when the pivot
-  /// element |w[p]| is too small to apply stably — the caller should
-  /// refactorize instead.
-  bool appendEta(int p, std::span<const double> w, std::span<const int> nonzeros,
-                 double pivotTol);
+  /// element |w[p]| is at most kPivotTol, too small to apply stably — the
+  /// caller should refactorize instead.
+  bool appendEta(int p, std::span<const double> w, std::span<const int> nonzeros);
 
   int etaCount() const { return static_cast<int>(etaPivotPos_.size()); }
   long etaEntries() const { return static_cast<long>(etaRow_.size()); }
@@ -179,13 +182,16 @@ class SparseSimplex {
   }
 
   /// Two-phase primal from an all-logical basis. `rhs` is the model-space
-  /// right-hand side under the current bound offsets.
-  SolveStatus solveCold(std::span<const double> rhs, WarmStartStats& stats);
+  /// right-hand side under the current bound offsets. `guard`, when
+  /// non-null, is ticked once per pivot; a trip returns IterationLimit.
+  SolveStatus solveCold(std::span<const double> rhs, WarmStartStats& stats,
+                        BudgetGuard* guard);
 
   /// Dual re-solve from the previous optimal basis under new rhs/boxes.
-  /// Requires ready(). IterationLimit signals numerical trouble — fall back
-  /// to solveCold().
-  SolveStatus solveDual(std::span<const double> rhs, WarmStartStats& stats);
+  /// Requires ready(). IterationLimit signals numerical trouble or a guard
+  /// trip — fall back to solveCold().
+  SolveStatus solveDual(std::span<const double> rhs, WarmStartStats& stats,
+                        BudgetGuard* guard);
 
   /// Structural column values of the last Optimal solve.
   void structuralValues(std::vector<double>& out) const;
@@ -248,10 +254,11 @@ class SparseSimplex {
   bool factorizeBasis(WarmStartStats& stats, bool isRefactor);
   /// Append the eta of the pivot whose column is in wScratch_/wRows_.
   bool recordPivot(int leavingPos, WarmStartStats& stats);
-  SolveStatus primalIterate(std::span<const double> phaseCost, WarmStartStats& stats);
+  SolveStatus primalIterate(std::span<const double> phaseCost, WarmStartStats& stats,
+                            BudgetGuard* guard);
   double objectiveOf(std::span<const double> phaseCost) const;
 
-  SimplexOptions options_;
+  int refactorEtaLimit_ = 64;  ///< SimplexOptions::refactorEtaLimit
 
   // ---- fixed standard form ----
   int m_ = 0;

@@ -18,9 +18,33 @@ inline constexpr double kRatioTieTol = 1e-12;
 
 /// Minimum objective improvement (primal) or infeasibility reduction (dual)
 /// per pivot that counts as progress for the degeneracy detector; once
-/// SimplexOptions::stallLimit consecutive pivots fall short, both paths
-/// switch to Bland's rule.
+/// kStallLimit consecutive pivots fall short, both paths switch to Bland's
+/// rule.
 inline constexpr double kProgressTol = 1e-12;
+inline constexpr long kStallLimit = 256;
+
+/// Pivot and LU entries below this magnitude are treated as zero.
+inline constexpr double kPivotTol = 1e-9;
+
+/// A phase-1 objective above this means infeasible; it is also the smallest
+/// box violation the dual simplex treats as one.
+inline constexpr double kFeasTol = 1e-7;
+
+/// Pivots per primal phase or dual re-solve before giving up with
+/// SolveStatus::IterationLimit.
+inline constexpr long kMaxIterations = 200000;
+
+/// Refactorize once the eta-file entry count exceeds this multiple of the
+/// current LU fill (guards against dense spike columns bloating every
+/// subsequent ftran/btran).
+inline constexpr double kRefactorGrowthLimit = 3.0;
+
+/// Branch-and-bound: an integer variable within this of an integer counts as
+/// integral.
+inline constexpr double kIntegralityTol = 1e-6;
+
+/// Branch-and-bound prune/stop tolerance on the objective.
+inline constexpr double kAbsoluteGap = 1e-6;
 
 /// Slack used when rounding a dual bound up to the next objective-granularity
 /// multiple (lp/branch_bound): ceil(bound / g - kGranularitySlack) * g keeps

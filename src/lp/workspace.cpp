@@ -226,37 +226,37 @@ void LpWorkspace::flushPatches() {
   dirtyRows_.clear();
 }
 
-SolveStatus LpWorkspace::solveCold() {
+SolveStatus LpWorkspace::solveCold(BudgetGuard* guard) {
   ++stats_.coldSolves;
   basisValid_ = false;
   flushPatches();
-  const SolveStatus st = sparse_.solveCold(rhs_, stats_);
+  const SolveStatus st = sparse_.solveCold(rhs_, stats_, guard);
   if (st != SolveStatus::Optimal) return st;
   extract();
   basisValid_ = true;
   return SolveStatus::Optimal;
 }
 
-SolveStatus LpWorkspace::solveDual() {
+SolveStatus LpWorkspace::solveDual(BudgetGuard* guard) {
   TREEPLACE_REQUIRE(basisValid_, "solveDual requires a prior optimal basis");
   ++stats_.warmSolves;
   flushPatches();
-  const SolveStatus st = sparse_.solveDual(rhs_, stats_);
+  const SolveStatus st = sparse_.solveDual(rhs_, stats_, guard);
   basisValid_ = sparse_.ready();
   if (st == SolveStatus::Optimal) extract();
   return st;
 }
 
-SolveStatus LpWorkspace::solve() {
+SolveStatus LpWorkspace::solve(BudgetGuard* guard) {
   // SimplexPivot fault: pretend the warm dual re-solve hit numerical trouble
   // so the cold fallback path runs. Costs latency (a full two-phase solve),
   // never correctness.
   if (warmReady() && !fault::fire(fault::Site::SimplexPivot)) {
-    const SolveStatus st = solveDual();
+    const SolveStatus st = solveDual(guard);
     if (st != SolveStatus::IterationLimit) return st;
     ++stats_.dualFallbacks;
   }
-  return solveCold();
+  return solveCold(guard);
 }
 
 void LpWorkspace::extract() {

@@ -173,16 +173,22 @@ class LpWorkspace {
   bool warmReady() const { return basisValid_; }
 
   /// Two-phase primal simplex from scratch under the current bounds.
-  SolveStatus solveCold();
+  ///
+  /// Every solve takes an optional shared budget: each pivot ticks it and
+  /// the solve bails out with SolveStatus::IterationLimit when it trips,
+  /// which callers already treat as a sound "stop without a proof" signal
+  /// (B&B keeps the inherited bound and marks the node unproven).
+  /// Non-owning; must outlive the solve.
+  SolveStatus solveCold(BudgetGuard* guard = nullptr);
 
   /// Dual-simplex re-solve from the last optimal basis under the current
   /// bounds. Requires warmReady(). Returns IterationLimit on numerical
   /// trouble — the caller should fall back to solveCold().
-  SolveStatus solveDual();
+  SolveStatus solveDual(BudgetGuard* guard = nullptr);
 
   /// solveDual() when a basis is available (falling back to solveCold() on
   /// numerical failure), else solveCold().
-  SolveStatus solve();
+  SolveStatus solve(BudgetGuard* guard = nullptr);
 
   /// Objective and point of the last Optimal solve, in model space.
   double objective() const { return objective_; }

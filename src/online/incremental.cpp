@@ -321,10 +321,10 @@ std::shared_ptr<const Placement> IncrementalSolver::resolveWith(
   const std::uint64_t epoch = cache.epoch();
   cache.walk(
       rootEntry,
-      [&](BagId bag, std::int32_t entryIndex) {
-        const auto bi = static_cast<std::size_t>(bag);
+      [&](VertexId v, std::int32_t entryIndex) {
+        const auto bi = static_cast<std::size_t>(v);
         const bool same =
-            chosenEntry_[bi] == entryIndex && chosenEpoch_[bi] >= cache.dirtySince(bag);
+            chosenEntry_[bi] == entryIndex && chosenEpoch_[bi] >= cache.dirtySince(v);
         chosenEntry_[bi] = entryIndex;
         chosenEpoch_[bi] = epoch;
         return !same;

@@ -25,7 +25,7 @@ void WarmIlpSession::build() {
   formulation_.emplace(*instance_, Policy::Multiple, fo);
   builtCapacity_ = instance_->capacity;
   workspace_.reset();  // the old workspace references the dead model
-  workspace_.emplace(formulation_->model(), baseMip_.lp);
+  workspace_.emplace(formulation_->model());
   rebuildNeeded_ = false;
 }
 
@@ -150,14 +150,6 @@ ExactIlpResult WarmIlpSession::resolve(BudgetGuard* guard) {
   mo.workspace = &*workspace_;
   if (guard != nullptr) mo.guard = guard;
   mo.knownLowerBound = std::max(mo.knownLowerBound, bounds_.decompositionBound());
-  if (mo.objectiveGranularity == 0.0 && integralStorageCosts(*instance_))
-    mo.objectiveGranularity = 1.0;
-  if (mo.branchPriority.empty()) {
-    mo.branchPriority.assign(
-        static_cast<std::size_t>(formulation_->model().variableCount()), 0);
-    for (const VertexId j : instance_->tree.internals())
-      mo.branchPriority[static_cast<std::size_t>(formulation_->placementVar(j))] = 1;
-  }
   if (previous_) {
     std::vector<double> seed = encodeIncumbent(*previous_);
     if (!seed.empty()) {
@@ -166,22 +158,10 @@ ExactIlpResult WarmIlpSession::resolve(BudgetGuard* guard) {
     }
   }
 
-  const lp::MipResult mip = lp::solveMip(formulation_->model(), mo);
-  stats_.lastNodes = mip.nodesExplored;
-  stats_.totalNodes += mip.nodesExplored;
-  result.nodesExplored = mip.nodesExplored;
-  result.proven = mip.proven;
-  result.warm = mip.warm;
-  result.lpMillis = mip.lpMillis;
-  result.lowerBound = mip.lowerBound;
-  result.stopReason = mip.stopReason;
-  if (mip.hasIncumbent()) {
-    result.placement = formulation_->decode(mip.values);
-    result.cost = result.placement->storageCost(*instance_);
-    previous_ = result.placement;
-  } else {
-    previous_.reset();
-  }
+  result = solveFormulation(*instance_, *formulation_, std::move(mo), true);
+  stats_.lastNodes = result.nodesExplored;
+  stats_.totalNodes += result.nodesExplored;
+  previous_ = result.placement;
   return result;
 }
 

@@ -56,7 +56,8 @@ class WarmIlpSession {
 
   /// Re-solve the mutated instance to proven optimality. Same result contract
   /// as solveExactViaIlp (no placement = infeasible). An optional guard bounds
-  /// the search (layered over any guard in the ctor's MipOptions); a truncated
+  /// the search, node pops and LP pivots alike (it replaces any guard in the
+  /// ctor's MipOptions); a truncated
   /// run still reports the certified [lowerBound, cost] bracket and keeps the
   /// incumbent as the seed of the next resolve.
   ExactIlpResult resolve(BudgetGuard* guard = nullptr);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/bag_steps.hpp"
@@ -389,7 +390,7 @@ TEST(FrontierSolverEquivalence, MultipleDPMatchesGreedyOn100RandomInstances) {
 
 // Drive the shared Closest bag step through a caller-constructed frontier
 // cache, refreshed cold and walked, and return the sorted replica list: the
-// merge-bag interface (schedule, merge order, backpointer walk) must
+// cache's postorder refresh, merge order and backpointer walk must
 // reconstruct the production solver's placement, entry for entry.
 std::optional<std::vector<VertexId>> driveClosestDp(const ProblemInstance& instance) {
   FrontierCache<FrontierEntry> cache(instance.tree, true);
@@ -400,7 +401,7 @@ std::optional<std::vector<VertexId>> driveClosestDp(const ProblemInstance& insta
   if (rootEntry < 0) return std::nullopt;
   std::vector<VertexId> replicas;
   cache.walk(
-      rootEntry, [](BagId, std::int32_t) { return true; },
+      rootEntry, [](VertexId, std::int32_t) { return true; },
       [&replicas](VertexId node, bool placed) {
         if (placed) replicas.push_back(node);
       });
@@ -422,6 +423,58 @@ TEST(FrontierSolverEquivalence, BagInterfaceMatchesTreeInterfaceBitExactly) {
     ASSERT_TRUE(solver.has_value()) << "seed " << seed;
     EXPECT_EQ(solver->replicaList(), *treeReplicas) << "seed " << seed;
   }
+}
+
+/// shape(tree, v) against a brute-force walk of v's subtree. Clients are
+/// counted by kind, never by child count: a bare internal (a childless
+/// non-client) is an internal of its cone. Returns the bare internals seen.
+int expectShapesMatchSubtreeWalk(const Tree& tree, const std::string& ctx) {
+  int bare = 0;
+  for (std::size_t vi = 0; vi < tree.vertexCount(); ++vi) {
+    const auto v = static_cast<VertexId>(vi);
+    std::int32_t clients = 0;
+    std::int32_t internals = 0;
+    std::vector<VertexId> todo{v};
+    while (!todo.empty()) {
+      const VertexId u = todo.back();
+      todo.pop_back();
+      ++(tree.isClient(u) ? clients : internals);
+      for (const VertexId c : tree.children(u)) todo.push_back(c);
+    }
+    std::int32_t depth = 0;
+    for (VertexId u = tree.parent(v); u != kNoVertex; u = tree.parent(u)) ++depth;
+    if (!tree.isClient(v) && tree.children(v).empty()) ++bare;
+
+    const BagShape got = shape(tree, v);
+    EXPECT_EQ(got.clients, clients) << ctx << " v=" << v;
+    EXPECT_EQ(got.internals, internals) << ctx << " v=" << v;
+    EXPECT_EQ(got.depth, depth) << ctx << " v=" << v;
+  }
+  return bare;
+}
+
+TEST(BagShape, ConeCountsMatchSubtreeCounts) {
+  for (std::uint64_t index = 0; index < 6; ++index) {
+    GeneratorConfig config;
+    config.heterogeneous = index % 2 == 1;
+    const ProblemInstance instance = generateInstance(config, 7, index);
+    expectShapesMatchSubtreeWalk(instance.tree, "tree " + std::to_string(index));
+  }
+  // Multitree members carry bare internals (gateways a member tree only
+  // routes through), where leaf and client part ways.
+  int bare = 0;
+  for (std::uint64_t index = 0; index < 12; ++index) {
+    MultitreeConfig config;
+    config.trees = 2 + static_cast<int>(index % 3);
+    config.sharedInternals = 3;
+    config.base.minSize = 8;
+    config.base.maxSize = 20;
+    const MultitreeInstance mt = generateMultitreeInstance(config, 77, index);
+    for (std::size_t t = 0; t < mt.trees.size(); ++t)
+      bare += expectShapesMatchSubtreeWalk(
+          mt.trees[t].tree, "multitree " + std::to_string(index) + " member " + std::to_string(t));
+  }
+  EXPECT_GT(bare, 0);
 }
 
 /// Subset-enumeration oracle of ConstrainedClosestStep: the cheapest

@@ -135,10 +135,10 @@ TEST(IncrementalSolver, OneShotChargesOneStepPerBag) {
   }
 }
 
-// The cache layout is keyed by the TreeDecomposition bag schedule, a pure
-// function of tree shape. Two solvers over the same shape — one on the
-// original tree, one on a rebuild from its parent array — must resolve to
-// bit-identical placements, both at the initial solve and after replaying
+// The cache layout is keyed by the bag schedule (the postorder and each
+// vertex's merge order), a pure function of tree shape. Two solvers over the
+// same shape — one on the original tree, one on a rebuild from its parent
+// array — must resolve to bit-identical placements, both at the initial solve and after replaying
 // the same mutation on each side. Any schedule or merge-order drift between
 // the two constructions would surface here as a placement mismatch.
 TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
@@ -1187,6 +1187,22 @@ TEST(WarmIlpSession, HeterogeneousCapacityPatchAndRebuild) {
   EXPECT_GE(session.stats().rebuilds, 1u);
 }
 
+// A resolve's guard bounds the whole search: the node LPs' pivots in the
+// session's own workspace tick it as well as the node pops, as in the
+// one-shot solveMip path. A guard that only saw node pops would read at most
+// the node count.
+TEST(WarmIlpSession, GuardCountsTheWorkspacePivots) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ProblemInstance instance = smallHomogeneous(seed);
+    WarmIlpSession session(instance);
+    BudgetGuard counting(SolveBudget{.maxSteps = 1L << 40});
+    const ExactIlpResult first = session.resolve(&counting);
+    ASSERT_TRUE(first.proven) << "seed=" << seed;
+    EXPECT_GT(first.warm.primalIterations + first.warm.dualIterations, 0) << "seed=" << seed;
+    EXPECT_GT(counting.stepsUsed(), first.nodesExplored) << "seed=" << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level seams the session is built on.
 // ---------------------------------------------------------------------------
@@ -1199,10 +1215,10 @@ TEST(MipEngine, InitialIncumbentSeedsUpperBound) {
   // min x0 + x1  s.t.  x0 + x1 >= 1, x binary. Seed the suboptimal (1, 1):
   // the search must still return the optimum, not the seed.
   lp::Model model;
-  const int x0 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x0");
-  const int x1 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x1");
+  const int x0 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer);
+  const int x1 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer);
   const lp::Term terms[2] = {{x0, 1.0}, {x1, 1.0}};
-  model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms, "cover");
+  model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms);
 
   for (const int workers : kWorkerCounts) {
     lp::MipOptions options;
@@ -1219,9 +1235,9 @@ TEST(MipEngine, InitialIncumbentReturnedWhenAlreadyOptimal) {
   // With knownLowerBound equal to the seed's objective the search can stop
   // at the root and must hand back the seeded point itself.
   lp::Model model;
-  const int x0 = model.addVariable(0.0, 1.0, 2.0, lp::VarType::Integer, "x0");
+  const int x0 = model.addVariable(0.0, 1.0, 2.0, lp::VarType::Integer);
   const lp::Term term[1] = {{x0, 1.0}};
-  model.addConstraint(lp::Sense::GreaterEqual, 1.0, term, "force");
+  model.addConstraint(lp::Sense::GreaterEqual, 1.0, term);
 
   for (const int workers : kWorkerCounts) {
     lp::MipOptions options;
@@ -1239,10 +1255,10 @@ TEST(MipEngine, InitialIncumbentSurvivesZeroNodeBudget) {
   // No node may be explored, so the seed is the only answer there is: it must
   // come back as the incumbent, unproven, at every worker count.
   lp::Model model;
-  const int x0 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x0");
-  const int x1 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer, "x1");
+  const int x0 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer);
+  const int x1 = model.addVariable(0.0, 1.0, 1.0, lp::VarType::Integer);
   const lp::Term terms[2] = {{x0, 1.0}, {x1, 1.0}};
-  model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms, "cover");
+  model.addConstraint(lp::Sense::GreaterEqual, 1.0, terms);
 
   for (const int workers : kWorkerCounts) {
     lp::MipOptions options;
@@ -1263,14 +1279,14 @@ TEST(MipEngine, ExternalWorkspaceSurvivesRhsAndBoundPatches) {
   // with rhs/box patches in between; answers must match fresh cold solves.
   for (const int workers : kWorkerCounts) {
     lp::Model model;
-    const int x = model.addVariable(0.0, 1.0, 3.0, lp::VarType::Integer, "x");
-    const int y = model.addVariable(0.0, 4.0, 1.0, lp::VarType::Continuous, "y");
+    const int x = model.addVariable(0.0, 1.0, 3.0, lp::VarType::Integer);
+    const int y = model.addVariable(0.0, 4.0, 1.0, lp::VarType::Continuous);
     const lp::Term cover[2] = {{x, 2.0}, {y, 1.0}};
-    const int row = model.addConstraint(lp::Sense::GreaterEqual, 2.0, cover, "cover");
+    const int row = model.addConstraint(lp::Sense::GreaterEqual, 2.0, cover);
 
     lp::MipOptions warm;
     warm.workers = workers;
-    lp::LpWorkspace workspace(model, warm.lp);
+    lp::LpWorkspace workspace(model);
     warm.workspace = &workspace;
 
     for (const double rhs : {2.0, 4.0, 3.0}) {
@@ -1300,9 +1316,9 @@ TEST(MipEngine, FreeIntegerVariableIsRejected) {
   // count.
   lp::Model model;
   const int x = model.addVariable(-lp::kInfinity, lp::kInfinity, 1.0,
-                                  lp::VarType::Integer, "x");
+                                  lp::VarType::Integer);
   const lp::Term term[1] = {{x, 1.0}};
-  model.addConstraint(lp::Sense::GreaterEqual, 0.5, term, "floor");
+  model.addConstraint(lp::Sense::GreaterEqual, 0.5, term);
 
   for (const int workers : kWorkerCounts) {
     lp::MipOptions options;

@@ -398,12 +398,12 @@ TEST(QosSolverEquivalence, ByteIdenticalReplicaSetsOn100RandomInstances) {
   EXPECT_GE(feasible, 30);
 }
 
-// The ported solver walks the bag schedule of a TreeDecomposition, not the
-// tree directly. The schedule (and the canonical merge order inside each
-// bag) is a pure function of the tree shape, so rebuilding the same shape
-// from its parent array must reproduce byte-identical placements — the
-// bag-interface counterpart of the merge-order determinism test in
-// test_tree.cpp, here exercised through the 3-D QoS sweep.
+// The solver folds the bags in postorder and each bag's children in the
+// canonical merge order, both pure functions of the tree shape, so
+// rebuilding the same shape from its parent array must reproduce
+// byte-identical placements — the frontier-cache counterpart of the
+// merge-order determinism test in test_tree.cpp, here exercised through the
+// 3-D QoS sweep.
 TEST(QosSolverEquivalence, BagScheduleStableAcrossTreeRebuild) {
   int feasible = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {

@@ -342,7 +342,7 @@ TEST(SparseSimplex, UnitBtranThroughEtaIndexMatchesFullSweep) {
       colStart.push_back(static_cast<int>(rowIdx.size()));
     }
     SparseLu lu;
-    ASSERT_TRUE(lu.factorize(m, colStart, rowIdx, values, 1e-9));
+    ASSERT_TRUE(lu.factorize(m, colStart, rowIdx, values));
     const int etas = static_cast<int>(rng.uniformInt(0, 70));
     const int hotPos = static_cast<int>(rng.uniformInt(0, m - 1));
     for (int e = 0; e < etas; ++e) {
@@ -360,7 +360,7 @@ TEST(SparseSimplex, UnitBtranThroughEtaIndexMatchesFullSweep) {
         }
         nonzeros.push_back(i);
       }
-      ASSERT_TRUE(lu.appendEta(p, w, nonzeros, 1e-9));
+      ASSERT_TRUE(lu.appendEta(p, w, nonzeros));
     }
     ASSERT_EQ(lu.etaCount(), etas);
     std::vector<double> viaIndex(static_cast<std::size_t>(m));
